@@ -40,11 +40,22 @@ def _parse_ring(tokens) -> Ring:
         return QQ
     if toks == ["Z"]:
         return ZZ
-    if len(toks) == 2 and toks[0] == "F":
-        return GF(int(toks[1]))
-    if len(toks) == 1 and toks[0].startswith("F") and toks[0][1:].isdigit():
-        return GF(int(toks[0][1:]))
-    raise UsageError(f"cannot parse ring {' '.join(tokens)!r} (expected Q, Z or F <p>)")
+    if len(toks) == 2 and toks[0] == "F" and toks[1].isdigit():
+        modulus = toks[1]
+    elif len(toks) == 1 and toks[0].startswith("F") and toks[0][1:].isdigit():
+        modulus = toks[0][1:]
+    else:
+        raise UsageError(f"cannot parse ring {' '.join(tokens)!r} (expected Q, Z or F <p>)")
+    try:
+        return GF(int(modulus))
+    except ValueError as exc:
+        raise UsageError(f"bad ring {' '.join(tokens)!r}: {exc}") from None
+
+
+def _page_index(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a page index >= 0, got {text!r}")
+    return int(text)
 
 
 def _read_input(path: str) -> str:
@@ -315,13 +326,13 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("pages", help="print page tables and differentials")
     add_input(sp)
-    sp.add_argument("--max-r", type=int, default=None)
+    sp.add_argument("--max-r", type=_page_index, default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_pages)
 
     sp = sub.add_parser("diff", help="print one page differential")
     add_input(sp)
-    sp.add_argument("-r", type=int, required=True)
+    sp.add_argument("-r", type=_page_index, required=True)
     sp.add_argument("-p", type=int, required=True)
     sp.add_argument("-q", type=int, required=True)
     sp.add_argument("--json", action="store_true")
@@ -329,7 +340,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("compare", help="cross-check against the filtered-complex route")
     add_input(sp)
-    sp.add_argument("--max-r", type=int, default=None)
+    sp.add_argument("--max-r", type=_page_index, default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_compare)
 
@@ -376,7 +387,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except _InvalidInput:
         return EXIT_MATH
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,9 +1,30 @@
 """Ground truth: the spectral sequence of the filtered total complex.
 
-Pages are computed from first principles on Tot C: the r-cycles are
-F_p intersected with d^{-1}(F_{p-r}) (one kernel, no intersection), and
-the r-boundaries combine the (r-1)-cycles one column down with the image
-of the (r-1)-cycles r-1 columns up.  The differential is [x] -> [dx].
+Pages are computed from first principles on Tot C, from nothing but the
+total differential d and the column filtration F_p (never witnesses):
+the r-cycles are ZZ_r^p = F_p intersected with d^{-1}(F_{p-r}), the
+r-boundaries are BB_r^p = ZZ_{r-1}^{p-1} + d ZZ_{r-1}^{p+r-1}, and the
+differential is [x] -> [dx].
+
+The Tot basis runs in descending column order, so F_p is a coordinate
+suffix and dx lies in F_{p-r} exactly when dx vanishes on the rows above
+cut = start of F_{p-r} in Tot_{n-1}.  So, as for persistent homology
+(Zomorodian-Carlsson 2005; Romero-Rubio-Sergeraert 2006), one elimination
+of the columns of d restricted to F_p, scanning rows top down, yields
+ZZ_r^p for every r: with k the number of pivot rows above the cut,
+
+* over a field, one RREF of [d|F_p^T | I]: the d-parts of the first k
+  rows are independent above the cut and the others vanish there, so
+  the transform rows from k on span ZZ_r^p, and their d-parts d ZZ_r^p;
+* over Z, one column Hermite reduction with transform, snapshotted before
+  the first row of every filtration block of Tot_{n-1}: the transform
+  columns past the k pivots span ZZ_r^p, the matching Hermite columns
+  span d ZZ_r^p.
+
+Cycle modules are cached per (n, start, k), boundary modules per pair of
+such keys, and subquotients per pair of distinct modules.  Canonical
+echelon and Hermite forms make equal modules structurally equal, so every
+result is identical to computing each (r, p, n) from scratch.
 
 `psi` sends a class [x] on this side to the class of the leading column
 projection (x)_p on the witness side; `compare` checks, cell by cell and
@@ -13,12 +34,14 @@ two differentials.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .linalg import (
-    Mat,
     MembershipError,
     SubmodulePresentation,
+    _hnf_columns,
+    _rref_field,
     image,
     kernel,
     subquotient,
@@ -84,51 +107,101 @@ class ComparisonReport:
         return not self.failures
 
 
+class _Reduction:
+    """The columns of d_n restricted to F_p (from coordinate `start` on), reduced once.
+
+    `pivots` are the leading rows, in Tot_{n-1}, in increasing order.
+    `suffix[k]` is (cycles, images) for every k that a filtration cut of
+    Tot_{n-1} can give: cycles, in local F_p coordinates, span the
+    elements whose boundary vanishes on every row above pivots[k] (every
+    row, when k = len(pivots)), and images are their boundaries.
+    """
+
+    __slots__ = ("pivots", "suffix")
+
+    def __init__(self, t: TotalComplex, n: int, start: int):
+        ring = t.ring
+        dmat = t.d(n)
+        nrows = dmat.rows
+        cols = [dmat.col(j) for j in range(start, dmat.cols)]
+        bounds = [0]
+        for _, _, rank in t.blocks(n - 1):
+            bounds.append(bounds[-1] + rank)
+        if ring.is_field:
+            one, zero = ring.one(), ring.zero()
+            width = len(cols)
+            aug = [col + [one if i == j else zero for i in range(width)]
+                   for j, col in enumerate(cols)]
+            reduced, self.pivots = _rref_field(ring, aug, limit=nrows)
+            cycles = [row[nrows:] for row in reduced]
+            images = [row[:nrows] for row in reduced]
+            levels = {bisect_left(self.pivots, b) for b in bounds}
+            self.suffix = {k: (cycles[k:], images[k:]) for k in levels}
+        else:
+            snaps = dict.fromkeys(bounds)
+            _, _, self.pivots, _ = _hnf_columns(cols, nrows, transform=True, snaps=snaps)
+            self.suffix = {k: (v, h) for k, h, v in snaps.values()}
+
+
 class FilteredPages:
     """Filtered-route page engine on a total complex, with caches."""
 
     def __init__(self, t: TotalComplex):
         self.t = t
-        self._zz = {}
+        self._zz = {}          # (r, p, n) -> ZZ_r^p in Tot_n
+        self._reductions = {}  # (n, start) -> _Reduction
+        self._cycles = {}      # (n, start, k) -> cycle module
+        self._boundaries = {}  # (low cycle key, high cycle key) -> boundary module
+        self._modules = {}     # module -> its one shared copy, kept alive here
+        self._quotients = {}   # (id(zz), id(bb)) of shared copies -> subquotient
         self._entries = {}
         self._deltas = {}
 
+    def _key(self, r: int, p: int, n: int):
+        """(n, start, k): the reduction of d_n on F_p and the cut of F_{p-r}."""
+        t = self.t
+        start = t.filtration_start(n, p)
+        red = self._reductions.get((n, start))
+        if red is None:
+            red = self._reductions[(n, start)] = _Reduction(t, n, start)
+        return n, start, bisect_left(red.pivots, t.filtration_start(n - 1, p - r))
+
+    def _suffix(self, key):
+        n, start, k = key
+        return self._reductions[(n, start)].suffix[k]
+
+    def _cycle_module(self, key) -> SubmodulePresentation:
+        res = self._cycles.get(key)
+        if res is None:
+            n, start, _ = key
+            pad = [self.t.ring.zero()] * start
+            gens = [pad + list(c) for c in self._suffix(key)[0]]
+            res = SubmodulePresentation.span(self.t.ring, self.t.dim(n), gens)
+            res = self._cycles[key] = self._modules.setdefault(res, res)
+        return res
+
     def zz(self, r: int, p: int, n: int) -> SubmodulePresentation:
-        """F_p intersected with d^{-1}(F_{p-r}), as a kernel in Tot_n."""
+        """F_p intersected with d^{-1}(F_{p-r}) in Tot_n."""
         if r < 0:
             raise ValueError("page index must be >= 0")
         key = (r, p, n)
         cached = self._zz.get(key)
-        if cached is not None:
-            return cached
-        t = self.t
-        dim_n = t.dim(n)
-        start = t.filtration_start(n, p)
-        sub = list(range(start, dim_n))
-        cut = t.filtration_start(n - 1, p - r)
-        dmat = t.d(n)
-        restricted = [[dmat.data[i][j] for j in sub] for i in range(cut)]
-        ker = kernel(Mat._raw(t.ring, cut, len(sub), restricted))
-        zero = t.ring.zero()
-        embedded = []
-        for g in ker.gens:
-            full = [zero] * dim_n
-            full[start:dim_n] = list(g)
-            embedded.append(full)
-        res = SubmodulePresentation.span(t.ring, dim_n, embedded)
-        self._zz[key] = res
-        return res
+        if cached is None:
+            cached = self._zz[key] = self._cycle_module(self._key(r, p, n))
+        return cached
 
     def bb(self, r: int, p: int, n: int) -> SubmodulePresentation:
-        t = self.t
+        """ZZ_{r-1}^{p-1} + d ZZ_{r-1}^{p+r-1} in Tot_n (ZZ_0^{p-1} at r = 0)."""
         if r == 0:
             return self.zz(0, p - 1, n)
-        low = self.zz(r - 1, p - 1, n)
-        high = self.zz(r - 1, p + r - 1, n + 1)
-        dmat = t.d(n + 1)
-        gens = [list(g) for g in low.gens]
-        gens += [dmat.matvec(list(g)) for g in high.gens]
-        return SubmodulePresentation.span(t.ring, t.dim(n), gens)
+        low = self._key(r - 1, p - 1, n)
+        high = self._key(r - 1, p + r - 1, n + 1)
+        res = self._boundaries.get((low, high))
+        if res is None:
+            gens = [list(g) for g in self._cycle_module(low).gens] + self._suffix(high)[1]
+            res = SubmodulePresentation.span(self.t.ring, self.t.dim(n), gens)
+            res = self._boundaries[(low, high)] = self._modules.setdefault(res, res)
+        return res
 
     def entry(self, r: int, p: int, n: int) -> FilteredEntry:
         key = (r, p, n)
@@ -149,7 +222,10 @@ class FilteredPages:
     def _entry_full(self, r: int, p: int, n: int) -> FilteredEntry:
         zz = self.zz(r, p, n)
         bb = self.bb(r, p, n)
-        quot = subquotient(zz, bb)
+        key = (id(zz), id(bb))
+        quot = self._quotients.get(key)
+        if quot is None:
+            quot = self._quotients[key] = subquotient(zz, bb)
         return FilteredEntry(r, p, n, zz, bb, quot)
 
     def delta(self, r: int, p: int, n: int):
@@ -176,14 +252,6 @@ class FilteredPages:
         rows = tuple(tuple(col[i] for col in cols) for i in range(nrows))
         self._deltas[key] = rows
         return rows
-
-
-def filtered_entry(t: TotalComplex, r, p, n) -> FilteredEntry:
-    return FilteredPages(t)._entry_full(r, p, n)
-
-
-def filtered_delta(t: TotalComplex, r, p, n):
-    return FilteredPages(t).delta(r, p, n)
 
 
 def psi(t: TotalComplex, c: Multicomplex, r, p, n, x: FilteredVector):

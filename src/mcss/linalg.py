@@ -335,7 +335,7 @@ def _rref_rationals(data, limit):
     return out, pivots
 
 
-def _hnf_columns(cols, nrows, transform=False):
+def _hnf_columns(cols, nrows, transform=False, snaps=None):
     """Canonical column Hermite form of an integer column family.
 
     Column convention: pivot rows strictly increase with column index,
@@ -343,6 +343,11 @@ def _hnf_columns(cols, nrows, transform=False):
     the pivot are reduced into [0, pivot).  Returns (h, v, pivot_rows,
     npiv) where columns npiv.. of h are zero, and (if requested) v holds
     unimodular-transform columns with  original_matrix . v[j] == h[j].
+
+    ``snaps``, a dict keyed by row indices in [0, nrows], is filled with
+    (npiv, h[npiv:], v[npiv:]) as they stand before that row is reduced.
+    The choices at row r depend on rows <= r only, so v[npiv:] there is
+    exactly the transform kernel basis of the matrix cut to rows < r.
     """
     h = [list(c) for c in cols]
     ncols = len(h)
@@ -350,6 +355,8 @@ def _hnf_columns(cols, nrows, transform=False):
     pivot_rows = []
     npiv = 0
     for r in range(nrows):
+        if snaps is not None and r in snaps:
+            snaps[r] = (npiv, h[npiv:], v[npiv:])
         jfound = -1
         for j in range(npiv, ncols):
             if h[j][r]:
@@ -399,6 +406,10 @@ def _hnf_columns(cols, nrows, transform=False):
         npiv += 1
         if npiv == ncols:
             break
+    if snaps is not None:
+        for r, snap in snaps.items():
+            if snap is None:
+                snaps[r] = (npiv, h[npiv:], v[npiv:])
     return h, v, pivot_rows, npiv
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 
+import pytest
 
 from mcss.cli import main
 from mcss.mcxio import emit, parse
@@ -169,3 +170,22 @@ def test_ring_override(tmp_path, capsys):
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/nowhere.mcx")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "FILE", "--max-r", "-1"],
+    ["pages", "FILE", "--max-r", "-1"],
+    ["diff", "FILE", "-r", "-1", "-p", "0", "-q", "0"],
+    ["example", "staircase", "--len", "3", "--ring", "F", "4"],
+    ["random", "--seed", "1", "--ring", "F", "x"],
+    ["pages", "DIR"],
+    ["compare", "DIR"],
+], ids=" ".join)
+def test_bad_arguments_exit_3_with_one_line(tmp_path, capsys, argv):
+    f = tmp_path / "h1.mcx"
+    f.write_text(H1)
+    subst = {"FILE": str(f), "DIR": str(tmp_path)}
+    code, out, err = run(capsys, *[subst.get(a, a) for a in argv])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1

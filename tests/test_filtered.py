@@ -6,13 +6,11 @@ from mcss.builders import RandomSpec, WallParams, hurtubise, random_mcx, stairca
 from mcss.filtered import (
     FilteredPages,
     compare,
-    filtered_delta,
-    filtered_entry,
     homology,
     lift_to_total,
     psi,
 )
-from mcss.linalg import MembershipError
+from mcss.linalg import Mat, MembershipError, SubmodulePresentation, image, kernel, subquotient
 from mcss.multicomplex import Multicomplex
 from mcss.pages import PageDifferential, SpectralPages
 from mcss.rings import GF, QQ, ZZ
@@ -25,15 +23,15 @@ from mcss.total import FilteredVector, totalize
 
 def test_entry_r0_is_associated_graded():
     c = hurtubise(4, QQ)
-    t = totalize(c)
+    fp = FilteredPages(totalize(c))
     for (p, q), r in c.ranks.items():
-        e = filtered_entry(t, 0, p, p + q)
+        e = fp._entry_full(0, p, p + q)
         assert e.invariants == (0,) * r
 
 
 def test_entry_hurtubise1_2_2_2():
     t = totalize(hurtubise(1, QQ))
-    e = filtered_entry(t, 2, 2, 2)
+    e = FilteredPages(t)._entry_full(2, 2, 2)
     assert e.invariants == (0,)
     # the class of D - B: coordinates (1, -1) in the basis [(2,0), (1,1)]
     g = e.gens[0]
@@ -52,9 +50,9 @@ def test_zz_above_support_is_full_cycle_space():
 
 def test_delta_r0_is_d0_blockwise():
     c = wall(WallParams(3, 2, 2, 4))
-    t = totalize(c)
+    fp = FilteredPages(totalize(c))
     for (p, q) in c.support:
-        rows = filtered_delta(t, 0, p, p + q)
+        rows = fp.delta(0, p, p + q)
         m = c.dmap(0, p, q)
         if m is None:
             assert all(not v for row in rows for v in row)
@@ -64,8 +62,7 @@ def test_delta_r0_is_d0_blockwise():
 
 def test_hurtubise4_delta2_rank():
     t = totalize(hurtubise(4, QQ))
-    rows = filtered_delta(t, 2, 2, 2)
-    from mcss.linalg import Mat, image
+    rows = FilteredPages(t).delta(2, 2, 2)
     assert image(Mat(QQ, len(rows), len(rows[0]), [list(r) for r in rows])).rank == 2
 
 
@@ -187,8 +184,6 @@ def test_filtered_nesting_invariants():
     # ZZ_{r+1} <= ZZ_r and BB_r <= ZZ_r hold literally; boundary growth
     # holds in graded-image form, BB_r <= BB_{r+1} + F_{p-1} (the literal
     # BB_r <= BB_{r+1} fails already for the short staircase at (2,2)).
-    from mcss.linalg import SubmodulePresentation
-
     c = random_mcx(RandomSpec(seed=9, width=4, height=4, maxrank=2, maxd=3, ring=ZZ))
     t = totalize(c)
     fp = FilteredPages(t)
@@ -246,6 +241,74 @@ def test_pruned_cells_honest_sweep(ring):
                 continue
             for r in (0, 1, 2, 3):
                 assert fp._entry_full(r, p, n).quot.invariants == ()
+
+
+def _reference_zz(t, r, p, n):
+    """ZZ_r^p from scratch: the kernel of d on F_p, rows outside F_{p-r} only."""
+    start = t.filtration_start(n, p)
+    cut = t.filtration_start(n - 1, p - r)
+    d = t.d(n)
+    restricted = Mat(t.ring, cut, t.dim(n) - start, [row[start:] for row in d.data[:cut]])
+    pad = [t.ring.zero()] * start
+    return SubmodulePresentation.span(
+        t.ring, t.dim(n), [pad + list(g) for g in kernel(restricted).gens])
+
+
+def _reference_bb(t, r, p, n):
+    """BB_r^p from scratch: ZZ_{r-1}^{p-1} plus d of every ZZ_{r-1}^{p+r-1} generator."""
+    if r == 0:
+        return _reference_zz(t, 0, p - 1, n)
+    gens = [list(g) for g in _reference_zz(t, r - 1, p - 1, n).gens]
+    high = _reference_zz(t, r - 1, p + r - 1, n + 1)
+    gens += [t.d(n + 1).matvec(list(g)) for g in high.gens]
+    return SubmodulePresentation.span(t.ring, t.dim(n), gens)
+
+
+REFERENCE_INSTANCES = {
+    **{f"random-{ring}-{seed}": (lambda ring=ring, seed=seed: random_mcx(RandomSpec(
+        seed=seed, width=5, height=5, maxrank=3, maxd=3, ring=ring)))
+       for ring in (GF(2), GF(97), QQ, ZZ) for seed in (0, 7)},
+    "wall-3-2-2": lambda: wall(WallParams(3, 2, 2, 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
+def test_filtered_pages_match_reference(name):
+    # ZZ_r, BB_r and E_r for every (r, p, n) up to the bound + 1, against
+    # one fresh kernel and one matvec per generator for each of them.
+    c = REFERENCE_INSTANCES[name]()
+    t = totalize(c)
+    fp = FilteredPages(t)
+    bound = SpectralPages(c).stabilization_bound()
+    columns = [p for p, _ in c.support]
+    for n in t.degrees():
+        for p in range(min(columns) - 1, max(columns) + 2):
+            for r in range(bound + 2):
+                zz, bb = _reference_zz(t, r, p, n), _reference_bb(t, r, p, n)
+                assert fp.zz(r, p, n) == zz, (r, p, n)
+                assert fp.bb(r, p, n) == bb, (r, p, n)
+                quot = subquotient(zz, bb)
+                entry = fp.entry(r, p, n)
+                assert entry.invariants == quot.invariants, (r, p, n)
+                if entry.quot is not None:
+                    assert entry.gens == quot.gens, (r, p, n)
+
+
+def test_compare_calls_no_kernel_from_filtered(monkeypatch):
+    import mcss.filtered
+
+    calls = []
+    original = mcss.filtered.kernel
+
+    def counting(m):
+        calls.append((m.rows, m.cols))
+        return original(m)
+
+    monkeypatch.setattr(mcss.filtered, "kernel", counting)
+    for ring in (GF(2), ZZ):
+        c = random_mcx(RandomSpec(seed=4, width=4, height=4, maxrank=2, maxd=3, ring=ring))
+        assert compare(c).ok
+    assert calls == []
 
 
 def test_filtered_delta_squares_to_zero():

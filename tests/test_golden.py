@@ -1,0 +1,75 @@
+"""Golden corpus: CLI output must stay byte-identical across refactors.
+
+Each case is an MCX file under tests/golden/, emitted by `mcss example`
+or `mcss random`, next to the frozen stdout of `pages`, `compare` and
+`homology` on it, in text and `--json` form.  To re-freeze after an
+intended output change, run from the checkout root:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from mcss.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+_RANDOM = ["--width", "5", "--height", "5", "--maxrank", "2", "--maxd", "3"]
+
+CASES = {
+    "staircase2": ["example", "staircase", "--len", "2"],
+    "staircase3": ["example", "staircase", "--len", "3"],
+    "staircase4": ["example", "staircase", "--len", "4"],
+    "hurtubise1": ["example", "hurtubise", "--n", "1"],
+    "hurtubise2": ["example", "hurtubise", "--n", "2", "--len", "5"],
+    "hurtubise3": ["example", "hurtubise", "--n", "3"],
+    "hurtubise4": ["example", "hurtubise", "--n", "4"],
+    "wall_3_2_2": ["example", "wall", "--r", "3", "--s", "2", "--t", "2", "--amax", "8"],
+    "random_f2_1": ["random", "--seed", "1", *_RANDOM, "--ring", "F", "2"],
+    "random_f2_2": ["random", "--seed", "2", *_RANDOM, "--ring", "F", "2"],
+    "random_q_1": ["random", "--seed", "1", *_RANDOM, "--ring", "Q"],
+    "random_q_2": ["random", "--seed", "2", *_RANDOM, "--ring", "Q"],
+    "random_z_1": ["random", "--seed", "1", *_RANDOM, "--ring", "Z"],
+    "random_z_2": ["random", "--seed", "2", *_RANDOM, "--ring", "Z"],
+}
+
+OUTPUTS = [(cmd, fmt) for cmd in ("pages", "compare", "homology") for fmt in ("txt", "json")]
+
+
+def _run(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0, (argv, code)
+    return buf.getvalue()
+
+
+def _outputs(name):
+    path = str(GOLDEN / f"{name}.mcx")
+    for cmd, fmt in OUTPUTS:
+        argv = [cmd, path] + (["--json"] if fmt == "json" else [])
+        yield GOLDEN / f"{name}.{cmd}.{fmt}", _run(argv)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_cli_output(name):
+    mcx = GOLDEN / f"{name}.mcx"
+    assert _run(CASES[name]) == mcx.read_text(encoding="utf-8")
+    for path, out in _outputs(name):
+        assert out == path.read_text(encoding="utf-8"), path.name
+
+
+def _freeze():
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        (GOLDEN / f"{name}.mcx").write_text(_run(argv), encoding="utf-8")
+        for path, out in _outputs(name):
+            path.write_text(out, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _freeze()
