@@ -45,6 +45,7 @@ from .linalg import (
     image,
     kernel,
     subquotient,
+    vec_sub,
 )
 from .multicomplex import Multicomplex
 from .pages import SpectralPages
@@ -295,9 +296,7 @@ def _lift(sp: SpectralPages, fp: FilteredPages, r, p, q, x) -> FilteredVector:
             zj = wit.z.get(j, [])
             if any(zj):
                 emb = t.embed_block(n, p - j, zj).coords
-                vec = [a - b for a, b in zip(vec, emb)]
-                if ring.kind == "F":
-                    vec = [v % ring.p for v in vec]
+                vec = vec_sub(ring, vec, emb)
     if not fp.zz(r, p, n).contains(vec):
         raise MembershipError("lift escaped the filtered cycle module")
     return FilteredVector(n, tuple(vec))

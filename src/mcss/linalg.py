@@ -183,9 +183,6 @@ class Mat:
             data = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
         return Mat._raw(ring, self.rows, self.cols, data)
 
-    def sub(self, other: "Mat") -> "Mat":
-        return self.add(other.neg())
-
     def neg(self) -> "Mat":
         ring = self.ring
         if ring.kind == "F":
@@ -194,9 +191,6 @@ class Mat:
         else:
             data = [[-a for a in row] for row in self.data]
         return Mat._raw(ring, self.rows, self.cols, data)
-
-    def transpose(self) -> "Mat":
-        return Mat._raw(self.ring, self.cols, self.rows, self.to_cols())
 
     def is_zero(self) -> bool:
         return all(not v for row in self.data for v in row)
@@ -684,9 +678,6 @@ class QuotientPresentation:
             return tuple(norm(c) for c in coords)
         return tuple(c % d if d else c for c, d in zip(coords, self.invariants))
 
-    def zero_coords(self):
-        return self.canon([0] * len(self.invariants))
-
     def reduce(self, vec):
         """Canonical coordinates of an ambient element of z in the quotient."""
         if len(vec) != self.ambient_rank:
@@ -704,13 +695,6 @@ class QuotientPresentation:
             raise MembershipError("element lies outside the lattice z")
         w = [sum(a * b for a, b in zip(row, y)) for row in u_rows]
         return self.canon([w[i] for i in kept])
-
-    def contains_ambient(self, vec) -> bool:
-        try:
-            self.reduce(vec)
-        except MembershipError:
-            return False
-        return True
 
     def spans(self, coord_vectors) -> bool:
         """Whether the given coordinate tuples generate the whole quotient."""

@@ -92,12 +92,6 @@ class Multicomplex:
     def support(self):
         return sorted(self.ranks)
 
-    def total_degrees(self):
-        return sorted({a + b for a, b in self.ranks})
-
-    def is_bicomplex(self) -> bool:
-        return self.maxd <= 1
-
     def validate(self) -> list[RelationViolation]:
         """All violated relations sum_{i+j=n} d_i d_j = 0, per (n, source)."""
         violations = []

@@ -1,15 +1,24 @@
 """Spectral sequence pages computed inside single columns, via witnesses.
 
-An element x of C_{p,q} is an r-cycle when d_0 x = 0 and there are
-witnesses z_j in C_{p-j, q+j} (1 <= j <= r-1) with
-d_n x = sum_{i=0}^{n-1} d_i z_{p-n+i} for every n < r; it is an
-r-boundary when it is hit by co-witnesses c_k in C_{p+k, q-k+1}
-satisfying the dual constraint system.  The page differential sends [x]
-to [d_r x - sum_{i=1}^{r-1} d_i z_{p-r+i}].
+Two linear systems per cell (p, q) and page r carry the whole route.
 
-Everything is computed per bidegree: witnesses of an element of C_{p,q}
-can only live in C_{p-j, q+j} (forced by the map bidegrees), which keeps
-every linear system small.
+The cycle system has the unknowns (x, z_1, ..., z_{r-1}), x in C_{p,q}
+and z_j in C_{p-j, q+j}, and the rows d_n x - sum_{j=1}^{n} d_{n-j} z_j
+for 0 <= n < r.  The x parts of its kernel span the r-cycles Z_r; solved
+on the z columns for a fixed x, it gives the witnesses of x.
+
+The boundary system has the co-witnesses c_k in C_{p+k, q-k+1},
+0 <= k < r, as unknowns and the rows sum_{k=l}^{r-1} d_{k-l} c_k for
+1 <= l < r.  Each kernel element maps to sum_k d_k c_k in C_{p,q}, and
+these values span the r-boundaries B_r.
+
+The page differential sends [x] to [d_r x - sum_{i=1}^{r-1} d_i z_{r-i}].
+
+The map bidegrees keep both systems inside nearby cells, and they give
+two bidegree bounds per cell.  For r >= p - mincol + 1 no witness cell
+and no cycle row is left to add, so Z_r is constant; for
+r >= maxcol - p + 1 the same holds for co-witnesses, so B_r is constant.
+Each module is computed once, at its bound, and reused past it.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .linalg import (
     kernel,
     solve,
     subquotient,
+    vec_add,
     vec_sub,
     zero_vec,
 )
@@ -121,131 +131,105 @@ class SpectralPages:
 
     def __init__(self, c: Multicomplex):
         self.c = c
+        cols = [a for a, _ in c.ranks]
+        self._mincol = min(cols, default=0)
+        self._maxcol = max(cols, default=0)
         self._zr = {}
         self._br = {}
         self._entries = {}
         self._deltas = {}
+
+    # -- the two systems ---------------------------------------------------
+
+    def _assemble(self, widths, blocks):
+        """Stack row blocks (rows, [(column block, map or None, negate)]).
+
+        Returns the Mat and the column offsets of the blocks.
+        """
+        ring = self.c.ring
+        offs = [0]
+        for w in widths:
+            offs.append(offs[-1] + w)
+        grid = []
+        for tr, maps in blocks:
+            rows = [[ring.zero()] * offs[-1] for _ in range(tr)]
+            for b, m, negate in maps:
+                if m is None:
+                    continue
+                o = offs[b]
+                for row, src in zip(rows, m.data):
+                    row[o:o + m.cols] = [ring.neg(v) for v in src] if negate else src
+            grid.extend(rows)
+        return Mat._raw(ring, len(grid), offs[-1], grid), offs
+
+    def _cycle_system(self, r, p, q):
+        """Rows d_n x - sum_{j=1}^{n} d_{n-j} z_j, n < r, on (x, z_1, ..., z_{r-1})."""
+        c = self.c
+        widths = [c.rank(p - j, q + j) for j in range(r)]
+        blocks = [
+            (c.rank(p - n, q + n - 1),
+             [(0, c.dmap(n, p, q), False)]
+             + [(j, c.dmap(n - j, p - j, q + j), True) for j in range(1, n + 1)])
+            for n in range(r)
+        ]
+        return self._assemble(widths, blocks)
+
+    def cowitnesses(self, r, p, q) -> list:
+        """Co-witness tuples spanning the kernel of the boundary system."""
+        c = self.c
+        widths = [c.rank(p + k, q - k + 1) for k in range(r)]
+        blocks = [
+            (c.rank(p + l, q - l),
+             [(k, c.dmap(k - l, p + k, q - k + 1), False) for k in range(l, r)])
+            for l in range(1, r)
+        ]
+        mat, offs = self._assemble(widths, blocks)
+        if not mat.cols:
+            return []
+        return [
+            CoWitnessTuple(r, p, q, {k: list(g[offs[k]:offs[k + 1]]) for k in range(r)})
+            for g in kernel(mat).gens
+        ]
 
     # -- cycle and boundary modules ------------------------------------
 
     def zr(self, r: int, p: int, q: int) -> SubmodulePresentation:
         if r < 1:
             raise ValueError("r-cycles are defined for r >= 1")
-        key = (r, p, q)
-        cached = self._zr.get(key)
-        if cached is not None:
-            return cached
-        c = self.c
-        nx = c.rank(p, q)
-        if nx == 0:
-            res = SubmodulePresentation.zero(c.ring, 0)
-        else:
-            prev = self._zr.get((r - 1, p, q))
-            if prev is not None and prev.rank == 0:
-                res = prev  # nested inside the previous cycle module
-            else:
-                res = self._compute_zr(r, p, q, nx)
-        self._zr[key] = res
-        return res
-
-    def _compute_zr(self, r, p, q, nx):
-        c = self.c
-        ring = c.ring
-        zranks = [c.rank(p - j, q + j) for j in range(1, r)]
-        widths = [nx] + zranks
-        offs = [0]
-        for wdt in widths:
-            offs.append(offs[-1] + wdt)
-        total = offs[-1]
-        grid = []
-        for n in range(0, r):
-            tr = c.rank(p - n, q + n - 1)
-            if tr == 0:
-                continue
-            start = len(grid)
-            zero = ring.zero()
-            grid.extend([zero] * total for _ in range(tr))
-            mn = c.dmap(n, p, q)
-            if mn is not None:
-                for i in range(tr):
-                    grid[start + i][0:nx] = mn.data[i]
-            if n >= 1:
-                for j in range(1, n + 1):
-                    mj = c.dmap(n - j, p - j, q + j)
-                    if mj is not None:
-                        o = offs[j]
-                        for i in range(tr):
-                            row = grid[start + i]
-                            for col, v in enumerate(mj.data[i]):
-                                if v:
-                                    row[o + col] = ring.neg(v)
-        mat = Mat._raw(ring, len(grid), total, grid)
-        ker = kernel(mat)
-        return SubmodulePresentation.span(ring, nx, [g[:nx] for g in ker.gens])
+        return self._clamped(self._zr, self._cycles, r, p, q, p - self._mincol + 1)
 
     def br(self, r: int, p: int, q: int) -> SubmodulePresentation:
         if r < 1:
             raise ValueError("r-boundaries are defined for r >= 1")
+        return self._clamped(self._br, self._boundaries, r, p, q, self._maxcol - p + 1)
+
+    @staticmethod
+    def _clamped(cache, compute, r, p, q, bound):
+        """Cached module at (r, p, q), computed once at min(r, bound) >= 1."""
         key = (r, p, q)
-        cached = self._br.get(key)
-        if cached is not None:
-            return cached
-        res, _ = self._compute_br(r, p, q)
-        self._br[key] = res
+        res = cache.get(key)
+        if res is None:
+            top = (max(1, min(r, bound)), p, q)
+            res = cache.get(top)
+            if res is None:
+                res = cache[top] = compute(*top)
+            cache[key] = res
         return res
 
-    def br_with_cowitnesses(self, r, p, q):
-        """The boundary module together with co-witness tuples generating it."""
-        res, cows = self._compute_br(r, p, q)
-        self._br[(r, p, q)] = res
-        return res, cows
+    def _cycles(self, r, p, q):
+        nx = self.c.rank(p, q)
+        prev = self._zr.get((r - 1, p, q))
+        if nx == 0 or (prev is not None and prev.rank == 0):
+            return SubmodulePresentation.zero(self.c.ring, nx)  # Z_r lies in Z_{r-1} = 0
+        ker = kernel(self._cycle_system(r, p, q)[0])
+        return SubmodulePresentation.span(self.c.ring, nx, [g[:nx] for g in ker.gens])
 
-    def _compute_br(self, r, p, q):
+    def _boundaries(self, r, p, q):
         c = self.c
-        ring = c.ring
         nx = c.rank(p, q)
-        if nx == 0:
-            return SubmodulePresentation.zero(ring, 0), []
-        cranks = [c.rank(p + k, q - k + 1) for k in range(r)]
-        offs = [0]
-        for wdt in cranks:
-            offs.append(offs[-1] + wdt)
-        total = offs[-1]
-        if total == 0:
-            return SubmodulePresentation.zero(ring, nx), []
-        grid = []
-        for l in range(1, r):
-            tr = c.rank(p + l, q - l)
-            if tr == 0:
-                continue
-            start = len(grid)
-            zero = ring.zero()
-            grid.extend([zero] * total for _ in range(tr))
-            for k in range(l, r):
-                mk = c.dmap(k - l, p + k, q - k + 1)
-                if mk is not None:
-                    o = offs[k]
-                    for i in range(tr):
-                        row = grid[start + i]
-                        row[o:o + mk.cols] = mk.data[i]
-        constraints = Mat._raw(ring, len(grid), total, grid)
-        free = kernel(constraints)
-        value_cols = []
-        cows = []
-        for g in free.gens:
-            image_vec = zero_vec(ring, nx)
-            cw = {}
-            for k in range(r):
-                local = list(g[offs[k]:offs[k + 1]])
-                cw[k] = local
-                mk = c.dmap(k, p + k, q - k + 1)
-                if mk is not None and any(local):
-                    image_vec = [a + b for a, b in zip(image_vec, mk.matvec(local))]
-            if ring.kind == "F":
-                image_vec = [v % ring.p for v in image_vec]
-            value_cols.append(image_vec)
-            cows.append(CoWitnessTuple(r, p, q, cw))
-        return SubmodulePresentation.span(ring, nx, value_cols), cows
+        cows = self.cowitnesses(r, p, q) if nx else []
+        return SubmodulePresentation.span(
+            c.ring, nx, [boundary_value(c, r, p, q, cow) for cow in cows])
 
     # -- entries ---------------------------------------------------------
 
@@ -267,16 +251,15 @@ class SpectralPages:
         self._entries[key] = e
         return e
 
-    def page0(self, p: int, q: int):
-        return self.entry(0, p, q), self.delta(0, p, q)
-
     # -- witnesses ---------------------------------------------------------
 
     def witness(self, r, p, q, x, scramble=None) -> WitnessTuple:
         """A deterministic witness tuple for x in Z_r; raises if x is not a cycle.
 
-        `scramble` permutes the unknowns before the canonical solve, giving
-        a different (still valid) witness for independence tests.
+        Solves the cycle system on the z columns with right-hand side
+        -A_x x; its d_0 rows have no z part, so a non-d_0-cycle fails.
+        `scramble` permutes the z columns before the canonical solve,
+        giving a different (still valid) witness for independence tests.
         """
         c = self.c
         ring = c.ring
@@ -284,48 +267,20 @@ class SpectralPages:
         x = [ring.normalize(v) for v in x]
         if len(x) != nx:
             raise ValueError("element length does not match the cell rank")
-        m0 = c.dmap(0, p, q)
-        if m0 is not None and any(m0.matvec(x)):
-            raise MembershipError(f"element is not a d_0-cycle at ({p},{q})")
-        zranks = [c.rank(p - j, q + j) for j in range(1, r)]
-        offs = [0]
-        for wdt in zranks:
-            offs.append(offs[-1] + wdt)
-        total = offs[-1]
-        grid = []
-        rhs = []
-        for n in range(1, r):
-            tr = c.rank(p - n, q + n - 1)
-            if tr == 0:
-                continue
-            start = len(grid)
-            zero = ring.zero()
-            grid.extend([zero] * total for _ in range(tr))
-            mn = c.dmap(n, p, q)
-            rhs.extend(mn.matvec(x) if mn is not None else zero_vec(ring, tr))
-            for j in range(1, n + 1):
-                mj = c.dmap(n - j, p - j, q + j)
-                if mj is not None:
-                    o = offs[j - 1]
-                    for i in range(tr):
-                        grid[start + i][o:o + mj.cols] = mj.data[i]
-        if scramble is None:
-            mat = Mat._raw(ring, len(grid), total, grid)
-            sol = solve(mat, rhs)
-        else:
-            perm = list(range(total))
+        mat, offs = self._cycle_system(r, p, q)
+        ax = Mat._raw(ring, mat.rows, nx, [row[:nx] for row in mat.data])
+        rhs = [ring.neg(v) for v in ax.matvec(x)]
+        perm = list(range(nx, mat.cols))
+        if scramble is not None:
             random.Random(scramble).shuffle(perm)
-            mat = Mat._raw(ring, len(grid), total, [[row[j] for j in perm] for row in grid])
-            permuted = solve(mat, rhs)
-            sol = None
-            if permuted is not None:
-                sol = [ring.zero()] * total
-                for pos, j in enumerate(perm):
-                    sol[j] = permuted[pos]
-        if sol is None:
+        az = Mat._raw(ring, mat.rows, len(perm), [[row[j] for j in perm] for row in mat.data])
+        permuted = solve(az, rhs)
+        if permuted is None:
             raise MembershipError(f"element is not an r={r} cycle at ({p},{q})")
-        z = {j: sol[offs[j - 1]:offs[j]] for j in range(1, r)}
-        return WitnessTuple(r, p, q, z)
+        sol = [ring.zero()] * mat.cols
+        for j, v in zip(perm, permuted):
+            sol[j] = v
+        return WitnessTuple(r, p, q, {j: sol[offs[j]:offs[j + 1]] for j in range(1, r)})
 
     # -- differentials -------------------------------------------------------
 
@@ -403,10 +358,7 @@ class SpectralPages:
 
     def stabilization_bound(self) -> int:
         """Pages at or beyond this index are all equal (finite support)."""
-        cols = [a for a, _ in self.c.ranks]
-        if not cols:
-            return 2
-        return max(cols) - min(cols) + 2
+        return self._maxcol - self._mincol + 2
 
     def einf(self) -> Page:
         rmax = self.stabilization_bound()
@@ -452,9 +404,7 @@ def boundary_value(c: Multicomplex, r, p, q, cow: CoWitnessTuple):
         ck = cow.c.get(k)
         m = c.dmap(k, p + k, q - k + 1)
         if m is not None and ck is not None and any(ck):
-            x = [a + b for a, b in zip(x, m.matvec(ck))]
-    if ring.kind == "F":
-        x = [v % ring.p for v in x]
+            x = vec_add(ring, x, m.matvec(ck))
     return x
 
 
@@ -473,10 +423,7 @@ def star1_holds(c: Multicomplex, r, p, q, x, wit: WitnessTuple) -> bool:
             mj = c.dmap(n - j, p - j, q + j)
             zj = wit.z.get(j)
             if mj is not None and zj is not None and any(zj):
-                rhs = [a + b for a, b in zip(rhs, mj.matvec(zj))]
-        if ring.kind == "F":
-            lhs = [v % ring.p for v in lhs]
-            rhs = [v % ring.p for v in rhs]
+                rhs = vec_add(ring, rhs, mj.matvec(zj))
         if lhs != rhs:
             return False
     return True
@@ -492,44 +439,7 @@ def star2_holds(c: Multicomplex, r, p, q, cow: CoWitnessTuple) -> bool:
             mk = c.dmap(k - l, p + k, q - k + 1)
             ck = cow.c.get(k)
             if mk is not None and ck is not None and any(ck):
-                acc = [a + b for a, b in zip(acc, mk.matvec(ck))]
-        if ring.kind == "F":
-            acc = [v % ring.p for v in acc]
+                acc = vec_add(ring, acc, mk.matvec(ck))
         if any(acc):
             return False
     return True
-
-
-# Spec-surface convenience wrappers (one-shot; the engine caches).
-
-
-def compute_zr(c: Multicomplex, r, p, q) -> SubmodulePresentation:
-    return SpectralPages(c).zr(r, p, q)
-
-
-def compute_br(c: Multicomplex, r, p, q) -> SubmodulePresentation:
-    return SpectralPages(c).br(r, p, q)
-
-
-def witness_for(c: Multicomplex, r, p, q, x, scramble=None) -> WitnessTuple:
-    return SpectralPages(c).witness(r, p, q, x, scramble=scramble)
-
-
-def page_entry(c: Multicomplex, r, p, q) -> PageEntry:
-    return SpectralPages(c).entry(r, p, q)
-
-
-def delta_r(c: Multicomplex, r, p, q) -> PageDifferential:
-    return SpectralPages(c).delta(r, p, q)
-
-
-def full_page(c: Multicomplex, r) -> Page:
-    return SpectralPages(c).page(r)
-
-
-def stabilization_bound(c: Multicomplex) -> int:
-    return SpectralPages(c).stabilization_bound()
-
-
-def einf(c: Multicomplex) -> Page:
-    return SpectralPages(c).einf()

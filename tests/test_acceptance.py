@@ -83,8 +83,7 @@ def structural_issue(sp, rmax):
         for r in (2, 3):
             if r > rmax:
                 continue
-            _, cows = sp.br_with_cowitnesses(r, p, q)
-            for cow in cows:
+            for cow in sp.cowitnesses(r, p, q):
                 prop25_witness(c, r, p, q, cow)  # raises/asserts on failure
         for r in range(0, rmax + 1):
             d1 = sp.delta(r, p, q)

@@ -3,25 +3,19 @@
 import pytest
 
 from mcss.builders import RandomSpec, WallParams, hurtubise, random_mcx, staircase, wall
-from mcss.linalg import MembershipError, image, kernel, subquotient
+from mcss.linalg import MembershipError, SubmodulePresentation, image, kernel, subquotient
 from mcss.multicomplex import Multicomplex
 from mcss.pages import (
     CoWitnessTuple,
     SpectralPages,
     boundary_value,
-    compute_br,
-    compute_zr,
-    delta_r,
-    einf,
-    full_page,
-    page_entry,
     prop25_witness,
-    stabilization_bound,
     star1_holds,
     star2_holds,
-    witness_for,
 )
 from mcss.rings import GF, QQ, ZZ
+
+RINGS = (GF(2), GF(97), QQ, ZZ)
 
 
 # ---------------------------------------------------------------------------
@@ -30,32 +24,33 @@ from mcss.rings import GF, QQ, ZZ
 
 def test_z1_is_d0_kernel():
     c = hurtubise(4, QQ)
+    sp = SpectralPages(c)
     for (p, q) in c.support:
         m = c.dmap(0, p, q)
         if m is None:
-            assert compute_zr(c, 1, p, q).rank == c.rank(p, q)
+            assert sp.zr(1, p, q).rank == c.rank(p, q)
         else:
-            assert compute_zr(c, 1, p, q) == kernel(m)
+            assert sp.zr(1, p, q) == kernel(m)
 
 
 def test_hurtubise4_z2_is_everything():
     # Both x and y are 2-cycles: witnessed by z and by 0.
     for ring in (QQ, ZZ):
         c = hurtubise(4, ring)
-        z2 = compute_zr(c, 2, 2, 0)
+        z2 = SpectralPages(c).zr(2, 2, 0)
         assert z2.rank == 2
 
 
 def test_wall_z2_vanishes_on_even_rows():
-    c = wall(WallParams(3, 2, 2, 6))
+    sp = SpectralPages(wall(WallParams(3, 2, 2, 6)))
     for a in range(0, 7):
-        assert compute_zr(c, 2, a, 2).rank == 0  # d_0 is multiplication by 3
+        assert sp.zr(2, a, 2).rank == 0  # d_0 is multiplication by 3
 
 
 def test_wall_z2_vanishes_on_positive_even_columns_of_row_zero():
-    c = wall(WallParams(3, 2, 2, 6))
+    sp = SpectralPages(wall(WallParams(3, 2, 2, 6)))
     for a in (2, 4, 6):
-        assert compute_zr(c, 2, a, 0).rank == 0
+        assert sp.zr(2, a, 0).rank == 0
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +59,11 @@ def test_wall_z2_vanishes_on_positive_even_columns_of_row_zero():
 
 def test_b1_is_d0_image():
     c = hurtubise(4, QQ)
+    sp = SpectralPages(c)
     for (p, q) in c.support:
         m = c.dmap(0, p, q + 1)
         expected = image(m) if m is not None else None
-        got = compute_br(c, 1, p, q)
+        got = sp.br(1, p, q)
         if expected is None:
             assert got.rank == 0
         else:
@@ -78,20 +74,20 @@ def test_staircase_topleft_boundaries():
     # At the top-left generator: B_2 = 0 (the single co-witness is killed
     # by the constraint d_0 c = 0), while B_3 is the full rank-1 module
     # (solve the two-variable constraint system: c2 = -c1).
-    c = staircase(2, QQ)
-    assert compute_br(c, 2, 0, 1).rank == 0
-    assert compute_br(c, 3, 0, 1).rank == 1
+    sp = SpectralPages(staircase(2, QQ))
+    assert sp.br(2, 0, 1).rank == 0
+    assert sp.br(3, 0, 1).rank == 1
 
 
 def test_b_r_of_empty_multicomplex():
     c = Multicomplex(QQ, {}, {})
-    assert compute_br(c, 2, 0, 0).rank == 0
+    assert SpectralPages(c).br(2, 0, 0).rank == 0
 
 
 def test_cowitness_generators_certify_boundaries():
     c = staircase(2, QQ)
     sp = SpectralPages(c)
-    br, cows = sp.br_with_cowitnesses(3, 0, 1)
+    br, cows = sp.br(3, 0, 1), sp.cowitnesses(3, 0, 1)
     assert br.rank == 1 and len(cows) >= 1
     for cow in cows:
         assert star2_holds(c, 3, 0, 1, cow)
@@ -105,42 +101,43 @@ def test_cowitness_generators_certify_boundaries():
 
 def test_zero_element_gets_zero_witness():
     c = hurtubise(1, QQ)
-    w = witness_for(c, 2, 2, 0, [0])
+    w = SpectralPages(c).witness(2, 2, 0, [0])
     assert all(not any(v) for v in w.z.values())
 
 
 def test_staircase_witness_is_next_step():
     # For the bottom-right generator D, the witness is B with d_0 B = d_1 D.
     c = hurtubise(1, QQ)
-    w = witness_for(c, 2, 2, 0, [1])
+    w = SpectralPages(c).witness(2, 2, 0, [1])
     assert w.z[1] == [1]
     assert star1_holds(c, 2, 2, 0, [1], w)
 
 
 def test_hurtubise4_witnesses():
-    c = hurtubise(4, ZZ)
-    wx = witness_for(c, 2, 2, 0, [1, 0])
+    sp = SpectralPages(hurtubise(4, ZZ))
+    wx = sp.witness(2, 2, 0, [1, 0])
     assert wx.z[1] == [1]  # witnessed by z
-    wy = witness_for(c, 2, 2, 0, [0, 1])
+    wy = sp.witness(2, 2, 0, [0, 1])
     assert wy.z[1] == [0]  # witnessed by 0
 
 
 def test_witness_rejects_non_cycles():
     c = hurtubise(4, QQ)
     with pytest.raises(MembershipError):
-        witness_for(c, 2, 1, 1, [1])  # d_0 z != 0
+        SpectralPages(c).witness(2, 1, 1, [1])  # d_0 z != 0
 
 
 def test_witness_scramble_still_satisfies_star1():
-    c = random_mcx(RandomSpec(seed=7, width=4, height=4, maxrank=2, maxd=3, ring=QQ))
-    sp = SpectralPages(c)
-    for (p, q) in c.support:
-        e = sp.entry(2, p, q)
-        for g in e.quot.gens:
-            w1 = sp.witness(2, p, q, list(g))
-            w2 = sp.witness(2, p, q, list(g), scramble=123)
-            assert star1_holds(c, 2, p, q, list(g), w1)
-            assert star1_holds(c, 2, p, q, list(g), w2)
+    for ring in RINGS:
+        c = random_mcx(RandomSpec(seed=7, width=4, height=4, maxrank=2, maxd=3, ring=ring))
+        sp = SpectralPages(c)
+        for r in range(1, sp.stabilization_bound() + 2):
+            for (p, q) in c.support:
+                for g in sp.entry(r, p, q).quot.gens:
+                    w1 = sp.witness(r, p, q, list(g))
+                    w2 = sp.witness(r, p, q, list(g), scramble=123)
+                    assert star1_holds(c, r, p, q, list(g), w1), (ring, r, p, q)
+                    assert star1_holds(c, r, p, q, list(g), w2), (ring, r, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +170,8 @@ def test_prop25_property_on_random_instances(ring):
         c = random_mcx(RandomSpec(seed=seed, width=4, height=4, maxrank=2, maxd=3, ring=ring))
         sp = SpectralPages(c)
         for (p, q) in c.support:
-            for r in (2, 3):
-                br, cows = sp.br_with_cowitnesses(r, p, q)
-                for cow in cows:
+            for r in range(2, sp.stabilization_bound() + 2):
+                for cow in sp.cowitnesses(r, p, q):
                     w = prop25_witness(c, r, p, q, cow)
                     x = boundary_value(c, r, p, q, cow)
                     assert star1_holds(c, r, p, q, x, w)
@@ -195,24 +191,22 @@ def test_prop25_rejects_bad_cowitness():
 
 def test_entry_r1_bicomplex_is_d0_homology():
     c = staircase(3, GF(5))
+    sp = SpectralPages(c)
     for (p, q) in c.support:
-        e = page_entry(c, 1, p, q)
+        e = sp.entry(1, p, q)
         m_in = c.dmap(0, p, q + 1)
         m_out = c.dmap(0, p, q)
         zr = kernel(m_out) if m_out is not None else None
         if zr is None:
-            from mcss.linalg import SubmodulePresentation
             zr = SubmodulePresentation.full(GF(5), c.rank(p, q))
         br = image(m_in) if m_in is not None else None
         if br is None:
-            from mcss.linalg import SubmodulePresentation
             br = SubmodulePresentation.zero(GF(5), c.rank(p, q))
         assert e.invariants == subquotient(zr, br).invariants
 
 
 def test_hurtubise1_page2_table():
-    c = hurtubise(1, QQ)
-    page = full_page(c, 2)
+    page = SpectralPages(hurtubise(1, QQ)).page(2)
     assert page.invariants_table() == {(0, 1): (0,), (2, 0): (0,)}
 
 
@@ -220,7 +214,7 @@ def test_page0_is_module_table():
     c = hurtubise(4, ZZ)
     sp = SpectralPages(c)
     for (p, q), r in c.ranks.items():
-        e, d = sp.page0(p, q)
+        e, d = sp.entry(0, p, q), sp.delta(0, p, q)
         assert e.invariants == (0,) * r
         m = c.dmap(0, p, q)
         expect = tuple(tuple(row) for row in m.data) if m is not None else None
@@ -255,7 +249,7 @@ def test_staircase_delta0_is_identity_arrow():
 def test_hurtubise4_delta2_vs_d2():
     for ring in (QQ, ZZ):
         c = hurtubise(4, ring)
-        d = delta_r(c, 2, 2, 0)
+        d = SpectralPages(c).delta(2, 2, 0)
         rows = [[int(v) for v in row] for row in d.rows]
         assert rows == [[-1, 0], [0, 1]]
         induced = c.dmap(2, 2, 0).data
@@ -300,21 +294,21 @@ def test_delta_independent_of_witness_choice():
 
 
 def test_stabilization_bound_single_column():
-    c = Multicomplex(QQ, {(0, 0): 1, (0, 1): 2}, {})
-    assert stabilization_bound(c) == 2
-    page = einf(c)
-    assert page.invariants_table() == full_page(c, 1).invariants_table()
+    sp = SpectralPages(Multicomplex(QQ, {(0, 0): 1, (0, 1): 2}, {}))
+    assert sp.stabilization_bound() == 2
+    page = sp.einf()
+    assert page.invariants_table() == sp.page(1).invariants_table()
 
 
 def test_hurtubise1_einf_vanishes():
-    page = einf(hurtubise(1, QQ))
+    page = SpectralPages(hurtubise(1, QQ)).einf()
     assert page.invariants_table() == {}
 
 
 def test_hurtubise3_einf_is_e2():
-    c = hurtubise(3, QQ)
-    page = einf(c)
-    assert page.invariants_table() == full_page(c, 2).invariants_table()
+    sp = SpectralPages(hurtubise(3, QQ))
+    page = sp.einf()
+    assert page.invariants_table() == sp.page(2).invariants_table()
     assert sum(len(v) for v in page.invariants_table().values()) == 2
 
 
@@ -328,3 +322,64 @@ def test_nesting_of_cycles_and_boundaries():
                 assert sp.zr(r, p, q).includes(sp.zr(r + 1, p, q))
                 assert sp.br(r + 1, p, q).includes(sp.br(r, p, q))
                 assert sp.zr(r, p, q).includes(sp.br(r, p, q))
+
+
+# ---------------------------------------------------------------------------
+# bidegree clamp: Z_r is constant from p - mincol + 1 on, B_r from maxcol - p + 1
+
+
+def _bounds(c, p):
+    """(cycle bound, boundary bound) of column p, floored at 1."""
+    columns = [a for a, _ in c.support]
+    return max(1, p - min(columns) + 1), max(1, max(columns) - p + 1)
+
+
+def test_modules_past_the_bidegree_bound_make_no_kernel_call(monkeypatch):
+    import mcss.pages
+
+    calls = []
+    original = mcss.pages.kernel
+
+    def counting(m):
+        calls.append((m.rows, m.cols))
+        return original(m)
+
+    monkeypatch.setattr(mcss.pages, "kernel", counting)
+    for ring in (GF(2), ZZ):
+        c = random_mcx(RandomSpec(seed=4, width=5, height=4, maxrank=2, maxd=3, ring=ring))
+        sp = SpectralPages(c)
+        for (p, q) in c.support:
+            zb, bb = _bounds(c, p)
+            sp.zr(zb, p, q)
+            sp.br(bb, p, q)
+        assert calls
+        del calls[:]
+        for (p, q) in c.support:
+            zb, bb = _bounds(c, p)
+            assert sp.zr(zb + 3, p, q) == sp.zr(zb, p, q)
+            assert sp.br(bb + 3, p, q) == sp.br(bb, p, q)
+        assert calls == []
+
+
+REFERENCE_INSTANCES = {
+    **{f"random-{ring}": (lambda ring=ring: random_mcx(RandomSpec(
+        seed=0, width=5, height=5, maxrank=3, maxd=3, ring=ring))) for ring in RINGS},
+    "wall-3-2-2": lambda: wall(WallParams(3, 2, 2, 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
+def test_clamped_modules_match_unclamped_systems(name):
+    # Z_r and B_r for every support cell and r up to the bound + 2, against
+    # the cycle and boundary systems built at r itself, without the clamp.
+    c = REFERENCE_INSTANCES[name]()
+    ring = c.ring
+    sp = SpectralPages(c)
+    for r in range(1, sp.stabilization_bound() + 3):
+        for (p, q) in c.support:
+            nx = c.rank(p, q)
+            ker = kernel(sp._cycle_system(r, p, q)[0])
+            zr = SubmodulePresentation.span(ring, nx, [g[:nx] for g in ker.gens])
+            assert sp.zr(r, p, q) == zr, (r, p, q)
+            values = [boundary_value(c, r, p, q, cow) for cow in sp.cowitnesses(r, p, q)]
+            assert sp.br(r, p, q) == SubmodulePresentation.span(ring, nx, values), (r, p, q)
