@@ -29,13 +29,7 @@ from .linalg import (
     subquotient,
 )
 from .mcxio import MCXParseError, emit, parse
-from .multicomplex import (
-    Multicomplex,
-    MulticomplexMorphism,
-    rebase,
-    validate,
-    validate_morphism,
-)
+from .multicomplex import Multicomplex, rebase
 from .pages import (
     CoWitnessTuple,
     Page,
@@ -47,6 +41,6 @@ from .pages import (
     prop25_witness,
 )
 from .rings import GF, QQ, ZZ, Ring
-from .total import FilteredVector, TotalComplex, filtration_basis, project, totalize
+from .total import FilteredVector, TotalComplex, totalize
 
 __version__ = "0.1.0"

@@ -21,10 +21,11 @@ ZZ_r^p for every r: with k the number of pivot rows above the cut,
   columns past the k pivots span ZZ_r^p, the matching Hermite columns
   span d ZZ_r^p.
 
-Cycle modules are cached per (n, start, k), boundary modules per pair of
-such keys, and subquotients per pair of distinct modules.  Canonical
-echelon and Hermite forms make equal modules structurally equal, so every
-result is identical to computing each (r, p, n) from scratch.
+Cycle modules are cached per (n, start, k) and boundary modules per pair
+of such keys.  Canonical echelon and Hermite forms make equal modules
+structurally equal, so one subquotient serves every (r, p, n) with an
+equal (ZZ, BB) pair, and every result is identical to computing each
+(r, p, n) from scratch.
 
 `psi` sends a class [x] on this side to the class of the leading column
 projection (x)_p on the witness side; `compare` checks, cell by cell and
@@ -153,8 +154,7 @@ class FilteredPages:
         self._reductions = {}  # (n, start) -> _Reduction
         self._cycles = {}      # (n, start, k) -> cycle module
         self._boundaries = {}  # (low cycle key, high cycle key) -> boundary module
-        self._modules = {}     # module -> its one shared copy, kept alive here
-        self._quotients = {}   # (id(zz), id(bb)) of shared copies -> subquotient
+        self._quotients = {}   # (zz, bb) -> subquotient
         self._entries = {}
         self._deltas = {}
 
@@ -178,7 +178,7 @@ class FilteredPages:
             pad = [self.t.ring.zero()] * start
             gens = [pad + list(c) for c in self._suffix(key)[0]]
             res = SubmodulePresentation.span(self.t.ring, self.t.dim(n), gens)
-            res = self._cycles[key] = self._modules.setdefault(res, res)
+            self._cycles[key] = res
         return res
 
     def zz(self, r: int, p: int, n: int) -> SubmodulePresentation:
@@ -201,7 +201,7 @@ class FilteredPages:
         if res is None:
             gens = [list(g) for g in self._cycle_module(low).gens] + self._suffix(high)[1]
             res = SubmodulePresentation.span(self.t.ring, self.t.dim(n), gens)
-            res = self._boundaries[(low, high)] = self._modules.setdefault(res, res)
+            self._boundaries[(low, high)] = res
         return res
 
     def entry(self, r: int, p: int, n: int) -> FilteredEntry:
@@ -223,10 +223,9 @@ class FilteredPages:
     def _entry_full(self, r: int, p: int, n: int) -> FilteredEntry:
         zz = self.zz(r, p, n)
         bb = self.bb(r, p, n)
-        key = (id(zz), id(bb))
-        quot = self._quotients.get(key)
+        quot = self._quotients.get((zz, bb))
         if quot is None:
-            quot = self._quotients[key] = subquotient(zz, bb)
+            quot = self._quotients[(zz, bb)] = subquotient(zz, bb)
         return FilteredEntry(r, p, n, zz, bb, quot)
 
     def delta(self, r: int, p: int, n: int):

@@ -427,15 +427,6 @@ def _coords_in_hnf(cols, pivot_rows, vec):
     return y
 
 
-def _echelon_columns_field(ring, cols):
-    """Canonical column-echelon basis of the span of the given columns."""
-    if not cols:
-        return [], []
-    reduced, pivots = _rref_field(ring, [list(c) for c in cols])
-    gens = [list(reduced[i]) for i in range(len(pivots))]
-    return gens, pivots
-
-
 def _coords_in_echelon_field(ring, cols, pivot_rows, vec):
     """Coordinates of vec in a canonical echelon column basis, or None."""
     y = [vec[r] for r in pivot_rows]
@@ -480,7 +471,8 @@ class SubmodulePresentation:
             if len(c) != ambient_rank:
                 raise ValueError("generator length does not match ambient rank")
         if ring.is_field:
-            gens, pivots = _echelon_columns_field(ring, cols)
+            reduced, pivots = _rref_field(ring, cols)
+            gens = reduced[:len(pivots)]
         else:
             h, _, pivots, npiv = _hnf_columns(cols, ambient_rank)
             gens = h[:npiv]
@@ -526,35 +518,12 @@ class SubmodulePresentation:
         )
 
     def __hash__(self):
-        return hash((self.ring, self.ambient_rank, self.gens))
+        # The pivots follow from the canonical gens, and hashing them needs
+        # no rational arithmetic; __eq__ settles collisions.
+        return hash((self.ring, self.ambient_rank, self.pivots))
 
     def __repr__(self):
         return f"<submodule rank {self.rank} of {self.ring!r}^{self.ambient_rank}>"
-
-
-class _EchelonAccumulator:
-    """Incremental independence tester over a field."""
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.rows = []  # (pivot index, vector reduced against earlier rows)
-
-    def insert(self, vec) -> bool:
-        """Reduce vec against the accumulated span; add and report if new."""
-        ring = self.ring
-        v = list(vec)
-        for piv, w in self.rows:
-            f = v[piv]
-            if f:
-                v = vec_sub(ring, v, vec_scale(ring, f, w))
-        lead = next((i for i, x in enumerate(v) if x), -1)
-        if lead < 0:
-            return False
-        inv = ring.invert(v[lead])
-        if inv != ring.one():
-            v = vec_scale(ring, inv, v)
-        self.rows.append((lead, v))
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -702,12 +671,7 @@ class QuotientPresentation:
         if k == 0:
             return True
         if self.ring.is_field:
-            acc = _EchelonAccumulator(self.ring)
-            count = 0
-            for v in coord_vectors:
-                if acc.insert(v):
-                    count += 1
-            return count == k
+            return len(_rref_field(self.ring, list(coord_vectors))[1]) == k
         cols = [list(v) for v in coord_vectors]
         for i, d in enumerate(self.invariants):
             if d:
@@ -728,24 +692,22 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
     ring = z.ring
     n = z.ambient_rank
     if ring.is_field:
-        for g in b.gens:
-            if not z.contains(g):
-                raise InclusionError("a generator of b lies outside z")
-        acc = _EchelonAccumulator(ring)
-        for g in b.gens:
-            acc.insert(g)
-        reps = [g for g in z.gens if acc.insert(g)]
-        basis = [list(g) for g in b.gens] + [list(r) for r in reps]
-        # Row-reduce [basis | I] once; reduce() is then a single matvec.
-        aug = [[basis[j][i] for j in range(len(basis))]
-               + [ring.one() if k == i else ring.zero() for k in range(n)]
+        # One RREF of [b | z | I], pivots among the b and z columns only.
+        # The b columns are independent, so they pivot first; the z pivots
+        # past them are the greedy lifts of a basis of z/b, and z columns
+        # that start no pivot change no row.  The I part is the transform
+        # taking an element of z to its coordinates on (b, lifts).
+        nb = b.rank
+        basis = list(b.gens) + list(z.gens)
+        aug = [[g[i] for g in basis] + [ring.one() if k == i else ring.zero() for k in range(n)]
                for i in range(n)]
-        reduced, pivots = _rref_field(ring, aug, limit=len(basis)) if aug else ([], [])
-        assert len(pivots) == len(basis), "basis unexpectedly dependent"
+        reduced, pivots = _rref_field(ring, aug, limit=len(basis))
+        if len(pivots) != z.rank:
+            raise InclusionError("a generator of b lies outside z")
+        reps = [basis[c] for c in pivots[nb:]]
         t_rows = [row[len(basis):] for row in reduced]
-        data = ("field", Mat._raw(ring, n, n, t_rows), b.rank, len(reps))
-        invariants = (0,) * len(reps)
-        return QuotientPresentation(ring, n, invariants, reps, data)
+        data = ("field", Mat._raw(ring, n, n, t_rows), nb, len(reps))
+        return QuotientPresentation(ring, n, (0,) * len(reps), reps, data)
 
     coord_cols = []
     for g in b.gens:

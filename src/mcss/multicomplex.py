@@ -26,16 +26,6 @@ class RelationViolation(NamedTuple):
         return f"n={self.n} at ({self.a},{self.b}): nonzero composite {self.composite!r}"
 
 
-class MorphismViolation(NamedTuple):
-    n: int
-    a: int
-    b: int
-    difference: Mat
-
-    def __str__(self):
-        return f"n={self.n} at ({self.a},{self.b}): sides differ by {self.difference!r}"
-
-
 class Multicomplex:
     """Finitely supported bigraded module with structure maps d_i.
 
@@ -129,91 +119,6 @@ class Multicomplex:
             f"<Multicomplex over {self.ring!r}: {len(self.ranks)} modules, "
             f"{len(self.maps)} maps, maxd={self.maxd}>"
         )
-
-
-def validate(c: Multicomplex) -> list[RelationViolation]:
-    return c.validate()
-
-
-class MulticomplexMorphism:
-    """Maps f_i: C_{a,b} -> C'_{a-i,b+i} compatible with both structures."""
-
-    __slots__ = ("source", "target", "comps", "maxf")
-
-    def __init__(self, source: Multicomplex, target: Multicomplex, comps: dict):
-        if source.ring != target.ring:
-            raise ValueError("morphism between multicomplexes over different rings")
-        clean = {}
-        maxf = 0
-        for (i, a, b), m in comps.items():
-            if i < 0:
-                raise ValueError("morphism component index must be >= 0")
-            src = source.rank(a, b)
-            tgt = target.rank(a - i, b + i)
-            if (m.rows, m.cols) != (tgt, src):
-                raise ValueError(
-                    f"f_{i} on ({a},{b}) must be {tgt}x{src}, got {m.rows}x{m.cols}"
-                )
-            if m.is_zero():
-                continue
-            clean[(i, a, b)] = m
-            if i > maxf:
-                maxf = i
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "comps", clean)
-        object.__setattr__(self, "maxf", maxf)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MulticomplexMorphism is immutable")
-
-    def fmap(self, i: int, a: int, b: int) -> Mat | None:
-        return self.comps.get((i, a, b))
-
-    @classmethod
-    def identity(cls, c: Multicomplex) -> "MulticomplexMorphism":
-        comps = {(0, a, b): Mat.identity(c.ring, r) for (a, b), r in c.ranks.items()}
-        return cls(c, c, comps)
-
-    @classmethod
-    def zero(cls, source: Multicomplex, target: Multicomplex) -> "MulticomplexMorphism":
-        return cls(source, target, {})
-
-
-def validate_morphism(f: MulticomplexMorphism) -> list[MorphismViolation]:
-    """Violations of sum f_i d_j = sum d'_i f_j, per (n, source bidegree).
-
-    The check range n <= maxf + max(maxd, maxd') is complete: beyond it
-    every summand contains a zero factor.
-    """
-    c, cp = f.source, f.target
-    nmax = f.maxf + max(c.maxd, cp.maxd)
-    violations = []
-    for (a, b) in c.support:
-        for n in range(0, nmax + 1):
-            tgt = cp.rank(a - n, b + n - 1)
-            if tgt == 0:
-                continue
-            total = None
-            for j in range(0, n + 1):
-                i = n - j
-                # f_i d_j : through C_{a-j, b+j-1}
-                dj = c.dmap(j, a, b)
-                if dj is not None:
-                    fi = f.fmap(i, a - j, b + j - 1)
-                    if fi is not None:
-                        term = fi.mul(dj)
-                        total = term if total is None else total.add(term)
-                # - d'_i f_j : through C'_{a-j, b+j}
-                fj = f.fmap(j, a, b)
-                if fj is not None:
-                    dpi = cp.dmap(i, a - j, b + j)
-                    if dpi is not None:
-                        term = dpi.mul(fj).neg()
-                        total = term if total is None else total.add(term)
-            if total is not None and not total.is_zero():
-                violations.append(MorphismViolation(n, a, b, total))
-    return violations
 
 
 def rebase(c: Multicomplex, ring: Ring) -> Multicomplex:

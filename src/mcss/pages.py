@@ -18,7 +18,8 @@ The map bidegrees keep both systems inside nearby cells, and they give
 two bidegree bounds per cell.  For r >= p - mincol + 1 no witness cell
 and no cycle row is left to add, so Z_r is constant; for
 r >= maxcol - p + 1 the same holds for co-witnesses, so B_r is constant.
-Each module is computed once, at its bound, and reused past it.
+Each module is computed once, at its bound, and reused past it, and
+one subquotient Z_r/B_r serves every (r, p, q) with an equal module pair.
 """
 
 from __future__ import annotations
@@ -136,6 +137,7 @@ class SpectralPages:
         self._maxcol = max(cols, default=0)
         self._zr = {}
         self._br = {}
+        self._quotients = {}  # (zr, br) -> subquotient
         self._entries = {}
         self._deltas = {}
 
@@ -246,7 +248,9 @@ class SpectralPages:
         else:
             zr = self.zr(r, p, q)
             br = self.br(r, p, q)
-        quot = subquotient(zr, br)  # raises InclusionError on a B_r <= Z_r breach
+        quot = self._quotients.get((zr, br))
+        if quot is None:  # subquotient raises InclusionError on a B_r <= Z_r breach
+            quot = self._quotients[(zr, br)] = subquotient(zr, br)
         e = PageEntry(r, p, q, zr, br, quot)
         self._entries[key] = e
         return e

@@ -163,11 +163,3 @@ def totalize(c: Multicomplex) -> TotalComplex:
                 raise AssertionError(f"total differential does not square to zero at degree {n}")
     return t
 
-
-def filtration_basis(t: TotalComplex, n: int, p: int) -> range:
-    """Indices of the degree-n basis vectors with filtration index <= p."""
-    return range(t.filtration_start(n, p), t.dim(n))
-
-
-def project(t: TotalComplex, x: FilteredVector, a: int) -> FilteredVector:
-    return t.project(x, a)

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from mcss.linalg import (
     InclusionError,
@@ -266,23 +268,44 @@ def test_snf_invariants(data):
                 assert d.data[i][j] == 0
 
 
-@pytest.mark.parametrize("ring", [QQ, GF(5)], ids=str)
+def _sympy_rank(ring, cols, nrows):
+    """Rank of a column family by sympy's DomainMatrix, an independent oracle."""
+    dom = sympy.QQ if ring.kind == "Q" else sympy.GF(ring.p)
+    rows = [[dom(c[i].numerator) / dom(c[i].denominator) for c in cols] for i in range(nrows)]
+    return DomainMatrix(rows, (nrows, len(cols)), dom).rank()
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(5)], ids=str)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_subquotient_dimension_over_fields(ring, data):
     mz = data.draw(mat_strategy(ring))
     z = image(mz)
-    # Take a sub-span of z's generators.
+    n = z.ambient_rank
+    # Take a sub-span of z's generators, plus random columns that may leave z.
     if z.rank:
         keep = data.draw(st.lists(st.booleans(), min_size=z.rank, max_size=z.rank))
         sub = [g for g, k in zip(z.gens, keep) if k]
     else:
         sub = []
-    b = SubmodulePresentation.span(ring, z.ambient_rank, sub)
+    extra = data.draw(st.lists(st.lists(scalar_st, min_size=n, max_size=n), max_size=2))
+    b = SubmodulePresentation.span(ring, n, sub + [[ring.normalize(v) for v in c] for c in extra])
+    if _sympy_rank(ring, list(b.gens) + list(z.gens), n) > z.rank:
+        with pytest.raises(InclusionError):
+            subquotient(z, b)
+        return
     q = subquotient(z, b)
     assert len(q.invariants) == z.rank - b.rank
     for g in q.gens:
         assert z.contains(list(g))
+    for g in b.gens:
+        assert not any(q.reduce(list(g)))
+    lifts = [q.reduce(list(g)) for g in q.gens]
+    k = len(lifts)
+    assert lifts == [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    assert q.spans(lifts)
+    if k:
+        assert not q.spans(lifts[:-1])
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,16 +1,11 @@
-"""Multicomplex validation, morphisms, and MCX serialization."""
+"""Multicomplex validation and MCX serialization."""
 
 import pytest
 
 from mcss.builders import WallParams, hurtubise, staircase, wall
 from mcss.linalg import Mat
 from mcss.mcxio import MCXParseError, emit, parse
-from mcss.multicomplex import (
-    Multicomplex,
-    MulticomplexMorphism,
-    rebase,
-    validate_morphism,
-)
+from mcss.multicomplex import Multicomplex, rebase
 from mcss.rings import GF, QQ, ZZ
 
 
@@ -29,6 +24,13 @@ def test_validate_catches_sign_flip():
     broken = Multicomplex(QQ, dict(c.ranks), maps)
     violations = broken.validate()
     assert violations == []  # d_1 d_0 and d_0 d_1 still land in rank-0 cells
+
+    # Flipping the sign of d_1 on the short staircase leaves a bicomplex.
+    c = staircase(2, QQ)
+    flipped_maps = dict(c.maps)
+    flipped_maps[(1, 1, 1)] = flipped_maps[(1, 1, 1)].neg()
+    cflip = Multicomplex(QQ, dict(c.ranks), flipped_maps)
+    assert cflip.validate() == []  # still a bicomplex
 
     # A genuinely broken relation: staircase with d_2 added where
     # d_0 d_2 has a nonzero target.
@@ -56,32 +58,6 @@ def test_rejects_bad_shapes():
     with pytest.raises(ValueError):
         # nonzero map needs a declared target of matching rank
         Multicomplex(QQ, {(1, 1): 1}, {(0, 1, 1): Mat(QQ, 1, 1, [[1]])})
-
-
-def test_morphism_identity_and_zero():
-    c = staircase(3, GF(5))
-    ident = MulticomplexMorphism.identity(c)
-    assert validate_morphism(ident) == []
-    zero = MulticomplexMorphism.zero(c, c)
-    assert validate_morphism(zero) == []
-
-
-def test_morphism_sign_mismatch():
-    c = staircase(2, QQ)
-    flipped_maps = dict(c.maps)
-    flipped_maps[(1, 1, 1)] = flipped_maps[(1, 1, 1)].neg()
-    cflip = Multicomplex(QQ, dict(c.ranks), flipped_maps)
-    assert cflip.validate() == []  # still a bicomplex
-    f = MulticomplexMorphism(
-        c, cflip, {(0, a, b): Mat.identity(QQ, r) for (a, b), r in c.ranks.items()}
-    )
-    bad = validate_morphism(f)
-    assert bad and bad[0].n == 1
-
-
-def test_morphism_ring_mismatch():
-    with pytest.raises(ValueError):
-        MulticomplexMorphism(staircase(2, QQ), staircase(2, ZZ), {})
 
 
 # ---------------------------------------------------------------------------

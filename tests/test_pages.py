@@ -383,3 +383,27 @@ def test_clamped_modules_match_unclamped_systems(name):
             assert sp.zr(r, p, q) == zr, (r, p, q)
             values = [boundary_value(c, r, p, q, cow) for cow in sp.cowitnesses(r, p, q)]
             assert sp.br(r, p, q) == SubmodulePresentation.span(ring, nx, values), (r, p, q)
+
+
+def test_equal_module_pairs_share_one_subquotient(monkeypatch):
+    import mcss.pages
+
+    calls = []
+    original = mcss.pages.subquotient
+
+    def counting(z, b):
+        calls.append((z, b))
+        return original(z, b)
+
+    monkeypatch.setattr(mcss.pages, "subquotient", counting)
+    instances = [
+        wall(WallParams(3, 2, 2, 6)),
+        random_mcx(RandomSpec(seed=0, width=5, height=5, maxrank=3, maxd=3, ring=QQ)),
+    ]
+    for c in instances:
+        del calls[:]
+        sp = SpectralPages(c)
+        for r in range(sp.stabilization_bound() + 2):
+            sp.page(r)
+        pairs = {(e.zr, e.br) for e in sp._entries.values()}
+        assert len(calls) == len(pairs)

@@ -6,7 +6,7 @@ from mcss.builders import RandomSpec, hurtubise, random_mcx, staircase
 from mcss.linalg import image, vec_add, zero_vec
 from mcss.multicomplex import Multicomplex
 from mcss.rings import GF, QQ, ZZ
-from mcss.total import FilteredVector, filtration_basis, project, totalize
+from mcss.total import FilteredVector, totalize
 
 
 def test_totalize_staircase2():
@@ -37,26 +37,26 @@ def test_basis_order_descending_first_index():
 
 def test_filtration_basis_extremes():
     t = totalize(staircase(2, ZZ))
-    assert list(filtration_basis(t, 2, -1)) == []
-    assert list(filtration_basis(t, 2, 99)) == [0, 1]
-    assert list(filtration_basis(t, 2, 1)) == [1]  # only the a = 1 generator
+    assert list(range(t.filtration_start(2, -1), t.dim(2))) == []
+    assert list(range(t.filtration_start(2, 99), t.dim(2))) == [0, 1]
+    assert list(range(t.filtration_start(2, 1), t.dim(2))) == [1]  # only the a = 1 generator
 
 
 def test_project():
     t = totalize(staircase(2, QQ))
     zero = t.zero_vector(2)
-    assert project(t, zero, 1) == zero
+    assert t.project(zero, 1) == zero
     x = FilteredVector(2, (QQ.normalize(1), QQ.normalize(1)))  # basis (2,0), (1,1)
-    assert project(t, x, 2).coords == (1, 0)
-    assert project(t, x, 1).coords == (0, 1)
+    assert t.project(x, 2).coords == (1, 0)
+    assert t.project(x, 1).coords == (0, 1)
     # projections sum back to x
     total = zero_vec(QQ, 2)
     for a in (1, 2):
-        total = vec_add(QQ, total, list(project(t, x, a).coords))
+        total = vec_add(QQ, total, list(t.project(x, a).coords))
     assert tuple(total) == x.coords
     # a single-column vector is fixed by its own projection
     y = t.embed_block(2, 2, [5])
-    assert project(t, y, 2) == y
+    assert t.project(y, 2) == y
 
 
 @pytest.mark.parametrize("ring", [QQ, GF(2), ZZ], ids=str)
