@@ -21,7 +21,6 @@ from .linalg import (
     MembershipError,
     QuotientPresentation,
     SubmodulePresentation,
-    determinant,
     image,
     kernel,
     snf,

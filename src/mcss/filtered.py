@@ -116,7 +116,9 @@ class _Reduction:
     `suffix[k]` is (cycles, images) for every k that a filtration cut of
     Tot_{n-1} can give: cycles, in local F_p coordinates, span the
     elements whose boundary vanishes on every row above pivots[k] (every
-    row, when k = len(pivots)), and images are their boundaries.
+    row, when k = len(pivots)), and images are their boundaries.  Over
+    QQ they are the integer rows of the elimination, each fixed only up
+    to a scalar; they are only ever spanned, which is scale-free.
     """
 
     __slots__ = ("pivots", "suffix")
@@ -130,10 +132,8 @@ class _Reduction:
         for _, _, rank in t.blocks(n - 1):
             bounds.append(bounds[-1] + rank)
         if ring.is_field:
-            one, zero = ring.one(), ring.zero()
             width = len(cols)
-            aug = [col + [one if i == j else zero for i in range(width)]
-                   for j, col in enumerate(cols)]
+            aug = [col + [1 if i == j else 0 for i in range(width)] for j, col in enumerate(cols)]
             reduced, self.pivots = _rref_field(ring, aug, limit=nrows)
             cycles = [row[nrows:] for row in reduced]
             images = [row[:nrows] for row in reduced]
@@ -175,7 +175,7 @@ class FilteredPages:
         res = self._cycles.get(key)
         if res is None:
             n, start, _ = key
-            pad = [self.t.ring.zero()] * start
+            pad = [0] * start
             gens = [pad + list(c) for c in self._suffix(key)[0]]
             res = SubmodulePresentation.span(self.t.ring, self.t.dim(n), gens)
             self._cycles[key] = res

@@ -9,12 +9,20 @@ Hermite back-substitution over the integers).
 Matrices are dense row-major lists; at the scale this engine targets
 (blocks of at most a few hundred) exact arithmetic on dense data wins on
 simplicity and has no pivoting subtleties.
+
+Over QQ, elimination runs on integer rows and hands them back as
+integers: reduced row i is rows[i] / rows[i][pivots[i]].  Callers that
+need a span or a rank use the rows as they are; `_scalars` is the one
+place that divides, for the canonical span generators, `solve` and
+`QuotientPresentation.reduce`.  Public values (`Mat` data, generators,
+coordinates) stay Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import getitem
 
 from .rings import Ring, ZZ
 
@@ -234,15 +242,46 @@ def zero_vec(ring, n):
     return [ring.zero()] * n
 
 
+def _scalars(ring, rows, dens):
+    """Ring scalars rows[i] / dens[i] from integer elimination output.
+
+    The one place that divides.  Over GF(p) elimination scales its pivots
+    to 1, so every den is 1, the rows are already ring scalars, and dens
+    is not read.
+    """
+    if ring.kind == "F":
+        return rows
+    zero = ring.zero()
+    return [[Fraction(x, den) if x else zero for x in row] for row, den in zip(rows, dens)]
+
+
+def _over_common_pivot(ring, rows, pivots):
+    """(den, pivot rows rescaled so that each is reduced row i times den).
+
+    den is the lcm of the pivots.  Over GF(p) every pivot is 1 already.
+    """
+    if ring.kind == "F":
+        return 1, rows[:len(pivots)]
+    den = lcm(*map(getitem, rows, pivots))
+    return den, [row if row[c] == den else [den // row[c] * x for x in row]
+                 for row, c in zip(rows, pivots)]
+
+
 # ---------------------------------------------------------------------------
 # elimination cores
 
 
 def _rref_field(ring, data, limit=None):
-    """Reduced row echelon form; pivots chosen left to right, first nonzero.
+    """Reduced row echelon form up to row scaling; pivots chosen left to
+    right, first nonzero.
 
     Only columns < limit are eligible as pivots (used for augmented solves).
-    Returns (rows, pivot_columns).
+    Returns (rows, pivot_columns): the reduced row echelon form is
+    rows[i] / rows[i][pivot_columns[i]] for the pivot rows, and the rows
+    past the rank, zero on the columns < limit, are fixed up to a scalar.
+    Over GF(p) every pivot is 1; over QQ the rows are integers (see
+    `_rref_rationals`), and `_scalars` divides where ring scalars are
+    needed.
     """
     rows = [r[:] for r in data]
     nrows = len(rows)
@@ -280,12 +319,12 @@ def _rref_field(ring, data, limit=None):
 
 
 def _rref_rationals(data, limit):
-    """RREF over Q via fraction-free integer elimination.
+    """Echelon form over Q via fraction-free integer elimination.
 
-    Rows are scaled to integers, eliminations are cross-multiplications
-    with per-row gcd reduction to control growth, and pivots are
-    normalized to 1 only at the end.  The RREF is unique, so the result
-    is identical to naive Fraction elimination.
+    Rows are scaled to integers, and eliminations are cross-multiplications
+    with per-row gcd reduction to control growth.  The rows are returned
+    as integers, with the pivots not divided out: the RREF is unique, so
+    rows[i] / rows[i][pivots[i]] is what naive Fraction elimination gives.
     """
     rows = [_int_row_q(r)[0] for r in data]
     nrows = len(rows)
@@ -319,14 +358,7 @@ def _rref_rationals(data, limit):
         pr += 1
         if pr == nrows:
             break
-    out = []
-    for i, row in enumerate(rows):
-        if i < len(pivots):
-            pv = row[pivots[i]]
-            out.append([Fraction(x, pv) for x in row])
-        else:
-            out.append([Fraction(x) for x in row])
-    return out, pivots
+    return rows, pivots
 
 
 def _hnf_columns(cols, nrows, transform=False, snaps=None):
@@ -472,7 +504,7 @@ class SubmodulePresentation:
                 raise ValueError("generator length does not match ambient rank")
         if ring.is_field:
             reduced, pivots = _rref_field(ring, cols)
-            gens = reduced[:len(pivots)]
+            gens = _scalars(ring, reduced[:len(pivots)], map(getitem, reduced, pivots))
         else:
             h, _, pivots, npiv = _hnf_columns(cols, ambient_rank)
             gens = h[:npiv]
@@ -535,14 +567,16 @@ def kernel(m: Mat) -> SubmodulePresentation:
     ring = m.ring
     if ring.is_field:
         reduced, pivots = _rref_field(ring, m.data)
+        # Kernel vectors times den stay integral, and span is scale-free.
+        den, rows = _over_common_pivot(ring, reduced, pivots)
         pivot_set = set(pivots)
         free = [c for c in range(m.cols) if c not in pivot_set]
         gens = []
         for f in free:
-            v = zero_vec(ring, m.cols)
-            v[f] = ring.one()
-            for i, c in enumerate(pivots):
-                v[c] = ring.neg(reduced[i][f])
+            v = [0] * m.cols
+            v[f] = den
+            for row, c in zip(rows, pivots):
+                v[c] = ring.neg(row[f])
             gens.append(v)
         return SubmodulePresentation.span(ring, m.cols, gens)
     _, v, _, npiv = _hnf_columns(m.to_cols(), m.rows, transform=True)
@@ -567,10 +601,11 @@ def solve(m: Mat, b) -> list | None:
         for i in range(len(pivots), m.rows):
             if reduced[i][m.cols]:
                 return None
-        x = zero_vec(ring, m.cols)
-        for i, c in enumerate(pivots):
-            x[c] = reduced[i][m.cols]
-        return x
+        den, rows = _over_common_pivot(ring, reduced, pivots)
+        x = [0] * m.cols
+        for row, c in zip(rows, pivots):
+            x[c] = row[m.cols]
+        return _scalars(ring, [x], [den])[0]
     h, v, pivot_rows, npiv = _hnf_columns(m.to_cols(), m.rows, transform=True)
     residual = list(b)
     coeffs = []
@@ -653,11 +688,18 @@ class QuotientPresentation:
             raise ValueError("vector length mismatch")
         kind = self._data[0]
         if kind == "field":
-            _, tmat, nb, ngens = self._data
-            u = tmat.matvec(vec)
-            if any(u[nb + ngens:]):
+            _, t_rows, ngens, den = self._data
+            ring = self.ring
+            if ring.kind == "F":
+                p = ring.p
+                u = [sum(a * b for a, b in zip(row, vec)) % p for row in t_rows]
+            else:
+                vint, vden = _int_row_q(vec)
+                den *= vden
+                u = [sum(a * b for a, b in zip(row, vint)) for row in t_rows]
+            if any(u[ngens:]):
                 raise MembershipError("element lies outside the submodule z")
-            return tuple(u[nb:nb + ngens])
+            return tuple(_scalars(ring, [u[:ngens]], [den])[0])
         _, zgens, zpivots, u_rows, kept = self._data
         y = _coords_in_hnf(zgens, zpivots, vec)
         if y is None:
@@ -696,17 +738,20 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
         # The b columns are independent, so they pivot first; the z pivots
         # past them are the greedy lifts of a basis of z/b, and z columns
         # that start no pivot change no row.  The I part is the transform
-        # taking an element of z to its coordinates on (b, lifts).
-        nb = b.rank
+        # taking an element of z to its coordinates on (b, lifts); reduce
+        # needs its rows from nb on, the lift rows over one common pivot
+        # denominator and the rest, which vanish on z, up to a scalar.
+        nb, nz = b.rank, z.rank
+        w = nb + nz
         basis = list(b.gens) + list(z.gens)
-        aug = [[g[i] for g in basis] + [ring.one() if k == i else ring.zero() for k in range(n)]
-               for i in range(n)]
-        reduced, pivots = _rref_field(ring, aug, limit=len(basis))
-        if len(pivots) != z.rank:
+        aug = [[g[i] for g in basis] + [1 if k == i else 0 for k in range(n)] for i in range(n)]
+        reduced, pivots = _rref_field(ring, aug, limit=w)
+        if len(pivots) != nz:
             raise InclusionError("a generator of b lies outside z")
         reps = [basis[c] for c in pivots[nb:]]
-        t_rows = [row[len(basis):] for row in reduced]
-        data = ("field", Mat._raw(ring, n, n, t_rows), nb, len(reps))
+        den, lifts = _over_common_pivot(ring, reduced[nb:nz], pivots[nb:])
+        t_rows = [row[w:] for row in lifts + reduced[nz:]]
+        data = ("field", t_rows, len(reps), den)
         return QuotientPresentation(ring, n, (0,) * len(reps), reps, data)
 
     coord_cols = []
@@ -833,53 +878,3 @@ def snf(m: Mat):
     dmat = Mat._raw(ZZ, nr, nc, a)
     vmat = Mat._raw(ZZ, nc, nc, [[vcols[j][i] for j in range(nc)] for i in range(nc)])
     return umat, dmat, vmat
-
-
-def determinant(m: Mat):
-    """Exact determinant (fraction-free Bareiss over ZZ, Gauss over fields)."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return m.ring.one()
-    ring = m.ring
-    a = [row[:] for row in m.data]
-    if ring.is_field:
-        det = ring.one()
-        for k in range(n):
-            piv = -1
-            for i in range(k, n):
-                if a[i][k]:
-                    piv = i
-                    break
-            if piv < 0:
-                return ring.zero()
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                det = ring.neg(det)
-            det = ring.mul(det, a[k][k])
-            inv = ring.invert(a[k][k])
-            for i in range(k + 1, n):
-                f = ring.mul(a[i][k], inv)
-                if f:
-                    a[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(a[i], a[k])]
-        return det
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            piv = -1
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    piv = i
-                    break
-            if piv < 0:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]

@@ -13,6 +13,10 @@ from fractions import Fraction
 
 _MR_BASES = (2, 3, 5, 7)  # deterministic Miller-Rabin below 3 215 031 751
 
+# Fractions are immutable, so QQ hands out one shared zero and one.
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test, valid for every n < 2**31."""
@@ -87,10 +91,10 @@ class Ring:
         return int(v)
 
     def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
+        return _Q_ZERO if self.kind == "Q" else 0
 
     def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
+        return _Q_ONE if self.kind == "Q" else 1
 
     def add(self, a, b):
         return (a + b) % self.p if self.kind == "F" else a + b

@@ -12,12 +12,13 @@ from mcss.linalg import (
     Mat,
     MembershipError,
     SubmodulePresentation,
-    determinant,
+    _rref_field,
     image,
     kernel,
     snf,
     solve,
     subquotient,
+    vec_add,
 )
 from mcss.rings import GF, QQ, ZZ, Ring, is_prime
 
@@ -200,7 +201,7 @@ def test_snf_example():
     u, d, v = snf(m)
     assert [d.data[i][i] for i in range(2)] == [2, 4]
     assert u.mul(m).mul(v) == d
-    assert determinant(u) in (1, -1) and determinant(v) in (1, -1)
+    assert sympy.Matrix(u.data).det() in (1, -1) and sympy.Matrix(v.data).det() in (1, -1)
 
 
 def test_snf_zero():
@@ -215,11 +216,18 @@ def test_snf_zero():
 scalar_st = st.integers(min_value=-9, max_value=9)
 
 
-def mat_strategy(ring):
+def field_entry_st(ring):
+    """Entries over a field: rationals with denominators up to 6 over QQ."""
+    if ring.kind == "Q":
+        return st.builds(Fraction, scalar_st, st.integers(min_value=1, max_value=6))
+    return scalar_st.map(ring.normalize)
+
+
+def mat_strategy(ring, entries=scalar_st):
     return st.integers(min_value=0, max_value=4).flatmap(
         lambda r: st.integers(min_value=0, max_value=4).flatmap(
             lambda c: st.lists(
-                st.lists(scalar_st, min_size=c, max_size=c), min_size=r, max_size=r
+                st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r
             ).map(lambda rows: Mat(ring, r, c, rows))
         )
     )
@@ -254,7 +262,7 @@ def test_snf_invariants(data):
     m = data.draw(mat_strategy(ZZ))
     u, d, v = snf(m)
     assert u.mul(m).mul(v) == d
-    assert determinant(u) in (1, -1) and determinant(v) in (1, -1)
+    assert sympy.Matrix(u.data).det() in (1, -1) and sympy.Matrix(v.data).det() in (1, -1)
     diag = [d.data[i][i] for i in range(min(d.rows, d.cols))]
     assert all(x >= 0 for x in diag)
     for a, b in zip(diag, diag[1:]):
@@ -268,27 +276,91 @@ def test_snf_invariants(data):
                 assert d.data[i][j] == 0
 
 
-def _sympy_rank(ring, cols, nrows):
-    """Rank of a column family by sympy's DomainMatrix, an independent oracle."""
+def _domain_matrix(ring, rows, ncols):
+    """Rows of field scalars as a sympy DomainMatrix, an independent oracle."""
     dom = sympy.QQ if ring.kind == "Q" else sympy.GF(ring.p)
-    rows = [[dom(c[i].numerator) / dom(c[i].denominator) for c in cols] for i in range(nrows)]
-    return DomainMatrix(rows, (nrows, len(cols)), dom).rank()
+    entries = [[dom(v.numerator) / dom(v.denominator) for v in row] for row in rows]
+    return DomainMatrix(entries, (len(rows), ncols), dom)
+
+
+def _from_sympy(ring, x):
+    if ring.kind == "Q":
+        return Fraction(int(x.numerator), int(x.denominator))
+    return ring.normalize(int(x))
+
+
+def _sympy_rank(ring, cols, nrows):
+    """Rank of a column family by sympy's DomainMatrix."""
+    return _domain_matrix(ring, [[c[i] for c in cols] for i in range(nrows)], len(cols)).rank()
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(97)], ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rref_field_matches_sympy(ring, data):
+    nrows = data.draw(st.integers(min_value=0, max_value=4))
+    ncols = data.draw(st.integers(min_value=1, max_value=6))
+    entries = field_entry_st(ring)
+    rows = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    limit = data.draw(st.none() | st.integers(min_value=0, max_value=ncols - 1))
+    lim = ncols if limit is None else limit
+    out, pivots = _rref_field(ring, rows, limit)
+    ref, ref_pivots = _domain_matrix(ring, [row[:lim] for row in rows], lim).rref()
+    assert list(pivots) == list(ref_pivots)
+    for row, c, ref_row in zip(out, pivots, ref.to_list()):
+        inv = ring.invert(ring.normalize(row[c]))
+        assert [ring.mul(ring.normalize(x), inv) for x in row[:lim]] == [
+            _from_sympy(ring, y) for y in ref_row]
+    for row in out[len(pivots):]:
+        assert not any(row[:lim])
+    if ring.kind == "Q":
+        assert all(type(x) is int for row in out for x in row)
+    # The rows, past the limit too, span the row space of the input.
+    scalars = [[ring.normalize(x) for x in row] for row in out]
+    rank = _domain_matrix(ring, rows, ncols).rank()
+    assert _domain_matrix(ring, scalars, ncols).rank() == rank
+    assert _domain_matrix(ring, rows + scalars, ncols).rank() == rank
+
+    m = Mat(ring, nrows, ncols, rows)
+    null = _domain_matrix(ring, m.data, ncols).nullspace().to_list()
+    assert kernel(m) == SubmodulePresentation.span(
+        ring, ncols, [[_from_sympy(ring, y) for y in v] for v in null])
+    b = [ring.normalize(v) for v in data.draw(
+        st.lists(entries, min_size=nrows, max_size=nrows))]
+    x = solve(m, b)
+    aug = [row + [bv] for row, bv in zip(m.data, b)]
+    if _domain_matrix(ring, aug, ncols + 1).rank() == rank:
+        assert x is not None and m.matvec(x) == b
+    else:
+        assert x is None
 
 
 @pytest.mark.parametrize("ring", [QQ, GF(2), GF(5)], ids=str)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_subquotient_dimension_over_fields(ring, data):
-    mz = data.draw(mat_strategy(ring))
+    entries = field_entry_st(ring)
+    mz = data.draw(mat_strategy(ring, entries))
     z = image(mz)
     n = z.ambient_rank
-    # Take a sub-span of z's generators, plus random columns that may leave z.
+    # Take a sub-span of z's generators, or random elements of z, plus
+    # random columns that may leave z.
     if z.rank:
         keep = data.draw(st.lists(st.booleans(), min_size=z.rank, max_size=z.rank))
         sub = [g for g, k in zip(z.gens, keep) if k]
+        if data.draw(st.booleans()):
+            combos = data.draw(st.lists(st.lists(entries, min_size=z.rank, max_size=z.rank),
+                                        max_size=z.rank - 1))
+            sub = []
+            for coefs in combos:
+                v = [ring.zero()] * n
+                for t, g in zip(coefs, z.gens):
+                    v = vec_add(ring, v, [ring.mul(t, x) for x in g])
+                sub.append(v)
     else:
         sub = []
-    extra = data.draw(st.lists(st.lists(scalar_st, min_size=n, max_size=n), max_size=2))
+    extra = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=2))
     b = SubmodulePresentation.span(ring, n, sub + [[ring.normalize(v) for v in c] for c in extra])
     if _sympy_rank(ring, list(b.gens) + list(z.gens), n) > z.rank:
         with pytest.raises(InclusionError):
@@ -306,6 +378,15 @@ def test_subquotient_dimension_over_fields(ring, data):
     assert q.spans(lifts)
     if k:
         assert not q.spans(lifts[:-1])
+    # A unit vector outside z, moved by an element of z, is refused.
+    for j in range(n):
+        e = [ring.one() if i == j else ring.zero() for i in range(n)]
+        if _sympy_rank(ring, list(z.gens) + [e], n) > z.rank:
+            for g in z.gens:
+                e = vec_add(ring, e, g)
+            with pytest.raises(MembershipError):
+                q.reduce(e)
+            break
 
 
 @settings(max_examples=40, deadline=None)
@@ -391,7 +472,7 @@ def test_integer_subquotient_order(data):
         st.lists(st.lists(scalar_st, min_size=n, max_size=n), min_size=n, max_size=n)
     )
     m = Mat(ZZ, n, n, rows)
-    det = determinant(m)
+    det = sympy.Matrix(m.data).det()
     if det == 0:
         return
     q = subquotient(SubmodulePresentation.full(ZZ, n), image(m))
