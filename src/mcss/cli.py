@@ -1,7 +1,8 @@
 """Command-line front end: validate, pages, diff, compare, homology, example, random.
 
-Exit codes: 0 success, 1 mathematical failure (validation or comparison),
-2 MCX parse error, 3 usage error.  Identical invocations produce
+Exit codes: 0 success, 1 mathematical failure (validation, comparison, or
+an engine consistency error, reported as one `error:` line), 2 MCX parse
+error, 3 usage error.  Identical invocations produce
 byte-identical output; tables are sorted by (r, p, q).
 """
 
@@ -12,8 +13,9 @@ import json
 import sys
 
 from . import builders, filtered, mcxio
+from .linalg import InclusionError
 from .multicomplex import Multicomplex, rebase
-from .pages import SpectralPages
+from .pages import SpectralPages, WellDefinednessError
 from .rings import GF, QQ, ZZ, Ring
 from .total import totalize
 
@@ -386,6 +388,9 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except _InvalidInput:
+        return EXIT_MATH
+    except (WellDefinednessError, InclusionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except OSError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ coordinates) stay Fractions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from operator import getitem
@@ -538,8 +539,29 @@ class SubmodulePresentation:
         """Whether other is a submodule of self."""
         return all(self.contains(g) for g in other.gens)
 
-    def as_mat(self) -> Mat:
-        return Mat.from_cols(self.ring, self.ambient_rank, self.gens)
+    def prefix(self, n: int) -> "SubmodulePresentation":
+        """The projection onto the first n coordinates.
+
+        In the canonical form a generator whose pivot lies past n is zero
+        on the first n coordinates, and the others, cut to n, are again in
+        canonical form: no elimination is needed.
+        """
+        k = bisect_left(self.pivots, n)
+        return SubmodulePresentation(
+            self.ring, n, [g[:n] for g in self.gens[:k]], self.pivots[:k], _canonical=True)
+
+    def direct_sum(self, other: "SubmodulePresentation") -> "SubmodulePresentation":
+        """self + other on the concatenated coordinates, self's first.
+
+        The two canonical forms, padded with zeros, are the canonical form
+        of the sum: no elimination is needed.
+        """
+        n, m = self.ambient_rank, other.ambient_rank
+        zero = self.ring.zero()
+        return SubmodulePresentation(
+            self.ring, n + m,
+            [g + (zero,) * m for g in self.gens] + [(zero,) * n + g for g in other.gens],
+            self.pivots + tuple(n + c for c in other.pivots), _canonical=True)
 
     def __eq__(self, other):
         return (
@@ -662,10 +684,6 @@ class QuotientPresentation:
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotientPresentation is immutable")
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.invariants
 
     @property
     def free_rank(self) -> int:

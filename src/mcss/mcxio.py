@@ -17,6 +17,13 @@ from .multicomplex import Multicomplex
 from .rings import GF, QQ, ZZ
 
 
+# The largest module rank a `module` line may declare.  Pages start from
+# dense rank x rank matrices (the full module at r = 0), so an unchecked
+# typo would allocate without bound; benchmark and golden cells have rank
+# at most 13.
+MAX_RANK = 1000
+
+
 class MCXParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
@@ -78,6 +85,8 @@ def parse(text: str) -> Multicomplex:
                 raise MCXParseError(lineno, "module indices must be integers") from None
             if r < 1:
                 raise MCXParseError(lineno, f"rank must be >= 1, got {r}")
+            if r > MAX_RANK:
+                raise MCXParseError(lineno, f"rank must be <= {MAX_RANK}, got {r}")
             if (a, b) in ranks:
                 raise MCXParseError(lineno, f"duplicate module ({a},{b})")
             ranks[(a, b)] = r

@@ -1,25 +1,37 @@
 """Spectral sequence pages computed inside single columns, via witnesses.
 
-Two linear systems per cell (p, q) and page r carry the whole route.
+The paper's cycle system at a cell (p, q) and page r has the unknowns
+(x, z_1, ..., z_{r-1}), x in C_{p,q} and z_j in C_{p-j, q+j}, and the
+rows d_n x - sum_{j=1}^{n} d_{n-j} z_j for 0 <= n < r.  The x parts of
+its kernel K_r span the r-cycles Z_r; solved on the z columns for a
+fixed x, it gives the witnesses of x.  The page differential sends [x]
+to [d_r x - sum_{i=1}^{r-1} d_i z_{r-i}].
 
-The cycle system has the unknowns (x, z_1, ..., z_{r-1}), x in C_{p,q}
-and z_j in C_{p-j, q+j}, and the rows d_n x - sum_{j=1}^{n} d_{n-j} z_j
-for 0 <= n < r.  The x parts of its kernel span the r-cycles Z_r; solved
-on the z columns for a fixed x, it gives the witnesses of x.
+The systems nest: the one for r + 1 adds the unknown z_r and the row
+n = r, and the old rows are zero on z_r.  So each cell keeps one chain.
+With V_r = d_r x - sum_{i=1}^{r-1} d_i z_{r-i} in C_{p-r, q+r-1} on the
+canonical generators of K_r, K_1 = ker d_0, and K_{r+1} is the kernel of
+the one-cell matrix [V_r | -d_0 on C_{p-r, q+r}], each solution (t, z_r)
+giving the generator (sum_k t_k g_k, z_r).  This is exact over Z too,
+since V is linear in t.  Z_r is read off K_r's canonical generators whose
+pivot lies in the x block, without an elimination.
 
-The boundary system has the co-witnesses c_k in C_{p+k, q-k+1},
-0 <= k < r, as unknowns and the rows sum_{k=l}^{r-1} d_{k-l} c_k for
-1 <= l < r.  Each kernel element maps to sum_k d_k c_k in C_{p,q}, and
-these values span the r-boundaries B_r.
+The paper's boundary system, on co-witnesses c_k in C_{p+k, q-k+1},
+0 <= k < r, with the rows sum_{k=l}^{r-1} d_{k-l} c_k for 1 <= l < r,
+leaves c_0 free; with x = c_{r-1} and z_j = -c_{r-1-j} its rows are the
+cycle system at (r-1, p+r-1, q-r+2).  Its values sum_k d_k c_k span B_r,
+so B_1 = im d_0 and B_r = B_{r-1} + V_{r-1}(p+r-1, q-r+2), with no
+co-witness system built.  `cowitnesses`, `_cycle_system` and `witness`
+still build the full systems, as public API and as an independent
+oracle.
 
-The page differential sends [x] to [d_r x - sum_{i=1}^{r-1} d_i z_{r-i}].
-
-The map bidegrees keep both systems inside nearby cells, and they give
+The map bidegrees keep every system inside nearby cells, and they give
 two bidegree bounds per cell.  For r >= p - mincol + 1 no witness cell
-and no cycle row is left to add, so Z_r is constant; for
-r >= maxcol - p + 1 the same holds for co-witnesses, so B_r is constant.
-Each module is computed once, at its bound, and reused past it, and
-one subquotient Z_r/B_r serves every (r, p, q) with an equal module pair.
+and no cycle row is left to add, so Z_r is constant and the chain ends;
+for r >= maxcol - p + 1 the same holds for co-witnesses, so B_r is
+constant.  Each module is computed once, at its bound, and reused past
+it, and one subquotient Z_r/B_r serves every (r, p, q) with an equal
+module pair.
 """
 
 from __future__ import annotations
@@ -137,6 +149,7 @@ class SpectralPages:
         self._maxcol = max(cols, default=0)
         self._zr = {}
         self._br = {}
+        self._chains = {}  # (p, q) -> [K_s or None, [(Z_1, V_1), ..., (Z_s, V_s)]]
         self._quotients = {}  # (zr, br) -> subquotient
         self._entries = {}
         self._deltas = {}
@@ -219,19 +232,83 @@ class SpectralPages:
         return res
 
     def _cycles(self, r, p, q):
-        nx = self.c.rank(p, q)
-        prev = self._zr.get((r - 1, p, q))
-        if nx == 0 or (prev is not None and prev.rank == 0):
-            return SubmodulePresentation.zero(self.c.ring, nx)  # Z_r lies in Z_{r-1} = 0
-        ker = kernel(self._cycle_system(r, p, q)[0])
-        return SubmodulePresentation.span(self.c.ring, nx, [g[:nx] for g in ker.gens])
+        return self._chain(r, p, q)[0]
 
     def _boundaries(self, r, p, q):
+        """B_1 = im d_0, and B_r = B_{r-1} + V_{r-1} at (p+r-1, q-r+2)."""
         c = self.c
         nx = c.rank(p, q)
-        cows = self.cowitnesses(r, p, q) if nx else []
+        if not nx:
+            return SubmodulePresentation.zero(c.ring, 0)
+        if r == 1:
+            m = c.dmap(0, p, q + 1)
+            return SubmodulePresentation.span(c.ring, nx, m.to_cols() if m is not None else [])
+        prev = self.br(r - 1, p, q)
+        values = self._chain(r - 1, p + r - 1, q - r + 2)[1]
+        if not values:
+            return prev
+        return SubmodulePresentation.span(c.ring, nx, list(prev.gens) + values)
+
+    def _chain(self, r, p, q):
+        """(Z_r, V_r) at (p, q), extending the cell's chain K_1, K_2, ... to r.
+
+        Only the last K_s is kept.  It is dropped once s reaches
+        p - mincol + 1, where Z_s stops changing and V_s lands outside the
+        support, or once Z_s is zero.  From then on every generator has
+        x = 0, and such a (0, z_1, ..., z_s) is, up to sign, an element of
+        the chain at (p-1, q+1) one page back, so its value already lies
+        in the B_s it would add to.
+        """
+        c = self.c
+        ring = c.ring
+        nx = c.rank(p, q)
+        if not nx:
+            return SubmodulePresentation.zero(ring, 0), []
+        chain = self._chains.get((p, q))
+        if chain is None:
+            m0 = c.dmap(0, p, q)
+            k = kernel(m0) if m0 is not None else SubmodulePresentation.full(ring, nx)
+            chain = self._chains[(p, q)] = [k, []]
+        k, steps = chain
+        while len(steps) < r:
+            s = len(steps) + 1
+            if k is None:
+                steps.append((steps[-1][0], []))
+                continue
+            if s > 1:
+                k = self._extend(k, s - 1, p, q, steps[-1][1])
+            zr = k.prefix(nx)
+            if not zr.rank or s >= p - self._mincol + 1:
+                steps.append((zr, []))
+                k = None
+                continue
+            widths = [c.rank(p - j, q + j) for j in range(s)]
+            row = [(0, c.dmap(s, p, q), False)]
+            row += [(j, c.dmap(s - j, p - j, q + j), True) for j in range(1, s)]
+            a, _ = self._assemble(widths, [(c.rank(p - s, q + s - 1), row)])
+            steps.append((zr, [a.matvec(g) for g in k.gens] if a.rows else []))
+        chain[0] = k
+        return steps[r - 1]
+
+    def _extend(self, k, s, p, q, values):
+        """K_{s+1} from K_s and V_s: the kernel of [V_s | -d_0 on z_s].
+
+        With V_s zero it is K_s + Z_1 at the z_s cell, with no elimination.
+        """
+        c = self.c
+        ring = c.ring
+        if not any(map(any, values)):
+            return k.direct_sum(self._chain(1, p - s, q + s)[0])
+        m, n, nz = k.rank, k.ambient_rank, c.rank(p - s, q + s)
+        nrow = c.rank(p - s, q + s - 1)
+        vals = Mat._raw(ring, nrow, m, [list(row) for row in zip(*values)])
+        d0 = c.dmap(0, p - s, q + s)
+        ker = kernel(self._assemble([m, nz], [(nrow, [(0, vals, False), (1, d0, True)])])[0])
+        # Each kernel vector (t, z_s) gives the generator (sum_k t_k g_k, z_s).
+        t = Mat._raw(ring, ker.rank, m, [u[:m] for u in ker.gens])
+        xs = t.mul(Mat._raw(ring, m, n, list(k.gens))).data
         return SubmodulePresentation.span(
-            c.ring, nx, [boundary_value(c, r, p, q, cow) for cow in cows])
+            ring, n + nz, [list(x) + list(u[m:]) for x, u in zip(xs, ker.gens)])
 
     # -- entries ---------------------------------------------------------
 

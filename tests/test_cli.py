@@ -6,7 +6,9 @@ import json
 import pytest
 
 from mcss.cli import main
+from mcss.linalg import InclusionError
 from mcss.mcxio import emit, parse
+from mcss.pages import WellDefinednessError
 from mcss.builders import WallParams, hurtubise, staircase, wall
 
 H1 = emit(hurtubise(1))
@@ -189,3 +191,32 @@ def test_bad_arguments_exit_3_with_one_line(tmp_path, capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_rank_above_ceiling_exits_2_at_parse(tmp_path, capsys):
+    f = tmp_path / "huge.mcx"
+    f.write_text("mcx 1\nring Z\nmodule 0 0 100000000\n")
+    code, out, err = run(capsys, "validate", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: line 3") and err.count("\n") == 1
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+    return raiser
+
+
+@pytest.mark.parametrize("command, target, error", [
+    ("pages", "mcss.pages.SpectralPages.delta", WellDefinednessError),
+    ("compare", "mcss.filtered.subquotient", InclusionError),
+], ids=["pages-WellDefinednessError", "compare-InclusionError"])
+def test_engine_errors_exit_1_with_one_line(tmp_path, capsys, monkeypatch,
+                                            command, target, error):
+    monkeypatch.setattr(target, _raise(error("injected failure")))
+    f = tmp_path / "h1.mcx"
+    f.write_text(H1)
+    code, out, err = run(capsys, command, str(f))
+    assert code == 1
+    assert out == ""
+    assert err == "error: injected failure\n"

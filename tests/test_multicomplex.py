@@ -123,6 +123,18 @@ def test_parse_error_reports_line_number():
     assert exc.value.line == 4
 
 
+def test_parse_rejects_rank_above_ceiling():
+    from mcss.mcxio import MAX_RANK
+
+    assert parse(f"mcx 1\nring Z\nmodule 0 0 {MAX_RANK}\n").ranks == {(0, 0): MAX_RANK}
+    for rank in (MAX_RANK + 1, 100000000):
+        text = f"mcx 1\nring Z\nmodule 0 1 1\nmodule 0 0 {rank}\n"
+        with pytest.raises(MCXParseError) as exc:
+            parse(text)
+        assert exc.value.line == 4
+        assert str(MAX_RANK) in str(exc.value)
+
+
 def test_emit_drops_zero_maps():
     ranks = {(0, 1): 1, (0, 0): 1}
     maps = {(0, 0, 1): Mat(QQ, 1, 1, [[0]])}

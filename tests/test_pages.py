@@ -1,9 +1,11 @@
 """Witness-route pages: cycles, boundaries, witnesses, differentials."""
 
+import random
+
 import pytest
 
 from mcss.builders import RandomSpec, WallParams, hurtubise, random_mcx, staircase, wall
-from mcss.linalg import MembershipError, SubmodulePresentation, image, kernel, subquotient
+from mcss.linalg import Mat, MembershipError, SubmodulePresentation, image, kernel, subquotient
 from mcss.multicomplex import Multicomplex
 from mcss.pages import (
     CoWitnessTuple,
@@ -361,10 +363,53 @@ def test_modules_past_the_bidegree_bound_make_no_kernel_call(monkeypatch):
         assert calls == []
 
 
+def _unimodular(rng, k):
+    """A k x k integer matrix of determinant +-1 and its inverse."""
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    inv = [row[:] for row in u]
+    for _ in range(2 * k if k > 1 else 0):
+        i, j = rng.sample(range(k), 2)
+        f = rng.choice((-2, -1, 1, 2))
+        # row_i += f row_j on u is col_j -= f col_i on its inverse.
+        u[i] = [x + f * y for x, y in zip(u[i], u[j])]
+        for row in inv:
+            row[j] -= f * row[i]
+    return Mat(ZZ, k, k, u), Mat(ZZ, k, k, inv)
+
+
+def dense_z(seed, copies=3):
+    """Direct sum of random 4x4 Z windows, in a seeded unimodular basis per cell."""
+    rng = random.Random(seed)
+    parts = [random_mcx(RandomSpec(seed=rng.randrange(10**9), width=4, height=4,
+                                   maxrank=3, maxd=3, ring=ZZ)) for _ in range(copies)]
+    ranks, offsets = {}, []
+    for part in parts:
+        offsets.append({cell: ranks.get(cell, 0) for cell in part.ranks})
+        for cell, k in part.ranks.items():
+            ranks[cell] = ranks.get(cell, 0) + k
+    grids = {}
+    for part, offs in zip(parts, offsets):
+        for (i, a, b), m in part.maps.items():
+            tgt = (a - i, b + i - 1)
+            grid = grids.setdefault((i, a, b), [[0] * ranks[(a, b)] for _ in range(ranks[tgt])])
+            for row, src in zip(grid[offs[tgt]:], m.data):
+                row[offs[(a, b)]:offs[(a, b)] + m.cols] = src
+    basis = {cell: _unimodular(rng, k) for cell, k in sorted(ranks.items())}
+    maps = {
+        (i, a, b): basis[(a - i, b + i - 1)][0] * Mat(ZZ, len(grid), ranks[(a, b)], grid)
+        * basis[(a, b)][1]
+        for (i, a, b), grid in grids.items()
+    }
+    c = Multicomplex(ZZ, ranks, maps)
+    assert c.validate() == []
+    return c
+
+
 REFERENCE_INSTANCES = {
     **{f"random-{ring}": (lambda ring=ring: random_mcx(RandomSpec(
         seed=0, width=5, height=5, maxrank=3, maxd=3, ring=ring))) for ring in RINGS},
     "wall-3-2-2": lambda: wall(WallParams(3, 2, 2, 6)),
+    "dense-Z": lambda: dense_z(1),
 }
 
 
@@ -407,3 +452,53 @@ def test_equal_module_pairs_share_one_subquotient(monkeypatch):
             sp.page(r)
         pairs = {(e.zr, e.br) for e in sp._entries.values()}
         assert len(calls) == len(pairs)
+
+
+def test_pages_build_no_boundary_system(monkeypatch):
+    # Z_r and B_r come off one kernel chain per cell: each kernel is one
+    # cell's rows, one per (cell, r) below the cycle bound at most, and the
+    # co-witness system is never built.
+    import mcss.pages
+
+    def refuse(*args):
+        raise AssertionError("pages built a co-witness system")
+
+    rows = []
+    original = mcss.pages.kernel
+
+    def counting(m):
+        rows.append(m.rows)
+        return original(m)
+
+    monkeypatch.setattr(SpectralPages, "cowitnesses", refuse)
+    monkeypatch.setattr(mcss.pages, "kernel", counting)
+    instances = [wall(WallParams(3, 2, 2, 6))] + [
+        random_mcx(RandomSpec(seed=0, width=5, height=5, maxrank=3, maxd=3, ring=ring))
+        for ring in (QQ, ZZ, GF(2))
+    ]
+    for c in instances:
+        del rows[:]
+        sp = SpectralPages(c)
+        for r in range(sp.stabilization_bound() + 2):
+            sp.page(r)
+        mincol = min(p for p, _ in c.support)
+        assert rows
+        assert max(rows) <= max(c.ranks.values())
+        assert len(rows) <= sum(p - mincol + 1 for p, _ in c.support)
+
+
+@pytest.mark.parametrize("name", ["random-Z", "random-F 2", "wall-3-2-2"])
+def test_modules_do_not_depend_on_request_order(name):
+    # Each cell's chain only grows; asking for Z_r/B_r in a shuffled order
+    # must give the modules of an engine asked page by page.
+    c = REFERENCE_INSTANCES[name]()
+    ordered, shuffled = SpectralPages(c), SpectralPages(c)
+    expected = {
+        (kind, r, p, q): getattr(ordered, kind)(r, p, q)
+        for r in range(1, ordered.stabilization_bound() + 3)
+        for (p, q) in c.support for kind in ("zr", "br")
+    }
+    keys = sorted(expected)
+    random.Random(1).shuffle(keys)
+    for kind, r, p, q in keys:
+        assert getattr(shuffled, kind)(r, p, q) == expected[kind, r, p, q], (kind, r, p, q)
