@@ -2,14 +2,17 @@
 
 Exit codes: 0 success, 1 mathematical failure (validation, comparison, or
 an engine consistency error, reported as one `error:` line), 2 MCX parse
-error, 3 usage error.  Identical invocations produce
-byte-identical output; tables are sorted by (r, p, q).
+error, 3 usage error, 141 (128 + SIGPIPE) when standard output is closed
+before the command has written everything, with nothing on stderr.
+Identical invocations produce byte-identical output; tables are sorted
+by (r, p, q).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import builders, filtered, mcxio
@@ -23,6 +26,7 @@ EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_PARSE = 2
 EXIT_USAGE = 3
+EXIT_PIPE = 128 + 13  # what a shell reports for a process killed by SIGPIPE
 
 
 class UsageError(Exception):
@@ -380,7 +384,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, so that a reader that has gone away is reported
+        # below and not by the interpreter at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_PIPE
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -395,6 +406,23 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def _discard_stdout() -> None:
+    """Point a closed stdout's descriptor at the null device.
+
+    The interpreter flushes stdout at exit, and output still buffered
+    would raise BrokenPipeError there again (the Python documentation's
+    "Note on SIGPIPE" recommends this redirection).  A stdout with no
+    descriptor (an in-process caller's buffer) is left alone.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Solve, kernel, image, subquotients and integer normal forms, all
 deterministic: canonical column-echelon (fields) and column Hermite
 (integers) forms make equal subspaces/lattices structurally equal, and
 particular solutions are pinned (free variables zero over a field,
-Hermite back-substitution over the integers).
+echelon back-substitution over the integers).
 
 Matrices are dense row-major lists; at the scale this engine targets
 (blocks of at most a few hundred) exact arithmetic on dense data wins on
@@ -363,18 +363,33 @@ def _rref_rationals(data, limit):
 
 
 def _hnf_columns(cols, nrows, transform=False, snaps=None):
-    """Canonical column Hermite form of an integer column family.
+    """Column Hermite form of an integer column family.
 
-    Column convention: pivot rows strictly increase with column index,
-    pivots are positive, and in each pivot row the entries to the left of
-    the pivot are reduced into [0, pivot).  Returns (h, v, pivot_rows,
-    npiv) where columns npiv.. of h are zero, and (if requested) v holds
-    unimodular-transform columns with  original_matrix . v[j] == h[j].
+    Column convention: pivot rows strictly increase with column index and
+    pivots are positive.  Returns (h, v, pivot_rows, npiv) where columns
+    npiv.. of h are zero, and (if requested) v holds unimodular-transform
+    columns with  original_matrix . v[j] == h[j].
+
+    Row r is reduced by Euclid across the row (Havas-Majewski-Matthews,
+    Exp. Math. 1998): among the columns from npiv on that are nonzero in
+    row r, the one of smallest |entry| is subtracted, with nearest-integer
+    multipliers, from the others, until one is left.  Remainders at most
+    half the pivot keep the entries, and the transform, small; a row with
+    one nonzero column costs one scan.
+
+    Without transform, the entries left of each pivot are then reduced
+    into [0, pivot): h[:npiv] is the canonical Hermite form, which
+    `SubmodulePresentation.span` returns as it is.  With transform that
+    step is left out, because no caller reads it: `kernel` takes
+    v[npiv:], `filtered._Reduction` takes h[npiv:] and v[npiv:] from its
+    snapshots, and `solve` back-substitutes through any echelon form.
 
     ``snaps``, a dict keyed by row indices in [0, nrows], is filled with
     (npiv, h[npiv:], v[npiv:]) as they stand before that row is reduced.
     The choices at row r depend on rows <= r only, so v[npiv:] there is
     exactly the transform kernel basis of the matrix cut to rows < r.
+    Columns are replaced, never updated in place, so a snapshot keeps
+    its columns.
     """
     h = [list(c) for c in cols]
     ncols = len(h)
@@ -384,51 +399,52 @@ def _hnf_columns(cols, nrows, transform=False, snaps=None):
     for r in range(nrows):
         if snaps is not None and r in snaps:
             snaps[r] = (npiv, h[npiv:], v[npiv:])
-        jfound = -1
+        # Plain loops: at the sizes of most calls (a few columns) they
+        # cost less than a comprehension or min() with a key.
+        active = []
         for j in range(npiv, ncols):
             if h[j][r]:
-                jfound = j
-                break
-        if jfound < 0:
+                active.append(j)
+        if not active:
             continue
-        if jfound != npiv:
-            h[npiv], h[jfound] = h[jfound], h[npiv]
-            if v:
-                v[npiv], v[jfound] = v[jfound], v[npiv]
-        for j in range(npiv + 1, ncols):
-            if not h[j][r]:
-                continue
-            a, b = h[npiv][r], h[j][r]
-            if b % a == 0:
-                q = b // a
-                hj, hk = h[j], h[npiv]
+        k = active[0]
+        while len(active) > 1:
+            a = h[k][r]
+            for j in active:
+                if abs(h[j][r]) < abs(a):
+                    k, a = j, h[j][r]
+            hk = h[k]
+            vk = v[k] if v else None
+            left = [k]
+            for j in active:
+                if j == k:
+                    continue
+                hj = h[j]
+                q, rem = divmod(hj[r], a)
+                if 2 * abs(rem) > abs(a):
+                    q += 1
+                    rem -= a
                 h[j] = [x - q * y for x, y in zip(hj, hk)]
                 if v:
-                    vj, vk = v[j], v[npiv]
-                    v[j] = [x - q * y for x, y in zip(vj, vk)]
-            else:
-                g, x, y = _xgcd(a, b)
-                mb, ag = -(b // g), a // g
-                hk, hj = h[npiv], h[j]
-                h[npiv] = [x * u + y * w for u, w in zip(hk, hj)]
-                h[j] = [mb * u + ag * w for u, w in zip(hk, hj)]
-                if v:
-                    vk, vj = v[npiv], v[j]
-                    v[npiv] = [x * u + y * w for u, w in zip(vk, vj)]
-                    v[j] = [mb * u + ag * w for u, w in zip(vk, vj)]
+                    v[j] = [x - q * y for x, y in zip(v[j], vk)]
+                if rem:
+                    left.append(j)
+            active = left
+        if k != npiv:
+            h[npiv], h[k] = h[k], h[npiv]
+            if v:
+                v[npiv], v[k] = v[k], v[npiv]
         if h[npiv][r] < 0:
             h[npiv] = [-u for u in h[npiv]]
             if v:
                 v[npiv] = [-u for u in v[npiv]]
-        piv = h[npiv][r]
-        for j in range(npiv):
-            q = h[j][r] // piv
-            if q:
-                hj, hk = h[j], h[npiv]
-                h[j] = [x - q * y for x, y in zip(hj, hk)]
-                if v:
-                    vj, vk = v[j], v[npiv]
-                    v[j] = [x - q * y for x, y in zip(vj, vk)]
+        if not transform:
+            hk = h[npiv]
+            piv = hk[r]
+            for j in range(npiv):
+                q = h[j][r] // piv
+                if q:
+                    h[j] = [x - q * y for x, y in zip(h[j], hk)]
         pivot_rows.append(r)
         npiv += 1
         if npiv == ncols:
@@ -609,7 +625,9 @@ def solve(m: Mat, b) -> list | None:
     """A deterministic particular solution of m.x = b, or None.
 
     Over a field: the reduced-echelon solution with free variables zero.
-    Over ZZ: Hermite back-substitution (an integer solution iff one exists).
+    Over ZZ: back-substitution through the echelon form of the transform
+    elimination (an integer solution iff one exists); the particular
+    solution is deterministic but not reduced modulo the kernel.
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
@@ -784,14 +802,15 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
     factors = []
     for i in range(k):
         factors.append(d.data[i][i] if i < min(d.rows, d.cols) else 0)
-    # u is unimodular, so its column Hermite form is the identity and the
-    # transform is its inverse.
-    _, uinv_cols, _, _ = _hnf_columns(u.to_cols(), k, transform=True)
+    # u is unimodular, so the canonical Hermite form of the stacked columns
+    # (u_j ; e_j) is (I ; W) with u.W = I: its lower half is u^{-1}.
+    ucols = [col + [1 if i == j else 0 for i in range(k)] for j, col in enumerate(u.to_cols())]
+    stacked, _, _, _ = _hnf_columns(ucols, 2 * k)
     zg = [list(g) for g in z.gens]
     kept = [i for i, f in enumerate(factors) if f != 1]
     gens = []
     for i in kept:
-        col = uinv_cols[i]
+        col = stacked[i][k:]
         amb = [0] * n
         for coef, g in zip(col, zg):
             if coef:

@@ -2,6 +2,8 @@
 
 import io
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from mcss.builders import WallParams, hurtubise, staircase, wall
 
 H1 = emit(hurtubise(1))
 H3 = emit(hurtubise(3))
+DENSE_Z_S2 = Path(__file__).parent / "data" / "dense_z_s2.mcx"
 BROKEN_RELATION = (
     "mcx 1\nring Q\n"
     "module 0 0 1\nmodule 0 1 1\nmodule 1 0 1\nmodule 1 1 1\n"
@@ -129,6 +132,56 @@ def test_homology_output(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["homology"]["0"] == {"invariants": [0]}
     assert doc["homology"]["1"] == {"invariants": [2]}
+
+
+def test_dense_z_seed_2_homology_and_compare(capsys):
+    # A direct sum of five random Z windows in a unimodular basis (the
+    # benchmark's dense_z instance for base seed 2).  Its Hermite forms
+    # ran for minutes while the pivot was the first nonzero entry.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "homology", str(DENSE_Z_S2))
+    assert time.perf_counter() - start < 10
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "ring Z",
+        "H_2: Z/2",
+        "H_3: Z/2 ⊕ Z/2 ⊕ Z/2 ⊕ Z/2 ⊕ Z/6 ⊕ Z/6 ⊕ Z/12 ⊕ Z/12 ⊕ Z^3",
+        "H_4: Z/3",
+        "H_5: Z^1",
+        "H_6: Z^1",
+    ]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compare", str(DENSE_Z_S2))
+    assert time.perf_counter() - start < 10
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "OK"
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away, at the first write or at flush."""
+
+    def __init__(self, at):
+        super().__init__()
+        self.at = at
+
+    def write(self, text):
+        if self.at == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.at == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("at", ["write", "flush"])
+def test_closed_stdout_exits_141_silently(tmp_path, capsys, monkeypatch, at):
+    f = tmp_path / "wall.mcx"
+    f.write_text(emit(wall(WallParams(3, 2, 2, 4))))
+    monkeypatch.setattr("sys.stdout", _ClosedPipe(at))
+    code = main(["homology", str(f)])
+    assert code == 141
+    assert capsys.readouterr().err == ""
 
 
 def test_example_emits_valid_file(tmp_path, capsys):

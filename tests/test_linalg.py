@@ -1,11 +1,14 @@
 """Exact linear algebra: spec'd examples, invariants, and property sweeps."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import hermite_normal_form, invariant_factors
 
 from mcss.linalg import (
     InclusionError,
@@ -481,3 +484,124 @@ def test_integer_subquotient_order(data):
         assert dfac != 0
         order *= dfac
     assert order == abs(det)
+
+
+# ---------------------------------------------------------------------------
+# integer normal forms past 4x4, where coefficient growth shows
+
+
+def _zz_domain_matrix(rows, ncols):
+    return DomainMatrix([[sympy.ZZ(x) for x in row] for row in rows], (len(rows), ncols), sympy.ZZ)
+
+
+def _sympy_column_hnf(rows, ncols):
+    """This package's column Hermite form of a lattice, by sympy.
+
+    sympy's form (Cohen, Algorithm 2.4.5) puts each pivot at the bottom of
+    its column and scans rows bottom up; with the rows, and then the
+    columns, reversed it is the form here: pivots at the top, pivot rows
+    increasing with the column index.
+    """
+    if not rows or not ncols:
+        return []
+    w = hermite_normal_form(_zz_domain_matrix(rows[::-1], ncols)).to_Matrix()
+    cols = [[int(w[i, j]) for i in reversed(range(w.rows))] for j in reversed(range(w.cols))]
+    return [c for c in cols if any(c)]
+
+
+def _in_column_lattice(rows, ncols, b):
+    """Whether b lies in the column lattice of rows, by Smith form alone.
+
+    [m | b] spans a lattice containing that of m; the two are equal iff
+    they have the same rank and the same product of invariant factors,
+    which is the index of each in its (common) saturation.
+    """
+    def rank_and_index(dm):
+        factors = [int(f) for f in invariant_factors(dm) if f]
+        index = 1
+        for f in factors:
+            index *= f
+        return len(factors), index
+
+    if not ncols:
+        return not any(b)
+    aug = [row + [bv] for row, bv in zip(rows, b)]
+    return rank_and_index(_zz_domain_matrix(rows, ncols)) == rank_and_index(
+        _zz_domain_matrix(aug, ncols + 1))
+
+
+def _assert_saturated_kernel(m, k):
+    """k is the whole integer kernel of m: m.g = 0 for each generator, the
+    rank is cols - rank(m), and the generators span a saturated lattice."""
+    for g in k.gens:
+        assert not any(m.matvec(list(g)))
+    rank_m = _zz_domain_matrix(m.data, m.cols).rank() if m.rows else 0
+    assert k.rank == m.cols - rank_m
+    if k.rank:
+        gens = _zz_domain_matrix([list(g) for g in k.gens], m.cols)
+        assert all(f == 1 for f in invariant_factors(gens))
+
+
+zz_entry_st = st.integers(min_value=-4, max_value=4)
+
+
+def zz_mat_st():
+    return st.integers(min_value=0, max_value=8).flatmap(
+        lambda r: st.integers(min_value=0, max_value=10).flatmap(
+            lambda c: st.lists(
+                st.lists(zz_entry_st, min_size=c, max_size=c), min_size=r, max_size=r
+            ).map(lambda rows: Mat(ZZ, r, c, rows))
+        )
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=zz_mat_st())
+def test_integer_image_matches_sympy_hnf(m):
+    assert [list(g) for g in image(m).gens] == _sympy_column_hnf(m.data, m.cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=zz_mat_st())
+def test_integer_kernel_is_saturated(m):
+    _assert_saturated_kernel(m, kernel(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_solve_matches_smith_membership(data):
+    m = data.draw(zz_mat_st())
+    if data.draw(st.booleans()):
+        # An element of the lattice, so that both outcomes are drawn often.
+        coefs = data.draw(st.lists(zz_entry_st, min_size=m.cols, max_size=m.cols))
+        b = m.matvec(coefs)
+    else:
+        b = data.draw(st.lists(zz_entry_st, min_size=m.rows, max_size=m.rows))
+    x = solve(m, b)
+    if _in_column_lattice(m.data, m.cols, b):
+        assert x is not None and m.matvec(x) == b
+    else:
+        assert x is None
+
+
+def test_dense_integer_elimination_stays_small():
+    # 33 random columns of length 30: the first-nonzero pivot with 2x2
+    # gcd steps ran for minutes here, its coefficients growing without
+    # bound.  Euclid across the row takes hundredths of a second.
+    rng = random.Random(30)
+    cols = [[rng.randint(-3, 3) for _ in range(30)] for _ in range(33)]
+    m = Mat.from_cols(ZZ, 30, cols)
+
+    def timed(f, *args):
+        start = time.perf_counter()
+        out = f(*args)
+        assert time.perf_counter() - start < 2.0
+        return out
+
+    k = timed(kernel, m)
+    assert max(abs(x).bit_length() for g in k.gens for x in g) <= 128
+    _assert_saturated_kernel(m, k)
+    assert timed(image, m).rank == 30
+    b = m.matvec([1] * 33)
+    x = timed(solve, m, b)
+    assert x is not None and m.matvec(x) == b
