@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from . import builders, filtered, mcxio
 from .linalg import InclusionError
@@ -65,10 +66,18 @@ def _page_index(text: str) -> int:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """FILE, or stdin for '-', as strict UTF-8: a bad byte is a parse error on its line."""
+    if path != "-":
+        data = Path(path).read_bytes()
+    elif hasattr(sys.stdin, "buffer"):
+        data = sys.stdin.buffer.read()
+    else:  # an in-process caller's text stream
+        data = sys.stdin.read().encode("utf-8", "surrogatepass")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise mcxio.MCXParseError(line, f"invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
 
 
 def _write_output(path: str, text: str):
@@ -93,8 +102,7 @@ def group_str(ring: Ring, invariants) -> str:
     if not invariants:
         return "0"
     if ring.is_field:
-        sym = "Q" if ring.kind == "Q" else f"F{ring.p}"
-        return f"{sym}^{len(invariants)}"
+        return f"{ring.symbol}^{len(invariants)}"
     torsion = [d for d in invariants if d]
     parts = [f"Z/{d}" for d in torsion]
     free = len(invariants) - len(torsion)

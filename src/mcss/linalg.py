@@ -10,20 +10,19 @@ Matrices are dense row-major lists; at the scale this engine targets
 (blocks of at most a few hundred) exact arithmetic on dense data wins on
 simplicity and has no pivoting subtleties.
 
-Over QQ, elimination runs on integer rows and hands them back as
-integers: reduced row i is rows[i] / rows[i][pivots[i]].  Callers that
-need a span or a rank use the rows as they are; `_scalars` is the one
-place that divides, for the canonical span generators, `solve` and
-`QuotientPresentation.reduce`.  Public values (`Mat` data, generators,
-coordinates) stay Fractions.
+Arithmetic runs on integer rows, whole rows at a time, and `mcss.rings`
+turns them into scalars: a `Mat` caches its rows over one common
+denominator.  Over QQ, elimination hands its rows back as integers:
+reduced row i is rows[i] / rows[i][pivots[i]], and spans and ranks use
+them as they are.  Public values (`Mat` data, generators, coordinates)
+stay Fractions over QQ.  The only ring choice here is `_rref_field`'s.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from math import gcd, lcm
-from operator import getitem
+from operator import add, getitem, sub
 
 from .rings import Ring, ZZ
 
@@ -55,21 +54,6 @@ def _xgcd(a: int, b: int):
 # matrices
 
 
-def _int_row_q(row):
-    """Scale one row of rationals to integers: returns (ints, denominator).
-
-    Accepts plain ints too (they expose numerator/denominator).
-    """
-    den = 1
-    for v in row:
-        dv = v.denominator
-        if dv != 1:
-            den = den * dv // gcd(den, dv)
-    if den == 1:
-        return [v.numerator for v in row], 1
-    return [v.numerator * (den // v.denominator) for v in row], den
-
-
 class Mat:
     """Immutable dense matrix over one of the three rings.
 
@@ -79,7 +63,7 @@ class Mat:
     [Fraction(3, 1), Fraction(7, 1)]
     """
 
-    __slots__ = ("ring", "rows", "cols", "data", "_qint")
+    __slots__ = ("ring", "rows", "cols", "data", "_ints")
 
     def __init__(self, ring: Ring, rows: int, cols: int, entries):
         norm = ring.normalize
@@ -93,15 +77,15 @@ class Mat:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "_qint", None)
+        object.__setattr__(self, "_ints", None)
 
-    def _q_rows(self):
-        """Cached integer form of the rows (rationals only)."""
-        cached = self._qint
-        if cached is None:
-            cached = [_int_row_q(row) for row in self.data]
-            object.__setattr__(self, "_qint", cached)
-        return cached
+    def _int_form(self):
+        """Cached (integer rows, common denominator) of the data."""
+        form = self._ints
+        if form is None:
+            form = self.ring.int_rows(self.data)
+            object.__setattr__(self, "_ints", form)
+        return form
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -123,12 +107,6 @@ class Mat:
         return cls._raw(ring, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     @classmethod
-    def from_rows(cls, ring, rows_of_values, cols=None):
-        rows_of_values = [list(r) for r in rows_of_values]
-        nc = len(rows_of_values[0]) if rows_of_values else (cols or 0)
-        return cls(ring, len(rows_of_values), nc, rows_of_values)
-
-    @classmethod
     def from_cols(cls, ring, ambient_rank, cols_of_values):
         cols_of_values = [list(c) for c in cols_of_values]
         data = [[c[i] for c in cols_of_values] for i in range(ambient_rank)]
@@ -143,62 +121,32 @@ class Mat:
     def matvec(self, v):
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        ring = self.ring
-        if ring.kind == "F":
-            p = ring.p
-            return [sum(a * b for a, b in zip(row, v)) % p for row in self.data]
-        if ring.kind == "Z":
-            return [sum(a * b for a, b in zip(row, v)) for row in self.data]
-        vint, vden = _int_row_q(v)
-        return [
-            Fraction(sum(a * b for a, b in zip(row, vint)), den * vden)
-            for row, den in self._q_rows()
-        ]
+        ints, den = self._int_form()
+        (vint,), vden = self.ring.int_rows((v,))
+        return self.ring.dots(ints, vint, den * vden)
 
     def mul(self, other: "Mat") -> "Mat":
-        if self.cols != other.rows or self.ring != other.ring:
+        if self.cols != other.rows or self.ring is not other.ring:
             raise ValueError("shape or ring mismatch in product")
         ring = self.ring
-        if ring.kind == "Q":
-            cols = [other.col(j) for j in range(other.cols)]
-            icols = [_int_row_q(col) for col in cols]
-            data = [
-                [
-                    Fraction(sum(a * b for a, b in zip(row, cint)), den * cden)
-                    for cint, cden in icols
-                ]
-                for row, den in self._q_rows()
-            ]
-            return Mat._raw(ring, self.rows, other.cols, data)
-        ocols = other.to_cols()
-        if ring.kind == "F":
-            p = ring.p
-            data = [[sum(a * b for a, b in zip(row, c)) % p for c in ocols] for row in self.data]
-        else:
-            data = [[sum(a * b for a, b in zip(row, c)) for c in ocols] for row in self.data]
-        return Mat._raw(ring, self.rows, other.cols, data)
-
-    def __mul__(self, other):
-        return self.mul(other)
+        ints, den = self._int_form()
+        oints, oden = other._int_form()
+        ocols = [[row[j] for row in oints] for j in range(other.cols)]
+        den *= oden
+        return Mat._raw(ring, self.rows, other.cols, [ring.dots(ocols, row, den) for row in ints])
 
     def add(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols) or self.ring != other.ring:
+        if (self.rows, self.cols) != (other.rows, other.cols) or self.ring is not other.ring:
             raise ValueError("shape or ring mismatch in sum")
         ring = self.ring
-        if ring.kind == "F":
-            p = ring.p
-            data = [[(a + b) % p for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
-        else:
-            data = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
+        ints, den = ring.int_rows(self.data + other.data)
+        data = [ring.scalars(list(map(add, a, b)), den) for a, b in zip(ints, ints[self.rows:])]
         return Mat._raw(ring, self.rows, self.cols, data)
 
     def neg(self) -> "Mat":
         ring = self.ring
-        if ring.kind == "F":
-            p = ring.p
-            data = [[(-a) % p for a in row] for row in self.data]
-        else:
-            data = [[-a for a in row] for row in self.data]
+        ints, den = self._int_form()
+        data = [ring.scalars([-x for x in row], den) for row in ints]
         return Mat._raw(ring, self.rows, self.cols, data)
 
     def is_zero(self) -> bool:
@@ -207,7 +155,7 @@ class Mat:
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
-            and self.ring == other.ring
+            and self.ring is other.ring
             and self.rows == other.rows
             and self.cols == other.cols
             and self.data == other.data
@@ -219,50 +167,26 @@ class Mat:
 
 
 def vec_add(ring, u, v):
-    if ring.kind == "F":
-        p = ring.p
-        return [(a + b) % p for a, b in zip(u, v)]
-    return [a + b for a, b in zip(u, v)]
+    (a, b), den = ring.int_rows((u, v))
+    return ring.scalars(list(map(add, a, b)), den)
 
 
 def vec_sub(ring, u, v):
-    if ring.kind == "F":
-        p = ring.p
-        return [(a - b) % p for a, b in zip(u, v)]
-    return [a - b for a, b in zip(u, v)]
+    (a, b), den = ring.int_rows((u, v))
+    return ring.scalars(list(map(sub, a, b)), den)
 
 
 def vec_scale(ring, t, u):
-    if ring.kind == "F":
-        p = ring.p
-        return [t * a % p for a in u]
-    return [t * a for a in u]
+    ((t,), a), den = ring.int_rows(((t,), u))
+    return ring.scalars([t * x for x in a], den * den)
 
 
 def zero_vec(ring, n):
     return [ring.zero()] * n
 
 
-def _scalars(ring, rows, dens):
-    """Ring scalars rows[i] / dens[i] from integer elimination output.
-
-    The one place that divides.  Over GF(p) elimination scales its pivots
-    to 1, so every den is 1, the rows are already ring scalars, and dens
-    is not read.
-    """
-    if ring.kind == "F":
-        return rows
-    zero = ring.zero()
-    return [[Fraction(x, den) if x else zero for x in row] for row, den in zip(rows, dens)]
-
-
-def _over_common_pivot(ring, rows, pivots):
-    """(den, pivot rows rescaled so that each is reduced row i times den).
-
-    den is the lcm of the pivots.  Over GF(p) every pivot is 1 already.
-    """
-    if ring.kind == "F":
-        return 1, rows[:len(pivots)]
+def _over_common_pivot(rows, pivots):
+    """(den, pivot rows rescaled to reduced row i times den), den the pivots' lcm."""
     den = lcm(*map(getitem, rows, pivots))
     return den, [row if row[c] == den else [den // row[c] * x for x in row]
                  for row, c in zip(rows, pivots)]
@@ -281,53 +205,50 @@ def _rref_field(ring, data, limit=None):
     rows[i] / rows[i][pivot_columns[i]] for the pivot rows, and the rows
     past the rank, zero on the columns < limit, are fixed up to a scalar.
     Over GF(p) every pivot is 1; over QQ the rows are integers (see
-    `_rref_rationals`), and `_scalars` divides where ring scalars are
-    needed.
+    `_rref_rationals`).  The two kernels are different algorithms.
     """
+    if limit is None:
+        limit = len(data[0]) if data else 0
+    if ring.kind == "Q":
+        # Each row over its own denominator: scale-free, and small.
+        return _rref_rationals([ring.int_rows((r,))[0][0] for r in data], limit)
     rows = [r[:] for r in data]
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    if limit is None:
-        limit = ncols
+    p = ring.p
     pivots = []
     pr = 0
-    if ring.kind == "F":
-        p = ring.p
-        for c in range(limit):
-            piv = -1
-            for i in range(pr, nrows):
-                if rows[i][c]:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            rows[pr], rows[piv] = rows[piv], rows[pr]
-            inv = pow(rows[pr][c], -1, p)
-            if inv != 1:
-                rows[pr] = [x * inv % p for x in rows[pr]]
-            rp = rows[pr]
-            for i in range(nrows):
-                f = rows[i][c]
-                if f and i != pr:
-                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rp)]
-            pivots.append(c)
-            pr += 1
-            if pr == nrows:
+    for c in range(limit):
+        piv = -1
+        for i in range(pr, nrows):
+            if rows[i][c]:
+                piv = i
                 break
-    else:
-        return _rref_rationals(rows, limit)
+        if piv < 0:
+            continue
+        rows[pr], rows[piv] = rows[piv], rows[pr]
+        inv = pow(rows[pr][c], -1, p)
+        if inv != 1:
+            rows[pr] = [x * inv % p for x in rows[pr]]
+        rp = rows[pr]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != pr:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rp)]
+        pivots.append(c)
+        pr += 1
+        if pr == nrows:
+            break
     return rows, pivots
 
 
-def _rref_rationals(data, limit):
+def _rref_rationals(rows, limit):
     """Echelon form over Q via fraction-free integer elimination.
 
-    Rows are scaled to integers, and eliminations are cross-multiplications
-    with per-row gcd reduction to control growth.  The rows are returned
-    as integers, with the pivots not divided out: the RREF is unique, so
+    Takes integer rows.  Eliminations are cross-multiplications with
+    per-row gcd reduction to control growth.  The rows are returned as
+    integers, with the pivots not divided out: the RREF is unique, so
     rows[i] / rows[i][pivots[i]] is what naive Fraction elimination gives.
     """
-    rows = [_int_row_q(r)[0] for r in data]
     nrows = len(rows)
     pivots = []
     pr = 0
@@ -521,7 +442,7 @@ class SubmodulePresentation:
                 raise ValueError("generator length does not match ambient rank")
         if ring.is_field:
             reduced, pivots = _rref_field(ring, cols)
-            gens = _scalars(ring, reduced[:len(pivots)], map(getitem, reduced, pivots))
+            gens = ring.quotients(reduced[:len(pivots)], map(getitem, reduced, pivots))
         else:
             h, _, pivots, npiv = _hnf_columns(cols, ambient_rank)
             gens = h[:npiv]
@@ -582,7 +503,7 @@ class SubmodulePresentation:
     def __eq__(self, other):
         return (
             isinstance(other, SubmodulePresentation)
-            and self.ring == other.ring
+            and self.ring is other.ring
             and self.ambient_rank == other.ambient_rank
             and self.gens == other.gens
         )
@@ -606,7 +527,7 @@ def kernel(m: Mat) -> SubmodulePresentation:
     if ring.is_field:
         reduced, pivots = _rref_field(ring, m.data)
         # Kernel vectors times den stay integral, and span is scale-free.
-        den, rows = _over_common_pivot(ring, reduced, pivots)
+        den, rows = _over_common_pivot(reduced, pivots)
         pivot_set = set(pivots)
         free = [c for c in range(m.cols) if c not in pivot_set]
         gens = []
@@ -641,11 +562,11 @@ def solve(m: Mat, b) -> list | None:
         for i in range(len(pivots), m.rows):
             if reduced[i][m.cols]:
                 return None
-        den, rows = _over_common_pivot(ring, reduced, pivots)
+        den, rows = _over_common_pivot(reduced, pivots)
         x = [0] * m.cols
         for row, c in zip(rows, pivots):
             x[c] = row[m.cols]
-        return _scalars(ring, [x], [den])[0]
+        return ring.quotients([x], [den])[0]
     h, v, pivot_rows, npiv = _hnf_columns(m.to_cols(), m.rows, transform=True)
     residual = list(b)
     coeffs = []
@@ -722,25 +643,19 @@ class QuotientPresentation:
         """Canonical coordinates of an ambient element of z in the quotient."""
         if len(vec) != self.ambient_rank:
             raise ValueError("vector length mismatch")
-        kind = self._data[0]
-        if kind == "field":
+        ring = self.ring
+        if self._data[0] == "field":
             _, t_rows, ngens, den = self._data
-            ring = self.ring
-            if ring.kind == "F":
-                p = ring.p
-                u = [sum(a * b for a, b in zip(row, vec)) % p for row in t_rows]
-            else:
-                vint, vden = _int_row_q(vec)
-                den *= vden
-                u = [sum(a * b for a, b in zip(row, vint)) for row in t_rows]
+            (vint,), vden = ring.int_rows((vec,))
+            u = ring.dots(t_rows, vint, den * vden)
             if any(u[ngens:]):
                 raise MembershipError("element lies outside the submodule z")
-            return tuple(_scalars(ring, [u[:ngens]], [den])[0])
+            return tuple(u[:ngens])
         _, zgens, zpivots, u_rows, kept = self._data
         y = _coords_in_hnf(zgens, zpivots, vec)
         if y is None:
             raise MembershipError("element lies outside the lattice z")
-        w = [sum(a * b for a, b in zip(row, y)) for row in u_rows]
+        w = ring.dots(u_rows, y)
         return self.canon([w[i] for i in kept])
 
     def spans(self, coord_vectors) -> bool:
@@ -765,7 +680,7 @@ class QuotientPresentation:
 
 def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientPresentation:
     """The quotient z/b with canonical lifts; raises InclusionError if b is not inside z."""
-    if z.ring != b.ring or z.ambient_rank != b.ambient_rank:
+    if z.ring is not b.ring or z.ambient_rank != b.ambient_rank:
         raise ValueError("z and b live in different ambient modules")
     ring = z.ring
     n = z.ambient_rank
@@ -785,7 +700,7 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
         if len(pivots) != nz:
             raise InclusionError("a generator of b lies outside z")
         reps = [basis[c] for c in pivots[nb:]]
-        den, lifts = _over_common_pivot(ring, reduced[nb:nz], pivots[nb:])
+        den, lifts = _over_common_pivot(reduced[nb:nz], pivots[nb:])
         t_rows = [row[w:] for row in lifts + reduced[nz:]]
         data = ("field", t_rows, len(reps), den)
         return QuotientPresentation(ring, n, (0,) * len(reps), reps, data)
@@ -827,7 +742,7 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
 
 def snf(m: Mat):
     """Smith normal form: U.m.V = D diagonal, U and V unimodular, d_i | d_{i+1} >= 0."""
-    if m.ring != ZZ:
+    if m.ring is not ZZ:
         raise ValueError("Smith normal form is computed over ZZ")
     nr, nc = m.rows, m.cols
     a = [row[:] for row in m.data]

@@ -25,13 +25,14 @@ co-witness system built.  `cowitnesses`, `_cycle_system` and `witness`
 still build the full systems, as public API and as an independent
 oracle.
 
-The map bidegrees keep every system inside nearby cells, and they give
-two bidegree bounds per cell.  For r >= p - mincol + 1 no witness cell
-and no cycle row is left to add, so Z_r is constant and the chain ends;
-for r >= maxcol - p + 1 the same holds for co-witnesses, so B_r is
-constant.  Each module is computed once, at its bound, and reused past
-it, and one subquotient Z_r/B_r serves every (r, p, q) with an equal
-module pair.
+The map bidegrees keep every system inside nearby cells, and d_i is
+absent for i > maxd, so the systems visit only blocks at most maxd
+apart.  The bidegrees also give two bounds per cell.  For
+r >= p - mincol + 1 no witness cell and no cycle row is left to add, so
+Z_r is constant and the chain ends; for r >= maxcol - p + 1 the same
+holds for co-witnesses, so B_r is constant.  Each module is computed
+once, at its bound, and reused past it, and one subquotient Z_r/B_r
+serves every (r, p, q) with an equal module pair.
 """
 
 from __future__ import annotations
@@ -184,7 +185,8 @@ class SpectralPages:
         blocks = [
             (c.rank(p - n, q + n - 1),
              [(0, c.dmap(n, p, q), False)]
-             + [(j, c.dmap(n - j, p - j, q + j), True) for j in range(1, n + 1)])
+             + [(j, c.dmap(n - j, p - j, q + j), True)
+                for j in range(max(1, n - c.maxd), n + 1)])
             for n in range(r)
         ]
         return self._assemble(widths, blocks)
@@ -195,7 +197,8 @@ class SpectralPages:
         widths = [c.rank(p + k, q - k + 1) for k in range(r)]
         blocks = [
             (c.rank(p + l, q - l),
-             [(k, c.dmap(k - l, p + k, q - k + 1), False) for k in range(l, r)])
+             [(k, c.dmap(k - l, p + k, q - k + 1), False)
+              for k in range(l, min(r, l + c.maxd + 1))])
             for l in range(1, r)
         ]
         mat, offs = self._assemble(widths, blocks)
@@ -284,7 +287,8 @@ class SpectralPages:
                 continue
             widths = [c.rank(p - j, q + j) for j in range(s)]
             row = [(0, c.dmap(s, p, q), False)]
-            row += [(j, c.dmap(s - j, p - j, q + j), True) for j in range(1, s)]
+            row += [(j, c.dmap(s - j, p - j, q + j), True)
+                    for j in range(max(1, s - c.maxd), s)]
             a, _ = self._assemble(widths, [(c.rank(p - s, q + s - 1), row)])
             steps.append((zr, [a.matvec(g) for g in k.gens] if a.rows else []))
         chain[0] = k
@@ -389,7 +393,7 @@ class SpectralPages:
             for i in range(len(tgt.quot.invariants))
         )
         d = PageDifferential(r, p, q, src.quot.invariants, tgt.quot.invariants, rows)
-        if ring.kind == "Z":
+        if not ring.is_field:
             self._check_torsion_compat(d)
         self._deltas[key] = d
         return d
@@ -404,7 +408,7 @@ class SpectralPages:
         if r >= 1:
             if wit is None:
                 wit = self.witness(r, p, q, x)
-            for i in range(1, r):
+            for i in range(1, min(r, c.maxd + 1)):
                 j = r - i
                 mi = c.dmap(i, p - j, q + j)
                 zj = wit.z.get(j)

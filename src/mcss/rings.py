@@ -5,17 +5,29 @@ prime fields ``GF(p)`` with p < 2**31.  Scalars are plain Python values:
 `fractions.Fraction` over QQ (always reduced, positive denominator),
 `int` over ZZ, and `int` residues in ``[0, p)`` over GF(p).  All
 arithmetic is exact; there is no floating point anywhere.
+
+This module is the one place that decides a ring's scalar form, and the
+one place that divides.  The linear algebra computes on integer rows:
+`Ring.int_rows` puts rows over one common denominator (over ZZ and GF(p)
+they are integers already), and `Ring.scalars`, `Ring.dots` and
+`Ring.quotients` take integer rows back to canonical scalars, a whole
+row or matrix at a time.  Rings are interned, so they compare by identity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 _MR_BASES = (2, 3, 5, 7)  # deterministic Miller-Rabin below 3 215 031 751
 
 # Fractions are immutable, so QQ hands out one shared zero and one.
 _Q_ZERO = Fraction(0)
 _Q_ONE = Fraction(1)
+
+# (kind, p) -> the one Ring instance.
+_RINGS: dict = {}
 
 
 def is_prime(n: int) -> bool:
@@ -44,11 +56,14 @@ def is_prime(n: int) -> bool:
 
 
 class Ring:
-    """A ground ring: kind 'Q' (rationals), 'Z' (integers) or 'F' (prime field)."""
+    """A ground ring: kind 'Q' (rationals), 'Z' (integers) or 'F' (prime field).
+
+    Interned: one instance per (kind, p), so equal rings are identical.
+    """
 
     __slots__ = ("kind", "p")
 
-    def __init__(self, kind: str, p: int | None = None):
+    def __new__(cls, kind: str, p: int | None = None):
         if kind not in ("Q", "Z", "F"):
             raise ValueError(f"unknown ring kind {kind!r}")
         if kind == "F":
@@ -60,11 +75,18 @@ class Ring:
                 raise ValueError(f"{p} is not prime")
         elif p is not None:
             raise ValueError("modulus only makes sense for a prime field")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "p", p)
+        ring = _RINGS.get((kind, p))
+        if ring is None:
+            ring = _RINGS[(kind, p)] = object.__new__(cls)
+            object.__setattr__(ring, "kind", kind)
+            object.__setattr__(ring, "p", p)
+        return ring
 
     def __setattr__(self, name, value):
         raise AttributeError("Ring is immutable")
+
+    def __reduce__(self):  # copies and unpickled rings are interned too
+        return Ring, (self.kind, self.p)
 
     # -- predicates -----------------------------------------------------
 
@@ -99,9 +121,6 @@ class Ring:
     def add(self, a, b):
         return (a + b) % self.p if self.kind == "F" else a + b
 
-    def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "F" else a - b
-
     def mul(self, a, b):
         return (a * b) % self.p if self.kind == "F" else a * b
 
@@ -118,7 +137,47 @@ class Ring:
             return a
         raise ValueError(f"{a} is not a unit in Z")
 
+    # -- rows: integer form in, canonical scalars out ------------------
+
+    def int_rows(self, rows):
+        """(ints, den) with ints / den == rows; over ZZ and GF(p), (rows, 1)."""
+        if self.kind != "Q":
+            return rows, 1
+        den = lcm(*{v.denominator for row in rows for v in row})
+        if den == 1:
+            return [[v.numerator for v in row] for row in rows], 1
+        return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
+
+    def scalars(self, row, den=1):
+        """Canonical scalars row / den of an integer row (den is 1 unless over QQ)."""
+        if self.p:
+            p = self.p
+            return [x % p for x in row]
+        if self.kind == "Q":
+            return [Fraction(x, den) if x else _Q_ZERO for x in row]
+        return row
+
+    def dots(self, rows, vec, den=1):
+        """Canonical scalars (row . vec) / den of integer rows and an integer vector."""
+        if self.p:
+            p = self.p
+            return [sum(map(mul, row, vec)) % p for row in rows]
+        if self.kind == "Q":
+            return [Fraction(s, den) if (s := sum(map(mul, row, vec))) else _Q_ZERO
+                    for row in rows]
+        return [sum(map(mul, row, vec)) for row in rows]
+
+    def quotients(self, rows, dens):
+        """rows[i] / dens[i] for elimination output; over GF(p) the rows, pivots 1."""
+        if self.kind != "Q":
+            return rows
+        return [[Fraction(x, den) if x else _Q_ZERO for x in row] for row, den in zip(rows, dens)]
+
     # -- text form --------------------------------------------------------
+
+    @property
+    def symbol(self) -> str:  # Q, Z or F<p>, as in group notation
+        return f"F{self.p}" if self.p else self.kind
 
     def format_scalar(self, v) -> str:
         if self.kind == "Q" and v.denominator != 1:
@@ -136,14 +195,6 @@ class Ring:
                 raise ValueError(f"zero denominator in {token!r}")
             return Fraction(num, den)
         return self.normalize(int(token))
-
-    # -- identity ----------------------------------------------------------
-
-    def __eq__(self, other):
-        return isinstance(other, Ring) and self.kind == other.kind and self.p == other.p
-
-    def __hash__(self):
-        return hash((self.kind, self.p))
 
     def __repr__(self):
         return f"GF({self.p})" if self.kind == "F" else {"Q": "QQ", "Z": "ZZ"}[self.kind]

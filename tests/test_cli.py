@@ -273,3 +273,51 @@ def test_engine_errors_exit_1_with_one_line(tmp_path, capsys, monkeypatch,
     assert code == 1
     assert out == ""
     assert err == "error: injected failure\n"
+
+
+LATIN1_COMMENT = b"mcx 1\nring Z\nmodule 0 0 1\n# caf\xe9\n"
+
+
+def _stdin_bytes(monkeypatch, data):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="latin-1"))
+
+
+def test_non_utf8_file_is_parse_error(tmp_path, capsys):
+    f = tmp_path / "latin1.mcx"
+    f.write_bytes(LATIN1_COMMENT)
+    code, out, err = run(capsys, "homology", str(f))
+    assert code == 2 and out == ""
+    assert err == "parse error: line 4: invalid UTF-8 byte 0xe9\n"
+
+
+def test_non_utf8_stdin_is_parse_error(capsys, monkeypatch):
+    # The stream's own encoding would accept the byte: input is decoded as UTF-8.
+    _stdin_bytes(monkeypatch, LATIN1_COMMENT)
+    code, out, err = run(capsys, "homology", "-")
+    assert code == 2 and out == ""
+    assert err == "parse error: line 4: invalid UTF-8 byte 0xe9\n"
+
+
+def test_utf8_comment_accepted_from_file_and_stdin(tmp_path, capsys, monkeypatch):
+    text = LATIN1_COMMENT.replace(b"\xe9", "é".encode())
+    f = tmp_path / "utf8.mcx"
+    f.write_bytes(text)
+    _, from_file, _ = run(capsys, "homology", str(f))
+    _stdin_bytes(monkeypatch, text)
+    code, from_stdin, err = run(capsys, "homology", "-")
+    assert code == 0 and err == ""
+    assert from_file == from_stdin and "H_0: Z^1" in from_stdin
+
+
+def test_wide_sparse_support_is_not_cubic(tmp_path, capsys):
+    # Two rank-1 cells 1000 columns apart and no maps: every cycle system
+    # spans the whole width, but only blocks within maxd of each other
+    # can hold a map.
+    f = tmp_path / "wide.mcx"
+    f.write_text("mcx 1\nring Z\nmodule 0 0 1\nmodule 1000 0 1\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "pages", str(f))
+    assert code == 0 and out.count("\n") == 3010
+    assert time.perf_counter() - start < 10
+    code, out, _ = run(capsys, "compare", str(f))
+    assert code == 0 and out.splitlines()[-1] == "OK"

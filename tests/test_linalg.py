@@ -1,5 +1,7 @@
 """Exact linear algebra: spec'd examples, invariants, and property sweeps."""
 
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -22,7 +24,10 @@ from mcss.linalg import (
     solve,
     subquotient,
     vec_add,
+    vec_scale,
+    vec_sub,
 )
+from mcss import rings
 from mcss.rings import GF, QQ, ZZ, Ring, is_prime
 
 RINGS = [QQ, ZZ, GF(2), GF(5), GF(97)]
@@ -605,3 +610,93 @@ def test_dense_integer_elimination_stays_small():
     b = m.matvec([1] * 33)
     x = timed(solve, m, b)
     assert x is not None and m.matvec(x) == b
+
+
+# ---------------------------------------------------------------------------
+# the ring layer: row arithmetic against per-entry ring arithmetic
+
+LAYER_RINGS = [QQ, ZZ, GF(2), GF(97)]
+
+
+def _is_canonical(ring, values):
+    """Fractions over QQ, residues in [0, p) over GF(p), ints over ZZ."""
+    if ring.kind == "Q":
+        return all(type(v) is Fraction for v in values)
+    return all(type(v) is int and (not ring.p or 0 <= v < ring.p) for v in values)
+
+
+def _dot(ring, u, v):
+    acc = ring.zero()
+    for a, b in zip(u, v):
+        acc = ring.add(acc, ring.mul(a, b))
+    return acc
+
+
+def _assert_mat(ring, m, rows, cols, expected):
+    assert (m.rows, m.cols) == (rows, cols)
+    assert len(m.data) == rows and all(len(row) == cols for row in m.data)
+    assert m.data == expected
+    assert all(_is_canonical(ring, row) for row in m.data)
+
+
+@pytest.mark.parametrize("ring", LAYER_RINGS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_row_arithmetic_matches_entrywise(ring, data):
+    entry = field_entry_st(ring) if ring.is_field else scalar_st
+    dim = st.integers(min_value=0, max_value=3)
+    r, k, c = data.draw(dim), data.draw(dim), data.draw(dim)
+
+    def grid(nr, nc):
+        return data.draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                                  min_size=nr, max_size=nr))
+
+    a, a2 = Mat(ring, r, k, grid(r, k)), Mat(ring, r, k, grid(r, k))
+    b = Mat(ring, k, c, grid(k, c))
+    u, v = grid(2, k)
+    t = data.draw(entry)
+
+    out = a.matvec(u)
+    assert out == [_dot(ring, row, u) for row in a.data] and _is_canonical(ring, out)
+    _assert_mat(ring, a.mul(b), r, c, [[_dot(ring, row, b.col(j)) for j in range(c)]
+                                       for row in a.data])
+    _assert_mat(ring, a.add(a2), r, k, [[ring.add(x, y) for x, y in zip(r1, r2)]
+                                        for r1, r2 in zip(a.data, a2.data)])
+    _assert_mat(ring, a.neg(), r, k, [[ring.neg(x) for x in row] for row in a.data])
+    for got, want in [
+        (vec_add(ring, u, v), [ring.add(x, y) for x, y in zip(u, v)]),
+        (vec_sub(ring, u, v), [ring.add(x, ring.neg(y)) for x, y in zip(u, v)]),
+        (vec_scale(ring, t, u), [ring.mul(t, x) for x in u]),
+    ]:
+        assert got == want and _is_canonical(ring, got)
+
+
+@pytest.mark.parametrize("ring", LAYER_RINGS, ids=str)
+def test_products_through_empty_shapes(ring):
+    zero = ring.zero()
+    _assert_mat(ring, Mat.zeros(ring, 2, 0).mul(Mat.zeros(ring, 0, 3)), 2, 3, [[zero] * 3] * 2)
+    _assert_mat(ring, Mat.zeros(ring, 0, 2).mul(Mat.identity(ring, 2)), 0, 2, [])
+    _assert_mat(ring, Mat.identity(ring, 2).mul(Mat.zeros(ring, 2, 0)), 2, 0, [[], []])
+    assert Mat.zeros(ring, 2, 0).matvec([]) == [zero, zero]
+    assert Mat.zeros(ring, 0, 2).matvec([ring.one(), zero]) == []
+
+
+def test_rational_products_keep_fractions():
+    half = Fraction(1, 2)
+    m = Mat(QQ, 2, 2, [[half, Fraction(1, 3)], [0, 2]])
+    assert m.matvec([Fraction(2, 5), 3]) == [Fraction(6, 5), Fraction(6)]
+    assert m.mul(m).data == [[Fraction(1, 4), Fraction(5, 6)], [Fraction(0), Fraction(4)]]
+    assert vec_scale(QQ, half, [Fraction(2, 3), 0]) == [Fraction(1, 3), Fraction(0)]
+
+
+def test_rings_are_interned():
+    assert GF(97) is GF(97) and Ring("F", 97) is GF(97)
+    assert Ring("Q") is QQ and Ring("Z") is ZZ
+    assert GF(2) is not GF(97) and QQ is not ZZ and QQ != ZZ
+    with pytest.raises(ValueError):
+        Ring("F", 6)
+    assert ("F", 6) not in rings._RINGS
+    assert Ring("F", 5) is GF(5) and GF(5).normalize(-3) == 2
+    fresh = GF(10007)
+    assert fresh is Ring("F", 10007) and fresh.normalize(-1) == 10006
+    assert pickle.loads(pickle.dumps(GF(97))) is GF(97) and copy.deepcopy(QQ) is QQ

@@ -396,8 +396,8 @@ def dense_z(seed, copies=3):
                 row[offs[(a, b)]:offs[(a, b)] + m.cols] = src
     basis = {cell: _unimodular(rng, k) for cell, k in sorted(ranks.items())}
     maps = {
-        (i, a, b): basis[(a - i, b + i - 1)][0] * Mat(ZZ, len(grid), ranks[(a, b)], grid)
-        * basis[(a, b)][1]
+        (i, a, b): basis[(a - i, b + i - 1)][0].mul(Mat(ZZ, len(grid), ranks[(a, b)], grid))
+        .mul(basis[(a, b)][1])
         for (i, a, b), grid in grids.items()
     }
     c = Multicomplex(ZZ, ranks, maps)
