@@ -568,23 +568,9 @@ def solve(m: Mat, b) -> list | None:
             x[c] = row[m.cols]
         return ring.quotients([x], [den])[0]
     h, v, pivot_rows, npiv = _hnf_columns(m.to_cols(), m.rows, transform=True)
-    residual = list(b)
-    coeffs = []
-    pi = 0
-    for r in range(m.rows):
-        if pi < npiv and pivot_rows[pi] == r:
-            piv = h[pi][r]
-            t = residual[r]
-            if t % piv:
-                return None
-            q = t // piv
-            coeffs.append(q)
-            if q:
-                col = h[pi]
-                residual = [u - q * w for u, w in zip(residual, col)]
-            pi += 1
-        elif residual[r]:
-            return None
+    coeffs = _coords_in_hnf(h[:npiv], pivot_rows, b)
+    if coeffs is None:
+        return None
     x = [0] * m.cols
     for q, vc in zip(coeffs, v):
         if q:

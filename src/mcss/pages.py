@@ -27,12 +27,14 @@ oracle.
 
 The map bidegrees keep every system inside nearby cells, and d_i is
 absent for i > maxd, so the systems visit only blocks at most maxd
-apart.  The bidegrees also give two bounds per cell.  For
-r >= p - mincol + 1 no witness cell and no cycle row is left to add, so
-Z_r is constant and the chain ends; for r >= maxcol - p + 1 the same
-holds for co-witnesses, so B_r is constant.  Each module is computed
-once, at its bound, and reused past it, and one subquotient Z_r/B_r
-serves every (r, p, q) with an equal module pair.
+apart.  They also bound each module, and each bound lives where its
+module is built.  A cell's chain ends at r = p - mincol + 1, where no
+witness cell and no cycle row is left to add, or once Z_r is zero, and
+`zr` answers every later page with its last step.  `br` fills B_r in
+page order up to r = maxcol - p + 1, the last page whose added cell
+(p+r-1, q-r+2) can lie in the support, and answers every later page
+with that module.  One subquotient Z_r/B_r serves every (r, p, q) with
+an equal module pair.
 """
 
 from __future__ import annotations
@@ -148,8 +150,7 @@ class SpectralPages:
         cols = [a for a, _ in c.ranks]
         self._mincol = min(cols, default=0)
         self._maxcol = max(cols, default=0)
-        self._zr = {}
-        self._br = {}
+        self._br = {}  # (r, p, q) -> B_r, for r up to the cell's bound
         self._chains = {}  # (p, q) -> [K_s or None, [(Z_1, V_1), ..., (Z_s, V_s)]]
         self._quotients = {}  # (zr, br) -> subquotient
         self._entries = {}
@@ -178,18 +179,18 @@ class SpectralPages:
             grid.extend(rows)
         return Mat._raw(ring, len(grid), offs[-1], grid), offs
 
-    def _cycle_system(self, r, p, q):
-        """Rows d_n x - sum_{j=1}^{n} d_{n-j} z_j, n < r, on (x, z_1, ..., z_{r-1})."""
+    def _cycle_row(self, n, p, q):
+        """Row n, d_n x - sum_{j=1}^{n} d_{n-j} z_j; its last block is -d_0 z_n."""
         c = self.c
-        widths = [c.rank(p - j, q + j) for j in range(r)]
-        blocks = [
-            (c.rank(p - n, q + n - 1),
-             [(0, c.dmap(n, p, q), False)]
-             + [(j, c.dmap(n - j, p - j, q + j), True)
-                for j in range(max(1, n - c.maxd), n + 1)])
-            for n in range(r)
-        ]
-        return self._assemble(widths, blocks)
+        return (c.rank(p - n, q + n - 1),
+                [(0, c.dmap(n, p, q), False)]
+                + [(j, c.dmap(n - j, p - j, q + j), True)
+                   for j in range(max(1, n - c.maxd), n + 1)])
+
+    def _cycle_system(self, r, p, q):
+        """Rows 0 <= n < r of the cycle system on (x, z_1, ..., z_{r-1})."""
+        widths = [self.c.rank(p - j, q + j) for j in range(r)]
+        return self._assemble(widths, [self._cycle_row(n, p, q) for n in range(r)])
 
     def cowitnesses(self, r, p, q) -> list:
         """Co-witness tuples spanning the kernel of the boundary system."""
@@ -214,53 +215,43 @@ class SpectralPages:
     def zr(self, r: int, p: int, q: int) -> SubmodulePresentation:
         if r < 1:
             raise ValueError("r-cycles are defined for r >= 1")
-        return self._clamped(self._zr, self._cycles, r, p, q, p - self._mincol + 1)
-
-    def br(self, r: int, p: int, q: int) -> SubmodulePresentation:
-        if r < 1:
-            raise ValueError("r-boundaries are defined for r >= 1")
-        return self._clamped(self._br, self._boundaries, r, p, q, self._maxcol - p + 1)
-
-    @staticmethod
-    def _clamped(cache, compute, r, p, q, bound):
-        """Cached module at (r, p, q), computed once at min(r, bound) >= 1."""
-        key = (r, p, q)
-        res = cache.get(key)
-        if res is None:
-            top = (max(1, min(r, bound)), p, q)
-            res = cache.get(top)
-            if res is None:
-                res = cache[top] = compute(*top)
-            cache[key] = res
-        return res
-
-    def _cycles(self, r, p, q):
         return self._chain(r, p, q)[0]
 
-    def _boundaries(self, r, p, q):
-        """B_1 = im d_0, and B_r = B_{r-1} + V_{r-1} at (p+r-1, q-r+2)."""
+    def br(self, r: int, p: int, q: int) -> SubmodulePresentation:
+        """B_1 = im d_0, and B_s = B_{s-1} + V_{s-1} at (p+s-1, q-s+2).
+
+        That cell lies in the support only for s <= maxcol - p + 1, so B_r
+        is B_s at s = min(r, maxcol - p + 1).  `_br` is filled forward to
+        that s from the last page it holds, and never past it.
+        """
+        if r < 1:
+            raise ValueError("r-boundaries are defined for r >= 1")
         c = self.c
         nx = c.rank(p, q)
         if not nx:
             return SubmodulePresentation.zero(c.ring, 0)
-        if r == 1:
-            m = c.dmap(0, p, q + 1)
-            return SubmodulePresentation.span(c.ring, nx, m.to_cols() if m is not None else [])
-        prev = self.br(r - 1, p, q)
-        values = self._chain(r - 1, p + r - 1, q - r + 2)[1]
-        if not values:
-            return prev
-        return SubmodulePresentation.span(c.ring, nx, list(prev.gens) + values)
+        top = max(1, min(r, self._maxcol - p + 1))
+        last = next((s for s in range(top, 0, -1) if (s, p, q) in self._br), 0)
+        b = self._br.get((last, p, q))
+        for s in range(last + 1, top + 1):
+            if s == 1:
+                m = c.dmap(0, p, q + 1)
+                b = SubmodulePresentation.span(c.ring, nx, m.to_cols() if m is not None else [])
+            elif values := self._chain(s - 1, p + s - 1, q - s + 2)[1]:
+                b = SubmodulePresentation.span(c.ring, nx, list(b.gens) + values)
+            self._br[(s, p, q)] = b
+        return b
 
     def _chain(self, r, p, q):
         """(Z_r, V_r) at (p, q), extending the cell's chain K_1, K_2, ... to r.
 
-        Only the last K_s is kept.  It is dropped once s reaches
-        p - mincol + 1, where Z_s stops changing and V_s lands outside the
-        support, or once Z_s is zero.  From then on every generator has
-        x = 0, and such a (0, z_1, ..., z_s) is, up to sign, an element of
-        the chain at (p-1, q+1) one page back, so its value already lies
-        in the B_s it would add to.
+        Only the last K_s is kept.  It is dropped, and the chain ends, once
+        s reaches p - mincol + 1, where Z_s stops changing and V_s lands
+        outside the support, or once Z_s is zero.  From then on every
+        generator has x = 0, and such a (0, z_1, ..., z_s) is, up to sign,
+        an element of the chain at (p-1, q+1) one page back, so its value
+        already lies in the B_s it would add to.  Every later page gets the
+        last step: the same Z and no values.
         """
         c = self.c
         ring = c.ring
@@ -273,11 +264,8 @@ class SpectralPages:
             k = kernel(m0) if m0 is not None else SubmodulePresentation.full(ring, nx)
             chain = self._chains[(p, q)] = [k, []]
         k, steps = chain
-        while len(steps) < r:
+        while k is not None and len(steps) < r:
             s = len(steps) + 1
-            if k is None:
-                steps.append((steps[-1][0], []))
-                continue
             if s > 1:
                 k = self._extend(k, s - 1, p, q, steps[-1][1])
             zr = k.prefix(nx)
@@ -285,14 +273,13 @@ class SpectralPages:
                 steps.append((zr, []))
                 k = None
                 continue
+            # Row s without its -d_0 z_s block: z_s is not an unknown of K_s.
+            tr, row = self._cycle_row(s, p, q)
             widths = [c.rank(p - j, q + j) for j in range(s)]
-            row = [(0, c.dmap(s, p, q), False)]
-            row += [(j, c.dmap(s - j, p - j, q + j), True)
-                    for j in range(max(1, s - c.maxd), s)]
-            a, _ = self._assemble(widths, [(c.rank(p - s, q + s - 1), row)])
+            a, _ = self._assemble(widths, [(tr, row[:-1])])
             steps.append((zr, [a.matvec(g) for g in k.gens] if a.rows else []))
         chain[0] = k
-        return steps[r - 1]
+        return steps[min(r, len(steps)) - 1]
 
     def _extend(self, k, s, p, q, values):
         """K_{s+1} from K_s and V_s: the kernel of [V_s | -d_0 on z_s].
@@ -380,7 +367,8 @@ class SpectralPages:
         tp, tq = p - r, q + r - 1
         tgt = self.entry(r, tp, tq)
         cols = []
-        for g in src.quot.gens:
+        # A value in an absent cell has no coordinates: no witness is solved.
+        for g in src.quot.gens if c.rank(tp, tq) else ():
             v = self._delta_value(r, p, q, list(g))
             try:
                 cols.append(tgt.quot.reduce(v))

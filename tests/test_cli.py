@@ -321,3 +321,22 @@ def test_wide_sparse_support_is_not_cubic(tmp_path, capsys):
     assert time.perf_counter() - start < 10
     code, out, _ = run(capsys, "compare", str(f))
     assert code == 0 and out.splitlines()[-1] == "OK"
+
+
+def test_far_diff_on_wide_support_exits_0(tmp_path, capsys):
+    # Page 1001 of a 1000-column support: B_r is filled forward, without a
+    # recursion as deep as the page index.
+    f = tmp_path / "wide.mcx"
+    f.write_text("mcx 1\nring Z\nmodule 0 0 1\nmodule 1000 0 1\n")
+    code, out, err = run(capsys, "diff", str(f), "-r", "1001", "-p", "0", "-q", "0")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "Delta_1001 at (0,0) -> (-1001,1000)"
+
+
+def test_far_diff_work_is_bounded_by_the_support(tmp_path, capsys):
+    f = tmp_path / "h4.mcx"
+    f.write_text(emit(hurtubise(4)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "diff", str(f), "-r", "1000000", "-p", "2", "-q", "0")
+    assert code == 0 and err == ""
+    assert time.perf_counter() - start < 5

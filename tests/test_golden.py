@@ -2,8 +2,10 @@
 
 Each case is an MCX file under tests/golden/, emitted by `mcss example`
 or `mcss random`, next to the frozen stdout of `pages`, `compare` and
-`homology` on it, in text and `--json` form.  To re-freeze after an
-intended output change, run from the checkout root:
+`homology` on it, in text and `--json` form.  The `diff` files hold
+`mcss diff` for every support cell at r = 2 and r = 3, each call on a
+fresh engine, so the modules are requested out of page order.  To
+re-freeze after an intended output change, run from the checkout root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from mcss.cli import main
+from mcss.mcxio import parse
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -37,7 +40,9 @@ CASES = {
     "random_z_2": ["random", "--seed", "2", *_RANDOM, "--ring", "Z"],
 }
 
-OUTPUTS = [(cmd, fmt) for cmd in ("pages", "compare", "homology") for fmt in ("txt", "json")]
+OUTPUTS = [
+    (cmd, fmt) for cmd in ("pages", "compare", "homology", "diff") for fmt in ("txt", "json")
+]
 
 
 def _run(argv):
@@ -49,10 +54,18 @@ def _run(argv):
 
 
 def _outputs(name):
-    path = str(GOLDEN / f"{name}.mcx")
+    mcx = GOLDEN / f"{name}.mcx"
+    path = str(mcx)
+    cells = parse(mcx.read_text(encoding="utf-8")).support
     for cmd, fmt in OUTPUTS:
-        argv = [cmd, path] + (["--json"] if fmt == "json" else [])
-        yield GOLDEN / f"{name}.{cmd}.{fmt}", _run(argv)
+        flags = ["--json"] if fmt == "json" else []
+        if cmd == "diff":
+            out = "".join(
+                _run(["diff", path, "-r", str(r), "-p", str(p), "-q", str(q)] + flags)
+                for r in (2, 3) for p, q in cells)
+        else:
+            out = _run([cmd, path] + flags)
+        yield GOLDEN / f"{name}.{cmd}.{fmt}", out
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

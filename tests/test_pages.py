@@ -502,3 +502,71 @@ def test_modules_do_not_depend_on_request_order(name):
     random.Random(1).shuffle(keys)
     for kind, r, p, q in keys:
         assert getattr(shuffled, kind)(r, p, q) == expected[kind, r, p, q], (kind, r, p, q)
+
+
+def _entry_key(e):
+    return e.zr, e.br, e.invariants, e.quot.gens
+
+
+def test_far_page_matches_pages_asked_in_order():
+    # B_r is filled forward from the last page held, not by recursion, so a
+    # fresh engine answers page 401 of a 400-column support at once.
+    c = Multicomplex(ZZ, {(0, 0): 1, (400, 0): 1}, {})
+    ordered, far = SpectralPages(c), SpectralPages(c)
+    for r in range(1, 402):
+        ordered.entry(r, 0, 0)
+        ordered.delta(r, 0, 0)
+    assert far.br(401, 0, 0) == ordered.br(401, 0, 0)
+    assert _entry_key(far.entry(401, 0, 0)) == _entry_key(ordered.entry(401, 0, 0))
+    assert far.delta(401, 0, 0) == ordered.delta(401, 0, 0)
+
+
+@pytest.mark.parametrize("name", ["random-Z", "random-Q", "wall-3-2-2"])
+def test_far_requests_fill_nothing_past_the_bounds(name):
+    # Z_r and B_r at r = 10**6 on a fresh engine are the modules at the
+    # cell's bounds, and no chain or B store grows past any cell's bound.
+    c = REFERENCE_INSTANCES[name]()
+    for (p, q) in c.support:
+        zb, bb = _bounds(c, p)
+        sp = SpectralPages(c)
+        zr, br = sp.zr(10**6, p, q), sp.br(10**6, p, q)
+        assert all(s <= _bounds(c, a)[1] for s, a, _ in sp._br), (p, q)
+        assert all(len(steps) <= _bounds(c, a)[0]
+                   for (a, _), (_, steps) in sp._chains.items()), (p, q)
+        fresh = SpectralPages(c)
+        assert (zr, br) == (fresh.zr(zb, p, q), fresh.br(bb, p, q)), (p, q)
+
+
+def _witness_targets(monkeypatch):
+    targets = []
+    original = SpectralPages.witness
+
+    def counting(self, r, p, q, x, scramble=None):
+        targets.append((p - r, q + r - 1))
+        return original(self, r, p, q, x, scramble=scramble)
+
+    monkeypatch.setattr(SpectralPages, "witness", counting)
+    return targets
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
+def test_no_witness_for_a_differential_into_an_absent_cell(name, monkeypatch):
+    # A value in an absent cell has no coordinates, so its witness is not
+    # solved; every present target still gets one per source generator.
+    targets = _witness_targets(monkeypatch)
+    c = REFERENCE_INSTANCES[name]()
+    sp = SpectralPages(c)
+    for r in range(sp.stabilization_bound() + 2):
+        sp.page(r)
+    assert targets
+    assert all(c.rank(*t) for t in targets)
+
+
+def test_wide_sparse_pages_solve_no_witness(monkeypatch):
+    # Two rank-1 cells 1000 columns apart: every differential leaves the support.
+    targets = _witness_targets(monkeypatch)
+    c = Multicomplex(ZZ, {(0, 0): 1, (1000, 0): 1}, {})
+    sp = SpectralPages(c)
+    for r in range(sp.stabilization_bound() + 2):
+        sp.page(r)
+    assert targets == []
