@@ -14,16 +14,18 @@ canonical generators of K_r, K_1 = ker d_0, and K_{r+1} is the kernel of
 the one-cell matrix [V_r | -d_0 on C_{p-r, q+r}], each solution (t, z_r)
 giving the generator (sum_k t_k g_k, z_r).  This is exact over Z too,
 since V is linear in t.  Z_r is read off K_r's canonical generators whose
-pivot lies in the x block, without an elimination.
+pivot lies in the x block, without an elimination, and so are the
+witnesses: x is one combination of those x parts, and the same
+combination of the generators' z parts witnesses it.
 
 The paper's boundary system, on co-witnesses c_k in C_{p+k, q-k+1},
 0 <= k < r, with the rows sum_{k=l}^{r-1} d_{k-l} c_k for 1 <= l < r,
 leaves c_0 free; with x = c_{r-1} and z_j = -c_{r-1-j} its rows are the
 cycle system at (r-1, p+r-1, q-r+2).  Its values sum_k d_k c_k span B_r,
 so B_1 = im d_0 and B_r = B_{r-1} + V_{r-1}(p+r-1, q-r+2), with no
-co-witness system built.  `cowitnesses`, `_cycle_system` and `witness`
-still build the full systems, as public API and as an independent
-oracle.
+co-witness system built.  `cowitnesses` and `_cycle_system` still build
+the full systems, as an independent oracle for the tests; the pages
+never build them.
 
 The map bidegrees keep every system inside nearby cells, and d_i is
 absent for i > maxd, so the systems visit only blocks at most maxd
@@ -151,7 +153,7 @@ class SpectralPages:
         self._mincol = min(cols, default=0)
         self._maxcol = max(cols, default=0)
         self._br = {}  # (r, p, q) -> B_r, for r up to the cell's bound
-        self._chains = {}  # (p, q) -> [K_s or None, [(Z_1, V_1), ..., (Z_s, V_s)]]
+        self._chains = {}  # (p, q) -> [(Z_1, V_1, K_1), ..., (Z_s, V_s, K_s)]
         self._quotients = {}  # (zr, br) -> subquotient
         self._entries = {}
         self._deltas = {}
@@ -213,8 +215,6 @@ class SpectralPages:
     # -- cycle and boundary modules ------------------------------------
 
     def zr(self, r: int, p: int, q: int) -> SubmodulePresentation:
-        if r < 1:
-            raise ValueError("r-cycles are defined for r >= 1")
         return self._chain(r, p, q)[0]
 
     def br(self, r: int, p: int, q: int) -> SubmodulePresentation:
@@ -243,42 +243,43 @@ class SpectralPages:
         return b
 
     def _chain(self, r, p, q):
-        """(Z_r, V_r) at (p, q), extending the cell's chain K_1, K_2, ... to r.
+        """(Z_r, V_r, K_r) at (p, q), extending the cell's chain K_1, K_2, ... to r.
 
-        Only the last K_s is kept.  It is dropped, and the chain ends, once
-        s reaches p - mincol + 1, where Z_s stops changing and V_s lands
-        outside the support, or once Z_s is zero.  From then on every
-        generator has x = 0, and such a (0, z_1, ..., z_s) is, up to sign,
-        an element of the chain at (p-1, q+1) one page back, so its value
-        already lies in the B_s it would add to.  Every later page gets the
-        last step: the same Z and no values.
+        Every step keeps its K_s, so a witness can be read off any page.
+        The chain ends at s = p - mincol + 1, where Z_s stops changing and
+        V_s lands outside the support, or once Z_s is zero.  From then on
+        every generator has x = 0, and such a (0, z_1, ..., z_s) is, up to
+        sign, an element of the chain at (p-1, q+1) one page back, so its
+        value already lies in the B_s it would add to.  Every later page
+        gets the last step: the same Z and no values.
         """
+        if r < 1:
+            raise ValueError("r-cycles are defined for r >= 1")
         c = self.c
         ring = c.ring
         nx = c.rank(p, q)
         if not nx:
-            return SubmodulePresentation.zero(ring, 0), []
-        chain = self._chains.get((p, q))
-        if chain is None:
-            m0 = c.dmap(0, p, q)
-            k = kernel(m0) if m0 is not None else SubmodulePresentation.full(ring, nx)
-            chain = self._chains[(p, q)] = [k, []]
-        k, steps = chain
-        while k is not None and len(steps) < r:
+            zero = SubmodulePresentation.zero(ring, 0)
+            return zero, [], zero
+        steps = self._chains.setdefault((p, q), [])
+        end = p - self._mincol + 1
+        while len(steps) < min(r, end) and (not steps or steps[-1][0].rank):
             s = len(steps) + 1
-            if s > 1:
-                k = self._extend(k, s - 1, p, q, steps[-1][1])
+            if s == 1:
+                m0 = c.dmap(0, p, q)
+                k = kernel(m0) if m0 is not None else SubmodulePresentation.full(ring, nx)
+            else:
+                _, values, k = steps[-1]
+                k = self._extend(k, s - 1, p, q, values)
             zr = k.prefix(nx)
-            if not zr.rank or s >= p - self._mincol + 1:
-                steps.append((zr, []))
-                k = None
-                continue
-            # Row s without its -d_0 z_s block: z_s is not an unknown of K_s.
-            tr, row = self._cycle_row(s, p, q)
-            widths = [c.rank(p - j, q + j) for j in range(s)]
-            a, _ = self._assemble(widths, [(tr, row[:-1])])
-            steps.append((zr, [a.matvec(g) for g in k.gens] if a.rows else []))
-        chain[0] = k
+            values = []
+            if zr.rank and s < end:
+                # Row s without its -d_0 z_s block: z_s is not an unknown of K_s.
+                tr, row = self._cycle_row(s, p, q)
+                widths = [c.rank(p - j, q + j) for j in range(s)]
+                a, _ = self._assemble(widths, [(tr, row[:-1])])
+                values = [a.matvec(g) for g in k.gens] if a.rows else []
+            steps.append((zr, values, k))
         return steps[min(r, len(steps)) - 1]
 
     def _extend(self, k, s, p, q, values):
@@ -328,10 +329,14 @@ class SpectralPages:
     def witness(self, r, p, q, x, scramble=None) -> WitnessTuple:
         """A deterministic witness tuple for x in Z_r; raises if x is not a cycle.
 
-        Solves the cycle system on the z columns with right-hand side
-        -A_x x; its d_0 rows have no z part, so a non-d_0-cycle fails.
-        `scramble` permutes the z columns before the canonical solve,
-        giving a different (still valid) witness for independence tests.
+        Read off the cell's chain at s = min(r, its last step): x is a
+        unique combination sum_k t_k of Z_s's canonical generators, which
+        are the x parts of K_s's first generators, and the z parts of the
+        same combination of K_s's generators are the witnesses z_j, j < s.
+        Past s every z_j is zero: those cells lie left of mincol, or else
+        Z_s = 0 and x = 0.  `scramble` seeds a combination of K_s's
+        generators with x part zero, added to the canonical one, giving a
+        different (still valid) witness for independence tests.
         """
         c = self.c
         ring = c.ring
@@ -339,20 +344,29 @@ class SpectralPages:
         x = [ring.normalize(v) for v in x]
         if len(x) != nx:
             raise ValueError("element length does not match the cell rank")
-        mat, offs = self._cycle_system(r, p, q)
-        ax = Mat._raw(ring, mat.rows, nx, [row[:nx] for row in mat.data])
-        rhs = [ring.neg(v) for v in ax.matvec(x)]
-        perm = list(range(nx, mat.cols))
-        if scramble is not None:
-            random.Random(scramble).shuffle(perm)
-        az = Mat._raw(ring, mat.rows, len(perm), [[row[j] for j in perm] for row in mat.data])
-        permuted = solve(az, rhs)
-        if permuted is None:
+        if r < 1:
+            return WitnessTuple(r, p, q, {})
+        zs, _, k = self._chain(r, p, q)
+        cols = Mat._raw(ring, nx, zs.rank, [[g[i] for g in zs.gens] for i in range(nx)])
+        t = solve(cols, x)
+        if t is None:
             raise MembershipError(f"element is not an r={r} cycle at ({p},{q})")
-        sol = [ring.zero()] * mat.cols
-        for j, v in zip(perm, permuted):
-            sol[j] = v
-        return WitnessTuple(r, p, q, {j: sol[offs[j]:offs[j + 1]] for j in range(1, r)})
+        # A chain that ended at Z_s = 0 has no K_r past s, and the x = 0 part
+        # of K_s need not solve the later rows: x = 0 keeps its zero witness.
+        if scramble is not None and zs.rank:
+            rng = random.Random(scramble)
+            t += [ring.normalize(rng.randint(-3, 3)) for _ in range(zs.rank, k.rank)]
+        gens = k.gens[:len(t)]
+        zpart = Mat._raw(ring, k.ambient_rank - nx, len(t),
+                         [[g[i] for g in gens] for i in range(nx, k.ambient_rank)])
+        flat = zpart.matvec(t)
+        z, off = {}, 0
+        for j in range(1, r):
+            w = c.rank(p - j, q + j)
+            # K_s spans the blocks j < s; past them the slice is empty.
+            z[j] = flat[off:off + w] or zero_vec(ring, w)
+            off += w
+        return WitnessTuple(r, p, q, z)
 
     # -- differentials -------------------------------------------------------
 

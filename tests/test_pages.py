@@ -5,17 +5,28 @@ import random
 import pytest
 
 from mcss.builders import RandomSpec, WallParams, hurtubise, random_mcx, staircase, wall
-from mcss.linalg import Mat, MembershipError, SubmodulePresentation, image, kernel, subquotient
+from mcss.filtered import FilteredPages, compare_engines
+from mcss.linalg import (
+    Mat,
+    MembershipError,
+    SubmodulePresentation,
+    image,
+    kernel,
+    solve,
+    subquotient,
+)
 from mcss.multicomplex import Multicomplex
 from mcss.pages import (
     CoWitnessTuple,
     SpectralPages,
+    WitnessTuple,
     boundary_value,
     prop25_witness,
     star1_holds,
     star2_holds,
 )
 from mcss.rings import GF, QQ, ZZ
+from mcss.total import totalize
 
 RINGS = (GF(2), GF(97), QQ, ZZ)
 
@@ -140,6 +151,17 @@ def test_witness_scramble_still_satisfies_star1():
                     w2 = sp.witness(r, p, q, list(g), scramble=123)
                     assert star1_holds(c, r, p, q, list(g), w1), (ring, r, p, q)
                     assert star1_holds(c, r, p, q, list(g), w2), (ring, r, p, q)
+
+
+def test_page_zero_witness_is_empty():
+    # Page 0 has no witness blocks, whatever x is; the chain starts at r = 1.
+    c = hurtubise(4, QQ)
+    sp = SpectralPages(c)
+    for (p, q) in c.support:
+        for x in ([0] * c.rank(p, q), [1] * c.rank(p, q)):
+            assert sp.witness(0, p, q, x).z == {}
+        with pytest.raises(ValueError):
+            sp._chain(0, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +554,7 @@ def test_far_requests_fill_nothing_past_the_bounds(name):
         zr, br = sp.zr(10**6, p, q), sp.br(10**6, p, q)
         assert all(s <= _bounds(c, a)[1] for s, a, _ in sp._br), (p, q)
         assert all(len(steps) <= _bounds(c, a)[0]
-                   for (a, _), (_, steps) in sp._chains.items()), (p, q)
+                   for (a, _), steps in sp._chains.items()), (p, q)
         fresh = SpectralPages(c)
         assert (zr, br) == (fresh.zr(zb, p, q), fresh.br(bb, p, q)), (p, q)
 
@@ -570,3 +592,76 @@ def test_wide_sparse_pages_solve_no_witness(monkeypatch):
     for r in range(sp.stabilization_bound() + 2):
         sp.page(r)
     assert targets == []
+
+
+def _system_witness(sp, r, p, q, x):
+    """A witness solved on the z columns of the full cycle system at r."""
+    ring = sp.c.ring
+    mat, offs = sp._cycle_system(r, p, q)
+    nx = offs[1]
+    rhs = [-v for v in Mat._raw(ring, mat.rows, nx, [row[:nx] for row in mat.data]).matvec(x)]
+    z = solve(Mat._raw(ring, mat.rows, mat.cols - nx, [row[nx:] for row in mat.data]), rhs)
+    assert z is not None, (r, p, q)
+    return WitnessTuple(r, p, q, {j: z[offs[j] - nx:offs[j + 1] - nx] for j in range(1, r)})
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
+def test_chain_witnesses_match_full_system_oracle(name):
+    # Every chain witness satisfies the cycle equations, and a witness solved
+    # on the full cycle system gives the same Delta column; an x in
+    # ker d_0 outside Z_r has no witness.
+    c = REFERENCE_INSTANCES[name]()
+    sp = SpectralPages(c)
+    for r in range(1, sp.stabilization_bound() + 3):
+        for (p, q) in c.support:
+            src, tgt = sp.entry(r, p, q), sp.entry(r, p - r, q + r - 1)
+            d = sp.delta(r, p, q)
+            for j, g in enumerate(src.quot.gens):
+                x = list(g)
+                assert star1_holds(c, r, p, q, x, sp.witness(r, p, q, x)), (r, p, q)
+                v = sp._delta_value(r, p, q, x, wit=_system_witness(sp, r, p, q, x))
+                assert tgt.quot.reduce(v) == tuple(row[j] for row in d.rows), (r, p, q)
+            zr = sp.zr(r, p, q)
+            for x in sp.zr(1, p, q).gens:
+                if not zr.contains(x):
+                    with pytest.raises(MembershipError):
+                        sp.witness(r, p, q, list(x))
+
+
+def test_pages_build_no_full_cycle_system(monkeypatch):
+    # Witnesses come off each cell's kernel chain: neither the pages nor the
+    # cross-check ever assemble the full cycle system.
+    def refuse(*args):
+        raise AssertionError("pages built a full cycle system")
+
+    monkeypatch.setattr(SpectralPages, "_cycle_system", refuse)
+    for name in sorted(REFERENCE_INSTANCES):
+        c = REFERENCE_INSTANCES[name]()
+        sp = SpectralPages(c)
+        for r in range(sp.stabilization_bound() + 2):
+            sp.page(r)
+        report = compare_engines(SpectralPages(c), FilteredPages(totalize(c)))
+        assert report.ok, name
+
+
+def test_scrambled_witnesses_differ_and_agree():
+    # A scrambled witness adds a seeded x = 0 element of the chain's kernel:
+    # it is a different valid witness, with the same Delta value.  Zero is
+    # checked too, also on pages past a chain that ended at Z_s = 0.
+    differ = 0
+    for name in sorted(REFERENCE_INSTANCES):
+        c = REFERENCE_INSTANCES[name]()
+        sp = SpectralPages(c)
+        for r in range(1, sp.stabilization_bound() + 2):
+            for (p, q) in c.support:
+                zero = [0] * c.rank(p, q)
+                assert star1_holds(c, r, p, q, zero, sp.witness(r, p, q, zero, scramble=7))
+                for g in sp.entry(r, p, q).quot.gens:
+                    x = list(g)
+                    one = sp.witness(r, p, q, x)
+                    two = sp.witness(r, p, q, x, scramble=7)
+                    differ += one != two
+                    assert star1_holds(c, r, p, q, x, two), (name, r, p, q)
+                    assert (sp.delta_with_witness(r, p, q, x)
+                            == sp.delta_with_witness(r, p, q, x, scramble=7)), (name, r, p, q)
+    assert differ
