@@ -300,10 +300,12 @@ def _hnf_columns(cols, nrows, transform=False, snaps=None):
 
     Without transform, the entries left of each pivot are then reduced
     into [0, pivot): h[:npiv] is the canonical Hermite form, which
-    `SubmodulePresentation.span` returns as it is.  With transform that
-    step is left out, because no caller reads it: `kernel` takes
-    v[npiv:], `filtered._Reduction` takes h[npiv:] and v[npiv:] from its
-    snapshots, and `solve` back-substitutes through any echelon form.
+    `SubmodulePresentation.span` returns as it is.  Only rows < nrows are
+    eliminated, so longer columns are carried along, as
+    `SubmodulePresentation.extend` does.  With transform the reduction is
+    left out, because no caller reads it: `kernel` takes v[npiv:],
+    `filtered._Reduction` takes h[npiv:] and v[npiv:] from its snapshots,
+    and `solve` back-substitutes through any echelon form.
 
     ``snaps``, a dict keyed by row indices in [0, nrows], is filled with
     (npiv, h[npiv:], v[npiv:]) as they stand before that row is reduced.
@@ -476,16 +478,43 @@ class SubmodulePresentation:
         """Whether other is a submodule of self."""
         return all(self.contains(g) for g in other.gens)
 
-    def prefix(self, n: int) -> "SubmodulePresentation":
-        """The projection onto the first n coordinates.
+    def prefix(self, n: int, start: int = 0) -> "SubmodulePresentation":
+        """The projection onto coordinates [start, start + n) of a module zero before start.
 
-        In the canonical form a generator whose pivot lies past n is zero
-        on the first n coordinates, and the others, cut to n, are again in
-        canonical form: no elimination is needed.
+        In the canonical form a generator whose pivot lies past the window
+        is zero on it, and the others, cut to it, are again in canonical
+        form: no elimination is needed.
         """
-        k = bisect_left(self.pivots, n)
+        end = start + n
+        k = bisect_left(self.pivots, end)
+        return SubmodulePresentation(self.ring, n, [g[start:end] for g in self.gens[:k]],
+                                     [v - start for v in self.pivots[:k]], _canonical=True)
+
+    def extend(self, columns, start: int, end: int) -> "SubmodulePresentation":
+        """self + span(columns), the columns given from coordinate `start` on.
+
+        For self zero before `end` and equal to the part of the sum zero
+        before `end`: only the rows [start, end) are eliminated, then the
+        columns are reduced at self's pivots and followed by self's gens.
+        """
+        ring, field = self.ring, self.ring.is_field
+        if field:
+            rows, pivots = _rref_field(ring, columns, limit=end - start)
+            lifts = ring.quotients(rows[:len(pivots)], map(getitem, rows, pivots))
+        else:
+            rows, _, pivots, npiv = _hnf_columns(columns, end - start)
+            lifts = rows[:npiv]
+        for g, r in zip(self.gens, self.pivots):
+            g, r = g[start:], r - start
+            for i, x in enumerate(lifts):
+                q = x[r] if field else x[r] // g[r]
+                if q:
+                    lifts[i] = (vec_sub(ring, x, vec_scale(ring, q, g)) if field
+                                else [u - q * v for u, v in zip(x, g)])
+        pad = [ring.zero()] * start
         return SubmodulePresentation(
-            self.ring, n, [g[:n] for g in self.gens[:k]], self.pivots[:k], _canonical=True)
+            ring, self.ambient_rank, [pad + list(x) for x in lifts] + list(self.gens),
+            [start + c for c in pivots] + list(self.pivots), _canonical=True)
 
     def direct_sum(self, other: "SubmodulePresentation") -> "SubmodulePresentation":
         """self + other on the concatenated coordinates, self's first.
@@ -501,7 +530,7 @@ class SubmodulePresentation:
             self.pivots + tuple(n + c for c in other.pivots), _canonical=True)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, SubmodulePresentation)
             and self.ring is other.ring
             and self.ambient_rank == other.ambient_rank
@@ -547,8 +576,10 @@ def solve(m: Mat, b) -> list | None:
 
     Over a field: the reduced-echelon solution with free variables zero.
     Over ZZ: back-substitution through the echelon form of the transform
-    elimination (an integer solution iff one exists); the particular
-    solution is deterministic but not reduced modulo the kernel.
+    elimination (an integer solution iff one exists), then reduced modulo
+    the kernel's Hermite basis: nearest-integer multiples of each basis
+    column, in increasing pivot order, leave each pivot entry of x in
+    (-h/2, h/2] for that column's pivot h.
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
@@ -575,6 +606,14 @@ def solve(m: Mat, b) -> list | None:
     for q, vc in zip(coeffs, v):
         if q:
             x = [u + q * w for u, w in zip(x, vc)]
+    if npiv < len(v):
+        kh, _, kpivots, _ = _hnf_columns(v[npiv:], m.cols)
+        for col, r in zip(kh, kpivots):
+            q, rem = divmod(x[r], col[r])
+            if 2 * rem > col[r]:
+                q += 1
+            if q:
+                x = [u - q * w for u, w in zip(x, col)]
     return x
 
 

@@ -262,7 +262,7 @@ def _raise(exc):
 
 @pytest.mark.parametrize("command, target, error", [
     ("pages", "mcss.pages.SpectralPages.delta", WellDefinednessError),
-    ("compare", "mcss.filtered.subquotient", InclusionError),
+    ("compare", "mcss.pages.subquotient", InclusionError),
 ], ids=["pages-WellDefinednessError", "compare-InclusionError"])
 def test_engine_errors_exit_1_with_one_line(tmp_path, capsys, monkeypatch,
                                             command, target, error):

@@ -25,17 +25,20 @@ def test_entry_r0_is_associated_graded():
     c = hurtubise(4, QQ)
     fp = FilteredPages(totalize(c))
     for (p, q), r in c.ranks.items():
-        e = fp._entry_full(0, p, p + q)
+        e = fp.entry(0, p, p + q)
         assert e.invariants == (0,) * r
 
 
 def test_entry_hurtubise1_2_2_2():
     t = totalize(hurtubise(1, QQ))
-    e = FilteredPages(t)._entry_full(2, 2, 2)
+    fp = FilteredPages(t)
+    e = fp.entry(2, 2, 2)
     assert e.invariants == (0,)
-    # the class of D - B: coordinates (1, -1) in the basis [(2,0), (1,1)]
-    g = e.gens[0]
+    # ZZ_2^2 is spanned by D - B: coordinates (1, -1) in the basis
+    # [(2,0), (1,1)], whose projection onto the (2,0) cell generates E_2
+    (g,) = fp.zz(2, 2, 2).gens
     assert [int(v) for v in g] in ([1, -1], [-1, 1])
+    assert e.quot.spans([e.quot.reduce(list(g[:1]))])
 
 
 def test_zz_above_support_is_full_cycle_space():
@@ -46,6 +49,15 @@ def test_zz_above_support_is_full_cycle_space():
     zz = fp.zz(r, big, 2)
     direct = fp.zz(r, big + 5, 2)
     assert zz == direct  # F_p is everything either way
+
+
+def test_zz_walks_down_a_wide_gap():
+    # Two cells 1,200 columns apart in one degree: ZZ_r^p at a far page is
+    # built through every empty column in between, without deep recursion.
+    c = Multicomplex(ZZ, {(1200, 0): 1, (0, 1200): 1}, {})
+    fp = FilteredPages(totalize(c))
+    assert fp.zz(1300, 1200, 1200).rank == 2
+    assert fp.entry(1300, 1200, 1200).invariants == (0,)
 
 
 def test_delta_r0_is_d0_blockwise():
@@ -180,6 +192,53 @@ def test_compare_detects_corruption(monkeypatch):
     assert any((f.r, f.p, f.q) == (2, 2, 0) for f in report.failures)
 
 
+@pytest.mark.parametrize("ring, how", [(QQ, "drop"), (ZZ, "drop"), (ZZ, "double")])
+def test_compare_detects_corrupted_boundaries(monkeypatch, ring, how):
+    # Drop or double one generator of one witness-route B_r: the
+    # comparison must report exactly that cell, as a module mismatch.
+    c = hurtubise(4, ring)
+    original = SpectralPages.br
+
+    def corrupted(self, r, p, q):
+        b = original(self, r, p, q)
+        if (r, p, q) == (3, 0, 1):
+            gens = [list(g) for g in b.gens]
+            gens[-1:] = [] if how == "drop" else [[2 * v for v in gens[-1]]]
+            b = SubmodulePresentation.span(b.ring, b.ambient_rank, gens)
+        return b
+
+    monkeypatch.setattr(SpectralPages, "br", corrupted)
+    report = compare(c)
+    assert [(f.r, f.p, f.q, f.kind) for f in report.failures] == [(3, 0, 1, "modules differ")]
+
+
+@pytest.mark.parametrize("make, cell", [
+    (lambda: hurtubise(4, ZZ), (2, 2, 0)),
+    (lambda: random_mcx(RandomSpec(seed=0, width=4, height=4, maxrank=2, maxd=3, ring=ZZ)),
+     (3, 3, 1)),
+])
+def test_compare_detects_corrupted_delta_over_z(monkeypatch, make, cell):
+    # Add 1 to the first entry of a free source column of one Delta_r over
+    # Z: the square must fail at exactly that cell.
+    c = make()
+    original = SpectralPages.delta
+
+    def corrupted(self, r, p, q):
+        d = original(self, r, p, q)
+        if (r, p, q) == cell:
+            j = d.source_invariants.index(0)
+            rows = [list(row) for row in d.rows]
+            rows[0][j] += 1
+            return PageDifferential(r, p, q, d.source_invariants, d.target_invariants,
+                                    tuple(map(tuple, rows)))
+        return d
+
+    monkeypatch.setattr(SpectralPages, "delta", corrupted)
+    report = compare(c)
+    assert [(f.r, f.p, f.q, f.kind) for f in report.failures] == [
+        (*cell, "square does not commute")]
+
+
 def test_filtered_nesting_invariants():
     # ZZ_{r+1} <= ZZ_r and BB_r <= ZZ_r hold literally; boundary growth
     # holds in graded-image form, BB_r <= BB_{r+1} + F_{p-1} (the literal
@@ -216,6 +275,11 @@ def test_bb_nesting_fails_literally_on_short_staircase():
     assert bb1.rank == 1 and bb2.rank == 0
 
 
+def _honest_invariants(t, r, p, n):
+    """Invariants of ZZ_r^p / BB_r^p, the subquotient in Tot_n, from scratch."""
+    return subquotient(_reference_zz(t, r, p, n), _reference_bb(t, r, p, n)).invariants
+
+
 def test_pruned_cells_match_honest_computation():
     # Cells with no basis vector in column p are skipped by a graded
     # argument; spot-check the honest subquotient agrees.
@@ -224,7 +288,7 @@ def test_pruned_cells_match_honest_computation():
     fp = FilteredPages(t)
     for (r, p, n) in [(1, 0, 2), (2, 3, 2), (2, -1, 1)]:
         assert fp.entry(r, p, n).invariants == ()
-        assert fp._entry_full(r, p, n).quot.invariants == ()
+        assert _honest_invariants(t, r, p, n) == ()
 
 
 @pytest.mark.parametrize("ring", [GF(2), ZZ], ids=str)
@@ -240,7 +304,8 @@ def test_pruned_cells_honest_sweep(ring):
             if (p, n - p) in support:
                 continue
             for r in (0, 1, 2, 3):
-                assert fp._entry_full(r, p, n).quot.invariants == ()
+                assert fp.entry(r, p, n).invariants == ()
+                assert _honest_invariants(t, r, p, n) == ()
 
 
 def _reference_zz(t, r, p, n):
@@ -275,7 +340,9 @@ REFERENCE_INSTANCES = {
 @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
 def test_filtered_pages_match_reference(name):
     # ZZ_r, BB_r and E_r for every (r, p, n) up to the bound + 1, against
-    # one fresh kernel and one matvec per generator for each of them.
+    # one fresh kernel and one matvec per generator for each of them.  The
+    # cell-local entry holds the projections pi_p of the oracle's modules,
+    # and pi_p of the oracle's quotient generators generates it.
     c = REFERENCE_INSTANCES[name]()
     t = totalize(c)
     fp = FilteredPages(t)
@@ -291,7 +358,12 @@ def test_filtered_pages_match_reference(name):
                 entry = fp.entry(r, p, n)
                 assert entry.invariants == quot.invariants, (r, p, n)
                 if entry.quot is not None:
-                    assert entry.gens == quot.gens, (r, p, n)
+                    start, width = t.block_start(n, p)
+                    pz, pb, pq = ([list(g[start:start + width]) for g in m.gens]
+                                  for m in (zz, bb, quot))
+                    assert entry.zz == SubmodulePresentation.span(t.ring, width, pz), (r, p, n)
+                    assert entry.bb == SubmodulePresentation.span(t.ring, width, pb), (r, p, n)
+                    assert entry.quot.spans([entry.quot.reduce(v) for v in pq]), (r, p, n)
 
 
 def test_compare_calls_no_kernel_from_filtered(monkeypatch):
@@ -309,6 +381,27 @@ def test_compare_calls_no_kernel_from_filtered(monkeypatch):
         c = random_mcx(RandomSpec(seed=4, width=4, height=4, maxrank=2, maxd=3, ring=ring))
         assert compare(c).ok
     assert calls == []
+
+
+def test_compare_builds_no_total_complex_subquotient(monkeypatch):
+    # Every subquotient that compare builds lives in one cell.
+    import mcss.filtered
+    import mcss.pages
+
+    ambients = []
+    original = mcss.pages.subquotient
+
+    def spy(z, b):
+        ambients.append(z.ambient_rank)
+        return original(z, b)
+
+    monkeypatch.setattr(mcss.pages, "subquotient", spy)
+    monkeypatch.setattr(mcss.filtered, "subquotient", spy)
+    for name in sorted(REFERENCE_INSTANCES):
+        c = REFERENCE_INSTANCES[name]()
+        del ambients[:]
+        assert compare(c).ok, name
+        assert ambients and max(ambients) <= max(c.ranks.values()), name
 
 
 def test_filtered_delta_squares_to_zero():

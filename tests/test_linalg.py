@@ -134,6 +134,17 @@ def test_image_integer_lattice_membership():
     assert not im.contains([1, 3])
 
 
+@pytest.mark.parametrize("ring", [QQ, ZZ], ids=str)
+def test_module_equality_needs_equal_pivots_and_gens(ring):
+    a = SubmodulePresentation.span(ring, 2, [[1, 1]])
+    assert a == a and a == SubmodulePresentation.span(ring, 2, [[2, 2], [3, 3]])
+    same_pivots = SubmodulePresentation.span(ring, 2, [[1, 2]])
+    assert same_pivots.pivots == a.pivots and same_pivots.gens != a.gens
+    assert same_pivots != a
+    other_pivots = SubmodulePresentation.span(ring, 2, [[0, 1]])
+    assert other_pivots.pivots != a.pivots and other_pivots != a
+
+
 # ---------------------------------------------------------------------------
 # subquotient
 
@@ -425,6 +436,26 @@ def test_canonical_form_is_basis_independent(data):
     assert redone == sub
 
 
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_extend_and_window_match_span(ring, data):
+    # Columns zero before `start`: their span is the part of it zero before
+    # `end` extended by the columns, and its window [start, end) is the span
+    # of the columns cut to the window, both without a fresh elimination.
+    m = data.draw(mat_strategy(ring))
+    n = m.rows
+    start = data.draw(st.integers(min_value=0, max_value=n))
+    end = data.draw(st.integers(min_value=start, max_value=n))
+    cols = [[ring.zero()] * start + c[start:] for c in m.to_cols()]
+    full = SubmodulePresentation.span(ring, n, cols)
+    low = SubmodulePresentation.span(
+        ring, n, [g for g, pv in zip(full.gens, full.pivots) if pv >= end])
+    assert low.extend([c[start:] for c in cols], start, end) == full
+    window = SubmodulePresentation.span(ring, end - start, [c[start:end] for c in cols])
+    assert full.prefix(end - start, start) == window
+
+
 def _minor_gcd(m, k):
     """gcd of all k x k minors, by brute-force expansion (tiny matrices)."""
     from itertools import combinations, permutations
@@ -610,6 +641,7 @@ def test_dense_integer_elimination_stays_small():
     b = m.matvec([1] * 33)
     x = timed(solve, m, b)
     assert x is not None and m.matvec(x) == b
+    assert max(abs(v).bit_length() for v in x) <= 128
 
 
 # ---------------------------------------------------------------------------
