@@ -29,7 +29,10 @@ Tot_n modules `zz` and `bb` cheap: both meet F_{p-1} in ZZ_{r-1}^{p-1},
 so each is that module extended by the cycles, or their boundaries,
 eliminated on the (p, n-p) block only (`SubmodulePresentation.extend`),
 and its canonical generators cut to the block are already the canonical
-form of its projection (`SubmodulePresentation.prefix`).
+form of its projection (`SubmodulePresentation.prefix`).  F_{p-r} of
+Tot_{n-1} is zero once p - r is left of its least column, and F_{p+r-1}
+of Tot_{n+1} is all of it once p + r - 1 reaches its greatest: from that
+settle page s on both projections are constant, and `entry` serves page s.
 
 `compare` checks per cell that the projected modules equal the witness
 route's Z_r and B_r, which makes pi_p an isomorphism of entries, and then
@@ -223,6 +226,13 @@ class FilteredPages:
                 [v[start:] for v in self._suffix(high)[1]], start, low[1])
         return res
 
+    def settle(self, p: int, n: int) -> int:
+        """The page s from which pi_p(ZZ_r^p) and pi_p(BB_r^p) are constant."""
+        below, above = self.t.blocks(n - 1), self.t.blocks(n + 1)
+        lo = min(p, below[-1][0]) if below else p
+        hi = max(p, above[0][0]) if above else p
+        return max(1 + p - lo, 1 + hi - p)
+
     def entry(self, r: int, p: int, n: int) -> FilteredEntry:
         """pi_p(ZZ_r^p) / pi_p(BB_r^p), the quotient built when read."""
         key = (r, p, n)
@@ -234,6 +244,9 @@ class FilteredPages:
         start, width = self.t.block_start(n, p)
         if width == 0:
             e = FilteredEntry(r, p, n, None, None)
+        elif r > (s := self.settle(p, n)):  # past the settle page: page s's modules
+            e = self._entries.get((s, p, n)) or self.entry(s, p, n)
+            e = FilteredEntry(r, p, n, e.zz, e.bb)
         else:
             # The keys fix both modules, and p too: the block is not empty.
             keys = self._key(r, p, n), r and self._key(r - 1, p + r - 1, n + 1)

@@ -28,21 +28,25 @@ the full systems, as an independent oracle for the tests; the pages
 never build them.
 
 The map bidegrees keep every system inside nearby cells, and d_i is
-absent for i > maxd, so the systems visit only blocks at most maxd
-apart.  They also bound each module, and each bound lives where its
-module is built.  A cell's chain ends at r = p - mincol + 1, where no
-witness cell and no cycle row is left to add, or once Z_r is zero, and
-`zr` answers every later page with its last step.  `br` fills B_r in
-page order up to r = maxcol - p + 1, the last page whose added cell
-(p+r-1, q-r+2) can lie in the support, and answers every later page
-with that module.  One subquotient Z_r/B_r serves every (r, p, q) with
-an equal module pair.
+absent for i > maxd: V_r is read off the at most maxd + 1 blocks of row
+r that carry a map, at the chain's block offsets.  Row r lands in degree
+n-1 at (p-r, q+r-1), and page r adds boundary values from degree n+1 at
+(p+r-1, q-r+2).  So Z_r is constant from r_z = 1 + p - (least column of
+degree n-1 left of p) on, and B_r from r_b = 1 + (greatest column of
+degree n+1 right of p) - p on, each 1 without such a column: the chain
+ends at r_z or at Z_r = 0, and `br` fills B_r up to r_b.  Past the
+settle page s = max(r_z, r_b) an entry is served from page s, and its
+differential, into an absent cell, is zero.  A page r whose neighbouring
+cells (p-r+1, q+r-2) and (p+r-1, q-r+2) are both absent is served from
+page r-1: E_r = E_{r-1}.  One subquotient Z_r/B_r serves every (r, p, q)
+with an equal module pair.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import (
     Mat,
@@ -133,12 +137,7 @@ class Page:
         self.deltas = deltas    # (p, q) -> PageDifferential
 
     def invariants_table(self):
-        return {
-            cell: e.invariants for cell, e in sorted(self.entries.items()) if e.invariants
-        }
-
-    def same_invariants(self, other: "Page") -> bool:
-        return self.invariants_table() == other.invariants_table()
+        return {cell: e.invariants for cell, e in sorted(self.entries.items()) if e.invariants}
 
     def deltas_all_zero(self) -> bool:
         return all(d.is_zero() for d in self.deltas.values())
@@ -149,10 +148,7 @@ class SpectralPages:
 
     def __init__(self, c: Multicomplex):
         self.c = c
-        cols = [a for a, _ in c.ranks]
-        self._mincol = min(cols, default=0)
-        self._maxcol = max(cols, default=0)
-        self._br = {}  # (r, p, q) -> B_r, for r up to the cell's bound
+        self._br = {}  # (r, p, q) -> B_r, for r up to the cell's r_b
         self._chains = {}  # (p, q) -> [(Z_1, V_1, K_1), ..., (Z_s, V_s, K_s)]
         self._quotients = {}  # (zr, br) -> subquotient
         self._entries = {}
@@ -220,9 +216,9 @@ class SpectralPages:
     def br(self, r: int, p: int, q: int) -> SubmodulePresentation:
         """B_1 = im d_0, and B_s = B_{s-1} + V_{s-1} at (p+s-1, q-s+2).
 
-        That cell lies in the support only for s <= maxcol - p + 1, so B_r
-        is B_s at s = min(r, maxcol - p + 1).  `_br` is filled forward to
-        that s from the last page it holds, and never past it.
+        That cell lies in the support only for s <= r_b, so B_r is B_s at
+        s = min(r, r_b).  `_br` is filled forward to that s from the last
+        page it holds, and never past it.
         """
         if r < 1:
             raise ValueError("r-boundaries are defined for r >= 1")
@@ -230,14 +226,15 @@ class SpectralPages:
         nx = c.rank(p, q)
         if not nx:
             return SubmodulePresentation.zero(c.ring, 0)
-        top = max(1, min(r, self._maxcol - p + 1))
+        top = min(r, self._reaches[(p, q)][1])
         last = next((s for s in range(top, 0, -1) if (s, p, q) in self._br), 0)
         b = self._br.get((last, p, q))
         for s in range(last + 1, top + 1):
             if s == 1:
                 m = c.dmap(0, p, q + 1)
                 b = SubmodulePresentation.span(c.ring, nx, m.to_cols() if m is not None else [])
-            elif values := self._chain(s - 1, p + s - 1, q - s + 2)[1]:
+            elif c.rank(p + s - 1, q - s + 2) and (
+                    values := self._chain(s - 1, p + s - 1, q - s + 2)[1]):
                 b = SubmodulePresentation.span(c.ring, nx, list(b.gens) + values)
             self._br[(s, p, q)] = b
         return b
@@ -246,51 +243,65 @@ class SpectralPages:
         """(Z_r, V_r, K_r) at (p, q), extending the cell's chain K_1, K_2, ... to r.
 
         Every step keeps its K_s, so a witness can be read off any page.
-        The chain ends at s = p - mincol + 1, where Z_s stops changing and
-        V_s lands outside the support, or once Z_s is zero.  From then on
-        every generator has x = 0, and such a (0, z_1, ..., z_s) is, up to
-        sign, an element of the chain at (p-1, q+1) one page back, so its
-        value already lies in the B_s it would add to.  Every later page
-        gets the last step: the same Z and no values.
+        The chain ends at s = r_z, where Z_s stops changing and V_s lands
+        outside the support, or once Z_s is zero.  From then on every
+        generator has x = 0, and such a (0, z_1, ..., z_s) is, up to sign,
+        an element of the chain at (p-1, q+1) one page back, so its value
+        already lies in the B_s it would add to.  Every later page gets
+        the last step: the same Z and no values.
         """
         if r < 1:
             raise ValueError("r-cycles are defined for r >= 1")
         c = self.c
-        ring = c.ring
         nx = c.rank(p, q)
         if not nx:
-            zero = SubmodulePresentation.zero(ring, 0)
+            zero = SubmodulePresentation.zero(c.ring, 0)
             return zero, [], zero
         steps = self._chains.setdefault((p, q), [])
-        end = p - self._mincol + 1
+        end = self._reaches[(p, q)][0]
         while len(steps) < min(r, end) and (not steps or steps[-1][0].rank):
             s = len(steps) + 1
             if s == 1:
                 m0 = c.dmap(0, p, q)
-                k = kernel(m0) if m0 is not None else SubmodulePresentation.full(ring, nx)
+                k = kernel(m0) if m0 is not None else SubmodulePresentation.full(c.ring, nx)
             else:
-                _, values, k = steps[-1]
-                k = self._extend(k, s - 1, p, q, values)
-            zr = k.prefix(nx)
-            values = []
-            if zr.rank and s < end:
-                # Row s without its -d_0 z_s block: z_s is not an unknown of K_s.
-                tr, row = self._cycle_row(s, p, q)
-                widths = [c.rank(p - j, q + j) for j in range(s)]
-                a, _ = self._assemble(widths, [(tr, row[:-1])])
-                values = [a.matvec(g) for g in k.gens] if a.rows else []
+                zr, values, k0 = steps[-1]
+                k = self._extend(k0, s - 1, p, q, values)
+            if s == 1 or k is not k0:  # an empty step keeps K_s and Z_s
+                zr = k.prefix(nx)
+            values = self._values(s, p, q, k, steps) if zr.rank and s < end else []
             steps.append((zr, values, k))
         return steps[min(r, len(steps)) - 1]
+
+    def _values(self, s, p, q, k, steps):
+        """V_s on K_s's generators, or [] when no map meets row s.
+
+        Row s without its -d_0 z_s block (z_s is not an unknown of K_s)
+        meets x and the z_j, s - maxd <= j < s, read at the chain's offsets.
+        """
+        c = self.c
+        if not c.rank(p - s, q + s - 1):
+            return []
+        tr, row = self._cycle_row(s, p, q)
+        ends = [st[2].ambient_rank for st in steps[max(0, s - c.maxd - 1):]] + [k.ambient_rank]
+        spans = [(0, c.rank(p, q))] + list(zip(ends, ends[1:]))  # one short: drops -d_0 z_s
+        used = [(m.neg() if negate else m, a, b)
+                for (_, m, negate), (a, b) in zip(row, spans) if m is not None]
+        if not used:
+            return []
+        grid = [[v for m, _, _ in used for v in m.data[i]] for i in range(tr)]
+        mat = Mat._raw(c.ring, tr, len(grid[0]), grid)
+        return [mat.matvec([v for _, a, b in used for v in g[a:b]]) for g in k.gens]
 
     def _extend(self, k, s, p, q, values):
         """K_{s+1} from K_s and V_s: the kernel of [V_s | -d_0 on z_s].
 
-        With V_s zero it is K_s + Z_1 at the z_s cell, with no elimination.
+        With V_s zero it is K_s + Z_1 at the z_s cell (K_s if it is absent).
         """
         c = self.c
         ring = c.ring
         if not any(map(any, values)):
-            return k.direct_sum(self._chain(1, p - s, q + s)[0])
+            return k.direct_sum(self._chain(1, p - s, q + s)[0]) if c.rank(p - s, q + s) else k
         m, n, nz = k.rank, k.ambient_rank, c.rank(p - s, q + s)
         nrow = c.rank(p - s, q + s - 1)
         vals = Mat._raw(ring, nrow, m, [list(row) for row in zip(*values)])
@@ -304,23 +315,42 @@ class SpectralPages:
 
     # -- entries ---------------------------------------------------------
 
+    @cached_property
+    def _reaches(self):
+        """(p, q) -> (r_z, r_b): Z_r is constant from r_z on, and B_r from r_b on."""
+        ext = {}  # total degree -> (least, greatest) column
+        for a, b in self.c.ranks:
+            lo, hi = ext.get(a + b, (a, a))
+            ext[a + b] = min(lo, a), max(hi, a)
+        return {(p, q): (1 + p - min(ext.get(p + q - 1, (p, p))[0], p),
+                         1 + max(ext.get(p + q + 1, (p, p))[1], p) - p) for p, q in self.c.ranks}
+
+    def settle(self, p: int, q: int) -> int:
+        """The settle page s = max(r_z, r_b): E_r at (p, q) is E_s for every r > s."""
+        return max(self._reaches.get((p, q), (1, 1)))
+
     def entry(self, r: int, p: int, q: int) -> PageEntry:
         key = (r, p, q)
         cached = self._entries.get(key)
         if cached is not None:
             return cached
         c = self.c
-        nx = c.rank(p, q)
-        if r == 0:
-            zr = SubmodulePresentation.full(c.ring, nx)
-            br = SubmodulePresentation.zero(c.ring, nx)
+        s = min(r, self.settle(p, q))
+        # E_s = E_{s-1} when Delta_{s-1} into and out of the cell meet absent cells.
+        while s > 1 and (s, p, q) not in self._entries and not (
+                c.rank(p - s + 1, q + s - 2) or c.rank(p + s - 1, q - s + 2)):
+            s -= 1
+        if s < r:  # a served page: page s's modules and quotient
+            e = self._entries.get((s, p, q)) or self.entry(s, p, q)
+            e = PageEntry(r, p, q, e.zr, e.br, e.quot)
         else:
-            zr = self.zr(r, p, q)
-            br = self.br(r, p, q)
-        quot = self._quotients.get((zr, br))
-        if quot is None:  # subquotient raises InclusionError on a B_r <= Z_r breach
-            quot = self._quotients[(zr, br)] = subquotient(zr, br)
-        e = PageEntry(r, p, q, zr, br, quot)
+            nx = c.rank(p, q)
+            zr = self.zr(r, p, q) if r else SubmodulePresentation.full(c.ring, nx)
+            br = self.br(r, p, q) if r else SubmodulePresentation.zero(c.ring, nx)
+            quot = self._quotients.get((zr, br))
+            if quot is None:  # subquotient raises InclusionError on a B_r <= Z_r breach
+                quot = self._quotients[(zr, br)] = subquotient(zr, br)
+            e = PageEntry(r, p, q, zr, br, quot)
         self._entries[key] = e
         return e
 
@@ -332,11 +362,12 @@ class SpectralPages:
         Read off the cell's chain at s = min(r, its last step): x is a
         unique combination sum_k t_k of Z_s's canonical generators, which
         are the x parts of K_s's first generators, and the z parts of the
-        same combination of K_s's generators are the witnesses z_j, j < s.
-        Past s every z_j is zero: those cells lie left of mincol, or else
-        Z_s = 0 and x = 0.  `scramble` seeds a combination of K_s's
-        generators with x part zero, added to the canonical one, giving a
-        different (still valid) witness for independence tests.
+        same combination of K_s's generators are the witnesses z_j, j < s,
+        cut at the chain's block offsets.  Past s every z_j is zero: from
+        r_z on no row meets a module, or else Z_s = 0 and x = 0.  `scramble`
+        seeds a combination of K_s's generators with x part zero, added to
+        the canonical one, giving a different (still valid) witness for
+        independence tests.
         """
         c = self.c
         ring = c.ring
@@ -360,13 +391,11 @@ class SpectralPages:
         zpart = Mat._raw(ring, k.ambient_rank - nx, len(t),
                          [[g[i] for g in gens] for i in range(nx, k.ambient_rank)])
         flat = zpart.matvec(t)
-        z, off = {}, 0
-        for j in range(1, r):
-            w = c.rank(p - j, q + j)
-            # K_s spans the blocks j < s; past them the slice is empty.
-            z[j] = flat[off:off + w] or zero_vec(ring, w)
-            off += w
-        return WitnessTuple(r, p, q, z)
+        # Block j < s of K_s spans K_j's ambient up to K_{j+1}'s.
+        ends = [st[2].ambient_rank - nx for st in self._chains.get((p, q), [])[:r]]
+        return WitnessTuple(r, p, q, {
+            j: flat[ends[j - 1]:ends[j]] if j < len(ends) else zero_vec(ring, c.rank(p - j, q + j))
+            for j in range(1, r)})
 
     # -- differentials -------------------------------------------------------
 
@@ -376,13 +405,14 @@ class SpectralPages:
         if cached is not None:
             return cached
         c = self.c
-        ring = c.ring
         src = self.entry(r, p, q)
         tp, tq = p - r, q + r - 1
+        if not c.rank(tp, tq):  # no coordinates: no witness, no target entry
+            d = PageDifferential(r, p, q, src.quot.invariants, (), ())
+            return self._deltas.setdefault(key, d)
         tgt = self.entry(r, tp, tq)
         cols = []
-        # A value in an absent cell has no coordinates: no witness is solved.
-        for g in src.quot.gens if c.rank(tp, tq) else ():
+        for g in src.quot.gens:
             v = self._delta_value(r, p, q, list(g))
             try:
                 cols.append(tgt.quot.reduce(v))
@@ -390,12 +420,9 @@ class SpectralPages:
                 raise WellDefinednessError(
                     f"Delta_{r} value at ({p},{q}) escaped Z_{r} at ({tp},{tq}): {exc}"
                 ) from exc
-        rows = tuple(
-            tuple(cols[j][i] for j in range(len(cols)))
-            for i in range(len(tgt.quot.invariants))
-        )
+        rows = tuple(tuple(col[i] for col in cols) for i in range(len(tgt.quot.invariants)))
         d = PageDifferential(r, p, q, src.quot.invariants, tgt.quot.invariants, rows)
-        if not ring.is_field:
+        if not c.ring.is_field:
             self._check_torsion_compat(d)
         self._deltas[key] = d
         return d
@@ -418,22 +445,13 @@ class SpectralPages:
                     v = vec_sub(ring, v, mi.matvec(zj))
         return v
 
-    def delta_with_witness(self, r, p, q, x, scramble=None):
-        """The reduced differential of a single element, for a chosen witness."""
-        wit = self.witness(r, p, q, x, scramble=scramble) if r >= 1 else None
-        v = self._delta_value(r, p, q, x, wit=wit)
-        return self.entry(r, p - r, q + r - 1).quot.reduce(v)
-
     def _check_torsion_compat(self, d: PageDifferential):
         for j, ds in enumerate(d.source_invariants):
-            if not ds:
-                continue
-            for i, dt in enumerate(d.target_invariants):
+            for i, dt in enumerate(d.target_invariants if ds else ()):
                 val = ds * d.rows[i][j]
-                if (dt and val % dt) or (not dt and val):
+                if val % dt if dt else val:
                     raise WellDefinednessError(
-                        f"Delta_{d.r} at ({d.p},{d.q}) violates torsion compatibility"
-                    )
+                        f"Delta_{d.r} at ({d.p},{d.q}) violates torsion compatibility")
 
     # -- pages ----------------------------------------------------------------
 
@@ -445,17 +463,8 @@ class SpectralPages:
 
     def stabilization_bound(self) -> int:
         """Pages at or beyond this index are all equal (finite support)."""
-        return self._maxcol - self._mincol + 2
-
-    def einf(self) -> Page:
-        rmax = self.stabilization_bound()
-        stable = self.page(rmax)
-        beyond = self.page(rmax + 1)
-        if not stable.same_invariants(beyond):
-            raise AssertionError("page did not stabilize at the support-width bound")
-        if not (stable.deltas_all_zero() and beyond.deltas_all_zero()):
-            raise AssertionError("stabilized page carries a nonzero differential")
-        return stable
+        cols = [a for a, _ in self.c.ranks]
+        return max(cols, default=0) - min(cols, default=0) + 2
 
 
 def prop25_witness(c: Multicomplex, r, p, q, cow: CoWitnessTuple) -> WitnessTuple:

@@ -7,6 +7,8 @@ coordinate suffix and membership is a mask, not a solve.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import neg
 from typing import NamedTuple
 
 from .linalg import Mat
@@ -26,7 +28,7 @@ class TotalComplex:
     def __init__(self, ring, blocks, offsets, dims, filt, diff):
         self.ring = ring
         self._blocks = blocks      # n -> [(a, b, rank)] descending a
-        self._offsets = offsets    # n -> {a: start}
+        self._offsets = offsets    # n -> {a: (start, rank)}
         self._dims = dims          # n -> total dimension
         self._filt = filt          # n -> filtration index per coordinate
         self._diff = diff          # n -> Mat (Tot_n -> Tot_{n-1})
@@ -58,25 +60,11 @@ class TotalComplex:
 
     def block_start(self, n: int, a: int):
         """Offset and width of the (a, n-a) block, or (None, 0) if absent."""
-        start = self._offsets.get(n, {}).get(a)
-        if start is None:
-            return None, 0
-        for aa, bb, rank in self._blocks[n]:
-            if aa == a:
-                return start, rank
-        return None, 0
+        return self._offsets.get(n, {}).get(a, (None, 0))
 
     def filtration_start(self, n: int, p: int) -> int:
         """First coordinate with filtration index <= p (they form a suffix)."""
-        filt = self.filtration_index(n)
-        lo, hi = 0, len(filt)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if filt[mid] > p:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect_left(self.filtration_index(n), -p, key=neg)
 
     def zero_vector(self, n: int) -> FilteredVector:
         return FilteredVector(n, tuple(self.ring.zero() for _ in range(self.dim(n))))
@@ -87,13 +75,6 @@ class TotalComplex:
         return FilteredVector(
             x.n, tuple(c if fa == a else zero for c, fa in zip(x.coords, filt))
         )
-
-    def block_of(self, x: FilteredVector, a: int):
-        """The C_{a, n-a} coordinates of x as a local vector."""
-        start, rank = self.block_start(x.n, a)
-        if start is None:
-            return []
-        return list(x.coords[start:start + rank])
 
     def embed_block(self, n: int, a: int, local) -> FilteredVector:
         start, rank = self.block_start(n, a)
@@ -106,9 +87,6 @@ class TotalComplex:
         coords = [self.ring.zero()] * self.dim(n)
         coords[start:start + rank] = [self.ring.normalize(v) for v in local]
         return FilteredVector(n, tuple(coords))
-
-    def apply_d(self, x: FilteredVector) -> FilteredVector:
-        return FilteredVector(x.n - 1, tuple(self.d(x.n).matvec(list(x.coords))))
 
 
 def totalize(c: Multicomplex) -> TotalComplex:
@@ -123,7 +101,7 @@ def totalize(c: Multicomplex) -> TotalComplex:
         offs, fl = {}, []
         pos = 0
         for a, b, rank in cells:
-            offs[a] = pos
+            offs[a] = pos, rank
             fl.extend([a] * rank)
             pos += rank
         offsets[n] = offs
@@ -140,12 +118,12 @@ def totalize(c: Multicomplex) -> TotalComplex:
             continue
         grid = [[zero] * cols_n for _ in range(rows_n)]
         for a, b, rank in blocks[n]:
-            cstart = offsets[n][a]
+            cstart = offsets[n][a][0]
             for i in range(0, c.maxd + 1):
                 m = c.dmap(i, a, b)
                 if m is None:
                     continue
-                rstart = offsets[n - 1].get(a - i)
+                rstart, _ = offsets[n - 1].get(a - i, (None, 0))
                 if rstart is None:
                     raise AssertionError("structure map into an absent block")
                 for r in range(m.rows):

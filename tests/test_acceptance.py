@@ -68,6 +68,12 @@ def turnover_invariants(sp, r, p, q):
     return subquotient(ker, bpres).invariants
 
 
+def delta_with_witness(sp, r, p, q, x, scramble=None):
+    """The reduced Delta_r of one element, for the witness seeded by `scramble`."""
+    wit = sp.witness(r, p, q, x, scramble=scramble) if r >= 1 else None
+    return sp.entry(r, p - r, q + r - 1).quot.reduce(sp._delta_value(r, p, q, x, wit=wit))
+
+
 def structural_issue(sp, rmax):
     """First violated structural property, or None.  Shares the engine cache."""
     c = sp.c
@@ -99,8 +105,8 @@ def structural_issue(sp, rmax):
         for r in range(2, rmax + 1):
             e = sp.entry(r, p, q)
             for g in e.quot.gens:
-                one = sp.delta_with_witness(r, p, q, list(g))
-                two = sp.delta_with_witness(r, p, q, list(g), scramble=4242)
+                one = delta_with_witness(sp, r, p, q, list(g))
+                two = delta_with_witness(sp, r, p, q, list(g), scramble=4242)
                 if one != two:
                     return f"Delta_{r} depends on the witness at ({p},{q})"
     return None
@@ -203,7 +209,10 @@ def test_criterion_1_short_staircase():
     d2 = sp.delta(2, 2, 0)
     assert matrix_rank(QQ, d2.rows) == 1
     assert sp.page(3).invariants_table() == {}
-    assert sp.einf().invariants_table() == {}
+    bound = sp.stabilization_bound()
+    einf, beyond = sp.page(bound), sp.page(bound + 1)
+    assert einf.invariants_table() == beyond.invariants_table() == {}
+    assert einf.deltas_all_zero() and beyond.deltas_all_zero()
     announce(1, "E_1 total dim 2, Delta_2 rank 1, E_3 = Einf = 0")
 
 
@@ -229,7 +238,10 @@ def test_criterion_3_added_d2_kills_delta2():
     sp = SpectralPages(c)
     p2 = sp.page(2)
     assert p2.deltas_all_zero()
-    einf = sp.einf()
+    bound = sp.stabilization_bound()
+    einf, beyond = sp.page(bound), sp.page(bound + 1)
+    assert einf.invariants_table() == beyond.invariants_table()
+    assert einf.deltas_all_zero() and beyond.deltas_all_zero()
     assert einf.invariants_table() == p2.invariants_table()
     assert sum(len(v) for v in einf.invariants_table().values()) == 2
     announce(3, "Delta_2 = 0 everywhere, E_2 = Einf with total dim 2")

@@ -323,6 +323,35 @@ def test_wide_sparse_support_is_not_cubic(tmp_path, capsys):
     assert code == 0 and out.splitlines()[-1] == "OK"
 
 
+def test_wide_sparse_support_chains_are_linear(tmp_path, capsys, monkeypatch):
+    # 40 rank-1 cells at column 1000 (rows 0-39) and 40 at column 0 (rows
+    # 999-1038), over Z with no maps: every cell's chain or B_r runs for
+    # 1001 pages, but each chain step reads only the blocks of its row
+    # that carry a map, and a page whose two neighbouring cells are absent
+    # is served from the page before.  With a full-width step row this
+    # took about 10.7 s and 20.7M Multicomplex.rank calls.
+    from mcss.multicomplex import Multicomplex
+
+    f = tmp_path / "wide80.mcx"
+    f.write_text("mcx 1\nring Z\n" + "".join(
+        [f"module 1000 {q} 1\n" for q in range(40)]
+        + [f"module 0 {q} 1\n" for q in range(999, 1039)]))
+    calls = []
+    original = Multicomplex.rank
+
+    def counting(self, a, b):
+        calls.append(None)
+        return original(self, a, b)
+
+    monkeypatch.setattr(Multicomplex, "rank", counting)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "pages", str(f))
+    elapsed = time.perf_counter() - start
+    assert code == 0 and out.count("\n") == 81244
+    assert len(calls) <= 10 * 80 * 1003  # at most 10 per (cell, page)
+    assert elapsed < 5
+
+
 def test_far_diff_on_wide_support_exits_0(tmp_path, capsys):
     # Page 1001 of a 1000-column support: B_r is filled forward, without a
     # recursion as deep as the page index.

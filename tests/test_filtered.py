@@ -12,7 +12,7 @@ from mcss.filtered import (
 )
 from mcss.linalg import Mat, MembershipError, SubmodulePresentation, image, kernel, subquotient
 from mcss.multicomplex import Multicomplex
-from mcss.pages import PageDifferential, SpectralPages
+from mcss.pages import PageDifferential, SpectralPages, boundary_value
 from mcss.rings import GF, QQ, ZZ
 from mcss.total import FilteredVector, totalize
 
@@ -141,8 +141,8 @@ def test_lift_to_total():
     # D lifts to D - B, whose boundary is -A inside F_0
     lift = lift_to_total(c, t, 2, 2, 0, [1])
     assert [int(v) for v in lift.coords] == [1, -1]
-    dv = t.apply_d(lift)
-    assert [int(v) for v in dv.coords] == [0, -1]  # -A, basis [(1,0), (0,1)]
+    dv = t.d(2).matvec(list(lift.coords))
+    assert [int(v) for v in dv] == [0, -1]  # -A, basis [(1,0), (0,1)]
     assert t.filtration_start(1, 0) == 1  # and -A indeed lies in F_0
 
 
@@ -195,8 +195,11 @@ def test_compare_detects_corruption(monkeypatch):
 @pytest.mark.parametrize("ring, how", [(QQ, "drop"), (ZZ, "drop"), (ZZ, "double")])
 def test_compare_detects_corrupted_boundaries(monkeypatch, ring, how):
     # Drop or double one generator of one witness-route B_r: the
-    # comparison must report exactly that cell, as a module mismatch.
+    # comparison must report exactly that cell, as a module mismatch.  Page
+    # 3 is the cell's settle page, so its B_3 is served, corrupted, at the
+    # later page 4 too.
     c = hurtubise(4, ring)
+    assert SpectralPages(c).settle(0, 1) == 3 and SpectralPages(c).stabilization_bound() == 4
     original = SpectralPages.br
 
     def corrupted(self, r, p, q):
@@ -209,7 +212,8 @@ def test_compare_detects_corrupted_boundaries(monkeypatch, ring, how):
 
     monkeypatch.setattr(SpectralPages, "br", corrupted)
     report = compare(c)
-    assert [(f.r, f.p, f.q, f.kind) for f in report.failures] == [(3, 0, 1, "modules differ")]
+    assert [(f.r, f.p, f.q, f.kind) for f in report.failures] == [
+        (3, 0, 1, "modules differ"), (4, 0, 1, "modules differ")]
 
 
 @pytest.mark.parametrize("make, cell", [
@@ -364,6 +368,87 @@ def test_filtered_pages_match_reference(name):
                     assert entry.zz == SubmodulePresentation.span(t.ring, width, pz), (r, p, n)
                     assert entry.bb == SubmodulePresentation.span(t.ring, width, pb), (r, p, n)
                     assert entry.quot.spans([entry.quot.reduce(v) for v in pq]), (r, p, n)
+
+
+SETTLE_INSTANCES = {
+    **REFERENCE_INSTANCES,
+    "wall-4-2-3": lambda: wall(WallParams(4, 2, 3, 6)),
+    "hurtubise-1": lambda: hurtubise(1, QQ),
+    "hurtubise-2": lambda: hurtubise(2, ZZ, length=4),
+    "hurtubise-3": lambda: hurtubise(3, QQ),
+    "hurtubise-4": lambda: hurtubise(4, ZZ),
+}
+
+
+def _settle(c, p, q):
+    """s(p, q) = max(r_z, r_b) from its definition, off the support alone."""
+    n = p + q
+    left = [a for a, b in c.support if a + b == n - 1 and a < p]
+    right = [a for a, b in c.support if a + b == n + 1 and a > p]
+    return max(1 + p - min(left, default=p), 1 + max(right, default=p) - p)
+
+
+@pytest.mark.parametrize("name", sorted(SETTLE_INSTANCES))
+def test_modules_are_constant_past_the_settle_page(name):
+    # For every cell and r in (s, bound + 1], asked of fresh engines: Z_r
+    # and B_r equal their values at s, and so do the cycle and boundary
+    # systems built at r itself; pi_p(ZZ_r^p) and pi_p(BB_r^p) equal theirs.
+    c = SETTLE_INSTANCES[name]()
+    ring, t = c.ring, totalize(c)
+    bound = SpectralPages(c).stabilization_bound()
+    for (p, q) in c.support:
+        n, s, nx = p + q, _settle(c, p, q), c.rank(p, q)
+        assert SpectralPages(c).settle(p, q) == FilteredPages(t).settle(p, n) == s, (p, q)
+        start, width = t.block_start(n, p)
+        sp, fp = SpectralPages(c), FilteredPages(t)
+        want = (sp.zr(s, p, q), sp.br(s, p, q),
+                fp.zz(s, p, n).prefix(width, start), fp.bb(s, p, n).prefix(width, start))
+        for r in range(s + 1, bound + 2):
+            sp, fp = SpectralPages(c), FilteredPages(t)
+            assert (sp.zr(r, p, q), sp.br(r, p, q)) == want[:2], (r, p, q)
+            assert (fp.zz(r, p, n).prefix(width, start),
+                    fp.bb(r, p, n).prefix(width, start)) == want[2:], (r, p, q)
+            ker = kernel(sp._cycle_system(r, p, q)[0])
+            zr = SubmodulePresentation.span(ring, nx, [g[:nx] for g in ker.gens])
+            values = [boundary_value(c, r, p, q, cow) for cow in sp.cowitnesses(r, p, q)]
+            assert (zr, SubmodulePresentation.span(ring, nx, values)) == want[:2], (r, p, q)
+
+
+@pytest.mark.parametrize("name", sorted(SETTLE_INSTANCES))
+def test_pages_past_the_bound_ask_for_no_module(name, monkeypatch):
+    # After pages 0..bound every cell is past its settle page: pages up to
+    # 3 * bound serve the bound page's modules, with no zr, br, zz or bb
+    # call, and every differential is zero.
+    c = SETTLE_INSTANCES[name]()
+    sp, fp = SpectralPages(c), FilteredPages(totalize(c))
+    bound = sp.stabilization_bound()
+    for r in range(bound + 1):
+        sp.page(r)
+        for (p, q) in c.support:
+            fp.entry(r, p, p + q)
+    calls = []
+
+    def counting(cls, method):
+        original = getattr(cls, method)
+
+        def wrapper(self, *args):
+            calls.append((method, args))
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, method, wrapper)
+
+    for cls, method in ((SpectralPages, "zr"), (SpectralPages, "br"),
+                        (FilteredPages, "zz"), (FilteredPages, "bb")):
+        counting(cls, method)
+    for r in range(bound + 1, 3 * bound + 1):
+        page = sp.page(r)
+        assert page.deltas_all_zero(), r
+        for (p, q) in c.support:
+            se, ss = page.entries[(p, q)], sp.entry(bound, p, q)
+            fe, fs = fp.entry(r, p, p + q), fp.entry(bound, p, p + q)
+            assert se.zr is ss.zr and se.br is ss.br and se.quot is ss.quot, (r, p, q)
+            assert fe.zz is fs.zz and fe.bb is fs.bb, (r, p, q)
+    assert calls == []
 
 
 def test_compare_calls_no_kernel_from_filtered(monkeypatch):

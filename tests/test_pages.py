@@ -301,6 +301,12 @@ def test_bicomplex_delta1_is_induced_d1():
             assert e_tgt.quot.reduce(v) == tuple(row[j] for row in d.rows)
 
 
+def delta_with_witness(sp, r, p, q, x, scramble=None):
+    """The reduced Delta_r of one element, for the witness seeded by `scramble`."""
+    wit = sp.witness(r, p, q, x, scramble=scramble) if r >= 1 else None
+    return sp.entry(r, p - r, q + r - 1).quot.reduce(sp._delta_value(r, p, q, x, wit=wit))
+
+
 def test_delta_independent_of_witness_choice():
     c = random_mcx(RandomSpec(seed=11, width=5, height=4, maxrank=2, maxd=4, ring=ZZ))
     sp = SpectralPages(c)
@@ -308,8 +314,8 @@ def test_delta_independent_of_witness_choice():
         for r in (2, 3):
             e = sp.entry(r, p, q)
             for g in e.quot.gens:
-                one = sp.delta_with_witness(r, p, q, list(g))
-                two = sp.delta_with_witness(r, p, q, list(g), scramble=99)
+                one = delta_with_witness(sp, r, p, q, list(g))
+                two = delta_with_witness(sp, r, p, q, list(g), scramble=99)
                 assert one == two
 
 
@@ -317,21 +323,30 @@ def test_delta_independent_of_witness_choice():
 # full pages and stabilization
 
 
+def _einf(sp):
+    """Page stabilization_bound(): equal to the next page, with every delta zero."""
+    bound = sp.stabilization_bound()
+    stable, beyond = sp.page(bound), sp.page(bound + 1)
+    assert stable.invariants_table() == beyond.invariants_table()
+    assert stable.deltas_all_zero() and beyond.deltas_all_zero()
+    return stable
+
+
 def test_stabilization_bound_single_column():
     sp = SpectralPages(Multicomplex(QQ, {(0, 0): 1, (0, 1): 2}, {}))
     assert sp.stabilization_bound() == 2
-    page = sp.einf()
+    page = _einf(sp)
     assert page.invariants_table() == sp.page(1).invariants_table()
 
 
 def test_hurtubise1_einf_vanishes():
-    page = SpectralPages(hurtubise(1, QQ)).einf()
+    page = _einf(SpectralPages(hurtubise(1, QQ)))
     assert page.invariants_table() == {}
 
 
 def test_hurtubise3_einf_is_e2():
     sp = SpectralPages(hurtubise(3, QQ))
-    page = sp.einf()
+    page = _einf(sp)
     assert page.invariants_table() == sp.page(2).invariants_table()
     assert sum(len(v) for v in page.invariants_table().values()) == 2
 
@@ -349,13 +364,15 @@ def test_nesting_of_cycles_and_boundaries():
 
 
 # ---------------------------------------------------------------------------
-# bidegree clamp: Z_r is constant from p - mincol + 1 on, B_r from maxcol - p + 1
+# per-degree bounds: Z_r is constant from r_z on, B_r from r_b on
 
 
-def _bounds(c, p):
-    """(cycle bound, boundary bound) of column p, floored at 1."""
-    columns = [a for a, _ in c.support]
-    return max(1, p - min(columns) + 1), max(1, max(columns) - p + 1)
+def _bounds(c, p, q):
+    """(r_z, r_b) of the cell (p, q), from the columns of degrees n - 1 and n + 1."""
+    n = p + q
+    left = [a for a, b in c.support if a + b == n - 1 and a < p]
+    right = [a for a, b in c.support if a + b == n + 1 and a > p]
+    return 1 + p - min(left, default=p), 1 + max(right, default=p) - p
 
 
 def test_modules_past_the_bidegree_bound_make_no_kernel_call(monkeypatch):
@@ -373,13 +390,13 @@ def test_modules_past_the_bidegree_bound_make_no_kernel_call(monkeypatch):
         c = random_mcx(RandomSpec(seed=4, width=5, height=4, maxrank=2, maxd=3, ring=ring))
         sp = SpectralPages(c)
         for (p, q) in c.support:
-            zb, bb = _bounds(c, p)
+            zb, bb = _bounds(c, p, q)
             sp.zr(zb, p, q)
             sp.br(bb, p, q)
         assert calls
         del calls[:]
         for (p, q) in c.support:
-            zb, bb = _bounds(c, p)
+            zb, bb = _bounds(c, p, q)
             assert sp.zr(zb + 3, p, q) == sp.zr(zb, p, q)
             assert sp.br(bb + 3, p, q) == sp.br(bb, p, q)
         assert calls == []
@@ -503,10 +520,9 @@ def test_pages_build_no_boundary_system(monkeypatch):
         sp = SpectralPages(c)
         for r in range(sp.stabilization_bound() + 2):
             sp.page(r)
-        mincol = min(p for p, _ in c.support)
         assert rows
         assert max(rows) <= max(c.ranks.values())
-        assert len(rows) <= sum(p - mincol + 1 for p, _ in c.support)
+        assert len(rows) <= sum(_bounds(c, p, q)[0] for p, q in c.support)
 
 
 @pytest.mark.parametrize("name", ["random-Z", "random-F 2", "wall-3-2-2"])
@@ -549,12 +565,12 @@ def test_far_requests_fill_nothing_past_the_bounds(name):
     # cell's bounds, and no chain or B store grows past any cell's bound.
     c = REFERENCE_INSTANCES[name]()
     for (p, q) in c.support:
-        zb, bb = _bounds(c, p)
+        zb, bb = _bounds(c, p, q)
         sp = SpectralPages(c)
         zr, br = sp.zr(10**6, p, q), sp.br(10**6, p, q)
-        assert all(s <= _bounds(c, a)[1] for s, a, _ in sp._br), (p, q)
-        assert all(len(steps) <= _bounds(c, a)[0]
-                   for (a, _), steps in sp._chains.items()), (p, q)
+        assert all(s <= _bounds(c, a, b)[1] for s, a, b in sp._br), (p, q)
+        assert all(len(steps) <= _bounds(c, a, b)[0]
+                   for (a, b), steps in sp._chains.items()), (p, q)
         fresh = SpectralPages(c)
         assert (zr, br) == (fresh.zr(zb, p, q), fresh.br(bb, p, q)), (p, q)
 
@@ -662,6 +678,6 @@ def test_scrambled_witnesses_differ_and_agree():
                     two = sp.witness(r, p, q, x, scramble=7)
                     differ += one != two
                     assert star1_holds(c, r, p, q, x, two), (name, r, p, q)
-                    assert (sp.delta_with_witness(r, p, q, x)
-                            == sp.delta_with_witness(r, p, q, x, scramble=7)), (name, r, p, q)
+                    assert (delta_with_witness(sp, r, p, q, x)
+                            == delta_with_witness(sp, r, p, q, x, scramble=7)), (name, r, p, q)
     assert differ
