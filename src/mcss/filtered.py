@@ -32,7 +32,8 @@ and its canonical generators cut to the block are already the canonical
 form of its projection (`SubmodulePresentation.prefix`).  F_{p-r} of
 Tot_{n-1} is zero once p - r is left of its least column, and F_{p+r-1}
 of Tot_{n+1} is all of it once p + r - 1 reaches its greatest: from that
-settle page s on both projections are constant, and `entry` serves page s.
+settle page s on both projections are constant, and `entry` serves page s,
+as it serves page r-1 for a page r whose neighbouring blocks are absent.
 
 `compare` checks per cell that the projected modules equal the witness
 route's Z_r and B_r, which makes pi_p an isomorphism of entries, and then
@@ -126,8 +127,8 @@ class _Reduction:
     Tot_{n-1} can give: cycles, in local F_p coordinates, span the
     elements whose boundary vanishes on every row above pivots[k] (every
     row, when k = len(pivots)), and images are their boundaries.  Over
-    QQ they are the integer rows of the elimination, each fixed only up
-    to a scalar; they are only ever spanned, which is scale-free.
+    QQ each cycle and its image are one integer row of the elimination,
+    fixed up to a scalar they share: `compare` pairs them, spans ignore it.
     """
 
     __slots__ = ("pivots", "suffix")
@@ -136,14 +137,16 @@ class _Reduction:
         ring = t.ring
         dmat = t.d(n)
         nrows = dmat.rows
-        cols = [dmat.col(j) for j in range(start, dmat.cols)]
+        ints, den = dmat._int_form()
+        cols = [[row[j] for row in ints] for j in range(start, dmat.cols)]
         bounds = [0]
         for _, _, rank in t.blocks(n - 1):
             bounds.append(bounds[-1] + rank)
         if ring.is_field:
             width = len(cols)
-            aug = [col + [1 if i == j else 0 for i in range(width)] for j, col in enumerate(cols)]
-            reduced, self.pivots = _rref_field(ring, aug, limit=nrows)
+            # Column j of d_n is cols[j] / den: row j, [cols[j] | den e_j], scales d(c) and c alike.
+            aug = [col + [den if i == j else 0 for i in range(width)] for j, col in enumerate(cols)]
+            reduced, self.pivots = _rref_field(ring, aug, limit=nrows, ints=True)
             cycles = [row[nrows:] for row in reduced]
             images = [row[:nrows] for row in reduced]
             levels = {bisect_left(self.pivots, b) for b in bounds}
@@ -241,10 +244,17 @@ class FilteredPages:
             return cached
         # When no basis vector sits in column p of degree n, F_p = F_{p-1}
         # there, so ZZ_r^{p} = ZZ_{r-1}^{p-1} is swallowed by BB_r: trivial.
-        start, width = self.t.block_start(n, p)
+        t = self.t
+        start, width = t.block_start(n, p)
+        s = min(r, self.settle(p, n))
+        # Page s has page s-1's modules when F_{p-s+1} = F_{p-s} in Tot_{n-1}
+        # and F_{p+s-1} = F_{p+s-2} in Tot_{n+1}: both blocks are absent.
+        while width and s > 1 and (s, p, n) not in self._entries and not (
+                t.block_start(n - 1, p - s + 1)[1] or t.block_start(n + 1, p + s - 1)[1]):
+            s -= 1
         if width == 0:
             e = FilteredEntry(r, p, n, None, None)
-        elif r > (s := self.settle(p, n)):  # past the settle page: page s's modules
+        elif s < r:  # a served page: page s's modules
             e = self._entries.get((s, p, n)) or self.entry(s, p, n)
             e = FilteredEntry(r, p, n, e.zz, e.bb)
         else:

@@ -13,9 +13,10 @@ simplicity and has no pivoting subtleties.
 Arithmetic runs on integer rows, whole rows at a time, and `mcss.rings`
 turns them into scalars: a `Mat` caches its rows over one common
 denominator.  Over QQ, elimination hands its rows back as integers:
-reduced row i is rows[i] / rows[i][pivots[i]], and spans and ranks use
-them as they are.  Public values (`Mat` data, generators, coordinates)
-stay Fractions over QQ.  The only ring choice here is `_rref_field`'s.
+reduced row i is rows[i] / rows[i][pivots[i]].  Modules live as integer
+rows too, over QQ primitive ones, so no module operation builds a
+Fraction: they appear only in `gens`, `Mat` data, coordinates and
+`Delta` matrices.  The only ring choice here is `_rref_field`'s.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ def _xgcd(a: int, b: int):
 class Mat:
     """Immutable dense matrix over one of the three rings.
 
+    `data` holds canonical scalars, but `_raw(..., integral=True)` wraps integer
+    rows as they are (ints over QQ too) for `kernel` and `solve`, which read only those.
+
     >>> from mcss.rings import QQ
     >>> m = Mat(QQ, 2, 2, [[1, 2], [3, 4]])
     >>> m.matvec([1, 1])
@@ -91,9 +95,11 @@ class Mat:
         raise AttributeError("Mat is immutable")
 
     @classmethod
-    def _raw(cls, ring, rows, cols, data):
+    def _raw(cls, ring, rows, cols, data, integral=False):
         m = object.__new__(cls)
         m._set(ring, rows, cols, data)
+        if integral:
+            object.__setattr__(m, "_ints", (data, 1))
         return m
 
     @classmethod
@@ -102,18 +108,10 @@ class Mat:
         return cls._raw(ring, rows, cols, [[z] * cols for _ in range(rows)])
 
     @classmethod
-    def identity(cls, ring, n):
-        z, o = ring.zero(), ring.one()
-        return cls._raw(ring, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
     def from_cols(cls, ring, ambient_rank, cols_of_values):
         cols_of_values = [list(c) for c in cols_of_values]
         data = [[c[i] for c in cols_of_values] for i in range(ambient_rank)]
         return cls(ring, ambient_rank, len(cols_of_values), data)
-
-    def col(self, j):
-        return [row[j] for row in self.data]
 
     def to_cols(self):
         return [[row[j] for row in self.data] for j in range(self.cols)]
@@ -176,11 +174,6 @@ def vec_sub(ring, u, v):
     return ring.scalars(list(map(sub, a, b)), den)
 
 
-def vec_scale(ring, t, u):
-    ((t,), a), den = ring.int_rows(((t,), u))
-    return ring.scalars([t * x for x in a], den * den)
-
-
 def zero_vec(ring, n):
     return [ring.zero()] * n
 
@@ -196,7 +189,7 @@ def _over_common_pivot(rows, pivots):
 # elimination cores
 
 
-def _rref_field(ring, data, limit=None):
+def _rref_field(ring, data, limit=None, ints=False):
     """Reduced row echelon form up to row scaling; pivots chosen left to
     right, first nonzero.
 
@@ -205,13 +198,15 @@ def _rref_field(ring, data, limit=None):
     rows[i] / rows[i][pivot_columns[i]] for the pivot rows, and the rows
     past the rank, zero on the columns < limit, are fixed up to a scalar.
     Over GF(p) every pivot is 1; over QQ the rows are integers (see
-    `_rref_rationals`).  The two kernels are different algorithms.
+    `_rref_rationals`).  The two kernels are different algorithms.  With
+    `ints` the rows are integer rows already (any multiples: scale-free).
     """
     if limit is None:
         limit = len(data[0]) if data else 0
     if ring.kind == "Q":
         # Each row over its own denominator: scale-free, and small.
-        return _rref_rationals([ring.int_rows((r,))[0][0] for r in data], limit)
+        return _rref_rationals([ring.int_rows((r,))[0][0] for r in data]
+                               if not ints else list(data), limit)
     rows = [r[:] for r in data]
     nrows = len(rows)
     p = ring.p
@@ -399,16 +394,15 @@ def _coords_in_hnf(cols, pivot_rows, vec):
     return y
 
 
-def _coords_in_echelon_field(ring, cols, pivot_rows, vec):
-    """Coordinates of vec in a canonical echelon column basis, or None."""
-    y = [vec[r] for r in pivot_rows]
-    residual = list(vec)
-    for coef, col in zip(y, cols):
-        if coef:
-            residual = vec_sub(ring, residual, vec_scale(ring, coef, col))
-    if any(residual):
-        return None
-    return y
+def _reduce_field(ring, x, rows, pivots):
+    """A multiple of x - sum (x[r] / g[r]) g over the integer rows g, pivots r,
+    of a reduced echelon basis: each g is zero at the other pivots."""
+    used = [(g, x[r], g[r]) for g, r in zip(rows, pivots) if x[r]]
+    if not used:
+        return x
+    den = lcm(*[gr for _, _, gr in used])
+    coeffs = [den] + [-(den // gr) * xr for _, xr, gr in used]
+    return ring.int_dots(zip(x, *[g for g, _, _ in used]), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -418,37 +412,46 @@ def _coords_in_echelon_field(ring, cols, pivot_rows, vec):
 class SubmodulePresentation:
     """A subspace (field) or lattice (ZZ) inside a free ambient module.
 
-    Generators are stored as the canonical column basis (column echelon
-    over a field, column Hermite form over ZZ), so two presentations of
-    the same submodule compare equal.
+    The canonical column basis (column echelon over a field, column
+    Hermite form over ZZ) is stored as integer `rows`, over QQ each basis
+    vector's primitive multiple with a positive pivot, so two presentations
+    of the same submodule compare equal.  `gens` is that basis as scalars.
     """
 
-    __slots__ = ("ring", "ambient_rank", "gens", "pivots")
+    __slots__ = ("ring", "ambient_rank", "rows", "pivots", "_gens")
 
-    def __init__(self, ring, ambient_rank, gens, pivots, _canonical=False):
+    def __init__(self, ring, ambient_rank, rows, pivots, _canonical=False):
         if not _canonical:
             raise ValueError("use SubmodulePresentation.span to construct")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "gens", tuple(tuple(g) for g in gens))
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_gens", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SubmodulePresentation is immutable")
 
+    @property
+    def gens(self):  # each row over its pivot entry, built when first read
+        if self._gens is None:
+            gens = self.ring.quotients(self.rows, map(getitem, self.rows, self.pivots))
+            object.__setattr__(self, "_gens", tuple(map(tuple, gens)))
+        return self._gens
+
     @classmethod
-    def span(cls, ring, ambient_rank, columns):
-        cols = [list(c) for c in columns if any(c)]
+    def span(cls, ring, ambient_rank, columns, ints=False):  # ints: columns are integer rows
+        cols = [c for c in columns if any(c)]
         for c in cols:
             if len(c) != ambient_rank:
                 raise ValueError("generator length does not match ambient rank")
         if ring.is_field:
-            reduced, pivots = _rref_field(ring, cols)
-            gens = ring.quotients(reduced[:len(pivots)], map(getitem, reduced, pivots))
+            reduced, pivots = _rref_field(ring, cols, ints=ints)
+            rows = ring.primitive(reduced[:len(pivots)], pivots)
         else:
             h, _, pivots, npiv = _hnf_columns(cols, ambient_rank)
-            gens = h[:npiv]
-        return cls(ring, ambient_rank, gens, pivots, _canonical=True)
+            rows = h[:npiv]
+        return cls(ring, ambient_rank, rows, pivots, _canonical=True)
 
     @classmethod
     def zero(cls, ring, ambient_rank):
@@ -456,64 +459,64 @@ class SubmodulePresentation:
 
     @classmethod
     def full(cls, ring, ambient_rank):
-        ident = Mat.identity(ring, ambient_rank)
-        return cls(ring, ambient_rank, ident.to_cols(), range(ambient_rank), _canonical=True)
+        rows = [[int(i == j) for i in range(ambient_rank)] for j in range(ambient_rank)]
+        return cls(ring, ambient_rank, rows, range(ambient_rank), _canonical=True)
 
     @property
     def rank(self) -> int:
-        return len(self.gens)
+        return len(self.rows)
 
     def coords(self, vec):
         """Coordinates of vec in the generator basis, or None if outside."""
         if len(vec) != self.ambient_rank:
             raise ValueError("vector length mismatch")
-        if self.ring.is_field:
-            return _coords_in_echelon_field(self.ring, self.gens, self.pivots, vec)
-        return _coords_in_hnf(self.gens, self.pivots, vec)
+        if not self.ring.is_field:
+            return _coords_in_hnf(self.rows, self.pivots, vec)
+        (x,), _ = self.ring.int_rows((vec,))
+        if any(_reduce_field(self.ring, x, self.rows, self.pivots)):
+            return None
+        return [vec[r] for r in self.pivots]
 
     def contains(self, vec) -> bool:
         return self.coords(vec) is not None
-
-    def includes(self, other: "SubmodulePresentation") -> bool:
-        """Whether other is a submodule of self."""
-        return all(self.contains(g) for g in other.gens)
 
     def prefix(self, n: int, start: int = 0) -> "SubmodulePresentation":
         """The projection onto coordinates [start, start + n) of a module zero before start.
 
         In the canonical form a generator whose pivot lies past the window
         is zero on it, and the others, cut to it, are again in canonical
-        form: no elimination is needed.
+        form: no elimination is needed, only (over QQ) a rescaling.
         """
-        end = start + n
-        k = bisect_left(self.pivots, end)
-        return SubmodulePresentation(self.ring, n, [g[start:end] for g in self.gens[:k]],
-                                     [v - start for v in self.pivots[:k]], _canonical=True)
+        k = bisect_left(self.pivots, start + n)
+        pivots = [v - start for v in self.pivots[:k]]
+        rows = self.ring.primitive([g[start:start + n] for g in self.rows[:k]], pivots)
+        return SubmodulePresentation(self.ring, n, rows, pivots, _canonical=True)
 
     def extend(self, columns, start: int, end: int) -> "SubmodulePresentation":
-        """self + span(columns), the columns given from coordinate `start` on.
+        """self + span(columns), the columns integer rows given from coordinate `start` on.
 
         For self zero before `end` and equal to the part of the sum zero
         before `end`: only the rows [start, end) are eliminated, then the
-        columns are reduced at self's pivots and followed by self's gens.
+        columns are reduced at self's pivots and followed by self's rows.
         """
-        ring, field = self.ring, self.ring.is_field
-        if field:
-            rows, pivots = _rref_field(ring, columns, limit=end - start)
-            lifts = ring.quotients(rows[:len(pivots)], map(getitem, rows, pivots))
+        ring = self.ring
+        gs = [g[start:] for g in self.rows]
+        rs = [r - start for r in self.pivots]
+        if ring.is_field:
+            rows, pivots = _rref_field(ring, columns, limit=end - start, ints=True)
+            lifts = ring.primitive([_reduce_field(ring, x, gs, rs) for x in rows[:len(pivots)]],
+                                   pivots)
         else:
             rows, _, pivots, npiv = _hnf_columns(columns, end - start)
             lifts = rows[:npiv]
-        for g, r in zip(self.gens, self.pivots):
-            g, r = g[start:], r - start
-            for i, x in enumerate(lifts):
-                q = x[r] if field else x[r] // g[r]
-                if q:
-                    lifts[i] = (vec_sub(ring, x, vec_scale(ring, q, g)) if field
-                                else [u - q * v for u, v in zip(x, g)])
-        pad = [ring.zero()] * start
+            for g, r in zip(gs, rs):
+                for i, x in enumerate(lifts):
+                    q = x[r] // g[r]
+                    if q:
+                        lifts[i] = [u - q * v for u, v in zip(x, g)]
+        pad = [0] * start
         return SubmodulePresentation(
-            ring, self.ambient_rank, [pad + list(x) for x in lifts] + list(self.gens),
+            ring, self.ambient_rank, [pad + list(x) for x in lifts] + list(self.rows),
             [start + c for c in pivots] + list(self.pivots), _canonical=True)
 
     def direct_sum(self, other: "SubmodulePresentation") -> "SubmodulePresentation":
@@ -523,10 +526,9 @@ class SubmodulePresentation:
         of the sum: no elimination is needed.
         """
         n, m = self.ambient_rank, other.ambient_rank
-        zero = self.ring.zero()
         return SubmodulePresentation(
             self.ring, n + m,
-            [g + (zero,) * m for g in self.gens] + [(zero,) * n + g for g in other.gens],
+            [g + (0,) * m for g in self.rows] + [(0,) * n + g for g in other.rows],
             self.pivots + tuple(n + c for c in other.pivots), _canonical=True)
 
     def __eq__(self, other):
@@ -534,12 +536,12 @@ class SubmodulePresentation:
             isinstance(other, SubmodulePresentation)
             and self.ring is other.ring
             and self.ambient_rank == other.ambient_rank
-            and self.gens == other.gens
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        # The pivots follow from the canonical gens, and hashing them needs
-        # no rational arithmetic; __eq__ settles collisions.
+        # The pivots follow from the canonical rows and are shorter to
+        # hash; __eq__ settles collisions on the integer rows.
         return hash((self.ring, self.ambient_rank, self.pivots))
 
     def __repr__(self):
@@ -554,7 +556,7 @@ def kernel(m: Mat) -> SubmodulePresentation:
     """The solution submodule {x : m.x = 0}; over ZZ the full integer kernel."""
     ring = m.ring
     if ring.is_field:
-        reduced, pivots = _rref_field(ring, m.data)
+        reduced, pivots = _rref_field(ring, m._int_form()[0], ints=True)
         # Kernel vectors times den stay integral, and span is scale-free.
         den, rows = _over_common_pivot(reduced, pivots)
         pivot_set = set(pivots)
@@ -566,9 +568,9 @@ def kernel(m: Mat) -> SubmodulePresentation:
             for row, c in zip(rows, pivots):
                 v[c] = ring.neg(row[f])
             gens.append(v)
-        return SubmodulePresentation.span(ring, m.cols, gens)
+        return SubmodulePresentation.span(ring, m.cols, gens, ints=True)
     _, v, _, npiv = _hnf_columns(m.to_cols(), m.rows, transform=True)
-    return SubmodulePresentation.span(ring, m.cols, v[npiv:])
+    return SubmodulePresentation.span(ring, m.cols, v[npiv:], ints=True)
 
 
 def solve(m: Mat, b) -> list | None:
@@ -586,10 +588,13 @@ def solve(m: Mat, b) -> list | None:
     ring = m.ring
     b = [ring.normalize(v) for v in b]
     if ring.is_field:
-        aug = [row + [bv] for row, bv in zip(m.data, b)]
+        # m = ints / den, b = bints / bden: ints . y = den bints, x = y / bden.
+        ints, den = m._int_form()
+        (bints,), bden = ring.int_rows((b,))
+        aug = [row + [den * bv] for row, bv in zip(ints, bints)]
         if not aug:
             return zero_vec(ring, m.cols)
-        reduced, pivots = _rref_field(ring, aug, limit=m.cols)
+        reduced, pivots = _rref_field(ring, aug, limit=m.cols, ints=True)
         for i in range(len(pivots), m.rows):
             if reduced[i][m.cols]:
                 return None
@@ -597,7 +602,7 @@ def solve(m: Mat, b) -> list | None:
         x = [0] * m.cols
         for row, c in zip(rows, pivots):
             x[c] = row[m.cols]
-        return ring.quotients([x], [den])[0]
+        return ring.quotients([x], [den * bden])[0]
     h, v, pivot_rows, npiv = _hnf_columns(m.to_cols(), m.rows, transform=True)
     coeffs = _coords_in_hnf(h[:npiv], pivot_rows, b)
     if coeffs is None:
@@ -619,7 +624,7 @@ def solve(m: Mat, b) -> list | None:
 
 def image(m: Mat) -> SubmodulePresentation:
     """Canonical presentation of the column span / column lattice of m."""
-    return SubmodulePresentation.span(m.ring, m.rows, m.to_cols())
+    return SubmodulePresentation.span(m.ring, m.rows, list(zip(*m._int_form()[0])), ints=True)
 
 
 # ---------------------------------------------------------------------------
@@ -716,22 +721,27 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
         # that start no pivot change no row.  The I part is the transform
         # taking an element of z to its coordinates on (b, lifts); reduce
         # needs its rows from nb on, the lift rows over one common pivot
-        # denominator and the rest, which vanish on z, up to a scalar.
+        # denominator and the rest, which vanish on z, up to a scalar.  A
+        # column is its generator times the pivot entry h, so a lift's
+        # transform row times h gives the coordinate on the generator.
         nb, nz = b.rank, z.rank
         w = nb + nz
-        basis = list(b.gens) + list(z.gens)
+        basis = b.rows + z.rows
         aug = [[g[i] for g in basis] + [1 if k == i else 0 for k in range(n)] for i in range(n)]
-        reduced, pivots = _rref_field(ring, aug, limit=w)
+        reduced, pivots = _rref_field(ring, aug, limit=w, ints=True)
         if len(pivots) != nz:
             raise InclusionError("a generator of b lies outside z")
-        reps = [basis[c] for c in pivots[nb:]]
+        picked = [c - nb for c in pivots[nb:]]
+        scale = [z.rows[i][z.pivots[i]] for i in picked]
+        reps = ring.quotients([z.rows[i] for i in picked], scale)
         den, lifts = _over_common_pivot(reduced[nb:nz], pivots[nb:])
-        t_rows = [row[w:] for row in lifts + reduced[nz:]]
+        t_rows = [row[w:] if h == 1 else [h * x for x in row[w:]] for row, h in zip(lifts, scale)]
+        t_rows += [row[w:] for row in reduced[nz:]]
         data = ("field", t_rows, len(reps), den)
         return QuotientPresentation(ring, n, (0,) * len(reps), reps, data)
 
     coord_cols = []
-    for g in b.gens:
+    for g in b.rows:
         y = z.coords(g)
         if y is None:
             raise InclusionError("a generator of b lies outside the lattice z")
@@ -746,18 +756,17 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
     # (u_j ; e_j) is (I ; W) with u.W = I: its lower half is u^{-1}.
     ucols = [col + [1 if i == j else 0 for i in range(k)] for j, col in enumerate(u.to_cols())]
     stacked, _, _, _ = _hnf_columns(ucols, 2 * k)
-    zg = [list(g) for g in z.gens]
     kept = [i for i, f in enumerate(factors) if f != 1]
     gens = []
     for i in kept:
         col = stacked[i][k:]
         amb = [0] * n
-        for coef, g in zip(col, zg):
+        for coef, g in zip(col, z.rows):
             if coef:
                 amb = [a + coef * gv for a, gv in zip(amb, g)]
         gens.append(amb)
     invariants = [factors[i] for i in kept]
-    data = ("int", [list(g) for g in z.gens], list(z.pivots), u.data, kept)
+    data = ("int", z.rows, z.pivots, u.data, kept)
     return QuotientPresentation(ring, n, invariants, gens, data)
 
 

@@ -47,12 +47,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 from .linalg import (
     Mat,
     MembershipError,
     QuotientPresentation,
     SubmodulePresentation,
+    image,
     kernel,
     solve,
     subquotient,
@@ -232,10 +234,10 @@ class SpectralPages:
         for s in range(last + 1, top + 1):
             if s == 1:
                 m = c.dmap(0, p, q + 1)
-                b = SubmodulePresentation.span(c.ring, nx, m.to_cols() if m is not None else [])
+                b = image(m) if m is not None else SubmodulePresentation.span(c.ring, nx, [])
             elif c.rank(p + s - 1, q - s + 2) and (
-                    values := self._chain(s - 1, p + s - 1, q - s + 2)[1]):
-                b = SubmodulePresentation.span(c.ring, nx, list(b.gens) + values)
+                    values := self._chain(s - 1, p + s - 1, q - s + 2)[1][0]):
+                b = SubmodulePresentation.span(c.ring, nx, b.rows + tuple(values), ints=True)
             self._br[(s, p, q)] = b
         return b
 
@@ -256,7 +258,7 @@ class SpectralPages:
         nx = c.rank(p, q)
         if not nx:
             zero = SubmodulePresentation.zero(c.ring, 0)
-            return zero, [], zero
+            return zero, ([], 1), zero
         steps = self._chains.setdefault((p, q), [])
         end = self._reaches[(p, q)][0]
         while len(steps) < min(r, end) and (not steps or steps[-1][0].rank):
@@ -269,49 +271,53 @@ class SpectralPages:
                 k = self._extend(k0, s - 1, p, q, values)
             if s == 1 or k is not k0:  # an empty step keeps K_s and Z_s
                 zr = k.prefix(nx)
-            values = self._values(s, p, q, k, steps) if zr.rank and s < end else []
+            values = self._values(s, p, q, k, steps) if zr.rank and s < end else ([], 1)
             steps.append((zr, values, k))
         return steps[min(r, len(steps)) - 1]
 
     def _values(self, s, p, q, k, steps):
-        """V_s on K_s's generators, or [] when no map meets row s.
+        """V_s on K_s's rows, as (integer columns, one denominator), ([], 1) if zero.
 
         Row s without its -d_0 z_s block (z_s is not an unknown of K_s)
         meets x and the z_j, s - maxd <= j < s, read at the chain's offsets.
         """
         c = self.c
         if not c.rank(p - s, q + s - 1):
-            return []
+            return [], 1
         tr, row = self._cycle_row(s, p, q)
         ends = [st[2].ambient_rank for st in steps[max(0, s - c.maxd - 1):]] + [k.ambient_rank]
         spans = [(0, c.rank(p, q))] + list(zip(ends, ends[1:]))  # one short: drops -d_0 z_s
-        used = [(m.neg() if negate else m, a, b)
+        used = [(m._int_form(), -1 if negate else 1, a, b)
                 for (_, m, negate), (a, b) in zip(row, spans) if m is not None]
         if not used:
-            return []
-        grid = [[v for m, _, _ in used for v in m.data[i]] for i in range(tr)]
-        mat = Mat._raw(c.ring, tr, len(grid[0]), grid)
-        return [mat.matvec([v for _, a, b in used for v in g[a:b]]) for g in k.gens]
+            return [], 1
+        den = lcm(*[d for (_, d), _, _, _ in used])
+        grid = [[sign * (den // d) * v for (ints, d), sign, _, _ in used for v in ints[i]]
+                for i in range(tr)]
+        dots = c.ring.int_dots
+        return [dots(grid, [v for _, _, a, b in used for v in g[a:b]]) for g in k.rows], den
 
     def _extend(self, k, s, p, q, values):
         """K_{s+1} from K_s and V_s: the kernel of [V_s | -d_0 on z_s].
 
         With V_s zero it is K_s + Z_1 at the z_s cell (K_s if it is absent).
+        Else [den0 vals | -vden d0s] is an integer system on K_s's rows g_k,
+        and each kernel vector (t, z_s) gives the generator (sum t_k g_k, z_s).
         """
         c = self.c
         ring = c.ring
-        if not any(map(any, values)):
+        vals, vden = values
+        if not any(map(any, vals)):
             return k.direct_sum(self._chain(1, p - s, q + s)[0]) if c.rank(p - s, q + s) else k
         m, n, nz = k.rank, k.ambient_rank, c.rank(p - s, q + s)
-        nrow = c.rank(p - s, q + s - 1)
-        vals = Mat._raw(ring, nrow, m, [list(row) for row in zip(*values)])
         d0 = c.dmap(0, p - s, q + s)
-        ker = kernel(self._assemble([m, nz], [(nrow, [(0, vals, False), (1, d0, True)])])[0])
-        # Each kernel vector (t, z_s) gives the generator (sum_k t_k g_k, z_s).
-        t = Mat._raw(ring, ker.rank, m, [u[:m] for u in ker.gens])
-        xs = t.mul(Mat._raw(ring, m, n, list(k.gens))).data
+        d0s, den0 = d0._int_form() if d0 is not None else ([[0] * nz] * len(vals[0]), 1)
+        grid = [[den0 * v for v in vrow] + [ring.neg(vden * x) for x in drow]
+                for vrow, drow in zip(zip(*vals), d0s)]
+        ker = kernel(Mat._raw(ring, len(grid), m + nz, grid, integral=True))
+        kcols = list(zip(*k.rows))
         return SubmodulePresentation.span(
-            ring, n + nz, [list(x) + list(u[m:]) for x, u in zip(xs, ker.gens)])
+            ring, n + nz, [ring.int_dots(kcols, u[:m]) + list(u[m:]) for u in ker.rows], ints=True)
 
     # -- entries ---------------------------------------------------------
 
@@ -360,14 +366,13 @@ class SpectralPages:
         """A deterministic witness tuple for x in Z_r; raises if x is not a cycle.
 
         Read off the cell's chain at s = min(r, its last step): x is a
-        unique combination sum_k t_k of Z_s's canonical generators, which
-        are the x parts of K_s's first generators, and the z parts of the
-        same combination of K_s's generators are the witnesses z_j, j < s,
-        cut at the chain's block offsets.  Past s every z_j is zero: from
-        r_z on no row meets a module, or else Z_s = 0 and x = 0.  `scramble`
-        seeds a combination of K_s's generators with x part zero, added to
-        the canonical one, giving a different (still valid) witness for
-        independence tests.
+        unique combination sum_k t_k of the x parts of K_s's first rows,
+        which span Z_s, and the z parts of the same combination of K_s's
+        rows are the witnesses z_j, j < s, cut at the chain's block
+        offsets.  Past s every z_j is zero: from r_z on no row meets a
+        module, or else Z_s = 0 and x = 0.  `scramble` seeds a combination
+        of K_s's rows with x part zero, added to the canonical one, giving
+        a different (still valid) witness for independence tests.
         """
         c = self.c
         ring = c.ring
@@ -378,7 +383,9 @@ class SpectralPages:
         if r < 1:
             return WitnessTuple(r, p, q, {})
         zs, _, k = self._chain(r, p, q)
-        cols = Mat._raw(ring, nx, zs.rank, [[g[i] for g in zs.gens] for i in range(nx)])
+        rows = k.rows  # the scale of each row cancels between t and the z parts
+        cols = Mat._raw(ring, nx, zs.rank, [[g[i] for g in rows[:zs.rank]] for i in range(nx)],
+                        integral=True)
         t = solve(cols, x)
         if t is None:
             raise MembershipError(f"element is not an r={r} cycle at ({p},{q})")
@@ -387,10 +394,9 @@ class SpectralPages:
         if scramble is not None and zs.rank:
             rng = random.Random(scramble)
             t += [ring.normalize(rng.randint(-3, 3)) for _ in range(zs.rank, k.rank)]
-        gens = k.gens[:len(t)]
-        zpart = Mat._raw(ring, k.ambient_rank - nx, len(t),
-                         [[g[i] for g in gens] for i in range(nx, k.ambient_rank)])
-        flat = zpart.matvec(t)
+        (tints,), tden = ring.int_rows((t,))
+        zcols = [[g[i] for g in rows[:len(t)]] for i in range(nx, k.ambient_rank)]
+        flat = ring.dots(zcols, tints, tden)
         # Block j < s of K_s spans K_j's ambient up to K_{j+1}'s.
         ends = [st[2].ambient_rank - nx for st in self._chains.get((p, q), [])[:r]]
         return WitnessTuple(r, p, q, {

@@ -11,13 +11,16 @@ one place that divides.  The linear algebra computes on integer rows:
 `Ring.int_rows` puts rows over one common denominator (over ZZ and GF(p)
 they are integers already), and `Ring.scalars`, `Ring.dots` and
 `Ring.quotients` take integer rows back to canonical scalars, a whole
-row or matrix at a time.  Rings are interned, so they compare by identity.
+row or matrix at a time.  Modules stay integer rows (`Ring.primitive`,
+`Ring.int_dots`): over QQ, Fractions appear only in module `gens`, `Mat`
+data, coordinates and `Delta` matrices.  Rings are interned, so they
+compare by identity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 _MR_BASES = (2, 3, 5, 7)  # deterministic Miller-Rabin below 3 215 031 751
@@ -127,16 +130,6 @@ class Ring:
     def neg(self, a):
         return (-a) % self.p if self.kind == "F" else -a
 
-    def invert(self, a):
-        """Multiplicative inverse; defined for units only."""
-        if self.kind == "F":
-            return pow(a, -1, self.p)
-        if self.kind == "Q":
-            return 1 / a
-        if a in (1, -1):
-            return a
-        raise ValueError(f"{a} is not a unit in Z")
-
     # -- rows: integer form in, canonical scalars out ------------------
 
     def int_rows(self, rows):
@@ -159,13 +152,24 @@ class Ring:
 
     def dots(self, rows, vec, den=1):
         """Canonical scalars (row . vec) / den of integer rows and an integer vector."""
-        if self.p:
-            p = self.p
-            return [sum(map(mul, row, vec)) % p for row in rows]
         if self.kind == "Q":
             return [Fraction(s, den) if (s := sum(map(mul, row, vec))) else _Q_ZERO
                     for row in rows]
+        return self.int_dots(rows, vec)
+
+    def int_dots(self, rows, vec):
+        """Integer dot products row . vec of integer rows and vector; mod p over GF(p)."""
+        if p := self.p:
+            return [sum(map(mul, row, vec)) % p for row in rows]
         return [sum(map(mul, row, vec)) for row in rows]
+
+    def primitive(self, rows, pivots):
+        """Echelon rows, each known up to scale, in stored form: over QQ each
+        row's primitive multiple with a positive pivot; otherwise the rows."""
+        if self.kind != "Q":
+            return rows
+        gs = [gcd(*row) if row[c] > 0 else -gcd(*row) for row, c in zip(rows, pivots)]
+        return [row if g == 1 else [x // g for x in row] for row, g in zip(rows, gs)]
 
     def quotients(self, rows, dens):
         """rows[i] / dens[i] for elimination output; over GF(p) the rows, pivots 1."""

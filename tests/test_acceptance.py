@@ -74,17 +74,22 @@ def delta_with_witness(sp, r, p, q, x, scramble=None):
     return sp.entry(r, p - r, q + r - 1).quot.reduce(sp._delta_value(r, p, q, x, wit=wit))
 
 
+def _includes(a, b):
+    """Whether b is a submodule of a."""
+    return all(a.contains(g) for g in b.gens)
+
+
 def structural_issue(sp, rmax):
     """First violated structural property, or None.  Shares the engine cache."""
     c = sp.c
     for (p, q) in c.support:
         for r in range(1, rmax + 1):
-            if not sp.zr(r, p, q).includes(sp.br(r, p, q)):
+            if not _includes(sp.zr(r, p, q), sp.br(r, p, q)):
                 return f"B_{r} not inside Z_{r} at ({p},{q})"
         for r in range(1, rmax):
-            if not sp.zr(r, p, q).includes(sp.zr(r + 1, p, q)):
+            if not _includes(sp.zr(r, p, q), sp.zr(r + 1, p, q)):
                 return f"cycle nesting fails at r={r} ({p},{q})"
-            if not sp.br(r + 1, p, q).includes(sp.br(r, p, q)):
+            if not _includes(sp.br(r + 1, p, q), sp.br(r, p, q)):
                 return f"boundary nesting fails at r={r} ({p},{q})"
         for r in (2, 3):
             if r > rmax:

@@ -351,6 +351,26 @@ def test_wide_sparse_support_chains_are_linear(tmp_path, capsys, monkeypatch):
     assert len(calls) <= 10 * 80 * 1003  # at most 10 per (cell, page)
     assert elapsed < 5
 
+    # The filtered route serves those pages from the page before too: it
+    # looks up no filtration cut for them.  Computing every page below the
+    # settle page took about 322,000 filtration_start calls.
+    from mcss.total import TotalComplex
+
+    cuts = []
+    original_cut = TotalComplex.filtration_start
+
+    def counting_cut(self, n, p):
+        cuts.append(None)
+        return original_cut(self, n, p)
+
+    monkeypatch.setattr(TotalComplex, "filtration_start", counting_cut)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "compare", str(f))
+    elapsed = time.perf_counter() - start
+    assert code == 0 and out.splitlines()[-1] == "OK"
+    assert len(cuts) <= 5000
+    assert elapsed < 5
+
 
 def test_far_diff_on_wide_support_exits_0(tmp_path, capsys):
     # Page 1001 of a 1000-column support: B_r is filled forward, without a

@@ -84,5 +84,5 @@ def test_filtration_is_subcomplex_and_blockwise_formula(ring):
                     start, width = t.block_start(n - 1, ta)
                     blk = list(dx.coords[start:start + width])
                     m = c.dmap(i, a, b) if i >= 0 else None
-                    expect = m.col(k) if m is not None else zero_vec(ring, len(blk))
+                    expect = m.to_cols()[k] if m is not None else zero_vec(ring, len(blk))
                     assert blk == expect
