@@ -24,12 +24,9 @@ Entries live in one cell.  F_p starts with the (p, n-p) block; the
 projection pi_p onto it kills ZZ_r^p meet F_{p-1} = ZZ_{r-1}^{p-1}, which
 lies in BB_r^p, so E_r^p = pi_p(ZZ_r^p) / pi_p(d ZZ_{r-1}^{p+r-1}) over
 any ring, Z included (McCleary, A User's Guide to Spectral Sequences,
-2001, 2.2).  No subquotient is built in Tot_n.  The same meet keeps the
-Tot_n modules `zz` and `bb` cheap: both meet F_{p-1} in ZZ_{r-1}^{p-1},
-so each is that module extended by the cycles, or their boundaries,
-eliminated on the (p, n-p) block only (`SubmodulePresentation.extend`),
-and its canonical generators cut to the block are already the canonical
-form of its projection (`SubmodulePresentation.prefix`).  F_{p-r} of
+2001, 2.2).  The reduction's suffix spans ZZ_r^p itself, so `zz` is the
+span of its cycles cut to the block, and `bb` the span of the boundaries
+of ZZ_{r-1}^{p+r-1} cut to it: no module is built in Tot_n.  F_{p-r} of
 Tot_{n-1} is zero once p - r is left of its least column, and F_{p+r-1}
 of Tot_{n+1} is all of it once p + r - 1 reaches its greatest: from that
 settle page s on both projections are constant, and `entry` serves page s,
@@ -54,6 +51,7 @@ from .linalg import (
     _rref_field,
     image,
     kernel,
+    solve,
     subquotient,
     vec_sub,
 )
@@ -128,7 +126,8 @@ class _Reduction:
     elements whose boundary vanishes on every row above pivots[k] (every
     row, when k = len(pivots)), and images are their boundaries.  Over
     QQ each cycle and its image are one integer row of the elimination,
-    fixed up to a scalar they share: `compare` pairs them, spans ignore it.
+    fixed up to a scalar they share: `compare` and `delta` pair them, spans
+    ignore it.
     """
 
     __slots__ = ("pivots", "suffix")
@@ -162,11 +161,8 @@ class FilteredPages:
 
     def __init__(self, t: TotalComplex):
         self.t = t
-        self._zz = {}          # (r, p, n) -> ZZ_r^p in Tot_n
+        self._zz = {}          # (r, p, n) -> pi_p(ZZ_r^p) in the (p, n-p) cell
         self._reductions = {}  # (n, start) -> _Reduction
-        self._cycles = {}      # cycle key -> cycle module
-        self._boundaries = {}  # (low cycle key, high cycle key) -> boundary module
-        self._windows = {}     # (cycle key, high cycle key or 0) -> cell modules
         self._entries = {}
         self._deltas = {}
 
@@ -184,50 +180,28 @@ class FilteredPages:
         return self._reductions[(n, start)].suffix[k]
 
     def zz(self, r: int, p: int, n: int) -> SubmodulePresentation:
-        """F_p intersected with d^{-1}(F_{p-r}) in Tot_n.
-
-        Its meet with F_{p-1} is ZZ_{r-1}^{p-1}, so it is that module
-        extended by the cycles, eliminated on the (p, n-p) block only.
-        The walk down to a known module, or to ZZ_0 = F_p, is a loop: a
-        far page of a wide complex needs no deep recursion.
-        """
+        """pi_p(ZZ_r^p), ZZ_r^p = F_p intersected with d^{-1}(F_{p-r}) in Tot_n."""
         if r < 0:
             raise ValueError("page index must be >= 0")
         key = (r, p, n)
         cached = self._zz.get(key)
         if cached is None:
-            t, steps = self.t, []
-            low = self._key(r, p, n)
-            while r and low not in self._cycles:
-                steps.append((p, low))
-                r, p = r - 1, p - 1
-                low = self._key(r, p, n)
-            cached = self._cycles.get(low)
-            if cached is None:
-                cached = self._cycles[low] = SubmodulePresentation.zero(t.ring, low[1]).direct_sum(
-                    SubmodulePresentation.full(t.ring, t.dim(n) - low[1]))
-            for p, low in reversed(steps):
-                cached = self._cycles[low] = cached.extend(
-                    self._suffix(low)[0], low[1], t.filtration_start(n, p - 1))
-            self._zz[key] = cached
+            width = self.t.block_start(n, p)[1]
+            cycles = self._suffix(self._key(r, p, n))[0]
+            cached = self._zz[key] = SubmodulePresentation.span(
+                self.t.ring, width, [g[:width] for g in cycles], ints=True)
         return cached
 
     def bb(self, r: int, p: int, n: int) -> SubmodulePresentation:
-        """ZZ_{r-1}^{p-1} + d ZZ_{r-1}^{p+r-1} in Tot_n (ZZ_0^{p-1} at r = 0).
-
-        Its meet with F_{p-1} is ZZ_{r-1}^{p-1}: a boundary there is a
-        cycle.  So, as for `zz`, only the (p, n-p) block is eliminated.
-        """
+        """pi_p(BB_r^p) = pi_p(d ZZ_{r-1}^{p+r-1}): pi_p kills ZZ_{r-1}^{p-1}."""
+        t = self.t
+        width = t.block_start(n, p)[1]
         if r == 0:
-            return self.zz(0, p - 1, n)
-        low = self._key(r - 1, p - 1, n)
-        high = self._key(r - 1, p + r - 1, n + 1)
-        res = self._boundaries.get((low, high))
-        if res is None:
-            start = self.t.filtration_start(n, p)
-            res = self._boundaries[(low, high)] = self.zz(r - 1, p - 1, n).extend(
-                [v[start:] for v in self._suffix(high)[1]], start, low[1])
-        return res
+            return SubmodulePresentation.zero(t.ring, width)
+        start = t.filtration_start(n, p)
+        images = self._suffix(self._key(r - 1, p + r - 1, n + 1))[1]
+        return SubmodulePresentation.span(
+            t.ring, width, [v[start:start + width] for v in images], ints=True)
 
     def settle(self, p: int, n: int) -> int:
         """The page s from which pi_p(ZZ_r^p) and pi_p(BB_r^p) are constant."""
@@ -245,7 +219,7 @@ class FilteredPages:
         # When no basis vector sits in column p of degree n, F_p = F_{p-1}
         # there, so ZZ_r^{p} = ZZ_{r-1}^{p-1} is swallowed by BB_r: trivial.
         t = self.t
-        start, width = t.block_start(n, p)
+        width = t.block_start(n, p)[1]
         s = min(r, self.settle(p, n))
         # Page s has page s-1's modules when F_{p-s+1} = F_{p-s} in Tot_{n-1}
         # and F_{p+s-1} = F_{p+s-2} in Tot_{n+1}: both blocks are absent.
@@ -258,22 +232,16 @@ class FilteredPages:
             e = self._entries.get((s, p, n)) or self.entry(s, p, n)
             e = FilteredEntry(r, p, n, e.zz, e.bb)
         else:
-            # The keys fix both modules, and p too: the block is not empty.
-            keys = self._key(r, p, n), r and self._key(r - 1, p + r - 1, n + 1)
-            cell = self._windows.get(keys)
-            if cell is None:
-                cell = self._windows[keys] = (self.zz(r, p, n).prefix(width, start),
-                                              self.bb(r, p, n).prefix(width, start))
-            e = FilteredEntry(r, p, n, *cell)
+            e = FilteredEntry(r, p, n, self.zz(r, p, n), self.bb(r, p, n))
         self._entries[key] = e
         return e
 
     def delta(self, r: int, p: int, n: int):
         """Matrix rows of [x] -> [dx] in canonical quotient generators.
 
-        Each quotient generator is lifted through the ZZ_r^p generators
-        with a pivot in the block, whose cuts are the entry's Z generators,
-        to an r-cycle of Tot_n; its boundary's (p-r) block is reduced in
+        Each quotient generator is lifted by one solve against the ZZ_r^p
+        cycles cut to the block; the same combination of their boundaries,
+        each cycle's with its scale, is dx, whose (p-r) block is reduced in
         the target entry.
         """
         key = (r, p, n)
@@ -285,11 +253,15 @@ class FilteredPages:
         cols = []
         if src.invariants and tgt.quot is not None:
             t = self.t
-            lifts = Mat.from_cols(t.ring, t.dim(n), self.zz(r, p, n).gens[:src.zz.rank])
-            start = t.filtration_start(n - 1, p - r)
+            width, start = src.zz.ambient_rank, t.filtration_start(n - 1, p - r)
+            end = start + tgt.zz.ambient_rank
+            cycles, images = self._suffix(self._key(r, p, n))
+            lifts = Mat._raw(t.ring, width, len(cycles),
+                             [[g[i] for g in cycles] for i in range(width)], integral=True)
+            bounds = Mat._raw(t.ring, end - start, len(images),
+                              [[v[i] for v in images] for i in range(start, end)], integral=True)
             for x in src.quot.gens:
-                dx = t.d(n).matvec(lifts.matvec(src.zz.coords(x)))
-                cols.append(tgt.quot.reduce(dx[start:start + tgt.zz.ambient_rank]))
+                cols.append(tgt.quot.reduce(bounds.matvec(solve(lifts, x))))
         rows = tuple(tuple(col[i] for col in cols) for i in range(len(tgt.invariants)))
         self._deltas[key] = rows
         return rows
@@ -297,7 +269,8 @@ class FilteredPages:
 
 def psi(t: TotalComplex, c: Multicomplex, r, p, n, x: FilteredVector):
     """The class of (x)_p on the witness side, for x an r-cycle on Tot."""
-    if not FilteredPages(t).zz(r, p, n).contains(list(x.coords)):
+    dx = t.d(n).matvec(list(x.coords))
+    if any(x.coords[:t.filtration_start(n, p)]) or any(dx[:t.filtration_start(n - 1, p - r)]):
         raise MembershipError("element does not lie in the filtered cycle module")
     start, width = t.block_start(n, p)
     local = [] if start is None else list(x.coords[start:start + width])

@@ -296,11 +296,10 @@ def _hnf_columns(cols, nrows, transform=False, snaps=None):
     Without transform, the entries left of each pivot are then reduced
     into [0, pivot): h[:npiv] is the canonical Hermite form, which
     `SubmodulePresentation.span` returns as it is.  Only rows < nrows are
-    eliminated, so longer columns are carried along, as
-    `SubmodulePresentation.extend` does.  With transform the reduction is
-    left out, because no caller reads it: `kernel` takes v[npiv:],
-    `filtered._Reduction` takes h[npiv:] and v[npiv:] from its snapshots,
-    and `solve` back-substitutes through any echelon form.
+    eliminated, so longer columns are carried along.  With transform the
+    reduction is left out, because no caller reads it: `kernel` takes
+    v[npiv:], `filtered._Reduction` takes h[npiv:] and v[npiv:] from its
+    snapshots, and `solve` back-substitutes through any echelon form.
 
     ``snaps``, a dict keyed by row indices in [0, nrows], is filled with
     (npiv, h[npiv:], v[npiv:]) as they stand before that row is reduced.
@@ -480,44 +479,16 @@ class SubmodulePresentation:
     def contains(self, vec) -> bool:
         return self.coords(vec) is not None
 
-    def prefix(self, n: int, start: int = 0) -> "SubmodulePresentation":
-        """The projection onto coordinates [start, start + n) of a module zero before start.
+    def prefix(self, n: int) -> "SubmodulePresentation":
+        """The projection onto the first n coordinates.
 
-        In the canonical form a generator whose pivot lies past the window
-        is zero on it, and the others, cut to it, are again in canonical
-        form: no elimination is needed, only (over QQ) a rescaling.
+        In the canonical form a generator whose pivot lies past n is zero
+        there, and the others, cut, are again in canonical form: no
+        elimination is needed, only (over QQ) a rescaling.
         """
-        k = bisect_left(self.pivots, start + n)
-        pivots = [v - start for v in self.pivots[:k]]
-        rows = self.ring.primitive([g[start:start + n] for g in self.rows[:k]], pivots)
-        return SubmodulePresentation(self.ring, n, rows, pivots, _canonical=True)
-
-    def extend(self, columns, start: int, end: int) -> "SubmodulePresentation":
-        """self + span(columns), the columns integer rows given from coordinate `start` on.
-
-        For self zero before `end` and equal to the part of the sum zero
-        before `end`: only the rows [start, end) are eliminated, then the
-        columns are reduced at self's pivots and followed by self's rows.
-        """
-        ring = self.ring
-        gs = [g[start:] for g in self.rows]
-        rs = [r - start for r in self.pivots]
-        if ring.is_field:
-            rows, pivots = _rref_field(ring, columns, limit=end - start, ints=True)
-            lifts = ring.primitive([_reduce_field(ring, x, gs, rs) for x in rows[:len(pivots)]],
-                                   pivots)
-        else:
-            rows, _, pivots, npiv = _hnf_columns(columns, end - start)
-            lifts = rows[:npiv]
-            for g, r in zip(gs, rs):
-                for i, x in enumerate(lifts):
-                    q = x[r] // g[r]
-                    if q:
-                        lifts[i] = [u - q * v for u, v in zip(x, g)]
-        pad = [0] * start
-        return SubmodulePresentation(
-            ring, self.ambient_rank, [pad + list(x) for x in lifts] + list(self.rows),
-            [start + c for c in pivots] + list(self.pivots), _canonical=True)
+        k = bisect_left(self.pivots, n)
+        rows = self.ring.primitive([g[:n] for g in self.rows[:k]], self.pivots[:k])
+        return SubmodulePresentation(self.ring, n, rows, self.pivots[:k], _canonical=True)
 
     def direct_sum(self, other: "SubmodulePresentation") -> "SubmodulePresentation":
         """self + other on the concatenated coordinates, self's first.

@@ -8,7 +8,6 @@ coordinate suffix and membership is a mask, not a solve.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import neg
 from typing import NamedTuple
 
 from .linalg import Mat
@@ -23,14 +22,14 @@ class FilteredVector(NamedTuple):
 
 
 class TotalComplex:
-    __slots__ = ("ring", "_blocks", "_offsets", "_dims", "_filt", "_diff")
+    __slots__ = ("ring", "_blocks", "_offsets", "_dims", "_cuts", "_diff")
 
-    def __init__(self, ring, blocks, offsets, dims, filt, diff):
+    def __init__(self, ring, blocks, offsets, dims, cuts, diff):
         self.ring = ring
         self._blocks = blocks      # n -> [(a, b, rank)] descending a
         self._offsets = offsets    # n -> {a: (start, rank)}
         self._dims = dims          # n -> total dimension
-        self._filt = filt          # n -> filtration index per coordinate
+        self._cuts = cuts          # n -> ([-a per block], [block starts..., dimension])
         self._diff = diff          # n -> Mat (Tot_n -> Tot_{n-1})
 
     def degrees(self):
@@ -50,7 +49,7 @@ class TotalComplex:
         return out
 
     def filtration_index(self, n: int):
-        return self._filt.get(n, [])
+        return [a for a, _, rank in self.blocks(n) for _ in range(rank)]
 
     def d(self, n: int) -> Mat:
         m = self._diff.get(n)
@@ -64,7 +63,8 @@ class TotalComplex:
 
     def filtration_start(self, n: int, p: int) -> int:
         """First coordinate with filtration index <= p (they form a suffix)."""
-        return bisect_left(self.filtration_index(n), -p, key=neg)
+        cols, starts = self._cuts.get(n, ((), (0,)))
+        return starts[bisect_left(cols, -p)]
 
     def zero_vector(self, n: int) -> FilteredVector:
         return FilteredVector(n, tuple(self.ring.zero() for _ in range(self.dim(n))))
@@ -94,19 +94,19 @@ def totalize(c: Multicomplex) -> TotalComplex:
     by_degree: dict = {}
     for (a, b), rank in c.ranks.items():
         by_degree.setdefault(a + b, []).append((a, b, rank))
-    blocks, offsets, dims, filt = {}, {}, {}, {}
+    blocks, offsets, dims, cuts = {}, {}, {}, {}
     for n, cells in by_degree.items():
         cells.sort(key=lambda t: -t[0])
         blocks[n] = cells
-        offs, fl = {}, []
+        offs, starts = {}, []
         pos = 0
         for a, b, rank in cells:
             offs[a] = pos, rank
-            fl.extend([a] * rank)
+            starts.append(pos)
             pos += rank
         offsets[n] = offs
         dims[n] = pos
-        filt[n] = fl
+        cuts[n] = [-a for a, _, _ in cells], starts + [pos]
 
     diff = {}
     zero = c.ring.zero()
@@ -134,7 +134,7 @@ def totalize(c: Multicomplex) -> TotalComplex:
                             grow[cstart + col] = mrow[col]
         diff[n] = Mat._raw(c.ring, rows_n, cols_n, grid)
 
-    t = TotalComplex(c.ring, blocks, offsets, dims, filt, diff)
+    t = TotalComplex(c.ring, blocks, offsets, dims, cuts, diff)
     for n in degrees:
         if dims.get(n, 0) and dims.get(n - 1, 0) and dims.get(n - 2, 0):
             if not t.d(n - 1).mul(t.d(n)).is_zero():

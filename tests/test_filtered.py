@@ -9,6 +9,7 @@ from mcss.builders import RandomSpec, WallParams, hurtubise, random_mcx, stairca
 from mcss.filtered import (
     FilteredPages,
     compare,
+    compare_engines,
     homology,
     lift_to_total,
     psi,
@@ -39,8 +40,9 @@ def test_entry_hurtubise1_2_2_2():
     assert e.invariants == (0,)
     # ZZ_2^2 is spanned by D - B: coordinates (1, -1) in the basis
     # [(2,0), (1,1)], whose projection onto the (2,0) cell generates E_2
-    (g,) = fp.zz(2, 2, 2).gens
+    (g,) = _reference_zz(t, 2, 2, 2).gens
     assert [int(v) for v in g] in ([1, -1], [-1, 1])
+    assert e.zz == fp.zz(2, 2, 2) == SubmodulePresentation.span(QQ, 1, [g[:1]])
     assert e.quot.spans([e.quot.reduce(list(g[:1]))])
 
 
@@ -49,17 +51,21 @@ def test_zz_above_support_is_full_cycle_space():
     t = totalize(c)
     fp = FilteredPages(t)
     big, r = 99, 2
-    zz = fp.zz(r, big, 2)
-    direct = fp.zz(r, big + 5, 2)
-    assert zz == direct  # F_p is everything either way
+    # F_p and F_{p-r} are everything either way: the reduction's cycles
+    # span all of Tot_2, and their projection onto the absent cell is zero.
+    for p in (big, big + 5):
+        cycles = fp._suffix(fp._key(r, p, 2))[0]
+        full = SubmodulePresentation.full(QQ, t.dim(2))
+        assert SubmodulePresentation.span(QQ, t.dim(2), cycles, ints=True) == full
+        assert fp.zz(r, p, 2) == SubmodulePresentation.zero(QQ, 0)
 
 
 def test_zz_walks_down_a_wide_gap():
-    # Two cells 1,200 columns apart in one degree: ZZ_r^p at a far page is
-    # built through every empty column in between, without deep recursion.
+    # Two cells 1,200 columns apart in one degree: pi_p(ZZ_r^p) at a far
+    # page is spanned in the cell, with no module built in between.
     c = Multicomplex(ZZ, {(1200, 0): 1, (0, 1200): 1}, {})
     fp = FilteredPages(totalize(c))
-    assert fp.zz(1300, 1200, 1200).rank == 2
+    assert fp.zz(1300, 1200, 1200) == SubmodulePresentation.full(ZZ, 1)
     assert fp.entry(1300, 1200, 1200).invariants == (0,)
 
 
@@ -110,7 +116,9 @@ def test_psi_kills_lower_filtration():
     # D - B is a filtered 2-cycle in degree 2 at p = 2; B alone sits in F_1
     # and is a cycle for the pair (p=1, r=1) viewpoint; its p=2 class is 0.
     x = FilteredVector(2, tuple(QQ.normalize(v) for v in [0, 1]))  # B
-    assert fp.zz(1, 1, 2).contains(list(x.coords)) is False  # dB != 0 in F_0? no:
+    zz = _reference_zz(t, 1, 1, 2)
+    assert fp.zz(1, 1, 2) == _projected(t, zz, 1, 2)
+    assert zz.contains(list(x.coords)) is False  # dB != 0 in F_0? no:
     # dB = S_1 + S_0 spans both columns; it is not in F_0, so B is not a
     # 2-cycle at p = 1; but as an element of F_2 with (x)_2 = 0 its class
     # under psi at any page where it is a cycle must vanish.  Use r = 0.
@@ -274,9 +282,10 @@ def test_compare_detects_corrupted_delta_over_z(monkeypatch, make, cell):
 
 
 def test_filtered_nesting_invariants():
-    # ZZ_{r+1} <= ZZ_r and BB_r <= ZZ_r hold literally; boundary growth
-    # holds in graded-image form, BB_r <= BB_{r+1} + F_{p-1} (the literal
-    # BB_r <= BB_{r+1} fails already for the short staircase at (2,2)).
+    # In Tot_n, ZZ_{r+1} <= ZZ_r and BB_r <= ZZ_r hold literally; boundary
+    # growth holds in graded-image form, BB_r <= BB_{r+1} + F_{p-1} (the
+    # literal BB_r <= BB_{r+1} fails already for the short staircase at
+    # (2,2)).  In the cell, where pi_p kills F_{p-1}, all three are literal.
     c = random_mcx(RandomSpec(seed=9, width=4, height=4, maxrank=2, maxd=3, ring=ZZ))
     t = totalize(c)
     fp = FilteredPages(t)
@@ -284,8 +293,11 @@ def test_filtered_nesting_invariants():
     for (p, q) in c.support:
         n = p + q
         for r in range(0, rmax):
+            assert _includes(_reference_zz(t, r, p, n), _reference_zz(t, r + 1, p, n))
+            assert _includes(_reference_zz(t, r, p, n), _reference_bb(t, r, p, n))
             assert _includes(fp.zz(r, p, n), fp.zz(r + 1, p, n))
             assert _includes(fp.zz(r, p, n), fp.bb(r, p, n))
+            assert _includes(fp.bb(r + 1, p, n), fp.bb(r, p, n))
             if r >= 1:
                 start = t.filtration_start(n, p - 1)
                 low = []
@@ -295,17 +307,16 @@ def test_filtered_nesting_invariants():
                     low.append(e)
                 grown = SubmodulePresentation.span(
                     ZZ, t.dim(n),
-                    [list(g) for g in fp.bb(r + 1, p, n).gens] + low,
+                    [list(g) for g in _reference_bb(t, r + 1, p, n).gens] + low,
                 )
-                assert _includes(grown, fp.bb(r, p, n))
+                assert _includes(grown, _reference_bb(t, r, p, n))
 
 
 def test_bb_nesting_fails_literally_on_short_staircase():
     # The explicit counterexample pinning the graded-image form above.
     t = totalize(staircase(2, QQ))
-    fp = FilteredPages(t)
-    bb1 = fp.bb(1, 2, 2)
-    bb2 = fp.bb(2, 2, 2)
+    bb1 = _reference_bb(t, 1, 2, 2)
+    bb2 = _reference_bb(t, 2, 2, 2)
     assert bb1.rank == 1 and bb2.rank == 0
 
 
@@ -358,6 +369,12 @@ def _reference_zz(t, r, p, n):
         t.ring, t.dim(n), [pad + list(g) for g in kernel(restricted).gens])
 
 
+def _projected(t, m, p, n):
+    """pi_p of a Tot_n module: its generators cut to the (p, n-p) block."""
+    start, width = t.filtration_start(n, p), t.block_start(n, p)[1]
+    return SubmodulePresentation.span(t.ring, width, [g[start:start + width] for g in m.gens])
+
+
 def _reference_bb(t, r, p, n):
     """BB_r^p from scratch: ZZ_{r-1}^{p-1} plus d of every ZZ_{r-1}^{p+r-1} generator."""
     if r == 0:
@@ -378,10 +395,10 @@ REFERENCE_INSTANCES = {
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
 def test_filtered_pages_match_reference(name):
-    # ZZ_r, BB_r and E_r for every (r, p, n) up to the bound + 1, against
-    # one fresh kernel and one matvec per generator for each of them.  The
-    # cell-local entry holds the projections pi_p of the oracle's modules,
-    # and pi_p of the oracle's quotient generators generates it.
+    # pi_p(ZZ_r), pi_p(BB_r) and E_r for every (r, p, n) up to the bound
+    # + 1, against one fresh kernel and one matvec per generator for each
+    # of them.  The entry holds the projections pi_p of the oracle's
+    # modules, and pi_p of the oracle's quotient generators generates it.
     c = REFERENCE_INSTANCES[name]()
     t = totalize(c)
     fp = FilteredPages(t)
@@ -391,8 +408,8 @@ def test_filtered_pages_match_reference(name):
         for p in range(min(columns) - 1, max(columns) + 2):
             for r in range(bound + 2):
                 zz, bb = _reference_zz(t, r, p, n), _reference_bb(t, r, p, n)
-                assert fp.zz(r, p, n) == zz, (r, p, n)
-                assert fp.bb(r, p, n) == bb, (r, p, n)
+                assert fp.zz(r, p, n) == _projected(t, zz, p, n), (r, p, n)
+                assert fp.bb(r, p, n) == _projected(t, bb, p, n), (r, p, n)
                 quot = subquotient(zz, bb)
                 entry = fp.entry(r, p, n)
                 assert entry.invariants == quot.invariants, (r, p, n)
@@ -402,6 +419,7 @@ def test_filtered_pages_match_reference(name):
                                   for m in (zz, bb, quot))
                     assert entry.zz == SubmodulePresentation.span(t.ring, width, pz), (r, p, n)
                     assert entry.bb == SubmodulePresentation.span(t.ring, width, pb), (r, p, n)
+                    assert entry.zz.ambient_rank == entry.bb.ambient_rank == width, (r, p, n)
                     assert entry.quot.spans([entry.quot.reduce(v) for v in pq]), (r, p, n)
 
 
@@ -434,15 +452,12 @@ def test_modules_are_constant_past_the_settle_page(name):
     for (p, q) in c.support:
         n, s, nx = p + q, _settle(c, p, q), c.rank(p, q)
         assert SpectralPages(c).settle(p, q) == FilteredPages(t).settle(p, n) == s, (p, q)
-        start, width = t.block_start(n, p)
         sp, fp = SpectralPages(c), FilteredPages(t)
-        want = (sp.zr(s, p, q), sp.br(s, p, q),
-                fp.zz(s, p, n).prefix(width, start), fp.bb(s, p, n).prefix(width, start))
+        want = (sp.zr(s, p, q), sp.br(s, p, q), fp.zz(s, p, n), fp.bb(s, p, n))
         for r in range(s + 1, bound + 2):
             sp, fp = SpectralPages(c), FilteredPages(t)
             assert (sp.zr(r, p, q), sp.br(r, p, q)) == want[:2], (r, p, q)
-            assert (fp.zz(r, p, n).prefix(width, start),
-                    fp.bb(r, p, n).prefix(width, start)) == want[2:], (r, p, q)
+            assert (fp.zz(r, p, n), fp.bb(r, p, n)) == want[2:], (r, p, q)
             ker = kernel(sp._cycle_system(r, p, q)[0])
             zr = SubmodulePresentation.span(ring, nx, [g[:nx] for g in ker.gens])
             values = [boundary_value(c, r, p, q, cow) for cow in sp.cowitnesses(r, p, q)]
@@ -484,6 +499,40 @@ def test_pages_past_the_bound_ask_for_no_module(name, monkeypatch):
             assert se.zr is ss.zr and se.br is ss.br and se.quot is ss.quot, (r, p, q)
             assert fe.zz is fs.zz and fe.bb is fs.bb, (r, p, q)
     assert calls == []
+
+
+FRACTIONAL_INSTANCES = {
+    f"rescaled-Q-{seed}": (lambda seed=seed: _rescaled(random_mcx(RandomSpec(
+        seed=seed, width=4, height=4, maxrank=2, maxd=3, ring=QQ)), seed))
+    for seed in range(4)
+}
+
+
+@pytest.mark.parametrize("name", sorted({**REFERENCE_INSTANCES, **FRACTIONAL_INSTANCES}))
+def test_filtered_delta_matches_witness_delta(name):
+    # [x] -> [dx] on the filtered side, lifted by a solve against the cut
+    # cycles, is the witness route's Delta_r on every cell and page.
+    c = {**REFERENCE_INSTANCES, **FRACTIONAL_INSTANCES}[name]()
+    sp, fp = SpectralPages(c), FilteredPages(totalize(c))
+    for r in range(sp.stabilization_bound() + 1):
+        for (p, q) in c.support:
+            assert fp.delta(r, p, p + q) == sp.delta(r, p, q).rows, (r, p, q)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
+def test_filtered_modules_live_in_one_cell(name):
+    # Every module the filtered engine holds after a comparison is a
+    # module of the (p, n-p) cell, never of Tot_n.
+    c = REFERENCE_INSTANCES[name]()
+    t = totalize(c)
+    fp = FilteredPages(t)
+    assert compare_engines(SpectralPages(c), fp).ok
+    assert fp._zz and fp._entries
+    for (r, p, n), zz in fp._zz.items():
+        assert zz.ambient_rank == t.block_start(n, p)[1], (r, p, n)
+    for (r, p, n), e in fp._entries.items():
+        if e.zz is not None:
+            assert e.zz.ambient_rank == e.bb.ambient_rank == t.block_start(n, p)[1], (r, p, n)
 
 
 def test_compare_calls_no_kernel_from_filtered(monkeypatch):
