@@ -263,8 +263,8 @@ def cmd_homology(args) -> int:
     c = _load(args)
     _require_valid(c)
     t = totalize(c)
-    degrees = [n for n in t.degrees() if t.dim(n)]
-    groups = {n: filtered.homology(t, n) for n in degrees}
+    groups = filtered.homology(t)
+    degrees = list(groups)
     if args.json:
         doc = {
             "ring": str(c.ring),

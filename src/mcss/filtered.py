@@ -50,7 +50,7 @@ from .linalg import (
     _hnf_columns,
     _rref_field,
     image,
-    kernel,
+    snf,
     solve,
     subquotient,
     vec_sub,
@@ -162,6 +162,7 @@ class FilteredPages:
     def __init__(self, t: TotalComplex):
         self.t = t
         self._zz = {}          # (r, p, n) -> pi_p(ZZ_r^p) in the (p, n-p) cell
+        self._spans = {}       # (key, part, lo, hi) -> span of a suffix part cut to [lo, hi)
         self._reductions = {}  # (n, start) -> _Reduction
         self._entries = {}
         self._deltas = {}
@@ -179,18 +180,21 @@ class FilteredPages:
         n, start, k = key
         return self._reductions[(n, start)].suffix[k]
 
+    def _span(self, key, part, lo, hi):
+        """The span of the suffix's cycles (part 0) or images (part 1) cut to [lo, hi)."""
+        cached = self._spans.get((key, part, lo, hi))
+        if cached is None:
+            cached = self._spans[key, part, lo, hi] = SubmodulePresentation.span(
+                self.t.ring, hi - lo, [v[lo:hi] for v in self._suffix(key)[part]], ints=True)
+        return cached
+
     def zz(self, r: int, p: int, n: int) -> SubmodulePresentation:
         """pi_p(ZZ_r^p), ZZ_r^p = F_p intersected with d^{-1}(F_{p-r}) in Tot_n."""
         if r < 0:
             raise ValueError("page index must be >= 0")
-        key = (r, p, n)
-        cached = self._zz.get(key)
-        if cached is None:
-            width = self.t.block_start(n, p)[1]
-            cycles = self._suffix(self._key(r, p, n))[0]
-            cached = self._zz[key] = SubmodulePresentation.span(
-                self.t.ring, width, [g[:width] for g in cycles], ints=True)
-        return cached
+        if (r, p, n) not in self._zz:
+            self._zz[r, p, n] = self._span(self._key(r, p, n), 0, 0, self.t.block_start(n, p)[1])
+        return self._zz[r, p, n]
 
     def bb(self, r: int, p: int, n: int) -> SubmodulePresentation:
         """pi_p(BB_r^p) = pi_p(d ZZ_{r-1}^{p+r-1}): pi_p kills ZZ_{r-1}^{p-1}."""
@@ -199,9 +203,7 @@ class FilteredPages:
         if r == 0:
             return SubmodulePresentation.zero(t.ring, width)
         start = t.filtration_start(n, p)
-        images = self._suffix(self._key(r - 1, p + r - 1, n + 1))[1]
-        return SubmodulePresentation.span(
-            t.ring, width, [v[start:start + width] for v in images], ints=True)
+        return self._span(self._key(r - 1, p + r - 1, n + 1), 1, start, start + width)
 
     def settle(self, p: int, n: int) -> int:
         """The page s from which pi_p(ZZ_r^p) and pi_p(BB_r^p) are constant."""
@@ -299,12 +301,30 @@ def lift_to_total(c: Multicomplex, t: TotalComplex, r, p, q, x) -> FilteredVecto
     return lift
 
 
-def homology(t: TotalComplex, n: int) -> HomologyGroup:
-    """H_n of the total complex as invariant factors (all 0 over a field)."""
-    cycles = kernel(t.d(n))
-    boundaries = image(t.d(n + 1))
-    quot = subquotient(cycles, boundaries)
-    return HomologyGroup(n, quot.invariants)
+def homology(t: TotalComplex) -> dict:
+    """{n: H_n} as invariant factors, for every degree n with Tot_n nonzero.
+
+    From one canonical image per boundary map (Munkres, Elements of
+    Algebraic Topology, 1984, 11; Kaczynski-Mischaikow-Mrozek, Computational
+    Homology, 2004, ch. 3): H_n = Z^(dim Tot_n - rk d_n - rk d_{n+1}) plus,
+    over Z, the torsion of coker d_{n+1}.  In the Hermite basis of im d_{n+1}
+    a pivot 1 has a pivot row zero off its column (entries left of a pivot
+    lie in [0, pivot)) and splits off as Z/1, so the torsion is the Smith
+    form of the other columns on the rows where they are not all zero.
+    """
+    degrees = [n for n in t.degrees() if t.dim(n)]
+    images = {m: image(t.d(m)) for m in sorted({*degrees, *(n + 1 for n in degrees)})}
+    groups = {}
+    for n in degrees:
+        b = images[n + 1]
+        torsion = ()
+        cols = [] if t.ring.is_field else [g for g, r in zip(b.rows, b.pivots) if g[r] != 1]
+        if cols:
+            rows = [i for i in range(b.ambient_rank) if any(g[i] for g in cols)]
+            d = snf(Mat._raw(t.ring, len(rows), len(cols), [[g[i] for g in cols] for i in rows]))[1]
+            torsion = tuple(x for x in (d.data[k][k] for k in range(len(cols))) if x > 1)
+        groups[n] = HomologyGroup(n, torsion + (0,) * (t.dim(n) - images[n].rank - b.rank))
+    return groups
 
 
 def compare(c: Multicomplex, max_r: int | None = None) -> ComparisonReport:

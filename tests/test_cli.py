@@ -12,6 +12,7 @@ from mcss.linalg import InclusionError
 from mcss.mcxio import emit, parse
 from mcss.pages import WellDefinednessError
 from mcss.builders import WallParams, hurtubise, staircase, wall
+from mcss.total import totalize
 
 H1 = emit(hurtubise(1))
 H3 = emit(hurtubise(3))
@@ -155,6 +156,44 @@ def test_dense_z_seed_2_homology_and_compare(capsys):
     assert time.perf_counter() - start < 10
     assert code == 0 and err == ""
     assert out.splitlines()[-1] == "OK"
+
+
+def test_homology_reduces_each_boundary_map_once(capsys, monkeypatch):
+    # `mcss homology` takes one canonical image of each boundary map it
+    # reads, d_n and d_{n+1} for every degree n, and builds no kernel and
+    # no subquotient.
+    import mcss.filtered
+    import mcss.linalg
+    import mcss.pages
+
+    calls = {"image": [], "kernel": 0, "subquotient": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            if name == "image":
+                calls[name].append((args[0].rows, args[0].cols, args[0].data))
+            else:
+                calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        for module in (mcss.filtered, mcss.linalg, mcss.pages):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    code, out, err = run(capsys, "homology", str(DENSE_Z_S2))
+    assert code == 0 and err == ""
+    assert out.splitlines()[1:] == [
+        "H_2: Z/2",
+        "H_3: Z/2 ⊕ Z/2 ⊕ Z/2 ⊕ Z/2 ⊕ Z/6 ⊕ Z/6 ⊕ Z/12 ⊕ Z/12 ⊕ Z^3",
+        "H_4: Z/3",
+        "H_5: Z^1",
+        "H_6: Z^1",
+    ]
+    assert calls["kernel"] == calls["subquotient"] == 0
+    t = totalize(parse(DENSE_Z_S2.read_text()))
+    maps = sorted({m for n in t.degrees() for m in (n, n + 1)})
+    assert calls["image"] == [(t.d(m).rows, t.d(m).cols, t.d(m).data) for m in maps]
 
 
 class _ClosedPipe(io.StringIO):

@@ -17,6 +17,7 @@ from mcss.filtered import (
 from mcss.linalg import Mat, MembershipError, SubmodulePresentation, image, kernel, subquotient
 from mcss.multicomplex import Multicomplex
 from mcss.pages import PageDifferential, SpectralPages, boundary_value
+from test_pages import dense_z
 from mcss.rings import GF, QQ, ZZ
 from mcss.total import FilteredVector, totalize
 
@@ -60,7 +61,7 @@ def test_zz_above_support_is_full_cycle_space():
         assert fp.zz(r, p, 2) == SubmodulePresentation.zero(QQ, 0)
 
 
-def test_zz_walks_down_a_wide_gap():
+def test_zz_at_a_far_page_is_spanned_in_the_cell():
     # Two cells 1,200 columns apart in one degree: pi_p(ZZ_r^p) at a far
     # page is spanned in the cell, with no module built in between.
     c = Multicomplex(ZZ, {(1200, 0): 1, (0, 1200): 1}, {})
@@ -536,20 +537,30 @@ def test_filtered_modules_live_in_one_cell(name):
 
 
 def test_compare_calls_no_kernel_from_filtered(monkeypatch):
-    import mcss.filtered
+    # The filtered side of a comparison, every entry and delta it reads,
+    # calls no kernel through any binding of it in the package.
+    import mcss.linalg
+    import mcss.pages
 
     calls = []
-    original = mcss.filtered.kernel
+    original = mcss.linalg.kernel
 
     def counting(m):
         calls.append((m.rows, m.cols))
         return original(m)
 
-    monkeypatch.setattr(mcss.filtered, "kernel", counting)
+    for module in (mcss.linalg, mcss.pages):
+        monkeypatch.setattr(module, "kernel", counting)
+    engines = []
     for ring in (GF(2), ZZ):
         c = random_mcx(RandomSpec(seed=4, width=4, height=4, maxrank=2, maxd=3, ring=ring))
-        assert compare(c).ok
+        sp, fp = SpectralPages(c), FilteredPages(totalize(c))
+        for r in range(sp.stabilization_bound() + 1):
+            for (p, q) in c.support:
+                fp.delta(r, p, p + q)
+        engines.append((sp, fp))
     assert calls == []
+    assert all(compare_engines(sp, fp).ok for sp, fp in engines)
 
 
 def test_compare_builds_no_total_complex_subquotient(monkeypatch):
@@ -600,34 +611,31 @@ def test_filtered_delta_squares_to_zero():
 
 def test_homology_staircase_vanishes():
     t = totalize(staircase(2, QQ))
-    for n in t.degrees():
-        assert homology(t, n).invariants == ()
+    assert all(h.invariants == () for h in homology(t).values())
 
 
 def test_homology_hurtubise3():
-    t = totalize(hurtubise(3, QQ))
-    assert homology(t, 1).invariants == (0,)
-    assert homology(t, 2).invariants == (0,)
+    h = homology(totalize(hurtubise(3, QQ)))
+    assert h[1].invariants == (0,)
+    assert h[2].invariants == (0,)
 
 
 def test_homology_metacyclic_332():
     # G = Z/3 : Z/2 with twist 2 (the symmetric group on three letters).
-    t = totalize(wall(WallParams(3, 2, 2, 8)))
-    assert homology(t, 0).invariants == (0,)
-    assert homology(t, 1).invariants == (2,)
-    assert homology(t, 2).invariants == ()
-    assert homology(t, 3).invariants == (6,)
-    assert homology(t, 4).invariants == ()
+    h = homology(totalize(wall(WallParams(3, 2, 2, 8))))
+    assert h[0].invariants == (0,)
+    assert h[1].invariants == (2,)
+    assert h[2].invariants == ()
+    assert h[3].invariants == (6,)
+    assert h[4].invariants == ()
 
 
 def test_homology_h1_matches_abelianizations():
     # H_1 is the abelianization, computable by hand from the presentations:
     # (4,2,3) is the order-8 dihedral group, (5,4,2) the order-20 Frobenius
     # group.
-    t = totalize(wall(WallParams(4, 2, 3, 8)))
-    assert homology(t, 1).invariants == (2, 2)
-    t = totalize(wall(WallParams(5, 4, 2, 8)))
-    assert homology(t, 1).invariants == (4,)
+    assert homology(totalize(wall(WallParams(4, 2, 3, 8))))[1].invariants == (2, 2)
+    assert homology(totalize(wall(WallParams(5, 4, 2, 8))))[1].invariants == (4,)
 
 
 def test_homology_invariant_under_block_conjugation():
@@ -644,6 +652,53 @@ def test_homology_invariant_under_block_conjugation():
         maps[(i, a, b)] = left.mul(m).mul(right)
     c2 = Multicomplex(ZZ, dict(c.ranks), maps)
     assert c2.validate() == []
-    t1, t2 = totalize(c), totalize(c2)
-    for n in t1.degrees():
-        assert homology(t1, n).invariants == homology(t2, n).invariants
+    assert homology(totalize(c)) == homology(totalize(c2))
+
+
+def _homology_oracle(t, n):
+    """H_n as the kernel / image / subquotient route computes it."""
+    return subquotient(kernel(t.d(n)), image(t.d(n + 1))).invariants
+
+
+HOMOLOGY_FAMILIES = {
+    **{str(ring): [lambda seed=seed, ring=ring: random_mcx(RandomSpec(
+        seed=seed, width=5, height=5, maxrank=3, maxd=3, ring=ring)) for seed in range(40)]
+       for ring in (ZZ, QQ, GF(2), GF(3))},
+    # Conjugated direct sums of three Z windows: cells of rank up to 9, with torsion.
+    "dense-Z": [lambda seed=seed: dense_z(seed) for seed in range(12)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(HOMOLOGY_FAMILIES))
+def test_homology_matches_kernel_image_subquotient(family):
+    # One image per boundary map, ranks and the Smith form of the non-unit
+    # Hermite columns, against the subquotient of kernel by image.
+    torsion = 0
+    for build in HOMOLOGY_FAMILIES[family]:
+        t = totalize(build())
+        groups = homology(t)
+        assert sorted(groups) == [n for n in t.degrees() if t.dim(n)]
+        for n, h in groups.items():
+            assert h.invariants == _homology_oracle(t, n), n
+            torsion += bool(h.torsion)
+    if family in ("Z", "dense-Z"):
+        assert torsion
+
+
+def test_homology_torsion_matches_sympy_smith_form():
+    # A third oracle: the elementary divisors of d_{n+1} by sympy.
+    from sympy import Matrix, ZZ as SZZ
+    from sympy.matrices.normalforms import smith_normal_form
+
+    torsion = 0
+    for c in (dense_z(0), dense_z(1), wall(WallParams(3, 2, 2, 8))):
+        t = totalize(c)
+        for n, h in homology(t).items():
+            d = t.d(n + 1)
+            divisors = []
+            if d.rows and d.cols:
+                snf_d = smith_normal_form(Matrix(d.data), domain=SZZ)
+                divisors = [abs(int(snf_d[i, i])) for i in range(min(d.rows, d.cols))]
+            assert h.torsion == tuple(sorted(x for x in divisors if x > 1)), n
+            torsion += len(h.torsion)
+    assert torsion
