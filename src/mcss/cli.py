@@ -11,6 +11,7 @@ by (r, p, q).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -325,6 +326,7 @@ def cmd_random(args) -> int:
 # wiring
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mcss", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

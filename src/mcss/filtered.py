@@ -31,6 +31,9 @@ Tot_{n-1} is zero once p - r is left of its least column, and F_{p+r-1}
 of Tot_{n+1} is all of it once p + r - 1 reaches its greatest: from that
 settle page s on both projections are constant, and `entry` serves page s,
 as it serves page r-1 for a page r whose neighbouring blocks are absent.
+E_{r+1} is a subquotient of E_r, so once zz = bb they stay equal, and that
+page serves every later one: an entry's last page starts at s and drops
+to the first page found zero.
 
 `compare` checks per cell that the projected modules equal the witness
 route's Z_r and B_r, which makes pi_p an isomorphism of entries, and then
@@ -164,6 +167,7 @@ class FilteredPages:
         self._zz = {}          # (r, p, n) -> pi_p(ZZ_r^p) in the (p, n-p) cell
         self._spans = {}       # (key, part, lo, hi) -> span of a suffix part cut to [lo, hi)
         self._reductions = {}  # (n, start) -> _Reduction
+        self._last = {}        # (p, n) -> last page on which the entry may change
         self._entries = {}
         self._deltas = {}
 
@@ -222,7 +226,7 @@ class FilteredPages:
         # there, so ZZ_r^{p} = ZZ_{r-1}^{p-1} is swallowed by BB_r: trivial.
         t = self.t
         width = t.block_start(n, p)[1]
-        s = min(r, self.settle(p, n))
+        s = min(r, self._last.get((p, n)) or self._last.setdefault((p, n), self.settle(p, n)))
         # Page s has page s-1's modules when F_{p-s+1} = F_{p-s} in Tot_{n-1}
         # and F_{p+s-1} = F_{p+s-2} in Tot_{n+1}: both blocks are absent.
         while width and s > 1 and (s, p, n) not in self._entries and not (
@@ -235,6 +239,8 @@ class FilteredPages:
             e = FilteredEntry(r, p, n, e.zz, e.bb)
         else:
             e = FilteredEntry(r, p, n, self.zz(r, p, n), self.bb(r, p, n))
+            if e.zz == e.bb:  # E_r = 0: both projections stay equal to it
+                self._last[(p, n)] = r
         self._entries[key] = e
         return e
 

@@ -137,7 +137,7 @@ def parse(text: str) -> Multicomplex:
                 entries.append([ring.parse_scalar(t) for t in toks])
             except ValueError as exc:
                 raise MCXParseError(lineno, str(exc)) from None
-        maps[(i, a, b)] = Mat(ring, tgt, src, entries)
+        maps[(i, a, b)] = Mat._raw(ring, tgt, src, entries)  # parse_scalar normalized each entry
 
     try:
         return Multicomplex(ring, ranks, maps)

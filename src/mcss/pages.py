@@ -36,10 +36,13 @@ degree n-1 left of p) on, and B_r from r_b = 1 + (greatest column of
 degree n+1 right of p) - p on, each 1 without such a column: the chain
 ends at r_z or at Z_r = 0, and `br` fills B_r up to r_b.  Past the
 settle page s = max(r_z, r_b) an entry is served from page s, and its
-differential, into an absent cell, is zero.  A page r whose neighbouring
-cells (p-r+1, q+r-2) and (p+r-1, q-r+2) are both absent is served from
-page r-1: E_r = E_{r-1}.  One subquotient Z_r/B_r serves every (r, p, q)
-with an equal module pair.
+differential, into an absent cell, is zero.  E_{r+1} is a subquotient of
+E_r, so Z_r = B_r gives Z_{r'} = B_{r'} = Z_r for r' > r, as Z shrinks,
+B grows and B <= Z (McCleary 2001, 2.2): a cell's last page starts at s
+and drops to the first page found zero, which serves every later page.
+A page r whose neighbouring cells (p-r+1, q+r-2) and (p+r-1, q-r+2) are
+both absent is served from page r-1: E_r = E_{r-1}.  One subquotient
+Z_r/B_r serves every (r, p, q) with an equal module pair.
 """
 
 from __future__ import annotations
@@ -153,6 +156,7 @@ class SpectralPages:
         self._br = {}  # (r, p, q) -> B_r, for r up to the cell's r_b
         self._chains = {}  # (p, q) -> [(Z_1, V_1, K_1), ..., (Z_s, V_s, K_s)]
         self._quotients = {}  # (zr, br) -> subquotient
+        self._last = {}  # (p, q) -> last page on which E_r may change
         self._entries = {}
         self._deltas = {}
 
@@ -219,8 +223,8 @@ class SpectralPages:
         """B_1 = im d_0, and B_s = B_{s-1} + V_{s-1} at (p+s-1, q-s+2).
 
         That cell lies in the support only for s <= r_b, so B_r is B_s at
-        s = min(r, r_b).  `_br` is filled forward to that s from the last
-        page it holds, and never past it.
+        s = min(r, r_b), filled forward from the last page `_br` holds.  A
+        cell whose last page is below s has Delta_{s-1} = 0: no values read.
         """
         if r < 1:
             raise ValueError("r-boundaries are defined for r >= 1")
@@ -232,11 +236,12 @@ class SpectralPages:
         last = next((s for s in range(top, 0, -1) if (s, p, q) in self._br), 0)
         b = self._br.get((last, p, q))
         for s in range(last + 1, top + 1):
+            src = (p + s - 1, q - s + 2)
             if s == 1:
                 m = c.dmap(0, p, q + 1)
                 b = image(m) if m is not None else SubmodulePresentation.span(c.ring, nx, [])
-            elif c.rank(p + s - 1, q - s + 2) and (
-                    values := self._chain(s - 1, p + s - 1, q - s + 2)[1][0]):
+            elif c.rank(*src) and self._last.get(src, s) >= s and (
+                    values := self._chain(s - 1, *src)[1][0]):
                 b = SubmodulePresentation.span(c.ring, nx, b.rows + tuple(values), ints=True)
             self._br[(s, p, q)] = b
         return b
@@ -341,7 +346,7 @@ class SpectralPages:
         if cached is not None:
             return cached
         c = self.c
-        s = min(r, self.settle(p, q))
+        s = min(r, self._last.get((p, q)) or self._last.setdefault((p, q), self.settle(p, q)))
         # E_s = E_{s-1} when Delta_{s-1} into and out of the cell meet absent cells.
         while s > 1 and (s, p, q) not in self._entries and not (
                 c.rank(p - s + 1, q + s - 2) or c.rank(p + s - 1, q - s + 2)):
@@ -356,6 +361,8 @@ class SpectralPages:
             quot = self._quotients.get((zr, br))
             if quot is None:  # subquotient raises InclusionError on a B_r <= Z_r breach
                 quot = self._quotients[(zr, br)] = subquotient(zr, br)
+            if not quot.invariants:  # E_r = 0: Z and B equal Z_r on every later page
+                self._last[(p, q)] = r
             e = PageEntry(r, p, q, zr, br, quot)
         self._entries[key] = e
         return e

@@ -17,7 +17,7 @@ from mcss.filtered import (
 from mcss.linalg import Mat, MembershipError, SubmodulePresentation, image, kernel, subquotient
 from mcss.multicomplex import Multicomplex
 from mcss.pages import PageDifferential, SpectralPages, boundary_value
-from test_pages import dense_z
+from test_pages import ZERO_PAGE_RINGS, _zero_page_instances, dense_z
 from mcss.rings import GF, QQ, ZZ
 from mcss.total import FilteredVector, totalize
 
@@ -500,6 +500,27 @@ def test_pages_past_the_bound_ask_for_no_module(name, monkeypatch):
             assert se.zr is ss.zr and se.br is ss.br and se.quot is ss.quot, (r, p, q)
             assert fe.zz is fs.zz and fe.bb is fs.bb, (r, p, q)
     assert calls == []
+
+
+@pytest.mark.parametrize("ring", ZERO_PAGE_RINGS, ids=str)
+def test_filtered_zero_pages_do_not_depend_on_request_order(ring):
+    # Once zz == bb an entry's later pages are served from that page; a
+    # fresh engine asked in shuffled cell order, from the far page down,
+    # computes them and must find the same modules.
+    for seed, c in enumerate(_zero_page_instances(ring)):
+        t = totalize(c)
+        swept, cold = FilteredPages(t), FilteredPages(t)
+        pages = range(SpectralPages(c).stabilization_bound() + 2)
+        for r in pages:
+            for (p, q) in c.support:
+                swept.entry(r, p, p + q)
+        cells = sorted(c.support)
+        random.Random(seed).shuffle(cells)
+        for (p, q) in cells:
+            for r in reversed(pages):
+                e, want = cold.entry(r, p, p + q), swept.entry(r, p, p + q)
+                assert (e.zz, e.bb, e.invariants) == (want.zz, want.bb, want.invariants), (r, p, q)
+                assert (cold.zz(r, p, p + q), cold.bb(r, p, p + q)) == (want.zz, want.bb), (r, p, q)
 
 
 FRACTIONAL_INSTANCES = {

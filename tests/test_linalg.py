@@ -443,7 +443,7 @@ def test_canonical_form_is_basis_independent(data):
 @pytest.mark.parametrize("ring", RINGS, ids=str)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_extend_and_window_match_span(ring, data):
+def test_prefix_matches_span_of_cut_columns(ring, data):
     # A module's projection onto its first `end` coordinates is the span of
     # its columns cut there, without a fresh elimination.
     m = data.draw(mat_strategy(ring))

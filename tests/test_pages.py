@@ -596,6 +596,57 @@ def test_far_requests_fill_nothing_past_the_bounds(name):
         assert (zr, br) == (fresh.zr(zb, p, q), fresh.br(bb, p, q)), (p, q)
 
 
+ZERO_PAGE_RINGS = (ZZ, QQ, GF(2))
+
+
+def _zero_page_instances(ring):
+    return [random_mcx(RandomSpec(seed=seed, width=6, height=6, maxrank=3, maxd=3, ring=ring))
+            for seed in range(15)]
+
+
+@pytest.mark.parametrize("ring", ZERO_PAGE_RINGS, ids=str)
+def test_zero_pages_do_not_depend_on_request_order(ring):
+    # An engine swept page by page serves a cell's later pages from its
+    # first zero page; a fresh engine asked cell by cell in shuffled order,
+    # from the far page down, computes them, and its modules, read off the
+    # entry or asked directly, must be the same.
+    dead = 0
+    for seed, c in enumerate(_zero_page_instances(ring)):
+        swept, cold = SpectralPages(c), SpectralPages(c)
+        pages = range(swept.stabilization_bound() + 2)
+        for r in pages:
+            swept.page(r)
+        cells = sorted(c.support)
+        random.Random(seed).shuffle(cells)
+        for (p, q) in cells:
+            for r in reversed(pages):
+                e, want = cold.entry(r, p, q), swept.entry(r, p, q)
+                assert (e.zr, e.br, e.invariants) == (want.zr, want.br, want.invariants), (r, p, q)
+                if r:
+                    assert (cold.zr(r, p, q), cold.br(r, p, q)) == (want.zr, want.br), (r, p, q)
+            dead += not swept.entry(pages[-1], p, q).invariants
+    assert dead > 20
+
+
+@pytest.mark.parametrize("ring", ZERO_PAGE_RINGS, ids=str)
+def test_cells_past_their_zero_page_still_have_witnesses(ring):
+    # A dead cell's chain is not extended to read B_r values, but its
+    # r-cycles still get witnesses on every later page.
+    checked = 0
+    for c in _zero_page_instances(ring):
+        sp = SpectralPages(c)
+        pages = range(sp.stabilization_bound() + 2)
+        for r in pages:
+            sp.page(r)
+        for (p, q) in c.support:
+            zero = next((r for r in pages if not sp.entry(r, p, q).invariants), pages[-1])
+            for r in range(zero + 1, len(pages)):
+                for g in sp.zr(r, p, q).gens:
+                    assert star1_holds(c, r, p, q, list(g), sp.witness(r, p, q, g)), (r, p, q)
+                    checked += 1
+    assert checked > 100
+
+
 def _witness_targets(monkeypatch):
     targets = []
     original = SpectralPages.witness
