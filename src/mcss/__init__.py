@@ -7,14 +7,7 @@ computes the same pages from the column filtration of the total complex.
 """
 
 from .builders import RandomSpec, WallParams, hurtubise, random_mcx, staircase, wall
-from .filtered import (
-    FilteredPages,
-    HomologyGroup,
-    compare,
-    homology,
-    lift_to_total,
-    psi,
-)
+from .filtered import FilteredPages, HomologyGroup, compare, homology
 from .linalg import (
     InclusionError,
     Mat,

@@ -33,11 +33,15 @@ settle page s on both projections are constant, and `entry` serves page s,
 as it serves page r-1 for a page r whose neighbouring blocks are absent.
 E_{r+1} is a subquotient of E_r, so once zz = bb they stay equal, and that
 page serves every later one: an entry's last page starts at s and drops
-to the first page found zero.
+to the first page found zero.  A page past it is a lookup that returns the
+last page's entry object; nothing is built or stored for it, as an entry
+is its two modules, not its (r, p, n).
 
 `compare` checks per cell that the projected modules equal the witness
 route's Z_r and B_r, which makes pi_p an isomorphism of entries, and then
 the square pi_p . [dx] = Delta_r . pi_p on a generating set of ZZ_r^p.
+Past both routes' last pages a cell's entries are objects it has already
+checked, so it counts such a cell without comparing it again.
 """
 
 from __future__ import annotations
@@ -56,20 +60,19 @@ from .linalg import (
     snf,
     solve,
     subquotient,
-    vec_sub,
 )
 from .multicomplex import Multicomplex
 from .pages import SpectralPages
-from .total import FilteredVector, TotalComplex, totalize
+from .total import TotalComplex, totalize
 
 
 @dataclass(frozen=True)
 class FilteredEntry:
-    """E_r^p = zz / bb in the coordinates of the (p, n-p) cell; None when pruned."""
+    """E_r^p = zz / bb in the coordinates of the (p, n-p) cell; None when pruned.
 
-    r: int
-    p: int
-    n: int
+    The (r, p, n) it serves is the caller's key.
+    """
+
     zz: SubmodulePresentation | None
     bb: SubmodulePresentation | None
 
@@ -80,6 +83,9 @@ class FilteredEntry:
     @property
     def invariants(self):
         return () if self.quot is None else self.quot.invariants
+
+
+_PRUNED = FilteredEntry(None, None)
 
 
 @dataclass(frozen=True)
@@ -217,31 +223,32 @@ class FilteredPages:
         return max(1 + p - lo, 1 + hi - p)
 
     def entry(self, r: int, p: int, n: int) -> FilteredEntry:
-        """pi_p(ZZ_r^p) / pi_p(BB_r^p), the quotient built when read."""
-        key = (r, p, n)
-        cached = self._entries.get(key)
-        if cached is not None:
-            return cached
+        """pi_p(ZZ_r^p) / pi_p(BB_r^p), the quotient built when read.
+
+        A page past the cell's last page is that page's entry object.
+        """
+        s = min(r, self._last.get((p, n)) or self._last.setdefault((p, n), self.settle(p, n)))
+        e = self._entries.get((s, p, n))
+        if e is not None:
+            return e
         # When no basis vector sits in column p of degree n, F_p = F_{p-1}
         # there, so ZZ_r^{p} = ZZ_{r-1}^{p-1} is swallowed by BB_r: trivial.
         t = self.t
-        width = t.block_start(n, p)[1]
-        s = min(r, self._last.get((p, n)) or self._last.setdefault((p, n), self.settle(p, n)))
+        if not t.block_start(n, p)[1]:
+            return _PRUNED
         # Page s has page s-1's modules when F_{p-s+1} = F_{p-s} in Tot_{n-1}
         # and F_{p+s-1} = F_{p+s-2} in Tot_{n+1}: both blocks are absent.
-        while width and s > 1 and (s, p, n) not in self._entries and not (
+        while s > 1 and (s, p, n) not in self._entries and not (
                 t.block_start(n - 1, p - s + 1)[1] or t.block_start(n + 1, p + s - 1)[1]):
             s -= 1
-        if width == 0:
-            e = FilteredEntry(r, p, n, None, None)
-        elif s < r:  # a served page: page s's modules
-            e = self._entries.get((s, p, n)) or self.entry(s, p, n)
-            e = FilteredEntry(r, p, n, e.zz, e.bb)
-        else:
-            e = FilteredEntry(r, p, n, self.zz(r, p, n), self.bb(r, p, n))
-            if e.zz == e.bb:  # E_r = 0: both projections stay equal to it
-                self._last[(p, n)] = r
-        self._entries[key] = e
+        if s < r:  # a served page: page s's entry, never built again
+            e = self.entry(s, p, n)
+            if r <= self._last[(p, n)]:  # kept under r too, which ends the next walk down
+                self._entries[(r, p, n)] = e
+            return e
+        e = self._entries[(r, p, n)] = FilteredEntry(self.zz(r, p, n), self.bb(r, p, n))
+        if e.zz == e.bb:  # E_r = 0: both projections stay equal to it
+            self._last[(p, n)] = r
         return e
 
     def delta(self, r: int, p: int, n: int):
@@ -273,38 +280,6 @@ class FilteredPages:
         rows = tuple(tuple(col[i] for col in cols) for i in range(len(tgt.invariants)))
         self._deltas[key] = rows
         return rows
-
-
-def psi(t: TotalComplex, c: Multicomplex, r, p, n, x: FilteredVector):
-    """The class of (x)_p on the witness side, for x an r-cycle on Tot."""
-    dx = t.d(n).matvec(list(x.coords))
-    if any(x.coords[:t.filtration_start(n, p)]) or any(dx[:t.filtration_start(n - 1, p - r)]):
-        raise MembershipError("element does not lie in the filtered cycle module")
-    start, width = t.block_start(n, p)
-    local = [] if start is None else list(x.coords[start:start + width])
-    return SpectralPages(c).entry(r, p, n - p).quot.reduce(local)
-
-
-def lift_to_total(c: Multicomplex, t: TotalComplex, r, p, q, x) -> FilteredVector:
-    """x - z_{p-1} - ... - z_{p-r+1} as a filtered r-cycle on Tot.
-
-    Uses the canonical witnesses; psi checks membership in the filtered
-    cycle module, and must carry the lift back to [x].
-    """
-    ring, n = t.ring, p + q
-    x = [ring.normalize(v) for v in x]
-    sp = SpectralPages(c)
-    vec = list(t.embed_block(n, p, x).coords)
-    if r >= 2:
-        wit = sp.witness(r, p, q, x)
-        for j in range(1, r):
-            zj = wit.z.get(j, [])
-            if any(zj):
-                vec = vec_sub(ring, vec, t.embed_block(n, p - j, zj).coords)
-    lift = FilteredVector(n, tuple(vec))
-    want = sp.entry(r, p, q).quot.reduce(x)
-    assert psi(t, c, r, p, n, lift) == want, "psi does not invert the lift"
-    return lift
 
 
 def homology(t: TotalComplex) -> dict:
@@ -352,16 +327,24 @@ def compare_engines(sp: SpectralPages, fp: FilteredPages,
 
     The square skips generators inside F_{p-1}, which project to zero and
     lie in BB_r^p, and cells whose target is absent: both sides are zero.
+    Past both routes' last pages each returns the entry objects of its last
+    page, so a cell whose modules passed at the later of the two is counted
+    on later pages without a second look.  Its square there is empty: past
+    the witness route's last page the source is zero or the target absent.
+    A cell that failed is checked again on every page.
     """
     c = sp.c
     t = fp.t
     if max_r is None:
         max_r = sp.stabilization_bound()
     report = ComparisonReport(max_r=max_r)
+    done = {}  # cell -> the page, at or past both last pages, where its modules passed
     for r in range(0, max_r + 1):
         for (p, q) in c.support:
-            n = p + q
             report.cells_checked += 1
+            if r > done.get((p, q), r):
+                continue
+            n = p + q
             fe = fp.entry(r, p, n)
             se = sp.entry(r, p, q)
             differ = [name for name, a, b in (("Z_r", fe.zz, se.zr), ("B_r", fe.bb, se.br))
@@ -370,6 +353,8 @@ def compare_engines(sp: SpectralPages, fp: FilteredPages,
                 report.failures.append(CellFailure(
                     r, p, q, "modules differ", f"filtered and witness {' and '.join(differ)}"))
                 continue
+            if r >= sp._last[(p, q)] and r >= fp._last[(p, n)]:
+                done[(p, q)] = r
             tw = c.rank(p - r, q + r - 1)
             if not se.quot.invariants or not tw:
                 continue

@@ -10,6 +10,7 @@ validation, not converted.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import NamedTuple
 
 from .linalg import Mat
@@ -83,26 +84,33 @@ class Multicomplex:
         return sorted(self.ranks)
 
     def validate(self) -> list[RelationViolation]:
-        """All violated relations sum_{i+j=n} d_i d_j = 0, per (n, source)."""
+        """All violated relations sum_{i+j=n} d_i d_j = 0, per (n, source).
+
+        Each relation is one integer product: the second factors' integer
+        rows, each scaled to the common denominator, side by side, times the
+        first factors stacked.  The composite Mat is built only to report it.
+        """
         violations = []
+        dots = self.ring.int_dots
         for (a, b) in self.support:
-            src = self.rank(a, b)
             for n in range(0, 2 * self.maxd + 1):
                 tgt = self.rank(a - n, b + n - 2)
                 if tgt == 0:
                     continue
-                total = None
-                for j in range(0, n + 1):
-                    i = n - j
-                    first = self.dmap(j, a, b)
-                    if first is None:
-                        continue
-                    second = self.dmap(i, a - j, b + j - 1)
-                    if second is None:
-                        continue
-                    term = second.mul(first)
-                    total = term if total is None else total.add(term)
-                if total is not None and not total.is_zero():
+                pairs = [(second, first) for j in range(0, n + 1)
+                         if (first := self.dmap(j, a, b)) is not None
+                         and (second := self.dmap(n - j, a - j, b + j - 1)) is not None]
+                if not pairs:
+                    continue
+                ints = [(second._int_form(), first._int_form()) for second, first in pairs]
+                den = lcm(*[ds * df for (_, ds), (_, df) in ints])
+                rows = [[den // (ds * df) * v for (s, ds), (_, df) in ints for v in s[i]]
+                        for i in range(tgt)]
+                cols = zip(*[row for _, (f, _) in ints for row in f])
+                if any(any(dots(rows, col)) for col in cols):
+                    total = pairs[0][0].mul(pairs[0][1])
+                    for second, first in pairs[1:]:
+                        total = total.add(second.mul(first))
                     violations.append(RelationViolation(n, a, b, total))
         return violations
 

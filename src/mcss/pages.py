@@ -39,7 +39,9 @@ settle page s = max(r_z, r_b) an entry is served from page s, and its
 differential, into an absent cell, is zero.  E_{r+1} is a subquotient of
 E_r, so Z_r = B_r gives Z_{r'} = B_{r'} = Z_r for r' > r, as Z shrinks,
 B grows and B <= Z (McCleary 2001, 2.2): a cell's last page starts at s
-and drops to the first page found zero, which serves every later page.
+and drops to the first page found zero, which serves every later page:
+a page past it returns the last page's entry object, and builds or stores
+nothing, since an entry is Z_r, B_r and their quotient, not its (r, p, q).
 A page r whose neighbouring cells (p-r+1, q+r-2) and (p+r-1, q-r+2) are
 both absent is served from page r-1: E_r = E_{r-1}.  One subquotient
 Z_r/B_r serves every (r, p, q) with an equal module pair.
@@ -98,9 +100,8 @@ class CoWitnessTuple:
 
 @dataclass(frozen=True)
 class PageEntry:
-    r: int
-    p: int
-    q: int
+    """Z_r / B_r at one cell; the (r, p, q) it serves is the caller's key."""
+
     zr: SubmodulePresentation
     br: SubmodulePresentation
     quot: QuotientPresentation
@@ -341,30 +342,30 @@ class SpectralPages:
         return max(self._reaches.get((p, q), (1, 1)))
 
     def entry(self, r: int, p: int, q: int) -> PageEntry:
-        key = (r, p, q)
-        cached = self._entries.get(key)
-        if cached is not None:
-            return cached
-        c = self.c
+        """E_r at (p, q); a page past the cell's last page is that page's object."""
         s = min(r, self._last.get((p, q)) or self._last.setdefault((p, q), self.settle(p, q)))
+        e = self._entries.get((s, p, q))
+        if e is not None:
+            return e
+        c = self.c
         # E_s = E_{s-1} when Delta_{s-1} into and out of the cell meet absent cells.
         while s > 1 and (s, p, q) not in self._entries and not (
                 c.rank(p - s + 1, q + s - 2) or c.rank(p + s - 1, q - s + 2)):
             s -= 1
-        if s < r:  # a served page: page s's modules and quotient
-            e = self._entries.get((s, p, q)) or self.entry(s, p, q)
-            e = PageEntry(r, p, q, e.zr, e.br, e.quot)
-        else:
-            nx = c.rank(p, q)
-            zr = self.zr(r, p, q) if r else SubmodulePresentation.full(c.ring, nx)
-            br = self.br(r, p, q) if r else SubmodulePresentation.zero(c.ring, nx)
-            quot = self._quotients.get((zr, br))
-            if quot is None:  # subquotient raises InclusionError on a B_r <= Z_r breach
-                quot = self._quotients[(zr, br)] = subquotient(zr, br)
-            if not quot.invariants:  # E_r = 0: Z and B equal Z_r on every later page
-                self._last[(p, q)] = r
-            e = PageEntry(r, p, q, zr, br, quot)
-        self._entries[key] = e
+        if s < r:  # a served page: page s's entry, never built again
+            e = self.entry(s, p, q)
+            if r <= self._last[(p, q)]:  # kept under r too, which ends the next walk down
+                self._entries[(r, p, q)] = e
+            return e
+        nx = c.rank(p, q)
+        zr = self.zr(r, p, q) if r else SubmodulePresentation.full(c.ring, nx)
+        br = self.br(r, p, q) if r else SubmodulePresentation.zero(c.ring, nx)
+        quot = self._quotients.get((zr, br))
+        if quot is None:  # subquotient raises InclusionError on a B_r <= Z_r breach
+            quot = self._quotients[(zr, br)] = subquotient(zr, br)
+        if not quot.invariants:  # E_r = 0: Z and B equal Z_r on every later page
+            self._last[(p, q)] = r
+        e = self._entries[(r, p, q)] = PageEntry(zr, br, quot)
         return e
 
     # -- witnesses ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, determinism, JSON round-trips."""
 
+import hashlib
 import io
 import json
 import time
@@ -225,6 +226,22 @@ def test_compare_serves_dead_cells_from_their_zero_page(tmp_path, capsys, monkey
     assert (code, err) == (0, "")
     assert out == "ring Z\nchecked 5491 cells for r <= 18\nOK\n"
     assert calls == {"span": 1995, "kernel": 316}
+
+
+@pytest.mark.parametrize("command, digest, lines", [
+    ("pages", "e2efe55bcaa93d7830a7d90eb2706421ed472e357f5c99c30cb7dc1ae6f99925", 2061),
+    ("compare", "c6963bdf0358111282788f8aef1ae2eeb706d31f47b8554898ff9a15cc79fc80", 3),
+], ids=["pages", "compare"])
+def test_served_pages_at_scale_keep_their_output(tmp_path, capsys, command, digest, lines):
+    # Wall (3,2,2) at amax 24: 625 cells, most of whose pages are served
+    # past the cell's last page by both routes.  The output is pinned by
+    # hash, as computed when every page built its own entry.
+    f = tmp_path / "wall24.mcx"
+    f.write_text(emit(wall(WallParams(3, 2, 2, 24))))
+    code, out, err = run(capsys, command, str(f))
+    assert (code, err) == (0, "")
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class _ClosedPipe(io.StringIO):

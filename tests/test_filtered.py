@@ -6,17 +6,11 @@ from fractions import Fraction
 import pytest
 
 from mcss.builders import RandomSpec, WallParams, hurtubise, random_mcx, staircase, wall
-from mcss.filtered import (
-    FilteredPages,
-    compare,
-    compare_engines,
-    homology,
-    lift_to_total,
-    psi,
-)
+from mcss.filtered import FilteredPages, compare, compare_engines, homology
 from mcss.linalg import Mat, MembershipError, SubmodulePresentation, image, kernel, subquotient
 from mcss.multicomplex import Multicomplex
 from mcss.pages import PageDifferential, SpectralPages, boundary_value
+from oracles import lift_to_total, psi
 from test_pages import ZERO_PAGE_RINGS, _zero_page_instances, dense_z
 from mcss.rings import GF, QQ, ZZ
 from mcss.total import FilteredVector, totalize
@@ -253,6 +247,46 @@ def test_compare_detects_corrupted_boundaries(monkeypatch, ring, how):
     report = compare(c)
     assert [(f.r, f.p, f.q, f.kind) for f in report.failures] == [
         (3, 0, 1, "modules differ"), (4, 0, 1, "modules differ")]
+
+
+@pytest.mark.parametrize("route", [SpectralPages, FilteredPages], ids=lambda e: e.__name__)
+def test_compare_checks_a_cell_served_too_early(monkeypatch, route):
+    # One route records cell (0,1) of hurtubise(4, Z) as having last page 1,
+    # two pages before its settle page 3, and serves page 1 from then on.
+    # Page 2 happens to agree; pages 3 and 4 must still be compared and
+    # reported: a cell is skipped only past both routes' last pages.
+    c = hurtubise(4, ZZ)
+    assert SpectralPages(c).settle(0, 1) == FilteredPages(totalize(c)).settle(0, 1) == 3
+    original = route.settle
+    monkeypatch.setattr(route, "settle",
+                        lambda self, p, b: 1 if (p, b) == (0, 1) else original(self, p, b))
+    report = compare(c)
+    assert report.cells_checked == 5 * len(c.support)
+    assert [(f.r, f.p, f.q, f.kind) for f in report.failures] == [
+        (3, 0, 1, "modules differ"), (4, 0, 1, "modules differ")]
+
+
+def test_compare_counts_served_cells_without_rebuilding(monkeypatch):
+    # Wall (3,2,2) at amax 16: 289 cells on 19 pages, 5,491 visits.  Each
+    # route builds and stores 859 entries, and the other visits are served
+    # past the cell's last page.  compare reads no filtered entry for a
+    # cell past both last pages once its modules passed there: one read per
+    # stored entry, where a read per visit made 5,491.
+    c = wall(WallParams(3, 2, 2, 16))
+    sp, fp = SpectralPages(c), FilteredPages(totalize(c))
+    calls = []
+    original = FilteredPages.entry
+
+    def counting(self, r, p, n):
+        calls.append((r, p, n))
+        return original(self, r, p, n)
+
+    monkeypatch.setattr(FilteredPages, "entry", counting)
+    report = compare_engines(sp, fp)
+    assert report.ok and report.max_r == 18 and len(c.support) == 289
+    assert report.cells_checked == 5491
+    assert len(sp._entries) == 859 and len(fp._entries) == 859
+    assert len(calls) == 859
 
 
 @pytest.mark.parametrize("make, cell", [
@@ -521,6 +555,36 @@ def test_filtered_zero_pages_do_not_depend_on_request_order(ring):
                 e, want = cold.entry(r, p, p + q), swept.entry(r, p, p + q)
                 assert (e.zz, e.bb, e.invariants) == (want.zz, want.bb, want.invariants), (r, p, q)
                 assert (cold.zz(r, p, p + q), cold.bb(r, p, p + q)) == (want.zz, want.bb), (r, p, q)
+
+
+@pytest.mark.parametrize("ring", ZERO_PAGE_RINGS, ids=str)
+def test_pages_past_the_last_page_are_lookups(ring):
+    # Past a cell's last page both engines return that page's entry object
+    # and build or store nothing for the later page.  A cold query of the
+    # far page stores only the settle page it is served from.
+    served = 0
+    for c in _zero_page_instances(ring)[:5]:
+        t = totalize(c)
+        sp, fp = SpectralPages(c), FilteredPages(t)
+        pages = range(sp.stabilization_bound() + 2)
+        for r in pages:
+            sp.page(r)
+            for (p, q) in c.support:
+                fp.entry(r, p, p + q)
+        for engine, cold, cells in ((sp, SpectralPages(c), c.support),
+                                    (fp, FilteredPages(t), [(p, p + q) for p, q in c.support])):
+            for cell in cells:
+                cold.entry(pages[-1], *cell)
+            assert sorted(cold._entries) == sorted((cold.settle(*cell), *cell) for cell in cells)
+            stored = dict(engine._entries)
+            for cell in cells:
+                last = engine._last[cell]
+                assert not any((r, *cell) in stored for r in pages if r > last), cell
+                for r in range(last + 1, len(pages)):
+                    assert engine.entry(r, *cell) is stored[(last, *cell)], (r, cell)
+                    served += 1
+            assert engine._entries == stored
+    assert served > 200
 
 
 FRACTIONAL_INSTANCES = {

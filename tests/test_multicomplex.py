@@ -1,5 +1,7 @@
 """Multicomplex validation and MCX serialization."""
 
+from fractions import Fraction
+
 import pytest
 
 from mcss.builders import WallParams, hurtubise, staircase, wall
@@ -44,6 +46,31 @@ def test_validate_catches_sign_flip():
     c2 = Multicomplex(QQ, ranks, maps)
     bad = c2.validate()
     assert bad and bad[0].n == 1 and (bad[0].a, bad[0].b) == (1, 1)
+
+
+@pytest.mark.parametrize("ring, d0, d1, bad", [
+    (QQ, (Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 2), Fraction(-1)), Fraction(-1, 2)),
+    (GF(3), (1, 1), (1, 2), 1),
+    (ZZ, (3, 2), (6, -4), 4),
+])
+def test_validate_one_product_per_relation(ring, d0, d1, bad):
+    # d_0 d_1 + d_1 d_0 = 0 on the square (1,1) -> (1,0), (0,1) -> (0,0)
+    # holds only across the two terms: over Q with different denominators,
+    # over F_3 mod 3.  Changing one factor breaks it, with the composite
+    # sum of both terms reported.
+    ranks = {(1, 1): 1, (1, 0): 1, (0, 1): 1, (0, 0): 1}
+
+    def square(d1_10):
+        return Multicomplex(ring, ranks, {
+            (0, 1, 1): Mat(ring, 1, 1, [[d0[0]]]), (0, 0, 1): Mat(ring, 1, 1, [[d0[1]]]),
+            (1, 1, 1): Mat(ring, 1, 1, [[d1[0]]]), (1, 1, 0): Mat(ring, 1, 1, [[d1_10]])})
+
+    assert square(d1[1]).validate() == []
+    c = square(bad)
+    ((n, a, b, composite),) = c.validate()
+    assert (n, a, b) == (1, 1, 1)
+    want = c.dmap(0, 0, 1).mul(c.dmap(1, 1, 1)).add(c.dmap(1, 1, 0).mul(c.dmap(0, 1, 1)))
+    assert composite == want and not composite.is_zero()
 
 
 def test_validate_wall_truncation():
