@@ -160,7 +160,7 @@ def _pages_doc(c: Multicomplex, sp: SpectralPages, max_r: int):
         pages[str(r)] = table
         dl = []
         for (p, q), d in sorted(page.deltas.items()):
-            if d.is_zero() or not d.source_invariants:
+            if d.is_zero():
                 continue
             dl.append({
                 "p": p,
@@ -289,6 +289,8 @@ def cmd_example(args) -> int:
         elif args.name == "hurtubise":
             if args.n is None:
                 raise UsageError("hurtubise needs --n {1..4}")
+            if args.n == 2 and args.len is None:
+                raise UsageError("hurtubise --n 2 needs --len")
             c = builders.hurtubise(args.n, ring, length=args.len)
         elif args.name == "wall":
             if None in (args.r, args.s, args.t):

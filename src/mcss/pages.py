@@ -23,9 +23,8 @@ The paper's boundary system, on co-witnesses c_k in C_{p+k, q-k+1},
 leaves c_0 free; with x = c_{r-1} and z_j = -c_{r-1-j} its rows are the
 cycle system at (r-1, p+r-1, q-r+2).  Its values sum_k d_k c_k span B_r,
 so B_1 = im d_0 and B_r = B_{r-1} + V_{r-1}(p+r-1, q-r+2), with no
-co-witness system built.  `cowitnesses` and `_cycle_system` still build
-the full systems, as an independent oracle for the tests; the pages
-never build them.
+co-witness system built.  Only the tests build the full systems, as an
+independent oracle (`tests/oracles.py`).
 
 The map bidegrees keep every system inside nearby cells, and d_i is
 absent for i > maxd: V_r is read off the at most maxd + 1 blocks of row
@@ -36,12 +35,15 @@ degree n-1 left of p) on, and B_r from r_b = 1 + (greatest column of
 degree n+1 right of p) - p on, each 1 without such a column: the chain
 ends at r_z or at Z_r = 0, and `br` fills B_r up to r_b.  Past the
 settle page s = max(r_z, r_b) an entry is served from page s, and its
-differential, into an absent cell, is zero.  E_{r+1} is a subquotient of
-E_r, so Z_r = B_r gives Z_{r'} = B_{r'} = Z_r for r' > r, as Z shrinks,
-B grows and B <= Z (McCleary 2001, 2.2): a cell's last page starts at s
-and drops to the first page found zero, which serves every later page:
-a page past it returns the last page's entry object, and builds or stores
-nothing, since an entry is Z_r, B_r and their quotient, not its (r, p, q).
+differential lands in an absent cell.  A page builds Delta_r only out of
+a nonzero entry into a present cell: any other has no source generator
+or no target coordinate, so it is zero, with no value to check.  E_{r+1}
+is a subquotient of E_r, so Z_r = B_r gives Z_{r'} = B_{r'} = Z_r for
+r' > r, as Z shrinks, B grows and B <= Z (McCleary 2001, 2.2): a cell's
+last page starts at s and drops to the first page found zero, which
+serves every later page: a page past it returns the last page's entry
+object, and builds or stores nothing, since an entry is Z_r, B_r and
+their quotient, not its (r, p, q).
 A page r whose neighbouring cells (p-r+1, q+r-2) and (p+r-1, q-r+2) are
 both absent is served from page r-1: E_r = E_{r-1}.  One subquotient
 Z_r/B_r serves every (r, p, q) with an equal module pair.
@@ -135,12 +137,12 @@ class PageDifferential:
 
 
 class Page:
-    """All entries and differentials of one page over the support window."""
+    """One page's entries, and its Delta_r out of nonzero entries into present cells."""
 
     def __init__(self, r, entries, deltas):
         self.r = r
         self.entries = entries  # (p, q) -> PageEntry
-        self.deltas = deltas    # (p, q) -> PageDifferential
+        self.deltas = deltas    # (p, q) -> PageDifferential; the omitted ones are zero
 
     def invariants_table(self):
         return {cell: e.invariants for cell, e in sorted(self.entries.items()) if e.invariants}
@@ -161,28 +163,7 @@ class SpectralPages:
         self._entries = {}
         self._deltas = {}
 
-    # -- the two systems ---------------------------------------------------
-
-    def _assemble(self, widths, blocks):
-        """Stack row blocks (rows, [(column block, map or None, negate)]).
-
-        Returns the Mat and the column offsets of the blocks.
-        """
-        ring = self.c.ring
-        offs = [0]
-        for w in widths:
-            offs.append(offs[-1] + w)
-        grid = []
-        for tr, maps in blocks:
-            rows = [[ring.zero()] * offs[-1] for _ in range(tr)]
-            for b, m, negate in maps:
-                if m is None:
-                    continue
-                o = offs[b]
-                for row, src in zip(rows, m.data):
-                    row[o:o + m.cols] = [ring.neg(v) for v in src] if negate else src
-            grid.extend(rows)
-        return Mat._raw(ring, len(grid), offs[-1], grid), offs
+    # -- cycle and boundary modules ------------------------------------
 
     def _cycle_row(self, n, p, q):
         """Row n, d_n x - sum_{j=1}^{n} d_{n-j} z_j; its last block is -d_0 z_n."""
@@ -191,31 +172,6 @@ class SpectralPages:
                 [(0, c.dmap(n, p, q), False)]
                 + [(j, c.dmap(n - j, p - j, q + j), True)
                    for j in range(max(1, n - c.maxd), n + 1)])
-
-    def _cycle_system(self, r, p, q):
-        """Rows 0 <= n < r of the cycle system on (x, z_1, ..., z_{r-1})."""
-        widths = [self.c.rank(p - j, q + j) for j in range(r)]
-        return self._assemble(widths, [self._cycle_row(n, p, q) for n in range(r)])
-
-    def cowitnesses(self, r, p, q) -> list:
-        """Co-witness tuples spanning the kernel of the boundary system."""
-        c = self.c
-        widths = [c.rank(p + k, q - k + 1) for k in range(r)]
-        blocks = [
-            (c.rank(p + l, q - l),
-             [(k, c.dmap(k - l, p + k, q - k + 1), False)
-              for k in range(l, min(r, l + c.maxd + 1))])
-            for l in range(1, r)
-        ]
-        mat, offs = self._assemble(widths, blocks)
-        if not mat.cols:
-            return []
-        return [
-            CoWitnessTuple(r, p, q, {k: list(g[offs[k]:offs[k + 1]]) for k in range(r)})
-            for g in kernel(mat).gens
-        ]
-
-    # -- cycle and boundary modules ------------------------------------
 
     def zr(self, r: int, p: int, q: int) -> SubmodulePresentation:
         return self._chain(r, p, q)[0]
@@ -470,9 +426,10 @@ class SpectralPages:
     # -- pages ----------------------------------------------------------------
 
     def page(self, r: int) -> Page:
-        cells = self.c.support
-        entries = {cell: self.entry(r, *cell) for cell in cells}
-        deltas = {cell: self.delta(r, *cell) for cell in cells}
+        c = self.c
+        entries = {cell: self.entry(r, *cell) for cell in c.support}
+        deltas = {(p, q): self.delta(r, p, q) for (p, q), e in entries.items()
+                  if e.invariants and c.rank(p - r, q + r - 1)}
         return Page(r, entries, deltas)
 
     def stabilization_bound(self) -> int:

@@ -1,14 +1,62 @@
-"""Test-only oracles: the class map psi from the total complex to the
-witness route, and the lift of a witness-route cycle back to Tot.
+"""Test-only oracles: the paper's full cycle and boundary systems, the
+class map psi from the total complex to the witness route, and the lift
+of a witness-route cycle back to Tot.
 
-Each builds its own `SpectralPages`, so they check the engines from the
-outside; no engine calls them.
+The full systems are assembled from a `SpectralPages`'s multicomplex, and
+psi and the lift build their own engine, so they check the engines from
+the outside; no engine calls them.
 """
 
-from mcss.linalg import MembershipError, vec_sub
+from mcss.linalg import Mat, MembershipError, kernel, vec_sub
 from mcss.multicomplex import Multicomplex
-from mcss.pages import SpectralPages
+from mcss.pages import CoWitnessTuple, SpectralPages
 from mcss.total import FilteredVector, TotalComplex
+
+
+def _assemble(ring, widths, blocks):
+    """Stack row blocks (rows, [(column block, map or None, negate)]).
+
+    Returns the Mat and the column offsets of the blocks.
+    """
+    offs = [0]
+    for w in widths:
+        offs.append(offs[-1] + w)
+    grid = []
+    for tr, maps in blocks:
+        rows = [[ring.zero()] * offs[-1] for _ in range(tr)]
+        for b, m, negate in maps:
+            if m is None:
+                continue
+            o = offs[b]
+            for row, src in zip(rows, m.data):
+                row[o:o + m.cols] = [ring.neg(v) for v in src] if negate else src
+        grid.extend(rows)
+    return Mat._raw(ring, len(grid), offs[-1], grid), offs
+
+
+def cycle_system(sp: SpectralPages, r, p, q):
+    """Rows 0 <= n < r of the cycle system on (x, z_1, ..., z_{r-1})."""
+    widths = [sp.c.rank(p - j, q + j) for j in range(r)]
+    return _assemble(sp.c.ring, widths, [sp._cycle_row(n, p, q) for n in range(r)])
+
+
+def cowitnesses(sp: SpectralPages, r, p, q) -> list:
+    """Co-witness tuples spanning the kernel of the boundary system."""
+    c = sp.c
+    widths = [c.rank(p + k, q - k + 1) for k in range(r)]
+    blocks = [
+        (c.rank(p + l, q - l),
+         [(k, c.dmap(k - l, p + k, q - k + 1), False)
+          for k in range(l, min(r, l + c.maxd + 1))])
+        for l in range(1, r)
+    ]
+    mat, offs = _assemble(c.ring, widths, blocks)
+    if not mat.cols:
+        return []
+    return [
+        CoWitnessTuple(r, p, q, {k: list(g[offs[k]:offs[k + 1]]) for k in range(r)})
+        for g in kernel(mat).gens
+    ]
 
 
 def psi(t: TotalComplex, c: Multicomplex, r, p, n, x: FilteredVector):

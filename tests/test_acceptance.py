@@ -15,6 +15,7 @@ from mcss.linalg import Mat, image, kernel, subquotient
 from mcss.pages import SpectralPages, prop25_witness
 from mcss.rings import GF, QQ, ZZ
 from mcss.total import totalize
+from oracles import cowitnesses
 
 
 def announce(num, text):
@@ -94,7 +95,7 @@ def structural_issue(sp, rmax):
         for r in (2, 3):
             if r > rmax:
                 continue
-            for cow in sp.cowitnesses(r, p, q):
+            for cow in cowitnesses(sp, r, p, q):
                 prop25_witness(c, r, p, q, cow)  # raises/asserts on failure
         for r in range(0, rmax + 1):
             d1 = sp.delta(r, p, q)

@@ -64,6 +64,13 @@ def test_usage_error_exit_3(capsys):
     assert code == 3 and "invalid choice" in err
 
 
+def test_hurtubise_2_without_len_names_the_flag(capsys):
+    # One usage line, no traceback; the builder's ValueError stays for
+    # library callers.
+    code, out, err = run(capsys, "example", "hurtubise", "--n", "2")
+    assert (code, out, err) == (3, "", "usage error: hurtubise --n 2 needs --len\n")
+
+
 def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run(capsys, "validate", "-", stdin=H1, monkeypatch=monkeypatch)
     assert code == 0 and out.strip() == "OK"
@@ -229,16 +236,19 @@ def test_compare_serves_dead_cells_from_their_zero_page(tmp_path, capsys, monkey
 
 
 @pytest.mark.parametrize("command, digest, lines", [
-    ("pages", "e2efe55bcaa93d7830a7d90eb2706421ed472e357f5c99c30cb7dc1ae6f99925", 2061),
-    ("compare", "c6963bdf0358111282788f8aef1ae2eeb706d31f47b8554898ff9a15cc79fc80", 3),
-], ids=["pages", "compare"])
+    (["pages"], "e2efe55bcaa93d7830a7d90eb2706421ed472e357f5c99c30cb7dc1ae6f99925", 2061),
+    (["compare"], "c6963bdf0358111282788f8aef1ae2eeb706d31f47b8554898ff9a15cc79fc80", 3),
+    (["pages", "--json"], "685280cb4399733c841b0d1ff61715d9c9b7591847fd9975c4fbbcf069da4185",
+     13781),
+], ids=["pages", "compare", "pages-json"])
 def test_served_pages_at_scale_keep_their_output(tmp_path, capsys, command, digest, lines):
     # Wall (3,2,2) at amax 24: 625 cells, most of whose pages are served
     # past the cell's last page by both routes.  The output is pinned by
-    # hash, as computed when every page built its own entry.
+    # hash, as computed when every page built its own entry and every
+    # differential.
     f = tmp_path / "wall24.mcx"
     f.write_text(emit(wall(WallParams(3, 2, 2, 24))))
-    code, out, err = run(capsys, command, str(f))
+    code, out, err = run(capsys, *command, str(f))
     assert (code, err) == (0, "")
     assert out.count("\n") == lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest

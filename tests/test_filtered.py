@@ -10,7 +10,7 @@ from mcss.filtered import FilteredPages, compare, compare_engines, homology
 from mcss.linalg import Mat, MembershipError, SubmodulePresentation, image, kernel, subquotient
 from mcss.multicomplex import Multicomplex
 from mcss.pages import PageDifferential, SpectralPages, boundary_value
-from oracles import lift_to_total, psi
+from oracles import cowitnesses, cycle_system, lift_to_total, psi
 from test_pages import ZERO_PAGE_RINGS, _zero_page_instances, dense_z
 from mcss.rings import GF, QQ, ZZ
 from mcss.total import FilteredVector, totalize
@@ -493,9 +493,9 @@ def test_modules_are_constant_past_the_settle_page(name):
             sp, fp = SpectralPages(c), FilteredPages(t)
             assert (sp.zr(r, p, q), sp.br(r, p, q)) == want[:2], (r, p, q)
             assert (fp.zz(r, p, n), fp.bb(r, p, n)) == want[2:], (r, p, q)
-            ker = kernel(sp._cycle_system(r, p, q)[0])
+            ker = kernel(cycle_system(sp, r, p, q)[0])
             zr = SubmodulePresentation.span(ring, nx, [g[:nx] for g in ker.gens])
-            values = [boundary_value(c, r, p, q, cow) for cow in sp.cowitnesses(r, p, q)]
+            values = [boundary_value(c, r, p, q, cow) for cow in cowitnesses(sp, r, p, q)]
             assert (zr, SubmodulePresentation.span(ring, nx, values)) == want[:2], (r, p, q)
 
 

@@ -27,6 +27,7 @@ from mcss.pages import (
 )
 from mcss.rings import GF, QQ, ZZ
 from mcss.total import totalize
+from oracles import cowitnesses, cycle_system
 
 RINGS = (GF(2), GF(97), QQ, ZZ)
 
@@ -100,7 +101,7 @@ def test_b_r_of_empty_multicomplex():
 def test_cowitness_generators_certify_boundaries():
     c = staircase(2, QQ)
     sp = SpectralPages(c)
-    br, cows = sp.br(3, 0, 1), sp.cowitnesses(3, 0, 1)
+    br, cows = sp.br(3, 0, 1), cowitnesses(sp, 3, 0, 1)
     assert br.rank == 1 and len(cows) >= 1
     for cow in cows:
         assert star2_holds(c, 3, 0, 1, cow)
@@ -211,7 +212,7 @@ def test_prop25_property_on_random_instances(ring):
         sp = SpectralPages(c)
         for (p, q) in c.support:
             for r in range(2, sp.stabilization_bound() + 2):
-                for cow in sp.cowitnesses(r, p, q):
+                for cow in cowitnesses(sp, r, p, q):
                     w = prop25_witness(c, r, p, q, cow)
                     x = boundary_value(c, r, p, q, cow)
                     assert star1_holds(c, r, p, q, x, w)
@@ -483,10 +484,10 @@ def test_clamped_modules_match_unclamped_systems(name):
     for r in range(1, sp.stabilization_bound() + 3):
         for (p, q) in c.support:
             nx = c.rank(p, q)
-            ker = kernel(sp._cycle_system(r, p, q)[0])
+            ker = kernel(cycle_system(sp, r, p, q)[0])
             zr = SubmodulePresentation.span(ring, nx, [g[:nx] for g in ker.gens])
             assert sp.zr(r, p, q) == zr, (r, p, q)
-            values = [boundary_value(c, r, p, q, cow) for cow in sp.cowitnesses(r, p, q)]
+            values = [boundary_value(c, r, p, q, cow) for cow in cowitnesses(sp, r, p, q)]
             assert sp.br(r, p, q) == SubmodulePresentation.span(ring, nx, values), (r, p, q)
 
 
@@ -530,7 +531,7 @@ def test_pages_build_no_boundary_system(monkeypatch):
         rows.append(m.rows)
         return original(m)
 
-    monkeypatch.setattr(SpectralPages, "cowitnesses", refuse)
+    monkeypatch.setattr("oracles.cowitnesses", refuse)
     monkeypatch.setattr(mcss.pages, "kernel", counting)
     instances = [wall(WallParams(3, 2, 2, 6))] + [
         random_mcx(RandomSpec(seed=0, width=5, height=5, maxrank=3, maxd=3, ring=ring))
@@ -647,6 +648,41 @@ def test_cells_past_their_zero_page_still_have_witnesses(ring):
     assert checked > 100
 
 
+@pytest.mark.parametrize("ring", ZERO_PAGE_RINGS, ids=str)
+def test_page_holds_every_differential_that_can_be_nonzero(ring):
+    # page(r) builds Delta_r out of every nonzero entry into a present cell,
+    # equal to the one an engine that never builds a page computes; every
+    # other Delta_r, asked of that engine, is zero.
+    built = omitted = 0
+    for c in _zero_page_instances(ring):
+        sp, fresh = SpectralPages(c), SpectralPages(c)
+        for r in range(sp.stabilization_bound() + 2):
+            page = sp.page(r)
+            live = {(p, q) for (p, q) in c.support
+                    if fresh.entry(r, p, q).invariants and c.rank(p - r, q + r - 1)}
+            assert set(page.deltas) == live, r
+            for (p, q) in c.support:
+                want = fresh.delta(r, p, q)
+                if (p, q) in live:
+                    d = page.deltas[(p, q)]
+                    assert (d.rows, d.source_invariants, d.target_invariants) == (
+                        want.rows, want.source_invariants, want.target_invariants), (r, p, q)
+                    built += not d.is_zero()
+                else:
+                    assert want.is_zero(), (r, p, q)
+                    omitted += 1
+    assert built > 20 and omitted > built
+
+
+def test_pages_store_only_differentials_that_can_be_nonzero():
+    # Wall (3,2,2) at amax 16, paged to the bound: 5,491 (r, cell) visits,
+    # when every visit built and stored its Delta_r.
+    sp = SpectralPages(wall(WallParams(3, 2, 2, 16)))
+    for r in range(sp.stabilization_bound() + 1):
+        sp.page(r)
+    assert len(sp._deltas) == 508
+
+
 def _witness_targets(monkeypatch):
     targets = []
     original = SpectralPages.witness
@@ -685,7 +721,7 @@ def test_wide_sparse_pages_solve_no_witness(monkeypatch):
 def _system_witness(sp, r, p, q, x):
     """A witness solved on the z columns of the full cycle system at r."""
     ring = sp.c.ring
-    mat, offs = sp._cycle_system(r, p, q)
+    mat, offs = cycle_system(sp, r, p, q)
     nx = offs[1]
     rhs = [-v for v in Mat._raw(ring, mat.rows, nx, [row[:nx] for row in mat.data]).matvec(x)]
     z = solve(Mat._raw(ring, mat.rows, mat.cols - nx, [row[nx:] for row in mat.data]), rhs)
@@ -722,7 +758,7 @@ def test_pages_build_no_full_cycle_system(monkeypatch):
     def refuse(*args):
         raise AssertionError("pages built a full cycle system")
 
-    monkeypatch.setattr(SpectralPages, "_cycle_system", refuse)
+    monkeypatch.setattr("oracles.cycle_system", refuse)
     for name in sorted(REFERENCE_INSTANCES):
         c = REFERENCE_INSTANCES[name]()
         sp = SpectralPages(c)
