@@ -33,6 +33,6 @@ from .pages import (
     prop25_witness,
 )
 from .rings import GF, QQ, ZZ, Ring
-from .total import FilteredVector, TotalComplex, totalize
+from .total import TotalComplex, totalize
 
 __version__ = "0.1.0"

@@ -719,7 +719,7 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
         coord_cols.append(y)
     k = z.rank
     rel = Mat.from_cols(ring, k, coord_cols)
-    u, d, _ = snf(rel)
+    u, d = snf(rel)
     factors = []
     for i in range(k):
         factors.append(d.data[i][i] if i < min(d.rows, d.cols) else 0)
@@ -746,13 +746,16 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
 
 
 def snf(m: Mat):
-    """Smith normal form: U.m.V = D diagonal, U and V unimodular, d_i | d_{i+1} >= 0."""
+    """Smith normal form (U, D): U.m.V = D diagonal with d_i | d_{i+1} >= 0.
+
+    U and V are unimodular; V, the column operations, is not built, as the
+    row operations never read it: D and U are as if it were.
+    """
     if m.ring is not ZZ:
         raise ValueError("Smith normal form is computed over ZZ")
     nr, nc = m.rows, m.cols
     a = [row[:] for row in m.data]
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    vcols = [[1 if i == j else 0 for i in range(nc)] for j in range(nc)]
 
     def row_gcd_op(k, i):
         aa, bb = a[k][k], a[i][k]
@@ -776,7 +779,6 @@ def snf(m: Mat):
             q = bb // aa
             for row in a:
                 row[j] -= q * row[k]
-            vcols[j] = [x - q * y for x, y in zip(vcols[j], vcols[k])]
         else:
             g, x, y = _xgcd(aa, bb)
             mb, ag = -(bb // g), aa // g
@@ -784,9 +786,6 @@ def snf(m: Mat):
                 s, t = row[k], row[j]
                 row[k] = x * s + y * t
                 row[j] = mb * s + ag * t
-            ck, cj = vcols[k], vcols[j]
-            vcols[k] = [x * s + y * t for s, t in zip(ck, cj)]
-            vcols[j] = [mb * s + ag * t for s, t in zip(ck, cj)]
 
     for k in range(min(nr, nc)):
         found = False
@@ -805,7 +804,6 @@ def snf(m: Mat):
         if j != k:
             for row in a:
                 row[k], row[j] = row[j], row[k]
-            vcols[k], vcols[j] = vcols[j], vcols[k]
         while True:
             for i in range(k + 1, nr):
                 if a[i][k]:
@@ -831,7 +829,4 @@ def snf(m: Mat):
         if a[k][k] < 0:
             a[k] = [-x for x in a[k]]
             u[k] = [-x for x in u[k]]
-    umat = Mat._raw(ZZ, nr, nr, u)
-    dmat = Mat._raw(ZZ, nr, nc, a)
-    vmat = Mat._raw(ZZ, nc, nc, [[vcols[j][i] for j in range(nc)] for i in range(nc)])
-    return umat, dmat, vmat
+    return Mat._raw(ZZ, nr, nr, u), Mat._raw(ZZ, nr, nc, a)

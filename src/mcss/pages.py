@@ -16,7 +16,9 @@ giving the generator (sum_k t_k g_k, z_r).  This is exact over Z too,
 since V is linear in t.  Z_r is read off K_r's canonical generators whose
 pivot lies in the x block, without an elimination, and so are the
 witnesses: x is one combination of those x parts, and the same
-combination of the generators' z parts witnesses it.
+combination of the generators' z parts witnesses it.  The same
+combination of their values V_r is Delta_r [x]: the differential is read
+off V_r, with no witness formed and no map applied again.
 
 The paper's boundary system, on co-witnesses c_k in C_{p+k, q-k+1},
 0 <= k < r, with the rows sum_{k=l}^{r-1} d_{k-l} c_k for 1 <= l < r,
@@ -146,9 +148,6 @@ class Page:
 
     def invariants_table(self):
         return {cell: e.invariants for cell, e in sorted(self.entries.items()) if e.invariants}
-
-    def deltas_all_zero(self) -> bool:
-        return all(d.is_zero() for d in self.deltas.values())
 
 
 class SpectralPages:
@@ -326,17 +325,30 @@ class SpectralPages:
 
     # -- witnesses ---------------------------------------------------------
 
+    def _lift(self, r, p, q, x):
+        """t with x = sum_k t_k (x part of row k of K_s, the chain step at r).
+
+        The first rank Z_s rows span Z_s.  Raises if x is not an r-cycle.
+        """
+        zs, _, k = self._chain(r, p, q)  # a row's scale cancels between t and its parts
+        cols = Mat._raw(self.c.ring, len(x), zs.rank,
+                        [[g[i] for g in k.rows[:zs.rank]] for i in range(len(x))], integral=True)
+        t = solve(cols, x)
+        if t is None:
+            raise MembershipError(f"element is not an r={r} cycle at ({p},{q})")
+        return t
+
     def witness(self, r, p, q, x, scramble=None) -> WitnessTuple:
         """A deterministic witness tuple for x in Z_r; raises if x is not a cycle.
 
-        Read off the cell's chain at s = min(r, its last step): x is a
-        unique combination sum_k t_k of the x parts of K_s's first rows,
-        which span Z_s, and the z parts of the same combination of K_s's
-        rows are the witnesses z_j, j < s, cut at the chain's block
-        offsets.  Past s every z_j is zero: from r_z on no row meets a
-        module, or else Z_s = 0 and x = 0.  `scramble` seeds a combination
-        of K_s's rows with x part zero, added to the canonical one, giving
-        a different (still valid) witness for independence tests.
+        Read off the cell's chain at s = min(r, its last step): the z parts
+        of the combination of K_s's rows that `_lift` finds for x are the
+        witnesses z_j, j < s, cut at the chain's block offsets.  Past s
+        every z_j is zero: from r_z on no row meets a module, or else
+        Z_s = 0 and x = 0.  `scramble` seeds a combination of K_s's rows
+        with x part zero, added to the canonical one, giving a different
+        (still valid) witness for independence tests.  `delta` forms no
+        witness: it reads Delta_r off the V_r of the same rows.
         """
         c = self.c
         ring = c.ring
@@ -346,20 +358,15 @@ class SpectralPages:
             raise ValueError("element length does not match the cell rank")
         if r < 1:
             return WitnessTuple(r, p, q, {})
+        t = self._lift(r, p, q, x)
         zs, _, k = self._chain(r, p, q)
-        rows = k.rows  # the scale of each row cancels between t and the z parts
-        cols = Mat._raw(ring, nx, zs.rank, [[g[i] for g in rows[:zs.rank]] for i in range(nx)],
-                        integral=True)
-        t = solve(cols, x)
-        if t is None:
-            raise MembershipError(f"element is not an r={r} cycle at ({p},{q})")
         # A chain that ended at Z_s = 0 has no K_r past s, and the x = 0 part
         # of K_s need not solve the later rows: x = 0 keeps its zero witness.
         if scramble is not None and zs.rank:
             rng = random.Random(scramble)
             t += [ring.normalize(rng.randint(-3, 3)) for _ in range(zs.rank, k.rank)]
         (tints,), tden = ring.int_rows((t,))
-        zcols = [[g[i] for g in rows[:len(t)]] for i in range(nx, k.ambient_rank)]
+        zcols = [[g[i] for g in k.rows[:len(t)]] for i in range(nx, k.ambient_rank)]
         flat = ring.dots(zcols, tints, tden)
         # Block j < s of K_s spans K_j's ambient up to K_{j+1}'s.
         ends = [st[2].ambient_rank - nx for st in self._chains.get((p, q), [])[:r]]
@@ -370,20 +377,37 @@ class SpectralPages:
     # -- differentials -------------------------------------------------------
 
     def delta(self, r: int, p: int, q: int) -> PageDifferential:
+        """Delta_r at (p, q): d_0 at r = 0, else read off the chain step's V_r.
+
+        With x = sum_k t_k (x part of K_r row k) from `_lift`, the value is
+        sum_k t_k V_r[k], the paper's formula on the witness of those rows.
+        """
         key = (r, p, q)
         cached = self._deltas.get(key)
         if cached is not None:
             return cached
         c = self.c
+        ring = c.ring
         src = self.entry(r, p, q)
         tp, tq = p - r, q + r - 1
-        if not c.rank(tp, tq):  # no coordinates: no witness, no target entry
+        tr = c.rank(tp, tq)
+        if not tr:  # no coordinates: no lift, no target entry
             d = PageDifferential(r, p, q, src.quot.invariants, (), ())
             return self._deltas.setdefault(key, d)
         tgt = self.entry(r, tp, tq)
+        if r:
+            zs, (vals, den), _ = self._chain(r, p, q)
+            # V_r on Z_s's rows, one row per target coordinate; rows of () read 0.
+            vrows = list(zip(*vals[:zs.rank])) or [()] * tr
+        else:
+            m0 = c.dmap(0, p, q)
         cols = []
         for g in src.quot.gens:
-            v = self._delta_value(r, p, q, list(g))
+            if r:
+                (tints,), tden = ring.int_rows((self._lift(r, p, q, list(g)),))
+                v = ring.dots(vrows, tints, tden * den)
+            else:
+                v = m0.matvec(list(g)) if m0 is not None else zero_vec(ring, tr)
             try:
                 cols.append(tgt.quot.reduce(v))
             except MembershipError as exc:
@@ -392,28 +416,10 @@ class SpectralPages:
                 ) from exc
         rows = tuple(tuple(col[i] for col in cols) for i in range(len(tgt.quot.invariants)))
         d = PageDifferential(r, p, q, src.quot.invariants, tgt.quot.invariants, rows)
-        if not c.ring.is_field:
+        if not ring.is_field:
             self._check_torsion_compat(d)
         self._deltas[key] = d
         return d
-
-    def _delta_value(self, r, p, q, x, wit: WitnessTuple | None = None):
-        """d_r x - sum_{i=1}^{r-1} d_i z_{p-r+i} as an element of C_{p-r, q+r-1}."""
-        c = self.c
-        ring = c.ring
-        tgt_rank = c.rank(p - r, q + r - 1)
-        mr = c.dmap(r, p, q)
-        v = mr.matvec(x) if mr is not None else zero_vec(ring, tgt_rank)
-        if r >= 1:
-            if wit is None:
-                wit = self.witness(r, p, q, x)
-            for i in range(1, min(r, c.maxd + 1)):
-                j = r - i
-                mi = c.dmap(i, p - j, q + j)
-                zj = wit.z.get(j)
-                if mi is not None and zj is not None and any(zj):
-                    v = vec_sub(ring, v, mi.matvec(zj))
-        return v
 
     def _check_torsion_compat(self, d: PageDifferential):
         for j, ds in enumerate(d.source_invariants):

@@ -8,17 +8,9 @@ coordinate suffix and membership is a mask, not a solve.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import NamedTuple
 
 from .linalg import Mat
 from .multicomplex import Multicomplex
-
-
-class FilteredVector(NamedTuple):
-    """An element of Tot_n in the fixed degree-n basis."""
-
-    n: int
-    coords: tuple
 
 
 class TotalComplex:
@@ -39,17 +31,8 @@ class TotalComplex:
         return self._dims.get(n, 0)
 
     def blocks(self, n: int):
+        """The (a, n-a, rank) blocks of the degree-n basis, in its order: descending a."""
         return self._blocks.get(n, [])
-
-    def basis(self, n: int):
-        """Ordered basis labels: (bidegree, local index) in storage order."""
-        out = []
-        for a, b, rank in self.blocks(n):
-            out.extend(((a, b), k) for k in range(rank))
-        return out
-
-    def filtration_index(self, n: int):
-        return [a for a, _, rank in self.blocks(n) for _ in range(rank)]
 
     def d(self, n: int) -> Mat:
         m = self._diff.get(n)
@@ -65,28 +48,6 @@ class TotalComplex:
         """First coordinate with filtration index <= p (they form a suffix)."""
         cols, starts = self._cuts.get(n, ((), (0,)))
         return starts[bisect_left(cols, -p)]
-
-    def zero_vector(self, n: int) -> FilteredVector:
-        return FilteredVector(n, tuple(self.ring.zero() for _ in range(self.dim(n))))
-
-    def project(self, x: FilteredVector, a: int) -> FilteredVector:
-        filt = self.filtration_index(x.n)
-        zero = self.ring.zero()
-        return FilteredVector(
-            x.n, tuple(c if fa == a else zero for c, fa in zip(x.coords, filt))
-        )
-
-    def embed_block(self, n: int, a: int, local) -> FilteredVector:
-        start, rank = self.block_start(n, a)
-        if start is None:
-            if any(local):
-                raise ValueError(f"no block at column {a} in degree {n}")
-            return self.zero_vector(n)
-        if len(local) != rank:
-            raise ValueError("local vector has the wrong length")
-        coords = [self.ring.zero()] * self.dim(n)
-        coords[start:start + rank] = [self.ring.normalize(v) for v in local]
-        return FilteredVector(n, tuple(coords))
 
 
 def totalize(c: Multicomplex) -> TotalComplex:

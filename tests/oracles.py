@@ -1,16 +1,20 @@
-"""Test-only oracles: the paper's full cycle and boundary systems, the
-class map psi from the total complex to the witness route, and the lift
-of a witness-route cycle back to Tot.
+"""Test-only oracles: the paper's full cycle and boundary systems, its
+differential formula evaluated on a given witness, the class map psi from
+the total complex to the witness route, and the lift of a witness-route
+cycle back to Tot.
 
-The full systems are assembled from a `SpectralPages`'s multicomplex, and
-psi and the lift build their own engine, so they check the engines from
-the outside; no engine calls them.
+The full systems are assembled from a `SpectralPages`'s multicomplex, the
+formula applies the structure maps to the witness, and psi and the lift
+build their own engine, so they check the engines from the outside; no
+engine calls them.  `has_no_deltas` is the check that a page at or past
+the stabilization bound has no differential.  Elements of Tot_n are
+coordinate lists in the degree-n basis of `totalize`.
 """
 
-from mcss.linalg import Mat, MembershipError, kernel, vec_sub
+from mcss.linalg import Mat, MembershipError, kernel, vec_sub, zero_vec
 from mcss.multicomplex import Multicomplex
-from mcss.pages import CoWitnessTuple, SpectralPages
-from mcss.total import FilteredVector, TotalComplex
+from mcss.pages import CoWitnessTuple, SpectralPages, WitnessTuple
+from mcss.total import TotalComplex
 
 
 def _assemble(ring, widths, blocks):
@@ -59,17 +63,56 @@ def cowitnesses(sp: SpectralPages, r, p, q) -> list:
     ]
 
 
-def psi(t: TotalComplex, c: Multicomplex, r, p, n, x: FilteredVector):
-    """The class of (x)_p on the witness side, for x an r-cycle on Tot."""
-    dx = t.d(n).matvec(list(x.coords))
-    if any(x.coords[:t.filtration_start(n, p)]) or any(dx[:t.filtration_start(n - 1, p - r)]):
+def delta_value(c: Multicomplex, r, p, q, x, wit: WitnessTuple | None):
+    """d_r x - sum_{i=1}^{r-1} d_i z_{r-i} in C_{p-r, q+r-1}, for x and its witness."""
+    ring = c.ring
+    mr = c.dmap(r, p, q)
+    v = mr.matvec(x) if mr is not None else zero_vec(ring, c.rank(p - r, q + r - 1))
+    for i in range(1, min(r, c.maxd + 1)):
+        j = r - i
+        mi = c.dmap(i, p - j, q + j)
+        zj = wit.z.get(j)
+        if mi is not None and zj is not None and any(zj):
+            v = vec_sub(ring, v, mi.matvec(zj))
+    return v
+
+
+def delta_with_witness(sp: SpectralPages, r, p, q, x, scramble=None):
+    """The reduced Delta_r of one element, for the witness seeded by `scramble`."""
+    wit = sp.witness(r, p, q, x, scramble=scramble) if r >= 1 else None
+    return sp.entry(r, p - r, q + r - 1).quot.reduce(delta_value(sp.c, r, p, q, x, wit))
+
+
+def has_no_deltas(sp: SpectralPages, r) -> bool:
+    """Page r builds no Delta_r, and Delta_r out of every cell has no target row."""
+    return sp.page(r).deltas == {} and all(sp.delta(r, p, q).rows == () for p, q in sp.c.support)
+
+
+def embed(t: TotalComplex, n, a, local) -> list:
+    """The element of Tot_n that is `local` in the (a, n-a) block and 0 elsewhere."""
+    start, rank = t.block_start(n, a)
+    if start is None:
+        if any(local):
+            raise ValueError(f"no block at column {a} in degree {n}")
+        return zero_vec(t.ring, t.dim(n))
+    if len(local) != rank:
+        raise ValueError("local vector has the wrong length")
+    coords = zero_vec(t.ring, t.dim(n))
+    coords[start:start + rank] = [t.ring.normalize(v) for v in local]
+    return coords
+
+
+def psi(t: TotalComplex, c: Multicomplex, r, p, n, x):
+    """The class of (x)_p on the witness side, for x an r-cycle on Tot_n."""
+    dx = t.d(n).matvec(x)
+    if any(x[:t.filtration_start(n, p)]) or any(dx[:t.filtration_start(n - 1, p - r)]):
         raise MembershipError("element does not lie in the filtered cycle module")
     start, width = t.block_start(n, p)
-    local = [] if start is None else list(x.coords[start:start + width])
+    local = [] if start is None else x[start:start + width]
     return SpectralPages(c).entry(r, p, n - p).quot.reduce(local)
 
 
-def lift_to_total(c: Multicomplex, t: TotalComplex, r, p, q, x) -> FilteredVector:
+def lift_to_total(c: Multicomplex, t: TotalComplex, r, p, q, x) -> list:
     """x - z_{p-1} - ... - z_{p-r+1} as a filtered r-cycle on Tot.
 
     Uses the canonical witnesses; psi checks membership in the filtered
@@ -78,14 +121,13 @@ def lift_to_total(c: Multicomplex, t: TotalComplex, r, p, q, x) -> FilteredVecto
     ring, n = t.ring, p + q
     x = [ring.normalize(v) for v in x]
     sp = SpectralPages(c)
-    vec = list(t.embed_block(n, p, x).coords)
+    lift = embed(t, n, p, x)
     if r >= 2:
         wit = sp.witness(r, p, q, x)
         for j in range(1, r):
             zj = wit.z.get(j, [])
             if any(zj):
-                vec = vec_sub(ring, vec, t.embed_block(n, p - j, zj).coords)
-    lift = FilteredVector(n, tuple(vec))
+                lift = vec_sub(ring, lift, embed(t, n, p - j, zj))
     want = sp.entry(r, p, q).quot.reduce(x)
     assert psi(t, c, r, p, n, lift) == want, "psi does not invert the lift"
     return lift

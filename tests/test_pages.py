@@ -27,7 +27,7 @@ from mcss.pages import (
 )
 from mcss.rings import GF, QQ, ZZ
 from mcss.total import totalize
-from oracles import cowitnesses, cycle_system
+from oracles import cowitnesses, cycle_system, delta_value, delta_with_witness, has_no_deltas
 
 RINGS = (GF(2), GF(97), QQ, ZZ)
 
@@ -318,12 +318,6 @@ def test_bicomplex_delta1_is_induced_d1():
             assert e_tgt.quot.reduce(v) == tuple(row[j] for row in d.rows)
 
 
-def delta_with_witness(sp, r, p, q, x, scramble=None):
-    """The reduced Delta_r of one element, for the witness seeded by `scramble`."""
-    wit = sp.witness(r, p, q, x, scramble=scramble) if r >= 1 else None
-    return sp.entry(r, p - r, q + r - 1).quot.reduce(sp._delta_value(r, p, q, x, wit=wit))
-
-
 def test_delta_independent_of_witness_choice():
     c = random_mcx(RandomSpec(seed=11, width=5, height=4, maxrank=2, maxd=4, ring=ZZ))
     sp = SpectralPages(c)
@@ -346,11 +340,11 @@ def _includes(a, b):
 
 
 def _einf(sp):
-    """Page stabilization_bound(): equal to the next page, with every delta zero."""
+    """Page stabilization_bound(): equal to the next page, with no differential."""
     bound = sp.stabilization_bound()
     stable, beyond = sp.page(bound), sp.page(bound + 1)
     assert stable.invariants_table() == beyond.invariants_table()
-    assert stable.deltas_all_zero() and beyond.deltas_all_zero()
+    assert has_no_deltas(sp, bound) and has_no_deltas(sp, bound + 1)
     return stable
 
 
@@ -683,39 +677,43 @@ def test_pages_store_only_differentials_that_can_be_nonzero():
     assert len(sp._deltas) == 508
 
 
-def _witness_targets(monkeypatch):
+def _lift_targets(monkeypatch, sp):
+    """Pages 0 to bound + 1 and Delta_r out of every cell; the target of each lift solve."""
     targets = []
-    original = SpectralPages.witness
+    original = SpectralPages._lift
 
-    def counting(self, r, p, q, x, scramble=None):
+    def counting(self, r, p, q, x):
         targets.append((p - r, q + r - 1))
-        return original(self, r, p, q, x, scramble=scramble)
+        return original(self, r, p, q, x)
 
-    monkeypatch.setattr(SpectralPages, "witness", counting)
+    monkeypatch.setattr(SpectralPages, "_lift", counting)
+    for r in range(sp.stabilization_bound() + 2):
+        sp.page(r)
+        for (p, q) in sp.c.support:
+            sp.delta(r, p, q)
     return targets
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
 def test_no_witness_for_a_differential_into_an_absent_cell(name, monkeypatch):
-    # A value in an absent cell has no coordinates, so its witness is not
-    # solved; every present target still gets one per source generator.
-    targets = _witness_targets(monkeypatch)
+    # Delta_r reads no witness: it lifts each source generator onto the
+    # chain's rows by one solve.  A value in an absent cell has no
+    # coordinates, so it is not lifted; a present target gets one solve per
+    # source generator on every page r >= 1 (Delta_0 is d_0).
     c = REFERENCE_INSTANCES[name]()
     sp = SpectralPages(c)
-    for r in range(sp.stabilization_bound() + 2):
-        sp.page(r)
+    targets = _lift_targets(monkeypatch, sp)
     assert targets
     assert all(c.rank(*t) for t in targets)
+    assert len(targets) == sum(len(sp.entry(r, p, q).quot.gens)
+                               for r in range(1, sp.stabilization_bound() + 2)
+                               for (p, q) in c.support if c.rank(p - r, q + r - 1))
 
 
 def test_wide_sparse_pages_solve_no_witness(monkeypatch):
     # Two rank-1 cells 1000 columns apart: every differential leaves the support.
-    targets = _witness_targets(monkeypatch)
     c = Multicomplex(ZZ, {(0, 0): 1, (1000, 0): 1}, {})
-    sp = SpectralPages(c)
-    for r in range(sp.stabilization_bound() + 2):
-        sp.page(r)
-    assert targets == []
+    assert _lift_targets(monkeypatch, SpectralPages(c)) == []
 
 
 def _system_witness(sp, r, p, q, x):
@@ -743,7 +741,7 @@ def test_chain_witnesses_match_full_system_oracle(name):
             for j, g in enumerate(src.quot.gens):
                 x = list(g)
                 assert star1_holds(c, r, p, q, x, sp.witness(r, p, q, x)), (r, p, q)
-                v = sp._delta_value(r, p, q, x, wit=_system_witness(sp, r, p, q, x))
+                v = delta_value(c, r, p, q, x, _system_witness(sp, r, p, q, x))
                 assert tgt.quot.reduce(v) == tuple(row[j] for row in d.rows), (r, p, q)
             zr = sp.zr(r, p, q)
             for x in sp.zr(1, p, q).gens:

@@ -1,12 +1,17 @@
-"""Total complex assembly, filtration masks, and projections."""
+"""Total complex assembly, basis blocks and filtration masks."""
 
 import pytest
 
 from mcss.builders import RandomSpec, hurtubise, random_mcx, staircase
-from mcss.linalg import image, vec_add, zero_vec
+from mcss.linalg import image, zero_vec
 from mcss.multicomplex import Multicomplex
 from mcss.rings import GF, QQ, ZZ
-from mcss.total import FilteredVector, totalize
+from mcss.total import totalize
+
+
+def _labels(t, n):
+    """(a, b, k) of each degree-n coordinate: local index k of the (a, b) block."""
+    return [(a, b, k) for a, b, rank in t.blocks(n) for k in range(rank)]
 
 
 def test_totalize_staircase2():
@@ -30,9 +35,14 @@ def test_totalize_hurtubise3_block():
 def test_basis_order_descending_first_index():
     t = totalize(staircase(3, ZZ))
     for n in t.degrees():
-        labels = [a for (a, _), _ in t.basis(n)]
+        labels = [a for a, _, _ in _labels(t, n)]
         assert labels == sorted(labels, reverse=True)
-        assert labels == t.filtration_index(n)
+        # Each block sits at its block_start, and the blocks tile Tot_n in order.
+        pos = 0
+        for a, b, rank in t.blocks(n):
+            assert a + b == n and t.block_start(n, a) == (pos, rank)
+            pos += rank
+        assert pos == t.dim(n)
 
 
 def test_filtration_basis_extremes():
@@ -42,23 +52,6 @@ def test_filtration_basis_extremes():
     assert list(range(t.filtration_start(2, 1), t.dim(2))) == [1]  # only the a = 1 generator
 
 
-def test_project():
-    t = totalize(staircase(2, QQ))
-    zero = t.zero_vector(2)
-    assert t.project(zero, 1) == zero
-    x = FilteredVector(2, (QQ.normalize(1), QQ.normalize(1)))  # basis (2,0), (1,1)
-    assert t.project(x, 2).coords == (1, 0)
-    assert t.project(x, 1).coords == (0, 1)
-    # projections sum back to x
-    total = zero_vec(QQ, 2)
-    for a in (1, 2):
-        total = vec_add(QQ, total, list(t.project(x, a).coords))
-    assert tuple(total) == x.coords
-    # a single-column vector is fixed by its own projection
-    y = t.embed_block(2, 2, [5])
-    assert t.project(y, 2) == y
-
-
 @pytest.mark.parametrize("ring", [QQ, GF(2), ZZ], ids=str)
 def test_filtration_is_subcomplex_and_blockwise_formula(ring):
     for seed in range(5):
@@ -66,23 +59,23 @@ def test_filtration_is_subcomplex_and_blockwise_formula(ring):
         t = totalize(c)
         for n in t.degrees():
             d = t.d(n)
-            filt_src = t.filtration_index(n)
-            filt_tgt = t.filtration_index(n - 1)
+            filt_src = [a for a, _, _ in _labels(t, n)]
+            filt_tgt = [a for a, _, _ in _labels(t, n - 1)]
             # d(F_p) inside F_p: matrix entries vanish unless a(row) <= a(col)
             for i, arow in enumerate(filt_tgt):
                 for j, acol in enumerate(filt_src):
                     if arow > acol:
                         assert not d.data[i][j]
             # (dx)_a = sum_i d_i (x)_{a+i}, on every basis vector
-            for (a, b), k in t.basis(n):
+            for a, b, k in _labels(t, n):
                 x = [ring.zero()] * t.dim(n)
                 start, _ = t.block_start(n, a)
                 x[start + k] = ring.one()
-                dx = FilteredVector(n - 1, tuple(d.matvec(x)))
-                for ta in {aa for (aa, _), _ in t.basis(n - 1)}:
+                dx = d.matvec(x)
+                for ta, _, _ in t.blocks(n - 1):
                     i = a - ta
                     start, width = t.block_start(n - 1, ta)
-                    blk = list(dx.coords[start:start + width])
+                    blk = dx[start:start + width]
                     m = c.dmap(i, a, b) if i >= 0 else None
                     expect = m.to_cols()[k] if m is not None else zero_vec(ring, len(blk))
                     assert blk == expect
