@@ -17,8 +17,9 @@ since V is linear in t.  Z_r is read off K_r's canonical generators whose
 pivot lies in the x block, without an elimination, and so are the
 witnesses: x is one combination of those x parts, and the same
 combination of the generators' z parts witnesses it.  The same
-combination of their values V_r is Delta_r [x]: the differential is read
-off V_r, with no witness formed and no map applied again.
+combination of their values V_r is Delta_r [x]: `witness` solves for the
+combination, and the differential is read off V_r, with no map applied
+again.
 
 The paper's boundary system, on co-witnesses c_k in C_{p+k, q-k+1},
 0 <= k < r, with the rows sum_{k=l}^{r-1} d_{k-l} c_k for 1 <= l < r,
@@ -53,7 +54,6 @@ Z_r/B_r serves every (r, p, q) with an equal module pair.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
@@ -325,10 +325,15 @@ class SpectralPages:
 
     # -- witnesses ---------------------------------------------------------
 
-    def _lift(self, r, p, q, x):
-        """t with x = sum_k t_k (x part of row k of K_s, the chain step at r).
+    def witness(self, r, p, q, x):
+        """x's witness, as t with x = sum_k t_k (x part of row k of K_s).
 
-        The first rank Z_s rows span Z_s.  Raises if x is not an r-cycle.
+        K_s is the cell's chain step at r, and its first rank Z_s rows span
+        Z_s.  The combination sum_k t_k of K_s's rows is (x, z_1, ...,
+        z_{s-1}), the witness of x (past s every z_j is zero: from r_z on
+        no row meets a module, or else Z_s = 0 and x = 0), and the same
+        combination of their values V_s is Delta_r [x].  Raises if x is
+        not an r-cycle.
         """
         zs, _, k = self._chain(r, p, q)  # a row's scale cancels between t and its parts
         cols = Mat._raw(self.c.ring, len(x), zs.rank,
@@ -338,48 +343,12 @@ class SpectralPages:
             raise MembershipError(f"element is not an r={r} cycle at ({p},{q})")
         return t
 
-    def witness(self, r, p, q, x, scramble=None) -> WitnessTuple:
-        """A deterministic witness tuple for x in Z_r; raises if x is not a cycle.
-
-        Read off the cell's chain at s = min(r, its last step): the z parts
-        of the combination of K_s's rows that `_lift` finds for x are the
-        witnesses z_j, j < s, cut at the chain's block offsets.  Past s
-        every z_j is zero: from r_z on no row meets a module, or else
-        Z_s = 0 and x = 0.  `scramble` seeds a combination of K_s's rows
-        with x part zero, added to the canonical one, giving a different
-        (still valid) witness for independence tests.  `delta` forms no
-        witness: it reads Delta_r off the V_r of the same rows.
-        """
-        c = self.c
-        ring = c.ring
-        nx = c.rank(p, q)
-        x = [ring.normalize(v) for v in x]
-        if len(x) != nx:
-            raise ValueError("element length does not match the cell rank")
-        if r < 1:
-            return WitnessTuple(r, p, q, {})
-        t = self._lift(r, p, q, x)
-        zs, _, k = self._chain(r, p, q)
-        # A chain that ended at Z_s = 0 has no K_r past s, and the x = 0 part
-        # of K_s need not solve the later rows: x = 0 keeps its zero witness.
-        if scramble is not None and zs.rank:
-            rng = random.Random(scramble)
-            t += [ring.normalize(rng.randint(-3, 3)) for _ in range(zs.rank, k.rank)]
-        (tints,), tden = ring.int_rows((t,))
-        zcols = [[g[i] for g in k.rows[:len(t)]] for i in range(nx, k.ambient_rank)]
-        flat = ring.dots(zcols, tints, tden)
-        # Block j < s of K_s spans K_j's ambient up to K_{j+1}'s.
-        ends = [st[2].ambient_rank - nx for st in self._chains.get((p, q), [])[:r]]
-        return WitnessTuple(r, p, q, {
-            j: flat[ends[j - 1]:ends[j]] if j < len(ends) else zero_vec(ring, c.rank(p - j, q + j))
-            for j in range(1, r)})
-
     # -- differentials -------------------------------------------------------
 
     def delta(self, r: int, p: int, q: int) -> PageDifferential:
         """Delta_r at (p, q): d_0 at r = 0, else read off the chain step's V_r.
 
-        With x = sum_k t_k (x part of K_r row k) from `_lift`, the value is
+        With x = sum_k t_k (x part of K_r row k) from `witness`, the value is
         sum_k t_k V_r[k], the paper's formula on the witness of those rows.
         """
         key = (r, p, q)
@@ -391,7 +360,7 @@ class SpectralPages:
         src = self.entry(r, p, q)
         tp, tq = p - r, q + r - 1
         tr = c.rank(tp, tq)
-        if not tr:  # no coordinates: no lift, no target entry
+        if not tr:  # no coordinates: no witness, no target entry
             d = PageDifferential(r, p, q, src.quot.invariants, (), ())
             return self._deltas.setdefault(key, d)
         tgt = self.entry(r, tp, tq)
@@ -399,17 +368,17 @@ class SpectralPages:
             zs, (vals, den), _ = self._chain(r, p, q)
             # V_r on Z_s's rows, one row per target coordinate; rows of () read 0.
             vrows = list(zip(*vals[:zs.rank])) or [()] * tr
+
+            def value(g):
+                (tints,), tden = ring.int_rows((self.witness(r, p, q, g),))
+                return ring.dots(vrows, tints, tden * den)
         else:
             m0 = c.dmap(0, p, q)
+            value = m0.matvec if m0 is not None else lambda g: zero_vec(ring, tr)
         cols = []
         for g in src.quot.gens:
-            if r:
-                (tints,), tden = ring.int_rows((self._lift(r, p, q, list(g)),))
-                v = ring.dots(vrows, tints, tden * den)
-            else:
-                v = m0.matvec(list(g)) if m0 is not None else zero_vec(ring, tr)
             try:
-                cols.append(tgt.quot.reduce(v))
+                cols.append(tgt.quot.reduce(value(list(g))))
             except MembershipError as exc:
                 raise WellDefinednessError(
                     f"Delta_{r} value at ({p},{q}) escaped Z_{r} at ({tp},{tq}): {exc}"

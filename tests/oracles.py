@@ -1,15 +1,17 @@
-"""Test-only oracles: the paper's full cycle and boundary systems, its
-differential formula evaluated on a given witness, the class map psi from
-the total complex to the witness route, and the lift of a witness-route
-cycle back to Tot.
+"""Test-only oracles: the paper's full cycle and boundary systems, the
+witness tuple of a cycle, its differential formula evaluated on a given
+witness, the class map psi from the total complex to the witness route,
+and the lift of a witness-route cycle back to Tot.
 
 The full systems are assembled from a `SpectralPages`'s multicomplex, the
-formula applies the structure maps to the witness, and psi and the lift
-build their own engine, so they check the engines from the outside; no
-engine calls them.  `has_no_deltas` is the check that a page at or past
-the stabilization bound has no differential.  Elements of Tot_n are
-coordinate lists in the degree-n basis of `totalize`.
+witness tuple cuts the z parts of the engine's chain rows, the formula
+applies the structure maps to the witness, and psi and the lift build
+their own engine, so they check the engines from the outside; no engine
+calls them.  Elements of Tot_n are coordinate lists in the degree-n
+basis of `totalize`.
 """
+
+import random
 
 from mcss.linalg import Mat, MembershipError, kernel, vec_sub, zero_vec
 from mcss.multicomplex import Multicomplex
@@ -63,6 +65,40 @@ def cowitnesses(sp: SpectralPages, r, p, q) -> list:
     ]
 
 
+def witness_tuple(sp: SpectralPages, r, p, q, x, scramble=None) -> WitnessTuple:
+    """The witnesses z_j, j < r, of x in Z_r; raises if x is not a cycle.
+
+    They are the z parts of the combination of the chain step K_s's rows
+    that `sp.witness` finds for x, cut at the chain's block offsets, and
+    zero past s.  `scramble` seeds a combination of K_s's rows with x part
+    zero, added to the canonical one, giving a different (still valid)
+    witness for independence tests.
+    """
+    c = sp.c
+    ring = c.ring
+    nx = c.rank(p, q)
+    x = [ring.normalize(v) for v in x]
+    if len(x) != nx:
+        raise ValueError("element length does not match the cell rank")
+    if r < 1:
+        return WitnessTuple(r, p, q, {})
+    t = sp.witness(r, p, q, x)
+    zs, _, k = sp._chain(r, p, q)
+    # A chain that ended at Z_s = 0 has no K_r past s, and the x = 0 part
+    # of K_s need not solve the later rows: x = 0 keeps its zero witness.
+    if scramble is not None and zs.rank:
+        rng = random.Random(scramble)
+        t += [ring.normalize(rng.randint(-3, 3)) for _ in range(zs.rank, k.rank)]
+    (tints,), tden = ring.int_rows((t,))
+    zcols = [[g[i] for g in k.rows[:len(t)]] for i in range(nx, k.ambient_rank)]
+    flat = ring.dots(zcols, tints, tden)
+    # Block j < s of K_s spans K_j's ambient up to K_{j+1}'s.
+    ends = [st[2].ambient_rank - nx for st in sp._chains.get((p, q), [])[:r]]
+    return WitnessTuple(r, p, q, {
+        j: flat[ends[j - 1]:ends[j]] if j < len(ends) else zero_vec(ring, c.rank(p - j, q + j))
+        for j in range(1, r)})
+
+
 def delta_value(c: Multicomplex, r, p, q, x, wit: WitnessTuple | None):
     """d_r x - sum_{i=1}^{r-1} d_i z_{r-i} in C_{p-r, q+r-1}, for x and its witness."""
     ring = c.ring
@@ -79,13 +115,8 @@ def delta_value(c: Multicomplex, r, p, q, x, wit: WitnessTuple | None):
 
 def delta_with_witness(sp: SpectralPages, r, p, q, x, scramble=None):
     """The reduced Delta_r of one element, for the witness seeded by `scramble`."""
-    wit = sp.witness(r, p, q, x, scramble=scramble) if r >= 1 else None
+    wit = witness_tuple(sp, r, p, q, x, scramble) if r >= 1 else None
     return sp.entry(r, p - r, q + r - 1).quot.reduce(delta_value(sp.c, r, p, q, x, wit))
-
-
-def has_no_deltas(sp: SpectralPages, r) -> bool:
-    """Page r builds no Delta_r, and Delta_r out of every cell has no target row."""
-    return sp.page(r).deltas == {} and all(sp.delta(r, p, q).rows == () for p, q in sp.c.support)
 
 
 def embed(t: TotalComplex, n, a, local) -> list:
@@ -123,7 +154,7 @@ def lift_to_total(c: Multicomplex, t: TotalComplex, r, p, q, x) -> list:
     sp = SpectralPages(c)
     lift = embed(t, n, p, x)
     if r >= 2:
-        wit = sp.witness(r, p, q, x)
+        wit = witness_tuple(sp, r, p, q, x)
         for j in range(1, r):
             zj = wit.z.get(j, [])
             if any(zj):

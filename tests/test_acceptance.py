@@ -15,7 +15,7 @@ from mcss.linalg import Mat, image, kernel, subquotient
 from mcss.pages import SpectralPages, prop25_witness
 from mcss.rings import GF, QQ, ZZ
 from mcss.total import totalize
-from oracles import cowitnesses, delta_with_witness, has_no_deltas
+from oracles import cowitnesses, delta_with_witness
 
 
 def announce(num, text):
@@ -217,7 +217,7 @@ def test_criterion_1_short_staircase():
     bound = sp.stabilization_bound()
     einf, beyond = sp.page(bound), sp.page(bound + 1)
     assert einf.invariants_table() == beyond.invariants_table() == {}
-    assert has_no_deltas(sp, bound) and has_no_deltas(sp, bound + 1)
+    assert einf.deltas == beyond.deltas == {}
     announce(1, "E_1 total dim 2, Delta_2 rank 1, E_3 = Einf = 0")
 
 
@@ -246,7 +246,7 @@ def test_criterion_3_added_d2_kills_delta2():
     bound = sp.stabilization_bound()
     einf, beyond = sp.page(bound), sp.page(bound + 1)
     assert einf.invariants_table() == beyond.invariants_table()
-    assert has_no_deltas(sp, bound) and has_no_deltas(sp, bound + 1)
+    assert einf.deltas == beyond.deltas == {}
     assert einf.invariants_table() == p2.invariants_table()
     assert sum(len(v) for v in einf.invariants_table().values()) == 2
     announce(3, "Delta_2 = 0 everywhere, E_2 = Einf with total dim 2")

@@ -27,7 +27,7 @@ from mcss.pages import (
 )
 from mcss.rings import GF, QQ, ZZ
 from mcss.total import totalize
-from oracles import cowitnesses, cycle_system, delta_value, delta_with_witness, has_no_deltas
+from oracles import cowitnesses, cycle_system, delta_value, delta_with_witness, witness_tuple
 
 RINGS = (GF(2), GF(97), QQ, ZZ)
 
@@ -115,23 +115,23 @@ def test_cowitness_generators_certify_boundaries():
 
 def test_zero_element_gets_zero_witness():
     c = hurtubise(1, QQ)
-    w = SpectralPages(c).witness(2, 2, 0, [0])
+    w = witness_tuple(SpectralPages(c), 2, 2, 0, [0])
     assert all(not any(v) for v in w.z.values())
 
 
 def test_staircase_witness_is_next_step():
     # For the bottom-right generator D, the witness is B with d_0 B = d_1 D.
     c = hurtubise(1, QQ)
-    w = SpectralPages(c).witness(2, 2, 0, [1])
+    w = witness_tuple(SpectralPages(c), 2, 2, 0, [1])
     assert w.z[1] == [1]
     assert star1_holds(c, 2, 2, 0, [1], w)
 
 
 def test_hurtubise4_witnesses():
     sp = SpectralPages(hurtubise(4, ZZ))
-    wx = sp.witness(2, 2, 0, [1, 0])
+    wx = witness_tuple(sp, 2, 2, 0, [1, 0])
     assert wx.z[1] == [1]  # witnessed by z
-    wy = sp.witness(2, 2, 0, [0, 1])
+    wy = witness_tuple(sp, 2, 2, 0, [0, 1])
     assert wy.z[1] == [0]  # witnessed by 0
 
 
@@ -145,7 +145,7 @@ def test_zero_witness_has_a_zero_vector_per_block(ring):
     for (p, q) in c.support:
         for r in range(2, 6):
             if not sp.zr(r, p, q).rank:
-                wit = sp.witness(r, p, q, [0] * c.rank(p, q))
+                wit = witness_tuple(sp, r, p, q, [0] * c.rank(p, q))
                 assert wit.z == {j: [ring.zero()] * c.rank(p - j, q + j) for j in range(1, r)}
                 seen += 1
     assert seen
@@ -164,8 +164,8 @@ def test_witness_scramble_still_satisfies_star1():
         for r in range(1, sp.stabilization_bound() + 2):
             for (p, q) in c.support:
                 for g in sp.entry(r, p, q).quot.gens:
-                    w1 = sp.witness(r, p, q, list(g))
-                    w2 = sp.witness(r, p, q, list(g), scramble=123)
+                    w1 = witness_tuple(sp, r, p, q, list(g))
+                    w2 = witness_tuple(sp, r, p, q, list(g), 123)
                     assert star1_holds(c, r, p, q, list(g), w1), (ring, r, p, q)
                     assert star1_holds(c, r, p, q, list(g), w2), (ring, r, p, q)
 
@@ -176,7 +176,9 @@ def test_page_zero_witness_is_empty():
     sp = SpectralPages(c)
     for (p, q) in c.support:
         for x in ([0] * c.rank(p, q), [1] * c.rank(p, q)):
-            assert sp.witness(0, p, q, x).z == {}
+            assert witness_tuple(sp, 0, p, q, x).z == {}
+            with pytest.raises(ValueError):
+                sp.witness(0, p, q, x)
         with pytest.raises(ValueError):
             sp._chain(0, p, q)
 
@@ -344,7 +346,7 @@ def _einf(sp):
     bound = sp.stabilization_bound()
     stable, beyond = sp.page(bound), sp.page(bound + 1)
     assert stable.invariants_table() == beyond.invariants_table()
-    assert has_no_deltas(sp, bound) and has_no_deltas(sp, bound + 1)
+    assert stable.deltas == beyond.deltas == {}
     return stable
 
 
@@ -637,7 +639,8 @@ def test_cells_past_their_zero_page_still_have_witnesses(ring):
             zero = next((r for r in pages if not sp.entry(r, p, q).invariants), pages[-1])
             for r in range(zero + 1, len(pages)):
                 for g in sp.zr(r, p, q).gens:
-                    assert star1_holds(c, r, p, q, list(g), sp.witness(r, p, q, g)), (r, p, q)
+                    wit = witness_tuple(sp, r, p, q, g)
+                    assert star1_holds(c, r, p, q, list(g), wit), (r, p, q)
                     checked += 1
     assert checked > 100
 
@@ -677,16 +680,16 @@ def test_pages_store_only_differentials_that_can_be_nonzero():
     assert len(sp._deltas) == 508
 
 
-def _lift_targets(monkeypatch, sp):
-    """Pages 0 to bound + 1 and Delta_r out of every cell; the target of each lift solve."""
+def _witness_targets(monkeypatch, sp):
+    """Pages 0 to bound + 1 and Delta_r out of every cell; the target of each witness solve."""
     targets = []
-    original = SpectralPages._lift
+    original = SpectralPages.witness
 
     def counting(self, r, p, q, x):
         targets.append((p - r, q + r - 1))
         return original(self, r, p, q, x)
 
-    monkeypatch.setattr(SpectralPages, "_lift", counting)
+    monkeypatch.setattr(SpectralPages, "witness", counting)
     for r in range(sp.stabilization_bound() + 2):
         sp.page(r)
         for (p, q) in sp.c.support:
@@ -696,13 +699,13 @@ def _lift_targets(monkeypatch, sp):
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
 def test_no_witness_for_a_differential_into_an_absent_cell(name, monkeypatch):
-    # Delta_r reads no witness: it lifts each source generator onto the
-    # chain's rows by one solve.  A value in an absent cell has no
-    # coordinates, so it is not lifted; a present target gets one solve per
-    # source generator on every page r >= 1 (Delta_0 is d_0).
+    # Delta_r solves one witness per source generator, the combination of
+    # the chain's rows whose V_r values it reads.  A value in an absent cell
+    # has no coordinates, so it gets no witness; a present target gets one
+    # per source generator on every page r >= 1 (Delta_0 is d_0).
     c = REFERENCE_INSTANCES[name]()
     sp = SpectralPages(c)
-    targets = _lift_targets(monkeypatch, sp)
+    targets = _witness_targets(monkeypatch, sp)
     assert targets
     assert all(c.rank(*t) for t in targets)
     assert len(targets) == sum(len(sp.entry(r, p, q).quot.gens)
@@ -713,7 +716,7 @@ def test_no_witness_for_a_differential_into_an_absent_cell(name, monkeypatch):
 def test_wide_sparse_pages_solve_no_witness(monkeypatch):
     # Two rank-1 cells 1000 columns apart: every differential leaves the support.
     c = Multicomplex(ZZ, {(0, 0): 1, (1000, 0): 1}, {})
-    assert _lift_targets(monkeypatch, SpectralPages(c)) == []
+    assert _witness_targets(monkeypatch, SpectralPages(c)) == []
 
 
 def _system_witness(sp, r, p, q, x):
@@ -740,7 +743,7 @@ def test_chain_witnesses_match_full_system_oracle(name):
             d = sp.delta(r, p, q)
             for j, g in enumerate(src.quot.gens):
                 x = list(g)
-                assert star1_holds(c, r, p, q, x, sp.witness(r, p, q, x)), (r, p, q)
+                assert star1_holds(c, r, p, q, x, witness_tuple(sp, r, p, q, x)), (r, p, q)
                 v = delta_value(c, r, p, q, x, _system_witness(sp, r, p, q, x))
                 assert tgt.quot.reduce(v) == tuple(row[j] for row in d.rows), (r, p, q)
             zr = sp.zr(r, p, q)
@@ -777,11 +780,11 @@ def test_scrambled_witnesses_differ_and_agree():
         for r in range(1, sp.stabilization_bound() + 2):
             for (p, q) in c.support:
                 zero = [0] * c.rank(p, q)
-                assert star1_holds(c, r, p, q, zero, sp.witness(r, p, q, zero, scramble=7))
+                assert star1_holds(c, r, p, q, zero, witness_tuple(sp, r, p, q, zero, 7))
                 for g in sp.entry(r, p, q).quot.gens:
                     x = list(g)
-                    one = sp.witness(r, p, q, x)
-                    two = sp.witness(r, p, q, x, scramble=7)
+                    one = witness_tuple(sp, r, p, q, x)
+                    two = witness_tuple(sp, r, p, q, x, 7)
                     differ += one != two
                     assert star1_holds(c, r, p, q, x, two), (name, r, p, q)
                     assert (delta_with_witness(sp, r, p, q, x)
