@@ -6,6 +6,7 @@
     map <i> <a> <b> : e11 e12 ... ; e21 ... ; ...
 
 '#' starts a comment, blank lines are ignored, declaration order is free.
+Each integer entry is converted by one int() (mod p over F_p).
 Emission is canonical: modules then maps, each sorted lexicographically,
 zero matrices omitted; emit(parse(emit(c))) == emit(c).
 """
@@ -33,7 +34,7 @@ class MCXParseError(ValueError):
 
 def _significant_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if line:
             yield lineno, line
 
@@ -119,9 +120,7 @@ def parse(text: str) -> Multicomplex:
                 lineno, f"map d_{i} on ({a},{b}) targets absent module ({a - i},{b + i - 1})"
             )
         src = ranks[(a, b)]
-        rows = [seg for seg in (s.strip() for s in body.split(";"))]
-        if rows == [""]:
-            rows = []
+        rows = body.split(";") if body else []  # the line is stripped
         if len(rows) != tgt:
             raise MCXParseError(
                 lineno, f"d_{i} on ({a},{b}) needs {tgt} rows, got {len(rows)}"
@@ -134,10 +133,13 @@ def parse(text: str) -> Multicomplex:
                     lineno, f"d_{i} on ({a},{b}) needs {src} entries per row, got {len(toks)}"
                 )
             try:
-                entries.append([ring.parse_scalar(t) for t in toks])
-            except ValueError as exc:
-                raise MCXParseError(lineno, str(exc)) from None
-        maps[(i, a, b)] = Mat._raw(ring, tgt, src, entries)  # parse_scalar normalized each entry
+                entries.append(ring.scalars(list(map(int, toks))))
+            except ValueError:  # n/d, or a bad token: parse_scalar names it
+                try:
+                    entries.append([ring.parse_scalar(t) for t in toks])
+                except ValueError as exc:
+                    raise MCXParseError(lineno, str(exc)) from None
+        maps[(i, a, b)] = Mat._raw(ring, tgt, src, entries)  # each entry normalized once
 
     try:
         return Multicomplex(ring, ranks, maps)

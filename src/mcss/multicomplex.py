@@ -10,7 +10,9 @@ validation, not converted.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import lcm
+from operator import add, mul
 from typing import NamedTuple
 
 from .linalg import Mat
@@ -36,7 +38,7 @@ class Multicomplex:
     canonical.
     """
 
-    __slots__ = ("ring", "ranks", "maps", "maxd")
+    __slots__ = ("ring", "ranks", "maps", "maxd", "_violations")
 
     def __init__(self, ring: Ring, ranks: dict, maps: dict):
         clean_ranks = {}
@@ -68,6 +70,7 @@ class Multicomplex:
         object.__setattr__(self, "ranks", clean_ranks)
         object.__setattr__(self, "maps", clean_maps)
         object.__setattr__(self, "maxd", maxd)
+        object.__setattr__(self, "_violations", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Multicomplex is immutable")
@@ -84,35 +87,25 @@ class Multicomplex:
         return sorted(self.ranks)
 
     def validate(self) -> list[RelationViolation]:
-        """All violated relations sum_{i+j=n} d_i d_j = 0, per (n, source).
+        """Violated relations sum_{i+j=n} d_i d_j = 0, by source (a, b), then n.
 
-        Each relation is one integer product: the second factors' integer
-        rows, each scaled to the common denominator, side by side, times the
-        first factors stacked.  The composite Mat is built only to report it.
+        Relation n at (a, b) sums over the stored d_j out of (a, b) and d_i
+        out of its target.  Computed once; each call returns a new list.
         """
-        violations = []
-        dots = self.ring.int_dots
-        for (a, b) in self.support:
-            for n in range(0, 2 * self.maxd + 1):
-                tgt = self.rank(a - n, b + n - 2)
-                if tgt == 0:
-                    continue
-                pairs = [(second, first) for j in range(0, n + 1)
-                         if (first := self.dmap(j, a, b)) is not None
-                         and (second := self.dmap(n - j, a - j, b + j - 1)) is not None]
-                if not pairs:
-                    continue
-                ints = [(second._int_form(), first._int_form()) for second, first in pairs]
-                den = lcm(*[ds * df for (_, ds), (_, df) in ints])
-                rows = [[den // (ds * df) * v for (s, ds), (_, df) in ints for v in s[i]]
-                        for i in range(tgt)]
-                cols = zip(*[row for _, (f, _) in ints for row in f])
-                if any(any(dots(rows, col)) for col in cols):
-                    total = pairs[0][0].mul(pairs[0][1])
-                    for second, first in pairs[1:]:
-                        total = total.add(second.mul(first))
-                    violations.append(RelationViolation(n, a, b, total))
-        return violations
+        if self._violations is None:
+            out = {}  # source cell -> [(j, d_j)], ascending j
+            for i, a, b in sorted(self.maps):
+                out.setdefault((a, b), []).append((i, self.maps[(i, a, b)]))
+            bad = []
+            for (a, b), firsts in sorted(out.items()):
+                terms = {}  # n -> [(d_i, d_j)], ascending j
+                for j, first in firsts:
+                    for i, second in out.get((a - j, b + j - 1), ()):
+                        terms.setdefault(i + j, []).append((second, first))
+                bad += [RelationViolation(n, a, b, reduce(Mat.add, [s.mul(f) for s, f in pairs]))
+                        for n, pairs in sorted(terms.items()) if not vanishes(self.ring, pairs)]
+            object.__setattr__(self, "_violations", bad)
+        return list(self._violations)
 
     def __eq__(self, other):
         return (
@@ -127,6 +120,18 @@ class Multicomplex:
             f"<Multicomplex over {self.ring!r}: {len(self.ranks)} modules, "
             f"{len(self.maps)} maps, maxd={self.maxd}>"
         )
+
+
+def vanishes(ring: Ring, pairs) -> bool:
+    """Whether sum second * first over the Mat pairs is zero: the pairs'
+    integer products, scaled to one denominator, summed entrywise."""
+    ints = [(second._int_form(), first._int_form()) for second, first in pairs]
+    den = lcm(*[ds * df for (_, ds), (_, df) in ints])
+    total = [0] * (pairs[0][0].rows * pairs[0][1].cols)
+    for (s, ds), (f, df) in ints:
+        k, fcols = den // (ds * df), list(zip(*f))
+        total = list(map(add, total, [k * sum(map(mul, row, col)) for row in s for col in fcols]))
+    return not any(ring.scalars(total))
 
 
 def rebase(c: Multicomplex, ring: Ring) -> Multicomplex:

@@ -154,6 +154,8 @@ class SpectralPages:
     """Witness-route page engine for one multicomplex, with per-cell caches."""
 
     def __init__(self, c: Multicomplex):
+        if bad := c.validate():
+            raise ValueError(f"invalid multicomplex: {bad[0]}")
         self.c = c
         self._br = {}  # (r, p, q) -> B_r, for r up to the cell's r_b
         self._chains = {}  # (p, q) -> [(Z_1, V_1, K_1), ..., (Z_s, V_s, K_s)]

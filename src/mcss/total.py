@@ -2,12 +2,14 @@
 
 Per total degree n the basis collects the bidegree blocks (a, n-a) in
 descending a, so the filtration F_p (first index a <= p) is always a
-coordinate suffix and membership is a mask, not a solve.
+coordinate suffix and membership is a mask, not a solve.  d.d = 0 is
+checked on the nonzero entries placed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import lcm
 
 from .linalg import Mat
 from .multicomplex import Multicomplex
@@ -70,35 +72,43 @@ def totalize(c: Multicomplex) -> TotalComplex:
         cuts[n] = [-a for a, _, _ in cells], starts + [pos]
 
     diff = {}
+    nonzero = {}  # n -> [(row, entry)] per column of d_n, integers over one denominator
+    den = lcm(*[m._int_form()[1] for m in c.maps.values()])
     zero = c.ring.zero()
-    degrees = sorted(dims)
-    for n in degrees:
+    for n in sorted(dims):
         rows_n = dims.get(n - 1, 0)
         cols_n = dims[n]
+        cols = nonzero[n] = [[] for _ in range(cols_n)]
         if rows_n == 0 or cols_n == 0:
             continue
         grid = [[zero] * cols_n for _ in range(rows_n)]
         for a, b, rank in blocks[n]:
             cstart = offsets[n][a][0]
-            for i in range(0, c.maxd + 1):
+            for i in range(c.maxd + 1):
                 m = c.dmap(i, a, b)
                 if m is None:
                     continue
                 rstart, _ = offsets[n - 1].get(a - i, (None, 0))
                 if rstart is None:
                     raise AssertionError("structure map into an absent block")
-                for r in range(m.rows):
-                    grow = grid[rstart + r]
-                    mrow = m.data[r]
-                    for col in range(rank):
-                        if mrow[col]:
-                            grow[cstart + col] = mrow[col]
+                ints, d = m._int_form()
+                for r, (mrow, irow) in enumerate(zip(m.data, ints), rstart):
+                    grid[r][cstart:cstart + rank] = mrow
+                    for col, v in zip(cols[cstart:cstart + rank], irow):
+                        if v:
+                            col.append((r, den // d * v))
         diff[n] = Mat._raw(c.ring, rows_n, cols_n, grid)
 
-    t = TotalComplex(c.ring, blocks, offsets, dims, cuts, diff)
-    for n in degrees:
-        if dims.get(n, 0) and dims.get(n - 1, 0) and dims.get(n - 2, 0):
-            if not t.d(n - 1).mul(t.d(n)).is_zero():
-                raise AssertionError(f"total differential does not square to zero at degree {n}")
-    return t
-
+    # d_{n-1} d_n, summed over the pairs of nonzero entries that chain.
+    degrees, sums = [], []
+    for n, cols in nonzero.items():
+        for col in cols:
+            acc = {}
+            for k, v in col:
+                for i, w in nonzero[n - 1][k]:
+                    acc[i] = acc.get(i, 0) + v * w
+            degrees += [n] * len(acc)
+            sums += acc.values()
+    if bad := [n for n, x in zip(degrees, c.ring.scalars(sums)) if x]:
+        raise AssertionError(f"total differential does not square to zero at degree {min(bad)}")
+    return TotalComplex(c.ring, blocks, offsets, dims, cuts, diff)

@@ -1,7 +1,9 @@
 """Test-only oracles: the paper's full cycle and boundary systems, the
 witness tuple of a cycle, its differential formula evaluated on a given
 witness, the class map psi from the total complex to the witness route,
-and the lift of a witness-route cycle back to Tot.
+the lift of a witness-route cycle back to Tot, and the relation checks
+done densely: every cell x n x j probed with dmap lookups, and the
+product d_{n-1} d_n of densely assembled total differentials.
 
 The full systems are assembled from a `SpectralPages`'s multicomplex, the
 witness tuple cuts the z parts of the engine's chain rows, the formula
@@ -14,7 +16,7 @@ basis of `totalize`.
 import random
 
 from mcss.linalg import Mat, MembershipError, kernel, vec_sub, zero_vec
-from mcss.multicomplex import Multicomplex
+from mcss.multicomplex import Multicomplex, RelationViolation
 from mcss.pages import CoWitnessTuple, SpectralPages, WitnessTuple
 from mcss.total import TotalComplex
 
@@ -162,3 +164,59 @@ def lift_to_total(c: Multicomplex, t: TotalComplex, r, p, q, x) -> list:
     want = sp.entry(r, p, q).quot.reduce(x)
     assert psi(t, c, r, p, n, lift) == want, "psi does not invert the lift"
     return lift
+
+
+def relation_violations(c: Multicomplex) -> list:
+    """`Multicomplex.validate` by probing every cell, n <= 2 maxd and j <= n."""
+    violations = []
+    for (a, b) in c.support:
+        for n in range(0, 2 * c.maxd + 1):
+            if not c.rank(a - n, b + n - 2):
+                continue
+            pairs = [(second, first) for j in range(0, n + 1)
+                     if (first := c.dmap(j, a, b)) is not None
+                     and (second := c.dmap(n - j, a - j, b + j - 1)) is not None]
+            if not pairs:
+                continue
+            total = pairs[0][0].mul(pairs[0][1])
+            for second, first in pairs[1:]:
+                total = total.add(second.mul(first))
+            if not total.is_zero():
+                violations.append(RelationViolation(n, a, b, total))
+    return violations
+
+
+def dense_differentials(c: Multicomplex) -> dict:
+    """n -> the dense d_n: Tot_n -> Tot_{n-1}, in `totalize`'s basis order, for
+    every n with both dimensions nonzero; assembled entry by entry."""
+    blocks = {}
+    for (a, b), rank in sorted(c.ranks.items(), key=lambda kv: -kv[0][0]):
+        blocks.setdefault(a + b, []).append((a, b, rank))
+    offsets = {n: {} for n in blocks}
+    for n, cells in blocks.items():
+        pos = 0
+        for a, _, rank in cells:
+            offsets[n][a] = pos
+            pos += rank
+    dims = {n: sum(rank for _, _, rank in cells) for n, cells in blocks.items()}
+    diffs = {}
+    for n, cells in blocks.items():
+        if not dims.get(n - 1):
+            continue
+        grid = [[c.ring.zero()] * dims[n] for _ in range(dims[n - 1])]
+        for a, b, rank in cells:
+            for i in range(c.maxd + 1):
+                m = c.dmap(i, a, b)
+                if m is not None:
+                    for r in range(m.rows):
+                        for k in range(rank):
+                            grid[offsets[n - 1][a - i] + r][offsets[n][a] + k] = m.data[r][k]
+        diffs[n] = Mat(c.ring, dims[n - 1], dims[n], grid)
+    return diffs
+
+
+def first_nonsquare_degree(c: Multicomplex):
+    """The least n with d_{n-1} d_n != 0 as a dense product, or None."""
+    d = dense_differentials(c)
+    return next((n for n in sorted(d) if n - 1 in d and not d[n - 1].mul(d[n]).is_zero()),
+                None)

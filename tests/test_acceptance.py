@@ -12,6 +12,7 @@ import pytest
 from mcss.builders import RandomSpec, WallParams, hurtubise, random_mcx, staircase, wall
 from mcss.filtered import FilteredPages, compare_engines, homology
 from mcss.linalg import Mat, image, kernel, subquotient
+from mcss.multicomplex import Multicomplex
 from mcss.pages import SpectralPages, prop25_witness
 from mcss.rings import GF, QQ, ZZ
 from mcss.total import totalize
@@ -236,6 +237,38 @@ def test_criterion_2_long_staircases(length):
     assert sp.page(length + 1).invariants_table() == {}
     announce(2, f"staircase({length}): Delta_j = 0 for j < {length}, "
                 f"Delta_{length} rank 1, E_{length + 1} = 0")
+
+
+def staircase_with_survivors(length):
+    """staircase(length) with a map-free second generator in each cell
+    (length - j, j - 1), 1 <= j < length: the targets of Delta_j out of
+    (length, 0) no longer die on page 1."""
+    c = staircase(length, ZZ)
+    ranks = {**c.ranks, **{(length - j, j - 1): 2 for j in range(1, length)}}
+    maps = {(i, a, b): Mat(ZZ, ranks[(a - i, b + i - 1)], m.cols,
+                           m.data + [[0] * m.cols] * (ranks[(a - i, b + i - 1)] - m.rows))
+            for (i, a, b), m in c.maps.items()}
+    return Multicomplex(ZZ, ranks, maps)
+
+
+@pytest.mark.parametrize("length", [3, 4, 5])
+def test_criterion_2_delta_zero_into_surviving_targets(length):
+    # In staircase(length) the targets of Delta_j, j < length, are zero
+    # entries, so "Delta_j = 0" holds for want of target rows.  Here each
+    # target keeps a generator, and Delta_j must be the zero 1x1 matrix.
+    c = staircase_with_survivors(length)
+    assert c.validate() == []
+    sp = SpectralPages(c)
+    for j in range(1, length):
+        page = sp.page(j)
+        d = page.deltas[(length, 0)]
+        assert d.target == (length - j, j - 1)
+        assert d.source_invariants == d.target_invariants == (0,)
+        assert d.rows == ((0,),)
+        assert deltas_zero(page)
+    assert matrix_rank(ZZ, sp.delta(length, length, 0).rows) == 1
+    announce(2, f"staircase({length}) with surviving targets: Delta_j = 0 as 1x1 "
+                f"matrices for j < {length}")
 
 
 def test_criterion_3_added_d2_kills_delta2():

@@ -18,11 +18,9 @@ from mcss.total import totalize
 H1 = emit(hurtubise(1))
 H3 = emit(hurtubise(3))
 DENSE_Z_S2 = Path(__file__).parent / "data" / "dense_z_s2.mcx"
-BROKEN_RELATION = (
-    "mcx 1\nring Q\n"
-    "module 0 0 1\nmodule 0 1 1\nmodule 1 0 1\nmodule 1 1 1\n"
-    "map 1 1 1 : 1\nmap 0 1 1 : 1\nmap 1 1 0 : 1\nmap 0 0 1 : 1\n"
-)
+# d_0 d_1 + d_1 d_0 = 2 != 0 on (1,1): relation n=1 fails.
+BROKEN_RELATION_MCX = Path(__file__).parent / "data" / "broken_relation.mcx"
+BROKEN_RELATION = BROKEN_RELATION_MCX.read_text()
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -46,6 +44,19 @@ def test_validate_relation_failure(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", str(f))
     assert code == 1
     assert "n=1" in out and "(1,1)" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["pages"], ["pages", "--json"], ["diff", "-r", "1", "-p", "1", "-q", "1"],
+    ["compare"], ["homology"],
+], ids=" ".join)
+def test_engine_commands_refuse_invalid_input(capsys, argv):
+    # The command validates once; the engine, which refuses an invalid
+    # multicomplex too, reads the validation's memo.
+    code, out, err = run(capsys, *argv[:1], str(BROKEN_RELATION_MCX), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("violation: n=1 at (1,1): nonzero composite")
+    assert all(line.startswith("violation: ") for line in err.splitlines())
 
 
 def test_parse_error_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Multicomplex validation and MCX serialization."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,8 +35,12 @@ def test_validate_catches_sign_flip():
     cflip = Multicomplex(QQ, dict(c.ranks), flipped_maps)
     assert cflip.validate() == []  # still a bicomplex
 
-    # A genuinely broken relation: staircase with d_2 added where
-    # d_0 d_2 has a nonzero target.
+    bad = broken_c2().validate()
+    assert bad and bad[0].n == 1 and (bad[0].a, bad[0].b) == (1, 1)
+
+
+def broken_c2():
+    """A genuinely broken relation: n=1 at (1,1), where d_0 d_1 + d_1 d_0 != 0."""
     ranks = {(2, 0): 1, (1, 0): 1, (1, 1): 1, (0, 1): 1, (0, 0): 1}
     maps = {
         (1, 2, 0): Mat(QQ, 1, 1, [[1]]),
@@ -43,9 +48,20 @@ def test_validate_catches_sign_flip():
         (1, 1, 1): Mat(QQ, 1, 1, [[1]]),
         (0, 0, 1): Mat(QQ, 1, 1, [[1]]),
     }
-    c2 = Multicomplex(QQ, ranks, maps)
-    bad = c2.validate()
-    assert bad and bad[0].n == 1 and (bad[0].a, bad[0].b) == (1, 1)
+    return Multicomplex(QQ, ranks, maps)
+
+
+def test_validate_runs_once_and_returns_fresh_lists(monkeypatch):
+    c = broken_c2()
+    first = c.validate()
+    calls = []
+    monkeypatch.setattr("mcss.multicomplex.vanishes", lambda *a: calls.append(a))
+    first.clear()  # the caller's list: the memo keeps its own
+    again = c.validate()
+    assert again and again == c.validate() and again is not c.validate()
+    assert calls == []
+    valid = staircase(3)
+    assert valid.validate() == [] and valid.validate() is not valid.validate()
 
 
 @pytest.mark.parametrize("ring, d0, d1, bad", [
@@ -192,3 +208,55 @@ def test_rebase_rules():
     with pytest.raises(ValueError):
         rebase(frac, GF(2))  # denominator divisible by p
     assert rebase(frac, GF(3)).dmap(0, 0, 1).data == [[2]]  # 1/2 = 2 mod 3
+
+
+# ---------------------------------------------------------------------------
+# entry normalization, pinned
+
+
+def _one_map(ring, body):
+    return f"mcx 1\nring {ring}\nmodule 0 0 1\nmodule 0 1 2\nmap 0 0 1 : {body}\n"
+
+
+def test_parse_normalizes_residues_mod_p():
+    c = parse(_one_map("F 97", "-1 98"))
+    assert c.dmap(0, 0, 1).data == [[96, 1]]
+    assert emit(c) == _one_map("F 97", "96 1")
+    c = parse(_one_map("F 97", "97 0"))
+    assert c.maps == {} and "map" not in emit(c)  # 97 = 0 mod 97: a zero map is dropped
+
+
+def test_parse_signed_integers():
+    c = parse(_one_map("Z", "+3 -0"))
+    assert c.dmap(0, 0, 1).data == [[3, 0]]
+    assert emit(c) == _one_map("Z", "3 0")
+
+
+def test_parse_reduces_rationals():
+    c = parse(_one_map("Q", "2/4 -6/3"))
+    assert c.dmap(0, 0, 1).data == [[Fraction(1, 2), Fraction(-2)]]
+    assert emit(c) == _one_map("Q", "1/2 -2")
+    for body, want in (("+4 -0", [4, 0]), ("3 2/4", [3, Fraction(1, 2)])):
+        row = parse(_one_map("Q", body)).dmap(0, 0, 1).data[0]
+        assert row == want and all(type(x) is Fraction for x in row)
+
+
+@pytest.mark.parametrize("ring, body, message", [
+    ("Z", "1 1/2", "line 5: rational entry '1/2' not allowed over Z"),
+    ("F 97", "1/2 1", "line 5: rational entry '1/2' not allowed over F 97"),
+    ("Q", "1 1/0", "line 5: zero denominator in '1/0'"),
+    ("Z", "1 x", "line 5: invalid literal for int() with base 10: 'x'"),
+    ("F 2", "1.5 1", "line 5: invalid literal for int() with base 10: '1.5'"),
+])
+def test_parse_entry_errors_keep_text_and_line(ring, body, message):
+    with pytest.raises(MCXParseError) as exc:
+        parse(_one_map(ring, body))
+    assert str(exc.value) == message and exc.value.line == 5
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent / "golden").glob("*.mcx"))
+                         + [Path(__file__).parent / "data" / "dense_z_s2.mcx"],
+                         ids=lambda p: p.name)
+def test_emit_parse_fixed_point_on_corpus(path):
+    text = path.read_text()
+    assert emit(parse(text)) == text

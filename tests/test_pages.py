@@ -27,6 +27,7 @@ from mcss.pages import (
 )
 from mcss.rings import GF, QQ, ZZ
 from mcss.total import totalize
+from test_multicomplex import broken_c2
 from oracles import cowitnesses, cycle_system, delta_value, delta_with_witness, witness_tuple
 
 RINGS = (GF(2), GF(97), QQ, ZZ)
@@ -790,3 +791,15 @@ def test_scrambled_witnesses_differ_and_agree():
                     assert (delta_with_witness(sp, r, p, q, x)
                             == delta_with_witness(sp, r, p, q, x, scramble=7)), (name, r, p, q)
     assert differ
+
+
+def test_engine_refuses_invalid_multicomplex():
+    # Unchecked, the engine returned tables for pages 0 and 1 of this
+    # input, raised WellDefinednessError on page 2 and gave empty pages 3
+    # and 4.  It now refuses it, naming the first violated relation.
+    c = broken_c2()
+    first = c.validate()[0]
+    with pytest.raises(ValueError) as exc:
+        SpectralPages(c)
+    assert str(exc.value) == f"invalid multicomplex: {first}"
+    assert str(exc.value).startswith("invalid multicomplex: n=1 at (1,1): nonzero composite")

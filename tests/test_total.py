@@ -1,12 +1,17 @@
 """Total complex assembly, basis blocks and filtration masks."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from mcss.builders import RandomSpec, hurtubise, random_mcx, staircase
-from mcss.linalg import image, zero_vec
+from mcss.linalg import Mat, image, zero_vec
 from mcss.multicomplex import Multicomplex
 from mcss.rings import GF, QQ, ZZ
 from mcss.total import totalize
+from oracles import dense_differentials, first_nonsquare_degree, relation_violations
+from test_filtered import _rescaled
 
 
 def _labels(t, n):
@@ -79,3 +84,44 @@ def test_filtration_is_subcomplex_and_blockwise_formula(ring):
                     m = c.dmap(i, a, b) if i >= 0 else None
                     expect = m.to_cols()[k] if m is not None else zero_vec(ring, len(blk))
                     assert blk == expect
+
+
+def _perturbed(c, rng):
+    """c with one entry of one map moved by a nonzero amount."""
+    key = rng.choice(sorted(c.maps))
+    m = c.maps[key]
+    r, k = rng.randrange(m.rows), rng.randrange(m.cols)
+    ring = c.ring
+    step = (Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 3))) if ring is QQ
+            else 1 + rng.randrange(ring.p - 1) if ring.p else rng.choice((-2, -1, 1, 2)))
+    data = [list(row) for row in m.data]
+    data[r][k] = ring.normalize(data[r][k] + step)
+    return Multicomplex(ring, c.ranks, {**c.maps, key: Mat(ring, m.rows, m.cols, data)})
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(97)], ids=str)
+def test_relation_checks_match_dense_oracles(ring):
+    # validate() lists what probing every cell x n x j finds, in the same
+    # order with the same composites; totalize refuses exactly the inputs
+    # whose dense d_{n-1} d_n is nonzero, naming the least such degree.
+    rng = random.Random(20)
+    broken = 0
+    for seed in range(10):
+        c = random_mcx(RandomSpec(seed=seed, width=4, height=4, maxrank=3, maxd=3, ring=ring))
+        if ring is QQ:
+            c = _rescaled(c, seed)
+            assert any(x.denominator > 1 for m in c.maps.values() for row in m.data for x in row)
+        for mc in (c, _perturbed(c, rng), _perturbed(c, rng)):
+            want = relation_violations(mc)
+            assert mc.validate() == want
+            n = first_nonsquare_degree(mc)
+            assert (n is None) == (want == [])
+            if n is None:
+                t = totalize(mc)
+                assert all(t.d(k) == d for k, d in dense_differentials(mc).items())
+            else:
+                with pytest.raises(AssertionError) as exc:
+                    totalize(mc)
+                assert str(exc.value) == f"total differential does not square to zero at degree {n}"
+            broken += n is not None
+    assert broken >= 5
