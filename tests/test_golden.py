@@ -35,6 +35,7 @@ CASES = {
     "wall_3_2_2": ["example", "wall", "--r", "3", "--s", "2", "--t", "2", "--amax", "8"],
     "random_f2_1": ["random", "--seed", "1", *_RANDOM, "--ring", "F", "2"],
     "random_f2_2": ["random", "--seed", "2", *_RANDOM, "--ring", "F", "2"],
+    "random_f97_1": ["random", "--seed", "1", *_RANDOM, "--ring", "F", "97"],
     "random_q_1": ["random", "--seed", "1", *_RANDOM, "--ring", "Q"],
     "random_q_2": ["random", "--seed", "2", *_RANDOM, "--ring", "Q"],
     "random_z_1": ["random", "--seed", "1", *_RANDOM, "--ring", "Z"],
