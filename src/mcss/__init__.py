@@ -22,16 +22,7 @@ from .linalg import (
 )
 from .mcxio import MCXParseError, emit, parse
 from .multicomplex import Multicomplex, rebase
-from .pages import (
-    CoWitnessTuple,
-    Page,
-    PageDifferential,
-    PageEntry,
-    SpectralPages,
-    WellDefinednessError,
-    WitnessTuple,
-    prop25_witness,
-)
+from .pages import Page, PageDifferential, PageEntry, SpectralPages, WellDefinednessError
 from .rings import GF, QQ, ZZ, Ring
 from .total import TotalComplex, totalize
 

@@ -16,14 +16,15 @@ denominator.  Over QQ, elimination hands its rows back as integers:
 reduced row i is rows[i] / rows[i][pivots[i]].  Modules live as integer
 rows too, over QQ primitive ones, so no module operation builds a
 Fraction: they appear only in `gens`, `Mat` data, coordinates and
-`Delta` matrices.  The only ring choice here is `_rref_field`'s.
+`Delta` matrices.  The field elimination takes its row step from the
+ring (`Ring.pivot_row`, `Ring.eliminate`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import gcd, lcm
-from operator import add, getitem, sub
+from math import lcm
+from operator import add, getitem
 
 from .rings import Ring, ZZ
 
@@ -164,16 +165,6 @@ class Mat:
         return f"Mat({self.ring!r}, {self.rows}x{self.cols}, [{body}])"
 
 
-def vec_add(ring, u, v):
-    (a, b), den = ring.int_rows((u, v))
-    return ring.scalars(list(map(add, a, b)), den)
-
-
-def vec_sub(ring, u, v):
-    (a, b), den = ring.int_rows((u, v))
-    return ring.scalars(list(map(sub, a, b)), den)
-
-
 def zero_vec(ring, n):
     return [ring.zero()] * n
 
@@ -197,80 +188,30 @@ def _rref_field(ring, data, limit=None, ints=False):
     Returns (rows, pivot_columns): the reduced row echelon form is
     rows[i] / rows[i][pivot_columns[i]] for the pivot rows, and the rows
     past the rank, zero on the columns < limit, are fixed up to a scalar.
-    Over GF(p) every pivot is 1; over QQ the rows are integers (see
-    `_rref_rationals`).  The two kernels are different algorithms.  With
-    `ints` the rows are integer rows already (any multiples: scale-free).
+    The ring does the row step (`Ring.pivot_row`, `Ring.eliminate`): over
+    GF(p) every pivot is 1, over QQ the rows stay integers, fraction-free.
+    With `ints` the rows are integer rows already (any multiples:
+    scale-free).  Rows are replaced, never updated in place.
     """
     if limit is None:
         limit = len(data[0]) if data else 0
-    if ring.kind == "Q":
-        # Each row over its own denominator: scale-free, and small.
-        return _rref_rationals([ring.int_rows((r,))[0][0] for r in data]
-                               if not ints else list(data), limit)
-    rows = [r[:] for r in data]
-    nrows = len(rows)
-    p = ring.p
-    pivots = []
-    pr = 0
-    for c in range(limit):
-        piv = -1
-        for i in range(pr, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        inv = pow(rows[pr][c], -1, p)
-        if inv != 1:
-            rows[pr] = [x * inv % p for x in rows[pr]]
-        rp = rows[pr]
-        for i in range(nrows):
-            f = rows[i][c]
-            if f and i != pr:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rp)]
-        pivots.append(c)
-        pr += 1
-        if pr == nrows:
-            break
-    return rows, pivots
-
-
-def _rref_rationals(rows, limit):
-    """Echelon form over Q via fraction-free integer elimination.
-
-    Takes integer rows.  Eliminations are cross-multiplications with
-    per-row gcd reduction to control growth.  The rows are returned as
-    integers, with the pivots not divided out: the RREF is unique, so
-    rows[i] / rows[i][pivots[i]] is what naive Fraction elimination gives.
-    """
+    # Each row over its own denominator: scale-free, and small.
+    rows = list(data) if ints else [ring.int_rows((r,))[0][0] for r in data]
+    pivot_row, eliminate = ring.pivot_row, ring.eliminate
     nrows = len(rows)
     pivots = []
     pr = 0
     for c in range(limit):
-        piv = -1
-        for i in range(pr, nrows):
-            if rows[i][c]:
-                piv = i
+        for piv in range(pr, nrows):
+            if rows[piv][c]:
                 break
-        if piv < 0:
+        else:
             continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        rp = rows[pr]
-        pv = rp[c]
+        rp = pivot_row(rows[piv], c)
+        rows[piv], rows[pr] = rows[pr], rp
         for i in range(nrows):
-            f = rows[i][c]
-            if f and i != pr:
-                new = [x * pv - f * y for x, y in zip(rows[i], rp)]
-                g = 0
-                for x in new:
-                    if x:
-                        g = gcd(g, x)
-                        if g == 1:
-                            break
-                if g > 1:
-                    new = [x // g for x in new]
-                rows[i] = new
+            if rows[i][c] and i != pr:
+                rows[i] = eliminate(rows[i], rp, c)
         pivots.append(c)
         pr += 1
         if pr == nrows:
@@ -625,14 +566,6 @@ class QuotientPresentation:
     def __setattr__(self, name, value):
         raise AttributeError("QuotientPresentation is immutable")
 
-    @property
-    def free_rank(self) -> int:
-        return sum(1 for d in self.invariants if d == 0)
-
-    @property
-    def torsion(self) -> tuple:
-        return tuple(d for d in self.invariants if d)
-
     def canon(self, coords):
         """Canonicalize a raw coordinate tuple (reduce torsion entries)."""
         if self.ring.is_field:
@@ -645,35 +578,19 @@ class QuotientPresentation:
         if len(vec) != self.ambient_rank:
             raise ValueError("vector length mismatch")
         ring = self.ring
-        if self._data[0] == "field":
-            _, t_rows, ngens, den = self._data
+        if ring.is_field:
+            t_rows, ngens, den = self._data
             (vint,), vden = ring.int_rows((vec,))
             u = ring.dots(t_rows, vint, den * vden)
             if any(u[ngens:]):
                 raise MembershipError("element lies outside the submodule z")
             return tuple(u[:ngens])
-        _, zgens, zpivots, u_rows, kept = self._data
+        zgens, zpivots, u_rows, kept = self._data
         y = _coords_in_hnf(zgens, zpivots, vec)
         if y is None:
             raise MembershipError("element lies outside the lattice z")
         w = ring.dots(u_rows, y)
         return self.canon([w[i] for i in kept])
-
-    def spans(self, coord_vectors) -> bool:
-        """Whether the given coordinate tuples generate the whole quotient."""
-        k = len(self.invariants)
-        if k == 0:
-            return True
-        if self.ring.is_field:
-            return len(_rref_field(self.ring, list(coord_vectors))[1]) == k
-        cols = [list(v) for v in coord_vectors]
-        for i, d in enumerate(self.invariants):
-            if d:
-                rel = [0] * k
-                rel[i] = d
-                cols.append(rel)
-        h, _, pivot_rows, npiv = _hnf_columns(cols, k)
-        return npiv == k and all(h[i][r] == 1 for i, r in enumerate(pivot_rows))
 
     def __repr__(self):
         return f"<quotient {list(self.invariants)} in {self.ring!r}^{self.ambient_rank}>"
@@ -708,7 +625,7 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
         den, lifts = _over_common_pivot(reduced[nb:nz], pivots[nb:])
         t_rows = [row[w:] if h == 1 else [h * x for x in row[w:]] for row, h in zip(lifts, scale)]
         t_rows += [row[w:] for row in reduced[nz:]]
-        data = ("field", t_rows, len(reps), den)
+        data = (t_rows, len(reps), den)
         return QuotientPresentation(ring, n, (0,) * len(reps), reps, data)
 
     coord_cols = []
@@ -737,7 +654,7 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
                 amb = [a + coef * gv for a, gv in zip(amb, g)]
         gens.append(amb)
     invariants = [factors[i] for i in kept]
-    data = ("int", z.rows, z.pivots, u.data, kept)
+    data = (z.rows, z.pivots, u.data, kept)
     return QuotientPresentation(ring, n, invariants, gens, data)
 
 

@@ -13,8 +13,9 @@ they are integers already), and `Ring.scalars`, `Ring.dots` and
 `Ring.quotients` take integer rows back to canonical scalars, a whole
 row or matrix at a time.  Modules stay integer rows (`Ring.primitive`,
 `Ring.int_dots`): over QQ, Fractions appear only in module `gens`, `Mat`
-data, coordinates and `Delta` matrices.  Rings are interned, so they
-compare by identity.
+data, coordinates and `Delta` matrices.  The field elimination's row step
+is here too: `Ring.pivot_row` and `Ring.eliminate` (mod p, or
+fraction-free over QQ).  Rings are interned, so they compare by identity.
 """
 
 from __future__ import annotations
@@ -176,6 +177,33 @@ class Ring:
         if self.kind != "Q":
             return rows
         return [[Fraction(x, den) if x else _Q_ZERO for x in row] for row, den in zip(rows, dens)]
+
+    def pivot_row(self, row, c):
+        """An integer pivot row at c as field elimination keeps it: pivot 1 over GF(p)."""
+        if p := self.p:
+            inv = pow(row[c], -1, p)
+            if inv != 1:
+                return [x * inv % p for x in row]
+        return row
+
+    def eliminate(self, row, rp, c):
+        """A new integer row: row with its entry at c cleared by the pivot row rp.
+
+        Over GF(p), where rp[c] is 1, (row - row[c] rp) mod p; over QQ the
+        fraction-free rp[c] row - row[c] rp divided by its content.
+
+        >>> GF(5).eliminate([3, 1, 4], [1, 2, 0], 0)
+        [0, 0, 4]
+        >>> QQ.eliminate([3, 1, 4], [2, 2, 0], 0)
+        [0, -1, 2]
+        """
+        f = row[c]
+        if p := self.p:
+            return [(x - f * y) % p for x, y in zip(row, rp)]
+        pv = rp[c]
+        new = [x * pv - f * y for x, y in zip(row, rp)]
+        g = gcd(*new)
+        return [x // g for x in new] if g > 1 else new
 
     # -- text form --------------------------------------------------------
 

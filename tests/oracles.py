@@ -1,24 +1,80 @@
 """Test-only oracles: the paper's full cycle and boundary systems, the
 witness tuple of a cycle, its differential formula evaluated on a given
-witness, the class map psi from the total complex to the witness route,
-the lift of a witness-route cycle back to Tot, and the relation checks
+witness, the paper's explicit witnesses of a boundary (Proposition 2.5)
+and the constraint checks (*1) and (*2), the class map psi from the total
+complex to the witness route, the lift of a witness-route cycle back to
+Tot, module inclusion and quotient generation, and the relation checks
 done densely: every cell x n x j probed with dmap lookups, and the
 product d_{n-1} d_n of densely assembled total differentials.
 
 The full systems are assembled from a `SpectralPages`'s multicomplex, the
-witness tuple cuts the z parts of the engine's chain rows, the formula
-applies the structure maps to the witness, and psi and the lift build
+witness tuple cuts the z parts of the engine's chain rows, the formulas
+apply the structure maps to the witnesses, and psi and the lift build
 their own engine, so they check the engines from the outside; no engine
 calls them.  Elements of Tot_n are coordinate lists in the degree-n
 basis of `totalize`.
 """
 
 import random
+from dataclasses import dataclass
+from operator import add, sub
 
-from mcss.linalg import Mat, MembershipError, kernel, vec_sub, zero_vec
+from mcss.linalg import Mat, MembershipError, _hnf_columns, _rref_field, kernel, zero_vec
 from mcss.multicomplex import Multicomplex, RelationViolation
-from mcss.pages import CoWitnessTuple, SpectralPages, WitnessTuple
+from mcss.pages import SpectralPages
 from mcss.total import TotalComplex
+
+
+@dataclass(frozen=True)
+class WitnessTuple:
+    """Witnesses z_j in C_{p-j, q+j} certifying that some x is an r-cycle."""
+
+    r: int
+    p: int
+    q: int
+    z: dict  # j -> coordinate list, 1 <= j <= r-1
+
+
+@dataclass(frozen=True)
+class CoWitnessTuple:
+    """Co-witnesses c_k in C_{p+k, q-k+1} certifying an r-boundary."""
+
+    r: int
+    p: int
+    q: int
+    c: dict  # k -> coordinate list, 0 <= k <= r-1
+
+
+def vec_add(ring, u, v):
+    (a, b), den = ring.int_rows((u, v))
+    return ring.scalars(list(map(add, a, b)), den)
+
+
+def vec_sub(ring, u, v):
+    (a, b), den = ring.int_rows((u, v))
+    return ring.scalars(list(map(sub, a, b)), den)
+
+
+def includes(a, b):
+    """Whether b is a submodule of a."""
+    return all(a.contains(g) for g in b.gens)
+
+
+def spans(quot, coord_vectors) -> bool:
+    """Whether the given coordinate tuples generate the whole quotient."""
+    k = len(quot.invariants)
+    if k == 0:
+        return True
+    if quot.ring.is_field:
+        return len(_rref_field(quot.ring, list(coord_vectors))[1]) == k
+    cols = [list(v) for v in coord_vectors]
+    for i, d in enumerate(quot.invariants):
+        if d:
+            rel = [0] * k
+            rel[i] = d
+            cols.append(rel)
+    h, _, pivot_rows, npiv = _hnf_columns(cols, k)
+    return npiv == k and all(h[i][r] == 1 for i, r in enumerate(pivot_rows))
 
 
 def _assemble(ring, widths, blocks):
@@ -113,6 +169,80 @@ def delta_value(c: Multicomplex, r, p, q, x, wit: WitnessTuple | None):
         if mi is not None and zj is not None and any(zj):
             v = vec_sub(ring, v, mi.matvec(zj))
     return v
+
+
+def prop25_witness(c: Multicomplex, r, p, q, cow: CoWitnessTuple) -> WitnessTuple:
+    """The explicit witnesses z_{p-j} = -sum_i d_{j+i} c_{p+i} for a boundary.
+
+    Verifies the co-witness constraint system first, and asserts that the
+    produced witnesses satisfy the cycle equations for x = sum_k d_k c_{p+k}.
+    """
+    ring = c.ring
+    if not star2_holds(c, r, p, q, cow):
+        raise ValueError("co-witness tuple does not satisfy the boundary constraints")
+    z = {}
+    for j in range(1, r):
+        rank_j = c.rank(p - j, q + j)
+        acc = zero_vec(ring, rank_j)
+        for i in range(0, r):
+            ci = cow.c.get(i)
+            m = c.dmap(j + i, p + i, q - i + 1)
+            if m is not None and ci is not None and any(ci):
+                acc = vec_sub(ring, acc, m.matvec(ci))
+        z[j] = acc
+    x = boundary_value(c, r, p, q, cow)
+    wit = WitnessTuple(r, p, q, z)
+    assert star1_holds(c, r, p, q, x, wit), "explicit witnesses fail the cycle equations"
+    return wit
+
+
+def boundary_value(c: Multicomplex, r, p, q, cow: CoWitnessTuple):
+    """x = sum_{k<r} d_k c_{p+k} in C_{p,q}."""
+    ring = c.ring
+    x = zero_vec(ring, c.rank(p, q))
+    for k in range(r):
+        ck = cow.c.get(k)
+        m = c.dmap(k, p + k, q - k + 1)
+        if m is not None and ck is not None and any(ck):
+            x = vec_add(ring, x, m.matvec(ck))
+    return x
+
+
+def star1_holds(c: Multicomplex, r, p, q, x, wit: WitnessTuple) -> bool:
+    """Check d_0 x = 0 and d_n x = sum_{i<n} d_i z_{p-n+i} for 1 <= n < r."""
+    ring = c.ring
+    m0 = c.dmap(0, p, q)
+    if m0 is not None and any(m0.matvec(x)):
+        return False
+    for n in range(1, r):
+        tr = c.rank(p - n, q + n - 1)
+        mn = c.dmap(n, p, q)
+        lhs = mn.matvec(x) if mn is not None else zero_vec(ring, tr)
+        rhs = zero_vec(ring, tr)
+        for j in range(1, n + 1):
+            mj = c.dmap(n - j, p - j, q + j)
+            zj = wit.z.get(j)
+            if mj is not None and zj is not None and any(zj):
+                rhs = vec_add(ring, rhs, mj.matvec(zj))
+        if lhs != rhs:
+            return False
+    return True
+
+
+def star2_holds(c: Multicomplex, r, p, q, cow: CoWitnessTuple) -> bool:
+    """Check the boundary constraints 0 = sum_{k>=l} d_{k-l} c_{p+k}, 1 <= l < r."""
+    ring = c.ring
+    for l in range(1, r):
+        tr = c.rank(p + l, q - l)
+        acc = zero_vec(ring, tr)
+        for k in range(l, r):
+            mk = c.dmap(k - l, p + k, q - k + 1)
+            ck = cow.c.get(k)
+            if mk is not None and ck is not None and any(ck):
+                acc = vec_add(ring, acc, mk.matvec(ck))
+        if any(acc):
+            return False
+    return True
 
 
 def delta_with_witness(sp: SpectralPages, r, p, q, x, scramble=None):

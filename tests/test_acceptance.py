@@ -13,10 +13,10 @@ from mcss.builders import RandomSpec, WallParams, hurtubise, random_mcx, stairca
 from mcss.filtered import FilteredPages, compare_engines, homology
 from mcss.linalg import Mat, image, kernel, subquotient
 from mcss.multicomplex import Multicomplex
-from mcss.pages import SpectralPages, prop25_witness
+from mcss.pages import SpectralPages
 from mcss.rings import GF, QQ, ZZ
 from mcss.total import totalize
-from oracles import cowitnesses, delta_with_witness
+from oracles import cowitnesses, delta_with_witness, includes, prop25_witness
 
 
 def announce(num, text):
@@ -75,22 +75,17 @@ def deltas_zero(page):
     return all(d.is_zero() for d in page.deltas.values())
 
 
-def _includes(a, b):
-    """Whether b is a submodule of a."""
-    return all(a.contains(g) for g in b.gens)
-
-
 def structural_issue(sp, rmax):
     """First violated structural property, or None.  Shares the engine cache."""
     c = sp.c
     for (p, q) in c.support:
         for r in range(1, rmax + 1):
-            if not _includes(sp.zr(r, p, q), sp.br(r, p, q)):
+            if not includes(sp.zr(r, p, q), sp.br(r, p, q)):
                 return f"B_{r} not inside Z_{r} at ({p},{q})"
         for r in range(1, rmax):
-            if not _includes(sp.zr(r, p, q), sp.zr(r + 1, p, q)):
+            if not includes(sp.zr(r, p, q), sp.zr(r + 1, p, q)):
                 return f"cycle nesting fails at r={r} ({p},{q})"
-            if not _includes(sp.br(r + 1, p, q), sp.br(r, p, q)):
+            if not includes(sp.br(r + 1, p, q), sp.br(r, p, q)):
                 return f"boundary nesting fails at r={r} ({p},{q})"
         for r in (2, 3):
             if r > rmax:
