@@ -116,10 +116,16 @@ def _matrix_strs(ring, rows):
     return [[ring.format_scalar(ring.normalize(v)) for v in row] for row in rows]
 
 
-def _matrix_text(ring, rows):
-    if not rows or not rows[0]:
+def _matrix_text(strs):
+    """Formatted entries as [a b; c d], or [] when there are none."""
+    if not strs or not strs[0]:
         return "[]"
-    return "[" + "; ".join(" ".join(r) for r in _matrix_strs(ring, rows)) + "]"
+    return "[" + "; ".join(map(" ".join, strs)) + "]"
+
+
+def _diff_record(ring, d):
+    return {"p": d.p, "q": d.q, "target_p": d.target[0], "target_q": d.target[1],
+            "matrix": _matrix_strs(ring, d.rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +164,8 @@ def _pages_doc(c: Multicomplex, sp: SpectralPages, max_r: int):
         for (p, q), inv in page.invariants_table().items():
             table.setdefault(str(p), {})[str(q)] = {"invariants": list(inv)}
         pages[str(r)] = table
-        dl = []
-        for (p, q), d in sorted(page.deltas.items()):
-            if d.is_zero():
-                continue
-            dl.append({
-                "p": p,
-                "q": q,
-                "target_p": d.target[0],
-                "target_q": d.target[1],
-                "matrix": _matrix_strs(c.ring, d.rows),
-            })
-        diffs[str(r)] = dl
+        diffs[str(r)] = [_diff_record(c.ring, d)
+                         for _, d in sorted(page.deltas.items()) if not d.is_zero()]
     return {"ring": str(c.ring), "pages": pages, "differentials": diffs}
 
 
@@ -199,10 +195,8 @@ def cmd_pages(args) -> int:
         if dl:
             lines.append(f"Delta_{r}:")
             for rec in dl:
-                mat = "[" + "; ".join(" ".join(row) for row in rec["matrix"]) + "]"
-                lines.append(
-                    f"  ({rec['p']},{rec['q']}) -> ({rec['target_p']},{rec['target_q']}): {mat}"
-                )
+                lines.append(f"  ({rec['p']},{rec['q']}) -> ({rec['target_p']},{rec['target_q']}): "
+                             f"{_matrix_text(rec['matrix'])}")
     print("\n".join(lines))
     return EXIT_OK
 
@@ -216,21 +210,14 @@ def cmd_diff(args) -> int:
     src = sp.entry(r, p, q)
     tgt = sp.entry(r, *d.target)
     if args.json:
-        doc = {
-            "ring": str(c.ring),
-            "differentials": {str(r): [{
-                "p": p, "q": q,
-                "target_p": d.target[0], "target_q": d.target[1],
-                "matrix": _matrix_strs(c.ring, d.rows),
-            }]},
-        }
+        doc = {"ring": str(c.ring), "differentials": {str(r): [_diff_record(c.ring, d)]}}
         print(json.dumps(doc, indent=2))
         return EXIT_OK
     print(f"ring {c.ring}")
     print(f"Delta_{r} at ({p},{q}) -> ({d.target[0]},{d.target[1]})")
     print(f"source E_{r}({p},{q}): {group_str(c.ring, src.invariants)}")
     print(f"target E_{r}({d.target[0]},{d.target[1]}): {group_str(c.ring, tgt.invariants)}")
-    print(f"matrix: {_matrix_text(c.ring, d.rows)}")
+    print(f"matrix: {_matrix_text(_matrix_strs(c.ring, d.rows))}")
     return EXIT_OK
 
 

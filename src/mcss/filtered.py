@@ -4,7 +4,9 @@ Pages are computed from first principles on Tot C, from nothing but the
 total differential d and the column filtration F_p (never witnesses):
 the r-cycles are ZZ_r^p = F_p intersected with d^{-1}(F_{p-r}), the
 r-boundaries are BB_r^p = ZZ_{r-1}^{p-1} + d ZZ_{r-1}^{p+r-1}, and the
-differential is [x] -> [dx].
+differential is [x] -> [dx].  Tot stores each d_n as the integer columns
+this route reduces, over one denominator for every degree: spans are
+scale-free, so the reductions and `homology` take the columns as they are.
 
 The Tot basis runs in descending column order, so F_p is a coordinate
 suffix and dx lies in F_{p-r} exactly when dx vanishes on the rows above
@@ -56,7 +58,6 @@ from .linalg import (
     SubmodulePresentation,
     _hnf_columns,
     _rref_field,
-    image,
     snf,
     solve,
     subquotient,
@@ -93,14 +94,6 @@ class HomologyGroup:
     n: int
     invariants: tuple
 
-    @property
-    def free_rank(self) -> int:
-        return sum(1 for d in self.invariants if d == 0)
-
-    @property
-    def torsion(self) -> tuple:
-        return tuple(d for d in self.invariants if d)
-
 
 @dataclass
 class CellFailure:
@@ -129,29 +122,28 @@ class ComparisonReport:
 class _Reduction:
     """The columns of d_n restricted to F_p (from coordinate `start` on), reduced once.
 
-    `pivots` are the leading rows, in Tot_{n-1}, in increasing order.
-    `suffix[k]` is (cycles, images) for every k that a filtration cut of
-    Tot_{n-1} can give: cycles, in local F_p coordinates, span the
-    elements whose boundary vanishes on every row above pivots[k] (every
-    row, when k = len(pivots)), and images are their boundaries.  Over
-    QQ each cycle and its image are one integer row of the elimination,
-    fixed up to a scalar they share: `compare` and `delta` pair them, spans
-    ignore it.
+    The columns are Tot's stored integer columns from `start` on, d_n
+    times Tot's one denominator, and the snapshot rows are the block
+    starts of Tot_{n-1}.  `pivots` are the leading rows, in Tot_{n-1}, in
+    increasing order.  `suffix[k]` is (cycles, images) for every k that a
+    filtration cut of Tot_{n-1} can give: cycles, in local F_p
+    coordinates, span the elements whose boundary vanishes on every row
+    above pivots[k] (every row, when k = len(pivots)), and images are
+    their boundaries.  Over QQ each cycle and its image are one integer
+    row of the elimination, fixed up to a scalar they share: `compare`
+    and `delta` pair them, spans ignore it, and so the denominator may be
+    any common one.
     """
 
     __slots__ = ("pivots", "suffix")
 
     def __init__(self, t: TotalComplex, n: int, start: int):
         ring = t.ring
-        dmat = t.d(n)
-        nrows = dmat.rows
-        ints, den = dmat._int_form()
-        cols = [[row[j] for row in ints] for j in range(start, dmat.cols)]
-        bounds = [0]
-        for _, _, rank in t.blocks(n - 1):
-            bounds.append(bounds[-1] + rank)
+        cols = t.columns(n)[start:]
+        nrows = t.dim(n - 1)
+        bounds = t.block_starts(n - 1)
         if ring.is_field:
-            width = len(cols)
+            width, den = len(cols), t.den
             # Column j of d_n is cols[j] / den: row j, [cols[j] | den e_j], scales d(c) and c alike.
             aug = [col + [den if i == j else 0 for i in range(width)] for j, col in enumerate(cols)]
             reduced, self.pivots = _rref_field(ring, aug, limit=nrows, ints=True)
@@ -175,7 +167,6 @@ class FilteredPages:
         self._reductions = {}  # (n, start) -> _Reduction
         self._last = {}        # (p, n) -> last page on which the entry may change
         self._entries = {}
-        self._deltas = {}
 
     def _key(self, r: int, p: int, n: int):
         """(n, start, k): the reduction of d_n on F_p and the cut of F_{p-r}."""
@@ -259,10 +250,6 @@ class FilteredPages:
         each cycle's with its scale, is dx, whose (p-r) block is reduced in
         the target entry.
         """
-        key = (r, p, n)
-        cached = self._deltas.get(key)
-        if cached is not None:
-            return cached
         src = self.entry(r, p, n)
         tgt = self.entry(r, p - r, n - 1)
         cols = []
@@ -277,24 +264,24 @@ class FilteredPages:
                               [[v[i] for v in images] for i in range(start, end)], integral=True)
             for x in src.quot.gens:
                 cols.append(tgt.quot.reduce(bounds.matvec(solve(lifts, x))))
-        rows = tuple(tuple(col[i] for col in cols) for i in range(len(tgt.invariants)))
-        self._deltas[key] = rows
-        return rows
+        return tuple(tuple(col[i] for col in cols) for i in range(len(tgt.invariants)))
 
 
 def homology(t: TotalComplex) -> dict:
     """{n: H_n} as invariant factors, for every degree n with Tot_n nonzero.
 
-    From one canonical image per boundary map (Munkres, Elements of
-    Algebraic Topology, 1984, 11; Kaczynski-Mischaikow-Mrozek, Computational
-    Homology, 2004, ch. 3): H_n = Z^(dim Tot_n - rk d_n - rk d_{n+1}) plus,
-    over Z, the torsion of coker d_{n+1}.  In the Hermite basis of im d_{n+1}
-    a pivot 1 has a pivot row zero off its column (entries left of a pivot
-    lie in [0, pivot)) and splits off as Z/1, so the torsion is the Smith
-    form of the other columns on the rows where they are not all zero.
+    From one canonical span of each boundary map's stored columns
+    (Munkres, Elements of Algebraic Topology, 1984, 11;
+    Kaczynski-Mischaikow-Mrozek, Computational Homology, 2004, ch. 3):
+    H_n = Z^(dim Tot_n - rk d_n - rk d_{n+1}) plus, over Z, the torsion of
+    coker d_{n+1}.  In the Hermite basis of im d_{n+1} a pivot 1 has a
+    pivot row zero off its column (entries left of a pivot lie in
+    [0, pivot)) and splits off as Z/1, so the torsion is the Smith form of
+    the other columns on the rows where they are not all zero.
     """
-    degrees = [n for n in t.degrees() if t.dim(n)]
-    images = {m: image(t.d(m)) for m in sorted({*degrees, *(n + 1 for n in degrees)})}
+    degrees = t.degrees()
+    images = {m: SubmodulePresentation.span(t.ring, t.dim(m - 1), t.columns(m), ints=True)
+              for m in sorted({*degrees, *(n + 1 for n in degrees)})}
     groups = {}
     for n in degrees:
         b = images[n + 1]

@@ -104,11 +104,6 @@ class Mat:
         return m
 
     @classmethod
-    def zeros(cls, ring, rows, cols):
-        z = ring.zero()
-        return cls._raw(ring, rows, cols, [[z] * cols for _ in range(rows)])
-
-    @classmethod
     def from_cols(cls, ring, ambient_rank, cols_of_values):
         cols_of_values = [list(c) for c in cols_of_values]
         data = [[c[i] for c in cols_of_values] for i in range(ambient_rank)]
@@ -416,9 +411,6 @@ class SubmodulePresentation:
         if any(_reduce_field(self.ring, x, self.rows, self.pivots)):
             return None
         return [vec[r] for r in self.pivots]
-
-    def contains(self, vec) -> bool:
-        return self.coords(vec) is not None
 
     def prefix(self, n: int) -> "SubmodulePresentation":
         """The projection onto the first n coordinates.

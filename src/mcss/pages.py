@@ -140,7 +140,6 @@ class SpectralPages:
         self._quotients = {}  # (zr, br) -> subquotient
         self._last = {}  # (p, q) -> last page on which E_r may change
         self._entries = {}
-        self._deltas = {}
 
     # -- cycle and boundary modules ------------------------------------
 
@@ -331,18 +330,13 @@ class SpectralPages:
         With x = sum_k t_k (x part of K_r row k) from `witness`, the value is
         sum_k t_k V_r[k], the paper's formula on the witness of those rows.
         """
-        key = (r, p, q)
-        cached = self._deltas.get(key)
-        if cached is not None:
-            return cached
         c = self.c
         ring = c.ring
         src = self.entry(r, p, q)
         tp, tq = p - r, q + r - 1
         tr = c.rank(tp, tq)
         if not tr:  # no coordinates: no witness, no target entry
-            d = PageDifferential(r, p, q, src.quot.invariants, (), ())
-            return self._deltas.setdefault(key, d)
+            return PageDifferential(r, p, q, src.quot.invariants, (), ())
         tgt = self.entry(r, tp, tq)
         if r:
             zs, (vals, den), _ = self._chain(r, p, q)
@@ -367,7 +361,6 @@ class SpectralPages:
         d = PageDifferential(r, p, q, src.quot.invariants, tgt.quot.invariants, rows)
         if not ring.is_field:
             self._check_torsion_compat(d)
-        self._deltas[key] = d
         return d
 
     def _check_torsion_compat(self, d: PageDifferential):

@@ -2,8 +2,14 @@
 
 Per total degree n the basis collects the bidegree blocks (a, n-a) in
 descending a, so the filtration F_p (first index a <= p) is always a
-coordinate suffix and membership is a mask, not a solve.  d.d = 0 is
-checked on the nonzero entries placed.
+coordinate suffix and membership is a mask, not a solve.
+
+Each d_n is stored once, in the form its readers reduce: dense integer
+columns, column j being d(e_j) times one denominator `den`, the lcm of
+the structure maps' denominators (1 over ZZ and GF(p)).  Readers span or
+eliminate the columns, and a span does not see a common scale, so one
+`den` serves every degree.  d.d = 0 is checked on the nonzero entries
+placed.
 """
 
 from __future__ import annotations
@@ -11,36 +17,36 @@ from __future__ import annotations
 from bisect import bisect_left
 from math import lcm
 
-from .linalg import Mat
 from .multicomplex import Multicomplex
 
 
 class TotalComplex:
-    __slots__ = ("ring", "_blocks", "_offsets", "_dims", "_cuts", "_diff")
+    __slots__ = ("ring", "den", "_offsets", "_cuts", "_columns")
 
-    def __init__(self, ring, blocks, offsets, dims, cuts, diff):
+    def __init__(self, ring, den, offsets, cuts, columns):
         self.ring = ring
-        self._blocks = blocks      # n -> [(a, b, rank)] descending a
-        self._offsets = offsets    # n -> {a: (start, rank)}
-        self._dims = dims          # n -> total dimension
+        self.den = den             # d_n = columns(n) / den in every degree
+        self._offsets = offsets    # n -> {a: (start, rank)} in descending a
         self._cuts = cuts          # n -> ([-a per block], [block starts..., dimension])
-        self._diff = diff          # n -> Mat (Tot_n -> Tot_{n-1})
+        self._columns = columns    # n -> dim(n) integer columns of length dim(n-1)
 
     def degrees(self):
-        return sorted(self._dims)
+        return sorted(self._offsets)
 
     def dim(self, n: int) -> int:
-        return self._dims.get(n, 0)
+        return self.block_starts(n)[-1]
 
     def blocks(self, n: int):
         """The (a, n-a, rank) blocks of the degree-n basis, in its order: descending a."""
-        return self._blocks.get(n, [])
+        return [(a, n - a, rank) for a, (_, rank) in self._offsets.get(n, {}).items()]
 
-    def d(self, n: int) -> Mat:
-        m = self._diff.get(n)
-        if m is None:
-            m = Mat.zeros(self.ring, self.dim(n - 1), self.dim(n))
-        return m
+    def block_starts(self, n: int):
+        """The first coordinate of each degree-n block, in order, then dim(n)."""
+        return self._cuts.get(n, ((), (0,)))[1]
+
+    def columns(self, n: int):
+        """d_n: Tot_n -> Tot_{n-1} as integer columns over `den`, shared: never change them."""
+        return self._columns.get(n, [])
 
     def block_start(self, n: int, a: int):
         """Offset and width of the (a, n-a) block, or (None, 0) if absent."""
@@ -56,48 +62,36 @@ def totalize(c: Multicomplex) -> TotalComplex:
     """Assemble Tot with (dx)_a = sum_i d_i (x)_{a+i}; d.d = 0 is asserted."""
     by_degree: dict = {}
     for (a, b), rank in c.ranks.items():
-        by_degree.setdefault(a + b, []).append((a, b, rank))
-    blocks, offsets, dims, cuts = {}, {}, {}, {}
+        by_degree.setdefault(a + b, []).append((a, rank))
+    offsets, cuts = {}, {}
     for n, cells in by_degree.items():
-        cells.sort(key=lambda t: -t[0])
-        blocks[n] = cells
-        offs, starts = {}, []
+        cells.sort(reverse=True)
+        offs = offsets[n] = {}
         pos = 0
-        for a, b, rank in cells:
+        for a, rank in cells:
             offs[a] = pos, rank
-            starts.append(pos)
             pos += rank
-        offsets[n] = offs
-        dims[n] = pos
-        cuts[n] = [-a for a, _, _ in cells], starts + [pos]
+        cuts[n] = [-a for a, _ in cells], [start for start, _ in offs.values()] + [pos]
 
-    diff = {}
-    nonzero = {}  # n -> [(row, entry)] per column of d_n, integers over one denominator
     den = lcm(*[m._int_form()[1] for m in c.maps.values()])
-    zero = c.ring.zero()
-    for n in sorted(dims):
-        rows_n = dims.get(n - 1, 0)
-        cols_n = dims[n]
-        cols = nonzero[n] = [[] for _ in range(cols_n)]
-        if rows_n == 0 or cols_n == 0:
-            continue
-        grid = [[zero] * cols_n for _ in range(rows_n)]
-        for a, b, rank in blocks[n]:
-            cstart = offsets[n][a][0]
+    t = TotalComplex(c.ring, den, offsets, cuts, {})
+    nonzero = {}  # n -> [(row, entry)] per column of d_n
+    for n, offs in offsets.items():
+        cols = t._columns[n] = [[0] * t.dim(n - 1) for _ in range(t.dim(n))]
+        nz = nonzero[n] = [[] for _ in cols]
+        for a, (cstart, _) in offs.items():
             for i in range(c.maxd + 1):
-                m = c.dmap(i, a, b)
-                if m is None:
+                m = c.dmap(i, a, n - a)
+                if m is None:  # a map into an absent cell has no rows: dropped as zero
                     continue
-                rstart, _ = offsets[n - 1].get(a - i, (None, 0))
-                if rstart is None:
-                    raise AssertionError("structure map into an absent block")
                 ints, d = m._int_form()
-                for r, (mrow, irow) in enumerate(zip(m.data, ints), rstart):
-                    grid[r][cstart:cstart + rank] = mrow
-                    for col, v in zip(cols[cstart:cstart + rank], irow):
+                scale = den // d
+                for r, irow in enumerate(ints, offsets[n - 1][a - i][0]):
+                    for j, v in enumerate(irow, cstart):
                         if v:
-                            col.append((r, den // d * v))
-        diff[n] = Mat._raw(c.ring, rows_n, cols_n, grid)
+                            v *= scale
+                            cols[j][r] = v
+                            nz[j].append((r, v))
 
     # d_{n-1} d_n, summed over the pairs of nonzero entries that chain.
     degrees, sums = [], []
@@ -111,4 +105,4 @@ def totalize(c: Multicomplex) -> TotalComplex:
             sums += acc.values()
     if bad := [n for n, x in zip(degrees, c.ring.scalars(sums)) if x]:
         raise AssertionError(f"total differential does not square to zero at degree {min(bad)}")
-    return TotalComplex(c.ring, blocks, offsets, dims, cuts, diff)
+    return t

@@ -3,9 +3,11 @@ witness tuple of a cycle, its differential formula evaluated on a given
 witness, the paper's explicit witnesses of a boundary (Proposition 2.5)
 and the constraint checks (*1) and (*2), the class map psi from the total
 complex to the witness route, the lift of a witness-route cycle back to
-Tot, module inclusion and quotient generation, and the relation checks
-done densely: every cell x n x j probed with dmap lookups, and the
-product d_{n-1} d_n of densely assembled total differentials.
+Tot, d_n as a `Mat` read off Tot's stored columns, module membership,
+inclusion and quotient generation, the free rank and torsion of a
+homology group, and the relation checks done densely: every cell x n x j
+probed with dmap lookups, and the product d_{n-1} d_n of densely
+assembled total differentials.
 
 The full systems are assembled from a `SpectralPages`'s multicomplex, the
 witness tuple cuts the z parts of the engine's chain rows, the formulas
@@ -55,9 +57,24 @@ def vec_sub(ring, u, v):
     return ring.scalars(list(map(sub, a, b)), den)
 
 
+def contains(module, vec) -> bool:
+    """Whether vec lies in the submodule."""
+    return module.coords(vec) is not None
+
+
 def includes(a, b):
     """Whether b is a submodule of a."""
-    return all(a.contains(g) for g in b.gens)
+    return all(contains(a, g) for g in b.gens)
+
+
+def free_rank(h) -> int:
+    """The number of free summands of a homology group."""
+    return h.invariants.count(0)
+
+
+def torsion(h) -> tuple:
+    """The torsion invariant factors of a homology group."""
+    return tuple(d for d in h.invariants if d)
 
 
 def spans(quot, coord_vectors) -> bool:
@@ -265,9 +282,16 @@ def embed(t: TotalComplex, n, a, local) -> list:
     return coords
 
 
+def differential(t: TotalComplex, n) -> Mat:
+    """d_n: Tot_n -> Tot_{n-1} as a Mat, read off Tot's stored integer columns."""
+    cols = t.columns(n)
+    rows = [t.ring.scalars([col[i] for col in cols], t.den) for i in range(t.dim(n - 1))]
+    return Mat(t.ring, t.dim(n - 1), t.dim(n), rows)
+
+
 def psi(t: TotalComplex, c: Multicomplex, r, p, n, x):
     """The class of (x)_p on the witness side, for x an r-cycle on Tot_n."""
-    dx = t.d(n).matvec(x)
+    dx = differential(t, n).matvec(x)
     if any(x[:t.filtration_start(n, p)]) or any(dx[:t.filtration_start(n - 1, p - r)]):
         raise MembershipError("element does not lie in the filtered cycle module")
     start, width = t.block_start(n, p)

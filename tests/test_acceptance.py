@@ -16,7 +16,7 @@ from mcss.multicomplex import Multicomplex
 from mcss.pages import SpectralPages
 from mcss.rings import GF, QQ, ZZ
 from mcss.total import totalize
-from oracles import cowitnesses, delta_with_witness, includes, prop25_witness
+from oracles import cowitnesses, delta_with_witness, free_rank, includes, prop25_witness, torsion
 
 
 def announce(num, text):
@@ -332,8 +332,8 @@ def test_criterion_6_wall_homology_matches_einf_assembly(rk, s, t):
             inv = sp.entry(rmax, p, q).invariants
             free += sum(1 for d in inv if d == 0)
             torsion_order *= prod(d for d in inv if d) if any(inv) else 1
-        assert free == h.free_rank, (n, free, h.invariants)
-        assert torsion_order == prod(h.torsion) if h.torsion else torsion_order == 1
+        assert free == free_rank(h), (n, free, h.invariants)
+        assert torsion_order == prod(torsion(h)) if torsion(h) else torsion_order == 1
     announce(6, f"wall({rk},{s},{t}): H_n matches the Einf assembly for n <= 4, H_0 = Z")
 
 

@@ -178,25 +178,30 @@ def test_dense_z_seed_2_homology_and_compare(capsys):
 
 
 def test_homology_reduces_each_boundary_map_once(capsys, monkeypatch):
-    # `mcss homology` takes one canonical image of each boundary map it
-    # reads, d_n and d_{n+1} for every degree n, and builds no kernel and
-    # no subquotient.
+    # `mcss homology` takes one canonical span of the columns of each
+    # boundary map it reads, d_n and d_{n+1} for every degree n, and builds
+    # no kernel, no image of a matrix and no subquotient.
     import mcss.filtered
     import mcss.linalg
     import mcss.pages
+    from mcss.linalg import SubmodulePresentation
+    from oracles import dense_differentials
 
-    calls = {"image": [], "kernel": 0, "subquotient": 0}
+    calls = {"span": [], "image": 0, "kernel": 0, "subquotient": 0}
+    span = SubmodulePresentation.span
+
+    def counted_span(cls, ring, ambient_rank, columns, ints=False):
+        calls["span"].append((ambient_rank, [list(col) for col in columns], ints))
+        return span(ring, ambient_rank, columns, ints=ints)
 
     def counted(name, fn):
         def wrapper(*args):
-            if name == "image":
-                calls[name].append((args[0].rows, args[0].cols, args[0].data))
-            else:
-                calls[name] += 1
+            calls[name] += 1
             return fn(*args)
         return wrapper
 
-    for name in calls:
+    monkeypatch.setattr(SubmodulePresentation, "span", classmethod(counted_span))
+    for name in ("image", "kernel", "subquotient"):
         for module in (mcss.filtered, mcss.linalg, mcss.pages):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -209,10 +214,15 @@ def test_homology_reduces_each_boundary_map_once(capsys, monkeypatch):
         "H_5: Z^1",
         "H_6: Z^1",
     ]
-    assert calls["kernel"] == calls["subquotient"] == 0
-    t = totalize(parse(DENSE_Z_S2.read_text()))
+    assert calls["image"] == calls["kernel"] == calls["subquotient"] == 0
+    # The spanned columns are d_m's, assembled densely from the maps (over Z
+    # Tot's denominator is 1); a d_m into a zero Tot_{m-1} has empty columns.
+    c = parse(DENSE_Z_S2.read_text())
+    t, dense = totalize(c), dense_differentials(c)
     maps = sorted({m for n in t.degrees() for m in (n, n + 1)})
-    assert calls["image"] == [(t.d(m).rows, t.d(m).cols, t.d(m).data) for m in maps]
+    assert calls["span"] == [
+        (t.dim(m - 1), dense[m].to_cols() if m in dense else [[]] * t.dim(m), True)
+        for m in maps]
 
 
 def test_compare_serves_dead_cells_from_their_zero_page(tmp_path, capsys, monkeypatch):

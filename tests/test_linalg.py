@@ -27,13 +27,17 @@ from mcss.linalg import (
 )
 from mcss import rings
 from mcss.rings import GF, QQ, ZZ, Ring, is_prime
-from oracles import spans, vec_add, vec_sub
+from oracles import contains, spans, vec_add, vec_sub
 
 RINGS = [QQ, ZZ, GF(2), GF(5), GF(97)]
 
 
 def _identity(ring, n):
     return Mat(ring, n, n, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def _zeros(ring, rows, cols):
+    return Mat(ring, rows, cols, [[0] * cols for _ in range(rows)])
 
 
 def test_doctests():
@@ -84,7 +88,7 @@ def test_kernel_integer_lattice_matches_enumeration():
     k = kernel(m)
     enumerated = [(a, b) for a in range(-10, 11) for b in range(-10, 11) if 2 * a + 4 * b == 0]
     for sol in enumerated:
-        assert k.contains(list(sol))
+        assert contains(k, list(sol))
     assert k.gens == ((2, -1),)
 
 
@@ -119,7 +123,7 @@ def test_solve_f2_deterministic_choice():
 
 
 def test_image_zero_and_identity():
-    assert image(Mat.zeros(QQ, 3, 2)).rank == 0
+    assert image(_zeros(QQ, 3, 2)).rank == 0
     full = image(_identity(GF(5), 4))
     assert full == SubmodulePresentation.full(GF(5), 4)
 
@@ -132,9 +136,9 @@ def test_image_integer_lattice_membership():
         (2 * a + 4 * b, 6 * a + 8 * b) for a in range(-6, 7) for b in range(-6, 7)
     }
     for v in combos:
-        assert im.contains(list(v))
-    assert im.contains([2, 6])
-    assert not im.contains([1, 3])
+        assert contains(im, list(v))
+    assert contains(im, [2, 6])
+    assert not contains(im, [1, 3])
 
 
 @pytest.mark.parametrize("ring", [QQ, ZZ], ids=str)
@@ -228,9 +232,9 @@ def test_snf_example():
 
 
 def test_snf_zero():
-    u, d = snf(Mat.zeros(ZZ, 2, 3))
+    u, d = snf(_zeros(ZZ, 2, 3))
     assert d.is_zero()
-    assert image(u.mul(Mat.zeros(ZZ, 2, 3))) == image(d)
+    assert image(u.mul(_zeros(ZZ, 2, 3))) == image(d)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +402,7 @@ def test_subquotient_dimension_over_fields(ring, data):
     q = subquotient(z, b)
     assert len(q.invariants) == z.rank - b.rank
     for g in q.gens:
-        assert z.contains(list(g))
+        assert contains(z, list(g))
     for g in b.gens:
         assert not any(q.reduce(list(g)))
     lifts = [q.reduce(list(g)) for g in q.gens]
@@ -751,11 +755,11 @@ def test_row_arithmetic_matches_entrywise(ring, data):
 @pytest.mark.parametrize("ring", LAYER_RINGS, ids=str)
 def test_products_through_empty_shapes(ring):
     zero = ring.zero()
-    _assert_mat(ring, Mat.zeros(ring, 2, 0).mul(Mat.zeros(ring, 0, 3)), 2, 3, [[zero] * 3] * 2)
-    _assert_mat(ring, Mat.zeros(ring, 0, 2).mul(_identity(ring, 2)), 0, 2, [])
-    _assert_mat(ring, _identity(ring, 2).mul(Mat.zeros(ring, 2, 0)), 2, 0, [[], []])
-    assert Mat.zeros(ring, 2, 0).matvec([]) == [zero, zero]
-    assert Mat.zeros(ring, 0, 2).matvec([ring.one(), zero]) == []
+    _assert_mat(ring, _zeros(ring, 2, 0).mul(_zeros(ring, 0, 3)), 2, 3, [[zero] * 3] * 2)
+    _assert_mat(ring, _zeros(ring, 0, 2).mul(_identity(ring, 2)), 0, 2, [])
+    _assert_mat(ring, _identity(ring, 2).mul(_zeros(ring, 2, 0)), 2, 0, [[], []])
+    assert _zeros(ring, 2, 0).matvec([]) == [zero, zero]
+    assert _zeros(ring, 0, 2).matvec([ring.one(), zero]) == []
 
 
 def test_rational_products_keep_fractions():

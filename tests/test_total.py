@@ -10,7 +10,9 @@ from mcss.linalg import Mat, image, zero_vec
 from mcss.multicomplex import Multicomplex
 from mcss.rings import GF, QQ, ZZ
 from mcss.total import totalize
-from oracles import dense_differentials, first_nonsquare_degree, relation_violations
+from oracles import (
+    dense_differentials, differential, first_nonsquare_degree, relation_violations,
+)
 from test_filtered import _rescaled
 
 
@@ -22,7 +24,7 @@ def _labels(t, n):
 def test_totalize_staircase2():
     t = totalize(staircase(2, QQ))
     assert t.dim(2) == 2 and t.dim(1) == 2
-    assert image(t.d(2)).rank == 2
+    assert image(differential(t, 2)).rank == 2
 
 
 def test_totalize_empty():
@@ -33,8 +35,8 @@ def test_totalize_empty():
 
 def test_totalize_hurtubise3_block():
     t = totalize(hurtubise(3, QQ))
-    assert [[int(v) for v in row] for row in t.d(2).data] == [[1, 1], [1, 1]]
-    assert image(t.d(2)).rank == 1
+    assert t.den == 1 and t.columns(2) == [[1, 1], [1, 1]]
+    assert image(differential(t, 2)).rank == 1
 
 
 def test_basis_order_descending_first_index():
@@ -48,6 +50,7 @@ def test_basis_order_descending_first_index():
             assert a + b == n and t.block_start(n, a) == (pos, rank)
             pos += rank
         assert pos == t.dim(n)
+        assert t.block_starts(n) == [t.block_start(n, a)[0] for a, _, _ in t.blocks(n)] + [pos]
 
 
 def test_filtration_basis_extremes():
@@ -63,7 +66,7 @@ def test_filtration_is_subcomplex_and_blockwise_formula(ring):
         c = random_mcx(RandomSpec(seed=seed, width=4, height=4, maxrank=2, maxd=3, ring=ring))
         t = totalize(c)
         for n in t.degrees():
-            d = t.d(n)
+            d = differential(t, n)
             filt_src = [a for a, _, _ in _labels(t, n)]
             filt_tgt = [a for a, _, _ in _labels(t, n - 1)]
             # d(F_p) inside F_p: matrix entries vanish unless a(row) <= a(col)
@@ -118,7 +121,10 @@ def test_relation_checks_match_dense_oracles(ring):
             assert (n is None) == (want == [])
             if n is None:
                 t = totalize(mc)
-                assert all(t.d(k) == d for k, d in dense_differentials(mc).items())
+                dense = dense_differentials(mc)
+                assert all(differential(t, k) == d for k, d in dense.items())
+                # Every other degree's d_n has no entries: Tot_{n-1} is zero.
+                assert all(not any(map(any, t.columns(k))) for k in t.degrees() if k not in dense)
             else:
                 with pytest.raises(AssertionError) as exc:
                     totalize(mc)
