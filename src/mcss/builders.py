@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .linalg import Mat, solve
+from .linalg import Mat
 from .multicomplex import Multicomplex
 from .rings import Ring, ZZ
 
@@ -150,33 +150,31 @@ class RandomSpec:
 
 
 def _random_unimodular(rng, ring, k):
-    """Product of elementary operations: invertible over any ring, det +-1."""
-    rows = [[ring.one() if i == j else ring.zero() for j in range(k)] for i in range(k)]
+    """A product of elementary operations, det +-1, and its inverse, built
+    alongside: row_i += f row_j is undone by col_j -= f col_i, and a row
+    swap or negation by the same on columns."""
+    rows = [[int(i == j) for j in range(k)] for i in range(k)]
+    inv = [row[:] for row in rows]
     for _ in range(2 * k * k):
         op = rng.randrange(4)
         if op < 2 and k >= 2:
             i, j = rng.sample(range(k), 2)
             f = rng.randint(-2, 2)
             if f:
-                fv = ring.normalize(f)
-                rows[i] = [ring.add(x, ring.mul(fv, y)) for x, y in zip(rows[i], rows[j])]
+                rows[i] = [x + f * y for x, y in zip(rows[i], rows[j])]
+                for row in inv:
+                    row[j] -= f * row[i]
         elif op == 2 and k >= 2:
             i, j = rng.sample(range(k), 2)
             rows[i], rows[j] = rows[j], rows[i]
+            for row in inv:
+                row[i], row[j] = row[j], row[i]
         elif rng.random() < 0.5:
             i = rng.randrange(k)
-            rows[i] = [ring.neg(x) for x in rows[i]]
-    return Mat(ring, k, k, rows)
-
-
-def _inverse(m: Mat) -> Mat:
-    cols = []
-    for j in range(m.rows):
-        e = [m.ring.one() if i == j else m.ring.zero() for i in range(m.rows)]
-        x = solve(m, e)
-        assert x is not None, "conjugation block must be invertible"
-        cols.append(x)
-    return Mat.from_cols(m.ring, m.rows, cols)
+            rows[i] = [-x for x in rows[i]]
+            for row in inv:
+                row[i] = -row[i]
+    return Mat.from_ints(ring, k, k, rows), Mat.from_ints(ring, k, k, inv)
 
 
 def random_mcx(spec: RandomSpec) -> Multicomplex:
@@ -244,16 +242,13 @@ def random_mcx(spec: RandomSpec) -> Multicomplex:
     maps: dict = {}
     for (i, a, b), triples in entries.items():
         tgt, src = ranks[(a - i, b + i - 1)], ranks[(a, b)]
-        grid = [[ring.zero()] * src for _ in range(tgt)]
+        grid = [[0] * src for _ in range(tgt)]
         for r, c, v in triples:
-            grid[r][c] = ring.normalize(v)
-        maps[(i, a, b)] = Mat._raw(ring, tgt, src, grid)
+            grid[r][c] = v
+        maps[(i, a, b)] = Mat.from_ints(ring, tgt, src, grid)
 
     # Per-bidegree change of basis.
-    blocks = {}
-    for cell in sorted(ranks):
-        m = _random_unimodular(rng, ring, ranks[cell])
-        blocks[cell] = (m, _inverse(m))
+    blocks = {cell: _random_unimodular(rng, ring, ranks[cell]) for cell in sorted(ranks)}
     conjugated = {}
     for (i, a, b), m in sorted(maps.items()):
         left = blocks[(a - i, b + i - 1)][0]
@@ -281,11 +276,10 @@ def random_mcx(spec: RandomSpec) -> Multicomplex:
                 continue
             tgt, src = ranks[(a0 - delta, b + delta)], ranks[(a0, b)]
             grid = [
-                [ring.normalize(rng.randint(-2, 2)) if rng.random() < 0.6 else ring.zero()
-                 for _ in range(src)]
+                [rng.randint(-2, 2) if rng.random() < 0.6 else 0 for _ in range(src)]
                 for _ in range(tgt)
             ]
-            block = Mat._raw(ring, tgt, src, grid)
+            block = Mat.from_ints(ring, tgt, src, grid)
             if not block.is_zero():
                 nu[b] = block
         if not nu:

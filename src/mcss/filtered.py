@@ -258,10 +258,10 @@ class FilteredPages:
             width, start = src.zz.ambient_rank, t.filtration_start(n - 1, p - r)
             end = start + tgt.zz.ambient_rank
             cycles, images = self._suffix(self._key(r, p, n))
-            lifts = Mat._raw(t.ring, width, len(cycles),
-                             [[g[i] for g in cycles] for i in range(width)], integral=True)
-            bounds = Mat._raw(t.ring, end - start, len(images),
-                              [[v[i] for v in images] for i in range(start, end)], integral=True)
+            lifts = Mat.from_ints(t.ring, width, len(cycles),
+                                  [[g[i] for g in cycles] for i in range(width)])
+            bounds = Mat.from_ints(t.ring, end - start, len(images),
+                                   [[v[i] for v in images] for i in range(start, end)])
             for x in src.quot.gens:
                 cols.append(tgt.quot.reduce(bounds.matvec(solve(lifts, x))))
         return tuple(tuple(col[i] for col in cols) for i in range(len(tgt.invariants)))
@@ -289,8 +289,9 @@ def homology(t: TotalComplex) -> dict:
         cols = [] if t.ring.is_field else [g for g, r in zip(b.rows, b.pivots) if g[r] != 1]
         if cols:
             rows = [i for i in range(b.ambient_rank) if any(g[i] for g in cols)]
-            d = snf(Mat._raw(t.ring, len(rows), len(cols), [[g[i] for g in cols] for i in rows]))[1]
-            torsion = tuple(x for x in (d.data[k][k] for k in range(len(cols))) if x > 1)
+            grid = [[g[i] for g in cols] for i in rows]
+            d = snf(Mat.from_ints(t.ring, len(rows), len(cols), grid))[1]
+            torsion = tuple(x for x in (d.ints[k][k] for k in range(len(cols))) if x > 1)
         groups[n] = HomologyGroup(n, torsion + (0,) * (t.dim(n) - images[n].rank - b.rank))
     return groups
 

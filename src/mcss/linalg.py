@@ -11,12 +11,12 @@ Matrices are dense row-major lists; at the scale this engine targets
 simplicity and has no pivoting subtleties.
 
 Arithmetic runs on integer rows, whole rows at a time, and `mcss.rings`
-turns them into scalars: a `Mat` caches its rows over one common
-denominator.  Over QQ, elimination hands its rows back as integers:
-reduced row i is rows[i] / rows[i][pivots[i]].  Modules live as integer
-rows too, over QQ primitive ones, so no module operation builds a
-Fraction: they appear only in `gens`, `Mat` data, coordinates and
-`Delta` matrices.  The field elimination takes its row step from the
+turns them into scalars: a `Mat` stores only its rows over one common
+denominator, and `Mat.data` reads them as scalars.  Over QQ, elimination
+hands its rows back as integers: reduced row i is rows[i] /
+rows[i][pivots[i]].  Modules live as integer rows too, over QQ primitive
+ones, so no module operation builds a Fraction: they appear only in
+`gens`, `Mat.data`, coordinates and `Delta` matrices.  The field elimination takes its row step from the
 ring (`Ring.pivot_row`, `Ring.eliminate`).
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import lcm
-from operator import add, getitem
+from operator import getitem
 
 from .rings import Ring, ZZ
 
@@ -57,94 +57,84 @@ def _xgcd(a: int, b: int):
 
 
 class Mat:
-    """Immutable dense matrix over one of the three rings.
+    """Immutable dense matrix over one of the three rings, in one stored form.
 
-    `data` holds canonical scalars, but `_raw(..., integral=True)` wraps integer
-    rows as they are (ints over QQ too) for `kernel` and `solve`, which read only those.
+    Integer rows `ints` over the least denominator `den` (1 over ZZ, and
+    over GF(p), whose rows hold residues): entry (i, j) is ints[i][j] / den.
+    `data` is a view: the stored rows over ZZ and GF(p), Fractions over QQ.
 
+    >>> from fractions import Fraction
     >>> from mcss.rings import QQ
-    >>> m = Mat(QQ, 2, 2, [[1, 2], [3, 4]])
-    >>> m.matvec([1, 1])
-    [Fraction(3, 1), Fraction(7, 1)]
+    >>> m = Mat(QQ, 1, 2, [[Fraction(1, 2), Fraction(1, 3)]])
+    >>> m.ints, m.den, m.data
+    ([[3, 2]], 6, [[Fraction(1, 2), Fraction(1, 3)]])
     """
 
-    __slots__ = ("ring", "rows", "cols", "data", "_ints")
+    __slots__ = ("ring", "rows", "cols", "ints", "den")
 
     def __init__(self, ring: Ring, rows: int, cols: int, entries):
         norm = ring.normalize
         data = [[norm(v) for v in row] for row in entries]
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ValueError(f"entry grid does not match shape {rows}x{cols}")
-        self._set(ring, rows, cols, data)
+        self._set(ring, rows, cols, *ring.int_rows(data))
 
-    def _set(self, ring, rows, cols, data):
+    def _set(self, ring, rows, cols, ints, den):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "_ints", None)
-
-    def _int_form(self):
-        """Cached (integer rows, common denominator) of the data."""
-        form = self._ints
-        if form is None:
-            form = self.ring.int_rows(self.data)
-            object.__setattr__(self, "_ints", form)
-        return form
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
 
     @classmethod
-    def _raw(cls, ring, rows, cols, data, integral=False):
+    def from_ints(cls, ring, rows, cols, ints, den=1):
+        """The matrix ints / den (den is 1 unless over QQ); rows already in the
+        stored form are kept, not copied: never change them."""
         m = object.__new__(cls)
-        m._set(ring, rows, cols, data)
-        if integral:
-            object.__setattr__(m, "_ints", (data, 1))
+        m._set(ring, rows, cols, *ring.stored(ints, den))
         return m
 
-    @classmethod
-    def from_cols(cls, ring, ambient_rank, cols_of_values):
-        cols_of_values = [list(c) for c in cols_of_values]
-        data = [[c[i] for c in cols_of_values] for i in range(ambient_rank)]
-        return cls(ring, ambient_rank, len(cols_of_values), data)
+    @property
+    def data(self):
+        """The entries as canonical scalars; over ZZ and GF(p) the stored rows themselves."""
+        return self.ring.quotients(self.ints, [self.den] * self.rows)
 
     def to_cols(self):
-        return [[row[j] for row in self.data] for j in range(self.cols)]
+        """The columns as canonical scalars; over ZZ and GF(p) read off the stored rows."""
+        cols = [[row[j] for row in self.ints] for j in range(self.cols)]
+        return self.ring.quotients(cols, [self.den] * self.cols)
 
     def matvec(self, v):
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        ints, den = self._int_form()
         (vint,), vden = self.ring.int_rows((v,))
-        return self.ring.dots(ints, vint, den * vden)
+        return self.ring.dots(self.ints, vint, self.den * vden)
 
     def mul(self, other: "Mat") -> "Mat":
         if self.cols != other.rows or self.ring is not other.ring:
             raise ValueError("shape or ring mismatch in product")
         ring = self.ring
-        ints, den = self._int_form()
-        oints, oden = other._int_form()
-        ocols = [[row[j] for row in oints] for j in range(other.cols)]
-        den *= oden
-        return Mat._raw(ring, self.rows, other.cols, [ring.dots(ocols, row, den) for row in ints])
+        ocols = [[row[j] for row in other.ints] for j in range(other.cols)]
+        return Mat.from_ints(ring, self.rows, other.cols,
+                             [ring.int_dots(ocols, row) for row in self.ints], self.den * other.den)
 
     def add(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols) or self.ring is not other.ring:
             raise ValueError("shape or ring mismatch in sum")
-        ring = self.ring
-        ints, den = ring.int_rows(self.data + other.data)
-        data = [ring.scalars(list(map(add, a, b)), den) for a, b in zip(ints, ints[self.rows:])]
-        return Mat._raw(ring, self.rows, self.cols, data)
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        ints = [[f * x + g * y for x, y in zip(a, b)] for a, b in zip(self.ints, other.ints)]
+        return Mat.from_ints(self.ring, self.rows, self.cols, ints, den)
 
     def neg(self) -> "Mat":
-        ring = self.ring
-        ints, den = self._int_form()
-        data = [ring.scalars([-x for x in row], den) for row in ints]
-        return Mat._raw(ring, self.rows, self.cols, data)
+        ints = [[-x for x in row] for row in self.ints]
+        return Mat.from_ints(self.ring, self.rows, self.cols, ints, self.den)
 
     def is_zero(self) -> bool:
-        return all(not v for row in self.data for v in row)
+        return not any(map(any, self.ints))
 
     def __eq__(self, other):
         return (
@@ -152,7 +142,8 @@ class Mat:
             and self.ring is other.ring
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __repr__(self):
@@ -460,7 +451,7 @@ def kernel(m: Mat) -> SubmodulePresentation:
     """The solution submodule {x : m.x = 0}; over ZZ the full integer kernel."""
     ring = m.ring
     if ring.is_field:
-        reduced, pivots = _rref_field(ring, m._int_form()[0], ints=True)
+        reduced, pivots = _rref_field(ring, m.ints, ints=True)
         # Kernel vectors times den stay integral, and span is scale-free.
         den, rows = _over_common_pivot(reduced, pivots)
         pivot_set = set(pivots)
@@ -493,9 +484,8 @@ def solve(m: Mat, b) -> list | None:
     b = [ring.normalize(v) for v in b]
     if ring.is_field:
         # m = ints / den, b = bints / bden: ints . y = den bints, x = y / bden.
-        ints, den = m._int_form()
         (bints,), bden = ring.int_rows((b,))
-        aug = [row + [den * bv] for row, bv in zip(ints, bints)]
+        aug = [row + [m.den * bv] for row, bv in zip(m.ints, bints)]
         if not aug:
             return zero_vec(ring, m.cols)
         reduced, pivots = _rref_field(ring, aug, limit=m.cols, ints=True)
@@ -528,7 +518,7 @@ def solve(m: Mat, b) -> list | None:
 
 def image(m: Mat) -> SubmodulePresentation:
     """Canonical presentation of the column span / column lattice of m."""
-    return SubmodulePresentation.span(m.ring, m.rows, list(zip(*m._int_form()[0])), ints=True)
+    return SubmodulePresentation.span(m.ring, m.rows, list(zip(*m.ints)), ints=True)
 
 
 # ---------------------------------------------------------------------------
@@ -627,11 +617,11 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
             raise InclusionError("a generator of b lies outside the lattice z")
         coord_cols.append(y)
     k = z.rank
-    rel = Mat.from_cols(ring, k, coord_cols)
+    rel = Mat.from_ints(ring, k, len(coord_cols), [[y[i] for y in coord_cols] for i in range(k)])
     u, d = snf(rel)
     factors = []
     for i in range(k):
-        factors.append(d.data[i][i] if i < min(d.rows, d.cols) else 0)
+        factors.append(d.ints[i][i] if i < min(d.rows, d.cols) else 0)
     # u is unimodular, so the canonical Hermite form of the stacked columns
     # (u_j ; e_j) is (I ; W) with u.W = I: its lower half is u^{-1}.
     ucols = [col + [1 if i == j else 0 for i in range(k)] for j, col in enumerate(u.to_cols())]
@@ -646,7 +636,7 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
                 amb = [a + coef * gv for a, gv in zip(amb, g)]
         gens.append(amb)
     invariants = [factors[i] for i in kept]
-    data = (z.rows, z.pivots, u.data, kept)
+    data = (z.rows, z.pivots, u.ints, kept)
     return QuotientPresentation(ring, n, invariants, gens, data)
 
 
@@ -663,7 +653,7 @@ def snf(m: Mat):
     if m.ring is not ZZ:
         raise ValueError("Smith normal form is computed over ZZ")
     nr, nc = m.rows, m.cols
-    a = [row[:] for row in m.data]
+    a = [row[:] for row in m.ints]
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
 
     def row_gcd_op(k, i):
@@ -738,4 +728,4 @@ def snf(m: Mat):
         if a[k][k] < 0:
             a[k] = [-x for x in a[k]]
             u[k] = [-x for x in u[k]]
-    return Mat._raw(ZZ, nr, nr, u), Mat._raw(ZZ, nr, nc, a)
+    return Mat.from_ints(ZZ, nr, nr, u), Mat.from_ints(ZZ, nr, nc, a)

@@ -133,13 +133,14 @@ def parse(text: str) -> Multicomplex:
                     lineno, f"d_{i} on ({a},{b}) needs {src} entries per row, got {len(toks)}"
                 )
             try:
-                entries.append(ring.scalars(list(map(int, toks))))
+                entries.append(list(map(int, toks)))
             except ValueError:  # n/d, or a bad token: parse_scalar names it
                 try:
                     entries.append([ring.parse_scalar(t) for t in toks])
                 except ValueError as exc:
                     raise MCXParseError(lineno, str(exc)) from None
-        maps[(i, a, b)] = Mat._raw(ring, tgt, src, entries)  # each entry normalized once
+        # Over Q, int rows and Fraction rows alike go over one denominator.
+        maps[(i, a, b)] = Mat.from_ints(ring, tgt, src, *ring.int_rows(entries))
 
     try:
         return Multicomplex(ring, ranks, maps)

@@ -125,12 +125,11 @@ class Multicomplex:
 def vanishes(ring: Ring, pairs) -> bool:
     """Whether sum second * first over the Mat pairs is zero: the pairs'
     integer products, scaled to one denominator, summed entrywise."""
-    ints = [(second._int_form(), first._int_form()) for second, first in pairs]
-    den = lcm(*[ds * df for (_, ds), (_, df) in ints])
+    den = lcm(*[s.den * f.den for s, f in pairs])
     total = [0] * (pairs[0][0].rows * pairs[0][1].cols)
-    for (s, ds), (f, df) in ints:
-        k, fcols = den // (ds * df), list(zip(*f))
-        total = list(map(add, total, [k * sum(map(mul, row, col)) for row in s for col in fcols]))
+    for s, f in pairs:
+        k, fcols = den // (s.den * f.den), list(zip(*f.ints))
+        total = list(map(add, total, [k * sum(map(mul, r, c)) for r in s.ints for c in fcols]))
     return not any(ring.scalars(total))
 
 

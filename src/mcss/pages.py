@@ -227,12 +227,12 @@ class SpectralPages:
         tr, row = self._cycle_row(s, p, q)
         ends = [st[2].ambient_rank for st in steps[max(0, s - c.maxd - 1):]] + [k.ambient_rank]
         spans = [(0, c.rank(p, q))] + list(zip(ends, ends[1:]))  # one short: drops -d_0 z_s
-        used = [(m._int_form(), -1 if negate else 1, a, b)
+        used = [(m, -1 if negate else 1, a, b)
                 for (_, m, negate), (a, b) in zip(row, spans) if m is not None]
         if not used:
             return [], 1
-        den = lcm(*[d for (_, d), _, _, _ in used])
-        grid = [[sign * (den // d) * v for (ints, d), sign, _, _ in used for v in ints[i]]
+        den = lcm(*[m.den for m, _, _, _ in used])
+        grid = [[sign * (den // m.den) * v for m, sign, _, _ in used for v in m.ints[i]]
                 for i in range(tr)]
         dots = c.ring.int_dots
         return [dots(grid, [v for _, _, a, b in used for v in g[a:b]]) for g in k.rows], den
@@ -251,10 +251,10 @@ class SpectralPages:
             return k.direct_sum(self._chain(1, p - s, q + s)[0]) if c.rank(p - s, q + s) else k
         m, n, nz = k.rank, k.ambient_rank, c.rank(p - s, q + s)
         d0 = c.dmap(0, p - s, q + s)
-        d0s, den0 = d0._int_form() if d0 is not None else ([[0] * nz] * len(vals[0]), 1)
-        grid = [[den0 * v for v in vrow] + [ring.neg(vden * x) for x in drow]
+        d0s, den0 = (d0.ints, d0.den) if d0 is not None else ([[0] * nz] * len(vals[0]), 1)
+        grid = [[den0 * v for v in vrow] + [-vden * x for x in drow]
                 for vrow, drow in zip(zip(*vals), d0s)]
-        ker = kernel(Mat._raw(ring, len(grid), m + nz, grid, integral=True))
+        ker = kernel(Mat.from_ints(ring, len(grid), m + nz, grid))
         kcols = list(zip(*k.rows))
         return SubmodulePresentation.span(
             ring, n + nz, [ring.int_dots(kcols, u[:m]) + list(u[m:]) for u in ker.rows], ints=True)
@@ -315,8 +315,8 @@ class SpectralPages:
         not an r-cycle.
         """
         zs, _, k = self._chain(r, p, q)  # a row's scale cancels between t and its parts
-        cols = Mat._raw(self.c.ring, len(x), zs.rank,
-                        [[g[i] for g in k.rows[:zs.rank]] for i in range(len(x))], integral=True)
+        cols = Mat.from_ints(self.c.ring, len(x), zs.rank,
+                             [[g[i] for g in k.rows[:zs.rank]] for i in range(len(x))])
         t = solve(cols, x)
         if t is None:
             raise MembershipError(f"element is not an r={r} cycle at ({p},{q})")

@@ -11,16 +11,19 @@ one place that divides.  The linear algebra computes on integer rows:
 `Ring.int_rows` puts rows over one common denominator (over ZZ and GF(p)
 they are integers already), and `Ring.scalars`, `Ring.dots` and
 `Ring.quotients` take integer rows back to canonical scalars, a whole
-row or matrix at a time.  Modules stay integer rows (`Ring.primitive`,
-`Ring.int_dots`): over QQ, Fractions appear only in module `gens`, `Mat`
-data, coordinates and `Delta` matrices.  The field elimination's row step
-is here too: `Ring.pivot_row` and `Ring.eliminate` (mod p, or
-fraction-free over QQ).  Rings are interned, so they compare by identity.
+row or matrix at a time.  A `Mat` stores integer rows over one
+denominator, in the form `Ring.stored` fixes, and modules stay integer
+rows (`Ring.primitive`, `Ring.int_dots`): over QQ, Fractions appear only
+in module `gens`, a `Mat`'s `data` view, coordinates and `Delta`
+matrices.  The field elimination's row step is here too:
+`Ring.pivot_row` and `Ring.eliminate` (mod p, or fraction-free over QQ).
+Rings are interned, so they compare by identity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -172,8 +175,18 @@ class Ring:
         gs = [gcd(*row) if row[c] > 0 else -gcd(*row) for row, c in zip(rows, pivots)]
         return [row if g == 1 else [x // g for x in row] for row, g in zip(rows, gs)]
 
+    def stored(self, rows, den=1):
+        """(rows, den) in a `Mat`'s stored form, for the integer rows / den (den
+        is 1 unless over QQ): residues in [0, p) over GF(p), over QQ the least den."""
+        if p := self.p:
+            return [[x % p for x in row] for row in rows], 1
+        if den == 1:
+            return rows, 1
+        g = gcd(den, *chain.from_iterable(rows))
+        return ([[x // g for x in row] for row in rows], den // g) if g > 1 else (rows, den)
+
     def quotients(self, rows, dens):
-        """rows[i] / dens[i] for elimination output; over GF(p) the rows, pivots 1."""
+        """rows[i] / dens[i] as canonical scalars; over ZZ and GF(p) the rows, dens 1."""
         if self.kind != "Q":
             return rows
         return [[Fraction(x, den) if x else _Q_ZERO for x in row] for row, den in zip(rows, dens)]

@@ -73,7 +73,7 @@ def totalize(c: Multicomplex) -> TotalComplex:
             pos += rank
         cuts[n] = [-a for a, _ in cells], [start for start, _ in offs.values()] + [pos]
 
-    den = lcm(*[m._int_form()[1] for m in c.maps.values()])
+    den = lcm(*[m.den for m in c.maps.values()])
     t = TotalComplex(c.ring, den, offsets, cuts, {})
     nonzero = {}  # n -> [(row, entry)] per column of d_n
     for n, offs in offsets.items():
@@ -84,9 +84,8 @@ def totalize(c: Multicomplex) -> TotalComplex:
                 m = c.dmap(i, a, n - a)
                 if m is None:  # a map into an absent cell has no rows: dropped as zero
                     continue
-                ints, d = m._int_form()
-                scale = den // d
-                for r, irow in enumerate(ints, offsets[n - 1][a - i][0]):
+                scale = den // m.den
+                for r, irow in enumerate(m.ints, offsets[n - 1][a - i][0]):
                     for j, v in enumerate(irow, cstart):
                         if v:
                             v *= scale

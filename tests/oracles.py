@@ -112,13 +112,18 @@ def _assemble(ring, widths, blocks):
             for row, src in zip(rows, m.data):
                 row[o:o + m.cols] = [ring.neg(v) for v in src] if negate else src
         grid.extend(rows)
-    return Mat._raw(ring, len(grid), offs[-1], grid), offs
+    return Mat(ring, len(grid), offs[-1], grid), offs
 
 
 def cycle_system(sp: SpectralPages, r, p, q):
-    """Rows 0 <= n < r of the cycle system on (x, z_1, ..., z_{r-1})."""
-    widths = [sp.c.rank(p - j, q + j) for j in range(r)]
-    return _assemble(sp.c.ring, widths, [sp._cycle_row(n, p, q) for n in range(r)])
+    """Rows d_n x - sum_{j=1}^{n} d_{n-j} z_j, 0 <= n < r, on (x, z_1, ..., z_{r-1})."""
+    c = sp.c
+    widths = [c.rank(p - j, q + j) for j in range(r)]
+    blocks = [(c.rank(p - n, q + n - 1),
+               [(0, c.dmap(n, p, q), False)]
+               + [(j, c.dmap(n - j, p - j, q + j), True) for j in range(1, n + 1)])
+              for n in range(r)]
+    return _assemble(c.ring, widths, blocks)
 
 
 def cowitnesses(sp: SpectralPages, r, p, q) -> list:

@@ -677,7 +677,7 @@ def test_dense_integer_elimination_stays_small():
     # bound.  Euclid across the row takes hundredths of a second.
     rng = random.Random(30)
     cols = [[rng.randint(-3, 3) for _ in range(30)] for _ in range(33)]
-    m = Mat.from_cols(ZZ, 30, cols)
+    m = Mat(ZZ, 30, len(cols), [list(row) for row in zip(*cols)])
 
     def timed(f, *args):
         start = time.perf_counter()
@@ -720,6 +720,8 @@ def _assert_mat(ring, m, rows, cols, expected):
     assert len(m.data) == rows and all(len(row) == cols for row in m.data)
     assert m.data == expected
     assert all(_is_canonical(ring, row) for row in m.data)
+    built = Mat(ring, rows, cols, expected)  # the same matrix, from scalars
+    assert m == built and repr(m) == repr(built)
 
 
 @pytest.mark.parametrize("ring", LAYER_RINGS, ids=str)
@@ -737,6 +739,12 @@ def test_row_arithmetic_matches_entrywise(ring, data):
     a, a2 = Mat(ring, r, k, grid(r, k)), Mat(ring, r, k, grid(r, k))
     b = Mat(ring, k, c, grid(k, c))
     u, v = grid(2, k)
+    # Integer rows over a denominator read as the scalars they stand for.
+    ints = data.draw(st.lists(st.lists(scalar_st, min_size=k, max_size=k),
+                              min_size=r, max_size=r))
+    den = data.draw(st.integers(min_value=1, max_value=12)) if ring is QQ else 1
+    _assert_mat(ring, Mat.from_ints(ring, r, k, ints, den), r, k,
+                [[ring.normalize(Fraction(x, den)) for x in row] for row in ints])
 
     out = a.matvec(u)
     assert out == [_dot(ring, row, u) for row in a.data] and _is_canonical(ring, out)
@@ -760,6 +768,16 @@ def test_products_through_empty_shapes(ring):
     _assert_mat(ring, _identity(ring, 2).mul(_zeros(ring, 2, 0)), 2, 0, [[], []])
     assert _zeros(ring, 2, 0).matvec([]) == [zero, zero]
     assert _zeros(ring, 0, 2).matvec([ring.one(), zero]) == []
+
+
+def test_mat_stores_integer_rows_over_the_least_denominator():
+    m = Mat(QQ, 1, 2, [[Fraction(1, 2), Fraction(1, 3)]])
+    assert (m.ints, m.den) == ([[3, 2]], 6)
+    assert Mat.from_ints(QQ, 1, 2, [[9, 6]], 18) == m
+    wrapped = Mat.from_ints(QQ, 1, 2, [[1, 2]])
+    assert wrapped.data == [[Fraction(1), Fraction(2)]] and _is_canonical(QQ, wrapped.data[0])
+    assert Mat.from_ints(GF(97), 1, 2, [[-1, 98]]) == Mat(GF(97), 1, 2, [[96, 1]])
+    assert Mat(ZZ, 1, 1, [[Fraction(4)]]).ints == [[4]]
 
 
 def test_rational_products_keep_fractions():

@@ -725,8 +725,8 @@ def _system_witness(sp, r, p, q, x):
     ring = sp.c.ring
     mat, offs = cycle_system(sp, r, p, q)
     nx = offs[1]
-    rhs = [-v for v in Mat._raw(ring, mat.rows, nx, [row[:nx] for row in mat.data]).matvec(x)]
-    z = solve(Mat._raw(ring, mat.rows, mat.cols - nx, [row[nx:] for row in mat.data]), rhs)
+    rhs = [-v for v in Mat(ring, mat.rows, nx, [row[:nx] for row in mat.data]).matvec(x)]
+    z = solve(Mat(ring, mat.rows, mat.cols - nx, [row[nx:] for row in mat.data]), rhs)
     assert z is not None, (r, p, q)
     return WitnessTuple(r, p, q, {j: z[offs[j] - nx:offs[j + 1] - nx] for j in range(1, r)})
 
