@@ -16,8 +16,9 @@ denominator, and `Mat.data` reads them as scalars.  Over QQ, elimination
 hands its rows back as integers: reduced row i is rows[i] /
 rows[i][pivots[i]].  Modules live as integer rows too, over QQ primitive
 ones, so no module operation builds a Fraction: they appear only in
-`gens`, `Mat.data`, coordinates and `Delta` matrices.  The field elimination takes its row step from the
-ring (`Ring.pivot_row`, `Ring.eliminate`).
+`gens`, `Mat.data`, coordinates and `Delta` matrices.  The field
+elimination takes its row step from the ring (`Ring.pivot_row`,
+`Ring.eliminate`).
 """
 
 from __future__ import annotations

@@ -729,9 +729,8 @@ def test_homology_invariant_under_block_conjugation():
     rng = _random.Random(99)
     blocks = {cell: _random_unimodular(rng, ZZ, k) for cell, k in sorted(c.ranks.items())}
     for u, inv in blocks.values():  # each block comes with its inverse
-        k = u.rows
-        assert u.mul(inv) == inv.mul(u) == Mat(ZZ, k, k, [[int(i == j) for j in range(k)]
-                                                          for i in range(k)])
+        one = Mat(ZZ, u.rows, u.rows, [[int(i == j) for j in range(u.rows)] for i in range(u.rows)])
+        assert u.mul(inv) == inv.mul(u) == one
     maps = {}
     for (i, a, b), m in c.maps.items():
         left = blocks[(a - i, b + i - 1)][0]
