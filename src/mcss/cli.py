@@ -113,7 +113,8 @@ def group_str(ring: Ring, invariants) -> str:
 
 
 def _matrix_strs(ring, rows):
-    return [[ring.format_scalar(ring.normalize(v)) for v in row] for row in rows]
+    """Delta entries as text: the rows already hold canonical scalars."""
+    return [[ring.format_scalar(v) for v in row] for row in rows]
 
 
 def _matrix_text(strs):

@@ -146,7 +146,7 @@ class _Reduction:
             width, den = len(cols), t.den
             # Column j of d_n is cols[j] / den: row j, [cols[j] | den e_j], scales d(c) and c alike.
             aug = [col + [den if i == j else 0 for i in range(width)] for j, col in enumerate(cols)]
-            reduced, self.pivots = _rref_field(ring, aug, limit=nrows, ints=True)
+            reduced, self.pivots = _rref_field(ring, aug, limit=nrows)
             cycles = [row[nrows:] for row in reduced]
             images = [row[:nrows] for row in reduced]
             levels = {bisect_left(self.pivots, b) for b in bounds}
@@ -186,7 +186,7 @@ class FilteredPages:
         cached = self._spans.get((key, part, lo, hi))
         if cached is None:
             cached = self._spans[key, part, lo, hi] = SubmodulePresentation.span(
-                self.t.ring, hi - lo, [v[lo:hi] for v in self._suffix(key)[part]], ints=True)
+                self.t.ring, hi - lo, [v[lo:hi] for v in self._suffix(key)[part]])
         return cached
 
     def zz(self, r: int, p: int, n: int) -> SubmodulePresentation:
@@ -280,7 +280,7 @@ def homology(t: TotalComplex) -> dict:
     the other columns on the rows where they are not all zero.
     """
     degrees = t.degrees()
-    images = {m: SubmodulePresentation.span(t.ring, t.dim(m - 1), t.columns(m), ints=True)
+    images = {m: SubmodulePresentation.span(t.ring, t.dim(m - 1), t.columns(m))
               for m in sorted({*degrees, *(n + 1 for n in degrees)})}
     groups = {}
     for n in degrees:

@@ -14,9 +14,10 @@ Arithmetic runs on integer rows, whole rows at a time, and `mcss.rings`
 turns them into scalars: a `Mat` stores only its rows over one common
 denominator, and `Mat.data` reads them as scalars.  Over QQ, elimination
 hands its rows back as integers: reduced row i is rows[i] /
-rows[i][pivots[i]].  Modules live as integer rows too, over QQ primitive
-ones, so no module operation builds a Fraction: they appear only in
-`gens`, `Mat.data`, coordinates and `Delta` matrices.  The field
+rows[i][pivots[i]].  Modules are spanned by integer rows and live as
+integer rows, over QQ primitive ones, so no module operation builds a
+Fraction: they appear only in `gens`, `Mat.data`, the output of `solve`
+and `QuotientPresentation.reduce`, and `Delta` matrices.  The field
 elimination takes its row step from the ring (`Ring.pivot_row`,
 `Ring.eliminate`).
 """
@@ -167,23 +168,23 @@ def _over_common_pivot(rows, pivots):
 # elimination cores
 
 
-def _rref_field(ring, data, limit=None, ints=False):
-    """Reduced row echelon form up to row scaling; pivots chosen left to
-    right, first nonzero.
+def _rref_field(ring, ints, limit=None):
+    """Reduced row echelon form up to row scaling of integer rows; pivots
+    chosen left to right, first nonzero.
 
-    Only columns < limit are eligible as pivots (used for augmented solves).
+    The rows are integer rows: over QQ any nonzero multiple of each row
+    (elimination is scale-free), over GF(p) residues in [0, p).  Only
+    columns < limit are eligible as pivots (used for augmented solves).
     Returns (rows, pivot_columns): the reduced row echelon form is
     rows[i] / rows[i][pivot_columns[i]] for the pivot rows, and the rows
     past the rank, zero on the columns < limit, are fixed up to a scalar.
     The ring does the row step (`Ring.pivot_row`, `Ring.eliminate`): over
     GF(p) every pivot is 1, over QQ the rows stay integers, fraction-free.
-    With `ints` the rows are integer rows already (any multiples:
-    scale-free).  Rows are replaced, never updated in place.
+    Rows are replaced, never updated in place.
     """
     if limit is None:
-        limit = len(data[0]) if data else 0
-    # Each row over its own denominator: scale-free, and small.
-    rows = list(data) if ints else [ring.int_rows((r,))[0][0] for r in data]
+        limit = len(ints[0]) if ints else 0
+    rows = list(ints)
     pivot_row, eliminate = ring.pivot_row, ring.eliminate
     nrows = len(rows)
     pivots = []
@@ -321,17 +322,6 @@ def _coords_in_hnf(cols, pivot_rows, vec):
     return y
 
 
-def _reduce_field(ring, x, rows, pivots):
-    """A multiple of x - sum (x[r] / g[r]) g over the integer rows g, pivots r,
-    of a reduced echelon basis: each g is zero at the other pivots."""
-    used = [(g, x[r], g[r]) for g, r in zip(rows, pivots) if x[r]]
-    if not used:
-        return x
-    den = lcm(*[gr for _, _, gr in used])
-    coeffs = [den] + [-(den // gr) * xr for _, xr, gr in used]
-    return ring.int_dots(zip(x, *[g for g, _, _ in used]), coeffs)
-
-
 # ---------------------------------------------------------------------------
 # submodules
 
@@ -367,13 +357,25 @@ class SubmodulePresentation:
         return self._gens
 
     @classmethod
-    def span(cls, ring, ambient_rank, columns, ints=False):  # ints: columns are integer rows
-        cols = [c for c in columns if any(c)]
-        for c in cols:
+    def span(cls, ring, ambient_rank, columns):
+        """The submodule spanned by integer `columns`, each of length `ambient_rank`.
+
+        Over ZZ the columns are the generators, over QQ any nonzero
+        multiple of each, and over GF(p) residues in [0, p).
+
+        >>> from mcss.rings import QQ
+        >>> a = SubmodulePresentation.span(QQ, 2, [[2, 4]])
+        >>> a == SubmodulePresentation.span(QQ, 2, [[1, 2]]), a.rows
+        (True, ((1, 2),))
+        """
+        cols = []
+        for c in columns:
             if len(c) != ambient_rank:
                 raise ValueError("generator length does not match ambient rank")
+            if any(c):
+                cols.append(c)
         if ring.is_field:
-            reduced, pivots = _rref_field(ring, cols, ints=ints)
+            reduced, pivots = _rref_field(ring, cols)
             rows = ring.primitive(reduced[:len(pivots)], pivots)
         else:
             h, _, pivots, npiv = _hnf_columns(cols, ambient_rank)
@@ -392,17 +394,6 @@ class SubmodulePresentation:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def coords(self, vec):
-        """Coordinates of vec in the generator basis, or None if outside."""
-        if len(vec) != self.ambient_rank:
-            raise ValueError("vector length mismatch")
-        if not self.ring.is_field:
-            return _coords_in_hnf(self.rows, self.pivots, vec)
-        (x,), _ = self.ring.int_rows((vec,))
-        if any(_reduce_field(self.ring, x, self.rows, self.pivots)):
-            return None
-        return [vec[r] for r in self.pivots]
 
     def prefix(self, n: int) -> "SubmodulePresentation":
         """The projection onto the first n coordinates.
@@ -452,7 +443,7 @@ def kernel(m: Mat) -> SubmodulePresentation:
     """The solution submodule {x : m.x = 0}; over ZZ the full integer kernel."""
     ring = m.ring
     if ring.is_field:
-        reduced, pivots = _rref_field(ring, m.ints, ints=True)
+        reduced, pivots = _rref_field(ring, m.ints)
         # Kernel vectors times den stay integral, and span is scale-free.
         den, rows = _over_common_pivot(reduced, pivots)
         pivot_set = set(pivots)
@@ -464,9 +455,9 @@ def kernel(m: Mat) -> SubmodulePresentation:
             for row, c in zip(rows, pivots):
                 v[c] = ring.neg(row[f])
             gens.append(v)
-        return SubmodulePresentation.span(ring, m.cols, gens, ints=True)
+        return SubmodulePresentation.span(ring, m.cols, gens)
     _, v, _, npiv = _hnf_columns(m.to_cols(), m.rows, transform=True)
-    return SubmodulePresentation.span(ring, m.cols, v[npiv:], ints=True)
+    return SubmodulePresentation.span(ring, m.cols, v[npiv:])
 
 
 def solve(m: Mat, b) -> list | None:
@@ -489,7 +480,7 @@ def solve(m: Mat, b) -> list | None:
         aug = [row + [m.den * bv] for row, bv in zip(m.ints, bints)]
         if not aug:
             return zero_vec(ring, m.cols)
-        reduced, pivots = _rref_field(ring, aug, limit=m.cols, ints=True)
+        reduced, pivots = _rref_field(ring, aug, limit=m.cols)
         for i in range(len(pivots), m.rows):
             if reduced[i][m.cols]:
                 return None
@@ -519,7 +510,7 @@ def solve(m: Mat, b) -> list | None:
 
 def image(m: Mat) -> SubmodulePresentation:
     """Canonical presentation of the column span / column lattice of m."""
-    return SubmodulePresentation.span(m.ring, m.rows, list(zip(*m.ints)), ints=True)
+    return SubmodulePresentation.span(m.ring, m.rows, list(zip(*m.ints)))
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +590,7 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
         w = nb + nz
         basis = b.rows + z.rows
         aug = [[g[i] for g in basis] + [1 if k == i else 0 for k in range(n)] for i in range(n)]
-        reduced, pivots = _rref_field(ring, aug, limit=w, ints=True)
+        reduced, pivots = _rref_field(ring, aug, limit=w)
         if len(pivots) != nz:
             raise InclusionError("a generator of b lies outside z")
         picked = [c - nb for c in pivots[nb:]]
@@ -613,7 +604,7 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
 
     coord_cols = []
     for g in b.rows:
-        y = z.coords(g)
+        y = _coords_in_hnf(z.rows, z.pivots, g)
         if y is None:
             raise InclusionError("a generator of b lies outside the lattice z")
         coord_cols.append(y)

@@ -174,10 +174,10 @@ class SpectralPages:
             src = (p + s - 1, q - s + 2)
             if s == 1:
                 m = c.dmap(0, p, q + 1)
-                b = image(m) if m is not None else SubmodulePresentation.span(c.ring, nx, [])
+                b = image(m) if m is not None else SubmodulePresentation.zero(c.ring, nx)
             elif c.rank(*src) and self._last.get(src, s) >= s and (
                     values := self._chain(s - 1, *src)[1][0]):
-                b = SubmodulePresentation.span(c.ring, nx, b.rows + tuple(values), ints=True)
+                b = SubmodulePresentation.span(c.ring, nx, b.rows + tuple(values))
             self._br[(s, p, q)] = b
         return b
 
@@ -257,7 +257,7 @@ class SpectralPages:
         ker = kernel(Mat.from_ints(ring, len(grid), m + nz, grid))
         kcols = list(zip(*k.rows))
         return SubmodulePresentation.span(
-            ring, n + nz, [ring.int_dots(kcols, u[:m]) + list(u[m:]) for u in ker.rows], ints=True)
+            ring, n + nz, [ring.int_dots(kcols, u[:m]) + list(u[m:]) for u in ker.rows])
 
     # -- entries ---------------------------------------------------------
 

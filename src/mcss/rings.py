@@ -12,10 +12,11 @@ one place that divides.  The linear algebra computes on integer rows:
 they are integers already), and `Ring.scalars`, `Ring.dots` and
 `Ring.quotients` take integer rows back to canonical scalars, a whole
 row or matrix at a time.  A `Mat` stores integer rows over one
-denominator, in the form `Ring.stored` fixes, and modules stay integer
-rows (`Ring.primitive`, `Ring.int_dots`): over QQ, Fractions appear only
-in module `gens`, a `Mat`'s `data` view, coordinates and `Delta`
-matrices.  The field elimination's row step is here too:
+denominator, in the form `Ring.stored` fixes, and modules are spanned
+by integer rows and stay integer rows (`Ring.primitive`,
+`Ring.int_dots`): over QQ, Fractions appear only in module `gens`, a
+`Mat`'s `data` view, the output of `solve` and of a quotient's `reduce`,
+and `Delta` matrices.  The field elimination's row step is here too:
 `Ring.pivot_row` and `Ring.eliminate` (mod p, or fraction-free over QQ).
 Rings are interned, so they compare by identity.
 """
@@ -29,9 +30,8 @@ from operator import mul
 
 _MR_BASES = (2, 3, 5, 7)  # deterministic Miller-Rabin below 3 215 031 751
 
-# Fractions are immutable, so QQ hands out one shared zero and one.
+# Fractions are immutable, so QQ hands out one shared zero.
 _Q_ZERO = Fraction(0)
-_Q_ONE = Fraction(1)
 
 # (kind, p) -> the one Ring instance.
 _RINGS: dict = {}
@@ -121,15 +121,6 @@ class Ring:
 
     def zero(self):
         return _Q_ZERO if self.kind == "Q" else 0
-
-    def one(self):
-        return _Q_ONE if self.kind == "Q" else 1
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.kind == "F" else a + b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "F" else a * b
 
     def neg(self, a):
         return (-a) % self.p if self.kind == "F" else -a

@@ -3,11 +3,11 @@ witness tuple of a cycle, its differential formula evaluated on a given
 witness, the paper's explicit witnesses of a boundary (Proposition 2.5)
 and the constraint checks (*1) and (*2), the class map psi from the total
 complex to the witness route, the lift of a witness-route cycle back to
-Tot, d_n as a `Mat` read off Tot's stored columns, module membership,
-inclusion and quotient generation, the free rank and torsion of a
-homology group, and the relation checks done densely: every cell x n x j
-probed with dmap lookups, and the product d_{n-1} d_n of densely
-assembled total differentials.
+Tot, d_n as a `Mat` read off Tot's stored columns, the span of scalar
+columns, module membership, inclusion and quotient generation, the free
+rank and torsion of a homology group, and the relation checks done
+densely: every cell x n x j probed with dmap lookups, and the product
+d_{n-1} d_n of densely assembled total differentials.
 
 The full systems are assembled from a `SpectralPages`'s multicomplex, the
 witness tuple cuts the z parts of the engine's chain rows, the formulas
@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from operator import add, sub
 
-from mcss.linalg import Mat, MembershipError, _hnf_columns, _rref_field, kernel, zero_vec
+from mcss.linalg import Mat, MembershipError, SubmodulePresentation, _hnf_columns, kernel, zero_vec
 from mcss.multicomplex import Multicomplex, RelationViolation
 from mcss.pages import SpectralPages
 from mcss.total import TotalComplex
@@ -57,9 +57,16 @@ def vec_sub(ring, u, v):
     return ring.scalars(list(map(sub, a, b)), den)
 
 
+def scalar_span(ring, n, columns):
+    """The submodule of ring^n spanned by columns of scalars, put on the
+    integer rows `SubmodulePresentation.span` reads (`Ring.int_rows`)."""
+    rows = [[ring.normalize(v) for v in c] for c in columns]
+    return SubmodulePresentation.span(ring, n, ring.int_rows(rows)[0])
+
+
 def contains(module, vec) -> bool:
-    """Whether vec lies in the submodule."""
-    return module.coords(vec) is not None
+    """Whether vec lies in the submodule: adding it leaves the canonical span unchanged."""
+    return scalar_span(module.ring, module.ambient_rank, [*module.gens, vec]) == module
 
 
 def includes(a, b):
@@ -83,7 +90,7 @@ def spans(quot, coord_vectors) -> bool:
     if k == 0:
         return True
     if quot.ring.is_field:
-        return len(_rref_field(quot.ring, list(coord_vectors))[1]) == k
+        return scalar_span(quot.ring, k, coord_vectors).rank == k
     cols = [list(v) for v in coord_vectors]
     for i, d in enumerate(quot.invariants):
         if d:

@@ -16,7 +16,8 @@ from mcss.multicomplex import Multicomplex
 from mcss.pages import SpectralPages
 from mcss.rings import GF, QQ, ZZ
 from mcss.total import totalize
-from oracles import cowitnesses, delta_with_witness, free_rank, includes, prop25_witness, torsion
+from oracles import (cowitnesses, delta_with_witness, free_rank, includes, prop25_witness,
+                     scalar_span, torsion)
 
 
 def announce(num, text):
@@ -65,8 +66,7 @@ def turnover_invariants(sp, r, p, q):
                 col = [0] * k
                 col[i] = d
                 bnd.append(col)
-    from mcss.linalg import SubmodulePresentation
-    bpres = SubmodulePresentation.span(sp.c.ring, k, bnd)
+    bpres = scalar_span(ring, k, bnd)
     return subquotient(ker, bpres).invariants
 
 

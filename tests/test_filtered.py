@@ -12,7 +12,7 @@ from mcss.multicomplex import Multicomplex
 from mcss.pages import PageDifferential, SpectralPages
 from oracles import (
     boundary_value, contains, cowitnesses, cycle_system, dense_differentials, differential, embed,
-    includes, lift_to_total, psi, spans, torsion,
+    includes, lift_to_total, psi, scalar_span, spans, torsion,
 )
 from test_pages import ZERO_PAGE_RINGS, _zero_page_instances, dense_z
 from mcss.rings import GF, QQ, ZZ
@@ -40,7 +40,7 @@ def test_entry_hurtubise1_2_2_2():
     # [(2,0), (1,1)], whose projection onto the (2,0) cell generates E_2
     (g,) = _reference_zz(t, 2, 2, 2).gens
     assert [int(v) for v in g] in ([1, -1], [-1, 1])
-    assert e.zz == fp.zz(2, 2, 2) == SubmodulePresentation.span(QQ, 1, [g[:1]])
+    assert e.zz == fp.zz(2, 2, 2) == scalar_span(QQ, 1, [g[:1]])
     assert spans(e.quot, [e.quot.reduce(list(g[:1]))])
 
 
@@ -54,7 +54,7 @@ def test_zz_above_support_is_full_cycle_space():
     for p in (big, big + 5):
         cycles = fp._suffix(fp._key(r, p, 2))[0]
         full = SubmodulePresentation.full(QQ, t.dim(2))
-        assert SubmodulePresentation.span(QQ, t.dim(2), cycles, ints=True) == full
+        assert SubmodulePresentation.span(QQ, t.dim(2), cycles) == full
         assert fp.zz(r, p, 2) == SubmodulePresentation.zero(QQ, 0)
 
 
@@ -243,7 +243,7 @@ def test_compare_detects_corrupted_boundaries(monkeypatch, ring, how):
         if (r, p, q) == (3, 0, 1):
             gens = [list(g) for g in b.gens]
             gens[-1:] = [] if how == "drop" else [[2 * v for v in gens[-1]]]
-            b = SubmodulePresentation.span(b.ring, b.ambient_rank, gens)
+            b = scalar_span(b.ring, b.ambient_rank, gens)
         return b
 
     monkeypatch.setattr(SpectralPages, "br", corrupted)
@@ -341,7 +341,7 @@ def test_filtered_nesting_invariants():
                 low = []
                 for i in range(start, t.dim(n)):
                     e = [ZZ.zero()] * t.dim(n)
-                    e[i] = ZZ.one()
+                    e[i] = ZZ.normalize(1)
                     low.append(e)
                 grown = SubmodulePresentation.span(
                     ZZ, t.dim(n),
@@ -398,14 +398,13 @@ def _reference_zz(t, r, p, n):
     d = differential(t, n)
     restricted = Mat(t.ring, cut, t.dim(n) - start, [row[start:] for row in d.data[:cut]])
     pad = [t.ring.zero()] * start
-    return SubmodulePresentation.span(
-        t.ring, t.dim(n), [pad + list(g) for g in kernel(restricted).gens])
+    return scalar_span(t.ring, t.dim(n), [pad + list(g) for g in kernel(restricted).gens])
 
 
 def _projected(t, m, p, n):
     """pi_p of a Tot_n module: its generators cut to the (p, n-p) block."""
     start, width = t.filtration_start(n, p), t.block_start(n, p)[1]
-    return SubmodulePresentation.span(t.ring, width, [g[start:start + width] for g in m.gens])
+    return scalar_span(t.ring, width, [g[start:start + width] for g in m.gens])
 
 
 def _reference_bb(t, r, p, n):
@@ -415,7 +414,7 @@ def _reference_bb(t, r, p, n):
     gens = [list(g) for g in _reference_zz(t, r - 1, p - 1, n).gens]
     high = _reference_zz(t, r - 1, p + r - 1, n + 1)
     gens += [differential(t, n + 1).matvec(list(g)) for g in high.gens]
-    return SubmodulePresentation.span(t.ring, t.dim(n), gens)
+    return scalar_span(t.ring, t.dim(n), gens)
 
 
 REFERENCE_INSTANCES = {
@@ -450,8 +449,8 @@ def test_filtered_pages_match_reference(name):
                     start, width = t.block_start(n, p)
                     pz, pb, pq = ([list(g[start:start + width]) for g in m.gens]
                                   for m in (zz, bb, quot))
-                    assert entry.zz == SubmodulePresentation.span(t.ring, width, pz), (r, p, n)
-                    assert entry.bb == SubmodulePresentation.span(t.ring, width, pb), (r, p, n)
+                    assert entry.zz == scalar_span(t.ring, width, pz), (r, p, n)
+                    assert entry.bb == scalar_span(t.ring, width, pb), (r, p, n)
                     assert entry.zz.ambient_rank == entry.bb.ambient_rank == width, (r, p, n)
                     assert spans(entry.quot, [entry.quot.reduce(v) for v in pq]), (r, p, n)
 
@@ -492,9 +491,9 @@ def test_modules_are_constant_past_the_settle_page(name):
             assert (sp.zr(r, p, q), sp.br(r, p, q)) == want[:2], (r, p, q)
             assert (fp.zz(r, p, n), fp.bb(r, p, n)) == want[2:], (r, p, q)
             ker = kernel(cycle_system(sp, r, p, q)[0])
-            zr = SubmodulePresentation.span(ring, nx, [g[:nx] for g in ker.gens])
+            zr = scalar_span(ring, nx, [g[:nx] for g in ker.gens])
             values = [boundary_value(c, r, p, q, cow) for cow in cowitnesses(sp, r, p, q)]
-            assert (zr, SubmodulePresentation.span(ring, nx, values)) == want[:2], (r, p, q)
+            assert (zr, scalar_span(ring, nx, values)) == want[:2], (r, p, q)
 
 
 @pytest.mark.parametrize("name", sorted(SETTLE_INSTANCES))

@@ -27,7 +27,7 @@ from mcss.linalg import (
 )
 from mcss import rings
 from mcss.rings import GF, QQ, ZZ, Ring, is_prime
-from oracles import contains, spans, vec_add, vec_sub
+from oracles import contains, scalar_span, spans, vec_add, vec_sub
 
 RINGS = [QQ, ZZ, GF(2), GF(5), GF(97)]
 
@@ -332,19 +332,22 @@ def test_rref_field_matches_sympy(ring, data):
                               min_size=nrows, max_size=nrows))
     limit = data.draw(st.none() | st.integers(min_value=0, max_value=ncols - 1))
     lim = ncols if limit is None else limit
-    # The integer-row form every caller passes: each row's integer form
-    # times a drawn nonzero scalar, a unit residue over GF(p).
+    # The integer-row forms every caller passes: the rows over one common
+    # denominator, and each row's integer form times a drawn nonzero
+    # scalar, over GF(p) a unit, reduced to residues.
     scale = st.integers(1, ring.p - 1) if ring.p else st.integers(-9, 9).filter(bool)
     factors = data.draw(st.lists(scale, min_size=nrows, max_size=nrows))
     scaled = [[k * x for x in ring.int_rows((row,))[0][0]] for row, k in zip(rows, factors)]
+    if ring.p:
+        scaled = [[x % ring.p for x in row] for row in scaled]
     ref, ref_pivots = _domain_matrix(ring, [row[:lim] for row in rows], lim).rref()
     rank = _domain_matrix(ring, rows, ncols).rank()
-    for out, pivots in (_rref_field(ring, rows, limit),
-                        _rref_field(ring, scaled, limit, ints=True)):
+    for out, pivots in (_rref_field(ring, ring.int_rows(rows)[0], limit),
+                        _rref_field(ring, scaled, limit)):
         assert list(pivots) == list(ref_pivots)
         for row, c, ref_row in zip(out, pivots, ref.to_list()):
             inv = ring.normalize(1 / Fraction(row[c]))
-            assert [ring.mul(ring.normalize(x), inv) for x in row[:lim]] == [
+            assert [ring.normalize(x * inv) for x in row[:lim]] == [
                 _from_sympy(ring, y) for y in ref_row]
         for row in out[len(pivots):]:
             assert not any(row[:lim])
@@ -357,8 +360,7 @@ def test_rref_field_matches_sympy(ring, data):
 
     m = Mat(ring, nrows, ncols, rows)
     null = _domain_matrix(ring, m.data, ncols).nullspace().to_list()
-    assert kernel(m) == SubmodulePresentation.span(
-        ring, ncols, [[_from_sympy(ring, y) for y in v] for v in null])
+    assert kernel(m) == scalar_span(ring, ncols, [[_from_sympy(ring, y) for y in v] for v in null])
     b = [ring.normalize(v) for v in data.draw(
         st.lists(entries, min_size=nrows, max_size=nrows))]
     x = solve(m, b)
@@ -389,12 +391,12 @@ def test_subquotient_dimension_over_fields(ring, data):
             for coefs in combos:
                 v = [ring.zero()] * n
                 for t, g in zip(coefs, z.gens):
-                    v = vec_add(ring, v, [ring.mul(t, x) for x in g])
+                    v = vec_add(ring, v, [ring.normalize(t * x) for x in g])
                 sub.append(v)
     else:
         sub = []
     extra = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=2))
-    b = SubmodulePresentation.span(ring, n, sub + [[ring.normalize(v) for v in c] for c in extra])
+    b = scalar_span(ring, n, sub + extra)
     if _sympy_rank(ring, list(b.gens) + list(z.gens), n) > z.rank:
         with pytest.raises(InclusionError):
             subquotient(z, b)
@@ -413,7 +415,7 @@ def test_subquotient_dimension_over_fields(ring, data):
         assert not spans(q, lifts[:-1])
     # A unit vector outside z, moved by an element of z, is refused.
     for j in range(n):
-        e = [ring.one() if i == j else ring.zero() for i in range(n)]
+        e = [ring.normalize(int(i == j)) for i in range(n)]
         if _sympy_rank(ring, list(z.gens) + [e], n) > z.rank:
             for g in z.gens:
                 e = vec_add(ring, e, g)
@@ -441,12 +443,12 @@ def test_canonical_form_is_basis_independent(data):
         j = data.draw(st.integers(min_value=0, max_value=k - 1))
         if action == 0 and i != j:
             f = ring.normalize(data.draw(st.integers(min_value=-3, max_value=3)))
-            cols[i] = [ring.add(a, ring.mul(f, b)) for a, b in zip(cols[i], cols[j])]
+            cols[i] = [ring.normalize(a + f * b) for a, b in zip(cols[i], cols[j])]
         elif action == 1:
             cols[i], cols[j] = cols[j], cols[i]
         else:
             cols[i] = [ring.neg(a) for a in cols[i]]
-    redone = SubmodulePresentation.span(ring, sub.ambient_rank, cols)
+    redone = scalar_span(ring, sub.ambient_rank, cols)
     assert redone == sub
 
 
@@ -460,8 +462,8 @@ def test_prefix_matches_span_of_cut_columns(ring, data):
     n = m.rows
     end = data.draw(st.integers(min_value=0, max_value=n))
     cols = m.to_cols()
-    full = SubmodulePresentation.span(ring, n, cols)
-    window = SubmodulePresentation.span(ring, end, [c[:end] for c in cols])
+    full = scalar_span(ring, n, cols)
+    window = scalar_span(ring, end, [c[:end] for c in cols])
     assert full.prefix(end) == window
 
 
@@ -482,25 +484,25 @@ def test_rational_modules_live_as_primitive_integer_rows(data):
     m = data.draw(mat_strategy(QQ, entries))
     n = m.rows
     cols = m.to_cols()
-    full = SubmodulePresentation.span(QQ, n, cols)
+    full = scalar_span(QQ, n, cols)
     _assert_integer_form(full)
     scales = data.draw(st.lists(entries.filter(bool), min_size=len(cols), max_size=len(cols)))
     scaled = [[t * x for x in c] for t, c in zip(scales, cols)]
-    assert SubmodulePresentation.span(QQ, n, scaled) == full
+    assert scalar_span(QQ, n, scaled) == full
 
     end = data.draw(st.integers(min_value=0, max_value=n))
     window = full.prefix(end)
-    assert window == SubmodulePresentation.span(QQ, end, [c[:end] for c in cols])
+    assert window == scalar_span(QQ, end, [c[:end] for c in cols])
     pair = st.lists(entries, min_size=2, max_size=2)
-    other = SubmodulePresentation.span(QQ, 2, data.draw(st.lists(pair, max_size=2)))
+    other = scalar_span(QQ, 2, data.draw(st.lists(pair, max_size=2)))
     both = full.direct_sum(other)
-    assert both == SubmodulePresentation.span(
+    assert both == scalar_span(
         QQ, n + 2, [list(c) + [0, 0] for c in cols] + [[0] * n + list(g) for g in other.gens])
     for mod in (window, other, both):
         _assert_integer_form(mod)
 
     keep = data.draw(st.lists(st.booleans(), min_size=full.rank, max_size=full.rank))
-    b = SubmodulePresentation.span(QQ, n, [g for g, k in zip(full.gens, keep) if k])
+    b = scalar_span(QQ, n, [g for g, k in zip(full.gens, keep) if k])
     q = subquotient(full, b)
     k = len(q.gens)
     units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
@@ -709,10 +711,7 @@ def _is_canonical(ring, values):
 
 
 def _dot(ring, u, v):
-    acc = ring.zero()
-    for a, b in zip(u, v):
-        acc = ring.add(acc, ring.mul(a, b))
-    return acc
+    return ring.normalize(sum(a * b for a, b in zip(u, v)))
 
 
 def _assert_mat(ring, m, rows, cols, expected):
@@ -750,12 +749,12 @@ def test_row_arithmetic_matches_entrywise(ring, data):
     assert out == [_dot(ring, row, u) for row in a.data] and _is_canonical(ring, out)
     _assert_mat(ring, a.mul(b), r, c, [[_dot(ring, row, col) for col in b.to_cols()]
                                        for row in a.data])
-    _assert_mat(ring, a.add(a2), r, k, [[ring.add(x, y) for x, y in zip(r1, r2)]
+    _assert_mat(ring, a.add(a2), r, k, [[ring.normalize(x + y) for x, y in zip(r1, r2)]
                                         for r1, r2 in zip(a.data, a2.data)])
     _assert_mat(ring, a.neg(), r, k, [[ring.neg(x) for x in row] for row in a.data])
     for got, want in [
-        (vec_add(ring, u, v), [ring.add(x, y) for x, y in zip(u, v)]),
-        (vec_sub(ring, u, v), [ring.add(x, ring.neg(y)) for x, y in zip(u, v)]),
+        (vec_add(ring, u, v), [ring.normalize(x + y) for x, y in zip(u, v)]),
+        (vec_sub(ring, u, v), [ring.normalize(x - y) for x, y in zip(u, v)]),
     ]:
         assert got == want and _is_canonical(ring, got)
 
@@ -767,7 +766,23 @@ def test_products_through_empty_shapes(ring):
     _assert_mat(ring, _zeros(ring, 0, 2).mul(_identity(ring, 2)), 0, 2, [])
     _assert_mat(ring, _identity(ring, 2).mul(_zeros(ring, 2, 0)), 2, 0, [[], []])
     assert _zeros(ring, 2, 0).matvec([]) == [zero, zero]
-    assert _zeros(ring, 0, 2).matvec([ring.one(), zero]) == []
+    assert _zeros(ring, 0, 2).matvec([ring.normalize(1), zero]) == []
+    # No rows: every column is free.  No columns: nothing is spanned.
+    assert kernel(_zeros(ring, 0, 2)) == SubmodulePresentation.full(ring, 2)
+    im = image(_zeros(ring, 2, 0))
+    assert (im.rank, im.ambient_rank) == (0, 2)
+    assert solve(_zeros(ring, 0, 2), []) == [zero, zero]
+    assert solve(_zeros(ring, 2, 0), [0, 0]) == []
+    assert solve(_zeros(ring, 2, 0), [1, 0]) is None
+
+
+@pytest.mark.parametrize("ring", LAYER_RINGS, ids=str)
+def test_span_checks_the_length_of_every_generator(ring):
+    # A zero generator of the wrong length is refused like a nonzero one.
+    for gens in ([[0, 0]], [[1, 0]], [[1, 0, 0], [0, 0, 0, 0]]):
+        with pytest.raises(ValueError, match="generator length"):
+            SubmodulePresentation.span(ring, 3, gens)
+    assert SubmodulePresentation.span(ring, 3, [[0, 0, 0]]) == SubmodulePresentation.zero(ring, 3)
 
 
 def test_mat_stores_integer_rows_over_the_least_denominator():

@@ -78,7 +78,7 @@ def test_filtration_is_subcomplex_and_blockwise_formula(ring):
             for a, b, k in _labels(t, n):
                 x = [ring.zero()] * t.dim(n)
                 start, _ = t.block_start(n, a)
-                x[start + k] = ring.one()
+                x[start + k] = ring.normalize(1)
                 dx = d.matvec(x)
                 for ta, _, _ in t.blocks(n - 1):
                     i = a - ta
