@@ -460,6 +460,24 @@ def kernel(m: Mat) -> SubmodulePresentation:
     return SubmodulePresentation.span(ring, m.cols, v[npiv:])
 
 
+def _kernel_image(ring, nsys, rows):
+    """L(ker A) from one integer row [A[u] | L[u]] per unknown u, A nsys wide.
+
+    One elimination (Cohen 1993, 2.3-2.4): the echelon vectors with no
+    pivot in A's part vanish there and span L(ker A); cut to L's part they
+    are its canonical form.  At least one row, each as `span` reads it.
+    """
+    width = len(rows[0])
+    if ring.is_field:
+        echelon, pivots = _rref_field(ring, rows)
+    else:
+        echelon, _, pivots, _ = _hnf_columns(rows, width)
+    k = bisect_left(pivots, nsys)
+    pivots = [c - nsys for c in pivots[k:]]
+    cut = ring.primitive([row[nsys:] for row in echelon[k:k + len(pivots)]], pivots)
+    return SubmodulePresentation(ring, width - nsys, cut, pivots, _canonical=True)
+
+
 def solve(m: Mat, b) -> list | None:
     """A deterministic particular solution of m.x = b, or None.
 

@@ -10,10 +10,11 @@ to [d_r x - sum_{i=1}^{r-1} d_i z_{r-i}].
 The systems nest: the one for r + 1 adds the unknown z_r and the row
 n = r, and the old rows are zero on z_r.  So each cell keeps one chain.
 With V_r = d_r x - sum_{i=1}^{r-1} d_i z_{r-i} in C_{p-r, q+r-1} on the
-canonical generators of K_r, K_1 = ker d_0, and K_{r+1} is the kernel of
-the one-cell matrix [V_r | -d_0 on C_{p-r, q+r}], each solution (t, z_r)
-giving the generator (sum_k t_k g_k, z_r).  This is exact over Z too,
-since V is linear in t.  Z_r is read off K_r's canonical generators whose
+canonical generators g_k of K_r, K_1 = ker d_0, and K_{r+1} is the
+kernel of the one-cell matrix [V_r | -d_0 on C_{p-r, q+r}], each
+solution (t, z_r) giving the generator (sum_k t_k g_k, z_r): one
+elimination carries that image along.  This is exact over Z too, since
+V is linear in t.  Z_r is read off K_r's canonical generators whose
 pivot lies in the x block, without an elimination, and so are the
 witnesses: x is one combination of those x parts, and the same
 combination of the generators' z parts witnesses it.  The same
@@ -63,6 +64,7 @@ from .linalg import (
     MembershipError,
     QuotientPresentation,
     SubmodulePresentation,
+    _kernel_image,
     image,
     kernel,
     solve,
@@ -238,26 +240,25 @@ class SpectralPages:
         return [dots(grid, [v for _, _, a, b in used for v in g[a:b]]) for g in k.rows], den
 
     def _extend(self, k, s, p, q, values):
-        """K_{s+1} from K_s and V_s: the kernel of [V_s | -d_0 on z_s].
+        """K_{s+1} from K_s and V_s: the image of the kernel of [V_s | -d_0 on z_s].
 
         With V_s zero it is K_s + Z_1 at the z_s cell (K_s if it is absent).
-        Else [den0 vals | -vden d0s] is an integer system on K_s's rows g_k,
-        and each kernel vector (t, z_s) gives the generator (sum t_k g_k, z_s).
+        Else one elimination carries the image along: K_s's row g_k as
+        [den0 V_s[k] | g_k | 0] and z_s's unknown j as [-vden d_0 e_j | 0 | e_j],
+        so each kernel vector (t, z_s) gives the generator (sum t_k g_k, z_s).
         """
         c = self.c
-        ring = c.ring
         vals, vden = values
         if not any(map(any, vals)):
             return k.direct_sum(self._chain(1, p - s, q + s)[0]) if c.rank(p - s, q + s) else k
-        m, n, nz = k.rank, k.ambient_rank, c.rank(p - s, q + s)
+        n, nz, tr = k.ambient_rank, c.rank(p - s, q + s), len(vals[0])
         d0 = c.dmap(0, p - s, q + s)
-        d0s, den0 = (d0.ints, d0.den) if d0 is not None else ([[0] * nz] * len(vals[0]), 1)
-        grid = [[den0 * v for v in vrow] + [-vden * x for x in drow]
-                for vrow, drow in zip(zip(*vals), d0s)]
-        ker = kernel(Mat.from_ints(ring, len(grid), m + nz, grid))
-        kcols = list(zip(*k.rows))
-        return SubmodulePresentation.span(
-            ring, n + nz, [ring.int_dots(kcols, u[:m]) + list(u[m:]) for u in ker.rows])
+        den0, d0cols = (d0.den, zip(*d0.ints)) if d0 is not None else (1, [[0] * tr] * nz)
+        rows = [[den0 * v for v in val] + list(g) + [0] * nz for val, g in zip(vals, k.rows)]
+        neg = c.ring.neg  # residues over GF(p), where vden is 1
+        rows += [[neg(vden * x) for x in col] + [0] * n + [int(i == j) for i in range(nz)]
+                 for j, col in enumerate(d0cols)]
+        return _kernel_image(c.ring, tr, rows)
 
     # -- entries ---------------------------------------------------------
 

@@ -8,8 +8,9 @@ Each d_n is stored once, in the form its readers reduce: dense integer
 columns, column j being d(e_j) times one denominator `den`, the lcm of
 the structure maps' denominators (1 over ZZ and GF(p)).  Readers span or
 eliminate the columns, and a span does not see a common scale, so one
-`den` serves every degree.  d.d = 0 is checked on the nonzero entries
-placed.
+`den` serves every degree.  d.d = 0 is not checked on Tot again: it
+holds exactly when every relation sum_{i+j=n} d_i d_j = 0 does, and
+`Multicomplex.validate` checks those once per multicomplex.
 """
 
 from __future__ import annotations
@@ -59,7 +60,14 @@ class TotalComplex:
 
 
 def totalize(c: Multicomplex) -> TotalComplex:
-    """Assemble Tot with (dx)_a = sum_i d_i (x)_{a+i}; d.d = 0 is asserted."""
+    """Assemble Tot with (dx)_a = sum_i d_i (x)_{a+i}; d.d = 0 is asserted.
+
+    A relation failing at (a, b) leaves d.d nonzero on degree a + b, and
+    the least such degree is named.
+    """
+    if bad := c.validate():
+        raise AssertionError("total differential does not square to zero at degree "
+                             f"{min(v.a + v.b for v in bad)}")
     by_degree: dict = {}
     for (a, b), rank in c.ranks.items():
         by_degree.setdefault(a + b, []).append((a, rank))
@@ -75,10 +83,8 @@ def totalize(c: Multicomplex) -> TotalComplex:
 
     den = lcm(*[m.den for m in c.maps.values()])
     t = TotalComplex(c.ring, den, offsets, cuts, {})
-    nonzero = {}  # n -> [(row, entry)] per column of d_n
     for n, offs in offsets.items():
         cols = t._columns[n] = [[0] * t.dim(n - 1) for _ in range(t.dim(n))]
-        nz = nonzero[n] = [[] for _ in cols]
         for a, (cstart, _) in offs.items():
             for i in range(c.maxd + 1):
                 m = c.dmap(i, a, n - a)
@@ -88,20 +94,5 @@ def totalize(c: Multicomplex) -> TotalComplex:
                 for r, irow in enumerate(m.ints, offsets[n - 1][a - i][0]):
                     for j, v in enumerate(irow, cstart):
                         if v:
-                            v *= scale
-                            cols[j][r] = v
-                            nz[j].append((r, v))
-
-    # d_{n-1} d_n, summed over the pairs of nonzero entries that chain.
-    degrees, sums = [], []
-    for n, cols in nonzero.items():
-        for col in cols:
-            acc = {}
-            for k, v in col:
-                for i, w in nonzero[n - 1][k]:
-                    acc[i] = acc.get(i, 0) + v * w
-            degrees += [n] * len(acc)
-            sums += acc.values()
-    if bad := [n for n, x in zip(degrees, c.ring.scalars(sums)) if x]:
-        raise AssertionError(f"total differential does not square to zero at degree {min(bad)}")
+                            cols[j][r] = v * scale
     return t

@@ -1,5 +1,6 @@
 """Test-only oracles: the paper's full cycle and boundary systems, the
-witness tuple of a cycle, its differential formula evaluated on a given
+witness tuple of a cycle, one step of a cell's kernel chain built as a
+kernel and a span, the differential formula evaluated on a given
 witness, the paper's explicit witnesses of a boundary (Proposition 2.5)
 and the constraint checks (*1) and (*2), the class map psi from the total
 complex to the witness route, the lift of a witness-route cycle back to
@@ -184,6 +185,27 @@ def witness_tuple(sp: SpectralPages, r, p, q, x, scramble=None) -> WitnessTuple:
     return WitnessTuple(r, p, q, {
         j: flat[ends[j - 1]:ends[j]] if j < len(ends) else zero_vec(ring, c.rank(p - j, q + j))
         for j in range(1, r)})
+
+
+def chain_step(c: Multicomplex, k, s, p, q, values):
+    """K_{s+1} at (p, q) from the chain step (K_s, V_s), in three eliminations.
+
+    The kernel of [den0 V_s | -vden d_0] on the unknowns (t, z_s), d_0 out
+    of the z_s cell (p-s, q+s); each kernel vector mapped to
+    (sum_k t_k g_k, z_s) over K_s's integer rows g_k; their span.
+    """
+    ring = c.ring
+    vals, vden = values
+    m, n = k.rank, k.ambient_rank
+    nz, tr = c.rank(p - s, q + s), c.rank(p - s, q + s - 1)
+    d0 = c.dmap(0, p - s, q + s)
+    d0s, den0 = (d0.ints, d0.den) if d0 is not None else ([[0] * nz] * tr, 1)
+    vrows = list(zip(*vals)) or [[0] * m] * tr
+    grid = [[den0 * v for v in vrow] + [-vden * x for x in drow] for vrow, drow in zip(vrows, d0s)]
+    ker = kernel(Mat.from_ints(ring, tr, m + nz, grid))
+    kcols = list(zip(*k.rows))
+    return SubmodulePresentation.span(
+        ring, n + nz, [ring.int_dots(kcols, u[:m]) + list(u[m:]) for u in ker.rows])
 
 
 def delta_value(c: Multicomplex, r, p, q, x, wit: WitnessTuple | None):

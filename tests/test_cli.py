@@ -231,13 +231,18 @@ def test_compare_serves_dead_cells_from_their_zero_page(tmp_path, capsys, monkey
     # page, and B_r takes no values from a dead source cell.  Computing
     # every page up to the settle page took 5,291 spans and 580 kernels.
     # B_1 of a cell with no d_0 into it is the zero module, built without
-    # a span: that took 153 more.
+    # a span: that took 153 more.  Each chain step with nonzero values
+    # builds K_{s+1} in one elimination that carries its image along: as a
+    # kernel and two spans, its 180 such steps took 180 more kernels and
+    # 360 more spans (1,842 and 316).
     import mcss.linalg
     import mcss.pages
     from mcss.linalg import SubmodulePresentation
+    from mcss.pages import SpectralPages
 
-    calls = {"span": 0, "kernel": 0}
+    calls = {"span": 0, "kernel": 0, "extend": 0}
     span, kernel = SubmodulePresentation.span.__func__, mcss.linalg.kernel
+    extend = SpectralPages._extend
 
     def counting_span(cls, *args, **kwargs):
         calls["span"] += 1
@@ -247,15 +252,57 @@ def test_compare_serves_dead_cells_from_their_zero_page(tmp_path, capsys, monkey
         calls["kernel"] += 1
         return kernel(m)
 
+    def counting_extend(self, *args):
+        calls["extend"] += 1
+        return extend(self, *args)
+
     monkeypatch.setattr(SubmodulePresentation, "span", classmethod(counting_span))
     for module in (mcss.linalg, mcss.pages):
         monkeypatch.setattr(module, "kernel", counting_kernel)
+    monkeypatch.setattr(SpectralPages, "_extend", counting_extend)
     f = tmp_path / "wall16.mcx"
     f.write_text(emit(wall(WallParams(3, 2, 2, 16))))
     code, out, err = run(capsys, "compare", str(f))
     assert (code, err) == (0, "")
     assert out == "ring Z\nchecked 5491 cells for r <= 18\nOK\n"
-    assert calls == {"span": 1842, "kernel": 316}
+    assert calls == {"span": 1482, "kernel": 136, "extend": 236}
+
+
+@pytest.mark.parametrize("ring", ["F 2", "F 97"])
+def test_field_modules_take_residues(tmp_path, capsys, monkeypatch, ring):
+    # Over GF(p), span, the field elimination and the chain step's fused
+    # elimination read residues in [0, p): none of them reduces its input.
+    import mcss.filtered
+    import mcss.linalg
+    import mcss.pages
+    from mcss.linalg import SubmodulePresentation
+
+    p = int(ring.split()[1])
+    seen = {"span": 0, "rref": 0, "kernel_image": 0}
+
+    def check(name, rows):
+        assert all(0 <= x < p for row in rows for x in row), name
+        seen[name] += 1
+        return rows
+
+    span, rref, kernel_image = (SubmodulePresentation.span.__func__, mcss.linalg._rref_field,
+                                mcss.linalg._kernel_image)
+    monkeypatch.setattr(SubmodulePresentation, "span", classmethod(
+        lambda cls, ring, n, columns: span(cls, ring, n, check("span", columns))))
+    for module in (mcss.linalg, mcss.filtered):
+        monkeypatch.setattr(module, "_rref_field", lambda ring, ints, limit=None: rref(
+            ring, check("rref", ints), limit))
+    monkeypatch.setattr(mcss.pages, "_kernel_image", lambda ring, nsys, rows: kernel_image(
+        ring, nsys, check("kernel_image", rows)))
+    f = tmp_path / "random.mcx"
+    code, text, _ = run(capsys, "random", "--seed", "5", "--width", "8", "--height", "8",
+                        "--maxrank", "3", "--maxd", "4", "--ring", *ring.split())
+    assert code == 0
+    f.write_text(text)
+    for command in ("pages", "compare", "homology"):
+        code, out, err = run(capsys, command, str(f))
+        assert (code, err) == (0, ""), command
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("command, digest, lines", [

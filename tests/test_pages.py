@@ -24,6 +24,7 @@ from oracles import (
     CoWitnessTuple,
     WitnessTuple,
     boundary_value,
+    chain_step,
     contains,
     cowitnesses,
     cycle_system,
@@ -753,6 +754,38 @@ def test_chain_witnesses_match_full_system_oracle(name):
                 if not contains(zr, x):
                     with pytest.raises(MembershipError):
                         sp.witness(r, p, q, list(x))
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2), GF(97), QQ], ids=str)
+def test_chain_steps_match_kernel_then_span(ring):
+    # Each chain step K_{s+1} is built in one elimination that carries the
+    # image along; it equals the kernel of [V_s | -d_0], mapped onto K_s's
+    # rows and spanned.  Over Q the maps are fractional.  Covered among the
+    # steps with nonzero V_s: a z_s cell with no d_0 out of it, and no
+    # z_s cell at all.
+    from test_filtered import _rescaled
+
+    instances = [random_mcx(RandomSpec(seed=seed, width=5, height=5, maxrank=3, maxd=3,
+                                       ring=ring)) for seed in range(3)]
+    if ring is QQ:
+        instances = [_rescaled(c, seed) for seed, c in enumerate(instances)]
+        assert any(x.denominator > 1 for m in instances[0].maps.values()
+                   for row in m.data for x in row)
+    if ring is ZZ:
+        instances += [wall(WallParams(3, 2, 2, 6)), dense_z(1)]
+    no_d0 = no_z = 0
+    for c in instances:
+        sp = SpectralPages(c)
+        for (p, q) in c.support:
+            sp.zr(sp.stabilization_bound() + 1, p, q)
+            steps = sp._chains.get((p, q), [])
+            for s, ((_, values, k), (_, _, k1)) in enumerate(zip(steps, steps[1:]), 1):
+                assert k1 == chain_step(c, k, s, p, q, values), (p, q, s)
+                if any(map(any, values[0])):
+                    nz = c.rank(p - s, q + s)
+                    no_d0 += nz > 0 and c.dmap(0, p - s, q + s) is None
+                    no_z += nz == 0
+    assert no_d0 and no_z
 
 
 def test_pages_build_no_full_cycle_system(monkeypatch):
