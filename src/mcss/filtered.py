@@ -15,12 +15,14 @@ cut = start of F_{p-r} in Tot_{n-1}.  So, as for persistent homology
 of the columns of d restricted to F_p, scanning rows top down, yields
 ZZ_r^p for every r: with k the number of pivot rows above the cut,
 
-* over a field, one RREF of [d|F_p^T | I]: the transform rows from k on
-  span ZZ_r^p, and their d-parts d ZZ_r^p;
-* over Z, one column Hermite reduction with transform, snapshotted before
+* over a field, one row echelon form of [d|F_p^T | I]: the transform rows
+  from k on span ZZ_r^p, and their d-parts d ZZ_r^p (in any echelon form:
+  a combination is zero above the cut only if the k rows pivoting there
+  drop out);
+* over Z, one column echelon reduction with transform, snapshotted before
   the first row of every filtration block of Tot_{n-1}: the transform
-  columns past the k pivots span ZZ_r^p, the matching Hermite columns
-  span d ZZ_r^p.
+  columns past the k pivots span ZZ_r^p, the matching columns span
+  d ZZ_r^p.
 
 Entries live in one cell.  F_p starts with the (p, n-p) block; the
 projection pi_p onto it kills ZZ_r^p meet F_{p-1} = ZZ_{r-1}^{p-1}, which
@@ -56,8 +58,8 @@ from .linalg import (
     Mat,
     MembershipError,
     SubmodulePresentation,
+    _echelon_field,
     _hnf_columns,
-    _rref_field,
     snf,
     solve,
     subquotient,
@@ -120,7 +122,7 @@ class ComparisonReport:
 
 
 class _Reduction:
-    """The columns of d_n restricted to F_p (from coordinate `start` on), reduced once.
+    """The columns of d_n restricted to F_p (from coordinate `start` on), eliminated once.
 
     The columns are Tot's stored integer columns from `start` on, d_n
     times Tot's one denominator, and the snapshot rows are the block
@@ -132,7 +134,7 @@ class _Reduction:
     their boundaries.  Over QQ each cycle and its image are one integer
     row of the elimination, fixed up to a scalar they share: `compare`
     and `delta` pair them, spans ignore it, and so the denominator may be
-    any common one.
+    any common one.  Both eliminations stop at echelon form.
     """
 
     __slots__ = ("pivots", "suffix")
@@ -146,9 +148,9 @@ class _Reduction:
             width, den = len(cols), t.den
             # Column j of d_n is cols[j] / den: row j, [cols[j] | den e_j], scales d(c) and c alike.
             aug = [col + [den if i == j else 0 for i in range(width)] for j, col in enumerate(cols)]
-            reduced, self.pivots = _rref_field(ring, aug, limit=nrows)
-            cycles = [row[nrows:] for row in reduced]
-            images = [row[:nrows] for row in reduced]
+            echelon, self.pivots = _echelon_field(ring, aug, limit=nrows)
+            cycles = [row[nrows:] for row in echelon]
+            images = [row[:nrows] for row in echelon]
             levels = {bisect_left(self.pivots, b) for b in bounds}
             self.suffix = {k: (cycles[k:], images[k:]) for k in levels}
         else:

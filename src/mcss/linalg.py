@@ -20,6 +20,10 @@ Fraction: they appear only in `gens`, `Mat.data`, the output of `solve`
 and `QuotientPresentation.reduce`, and `Delta` matrices.  The field
 elimination takes its row step from the ring (`Ring.pivot_row`,
 `Ring.eliminate`).
+
+Each elimination is echelon, then reduce, and a caller reduces only the
+block it reads: `_echelon_field`, `_back_field` over a field,
+`_hnf_columns`, `_hermite_reduce` over ZZ.
 """
 
 from __future__ import annotations
@@ -168,19 +172,18 @@ def _over_common_pivot(rows, pivots):
 # elimination cores
 
 
-def _rref_field(ring, ints, limit=None):
-    """Reduced row echelon form up to row scaling of integer rows; pivots
-    chosen left to right, first nonzero.
+def _echelon_field(ring, ints, limit=None):
+    """Row echelon form of integer rows: pivots chosen left to right, first
+    nonzero, each clearing the rows below it.
 
     The rows are integer rows: over QQ any nonzero multiple of each row
     (elimination is scale-free), over GF(p) residues in [0, p).  Only
     columns < limit are eligible as pivots (used for augmented solves).
-    Returns (rows, pivot_columns): the reduced row echelon form is
-    rows[i] / rows[i][pivot_columns[i]] for the pivot rows, and the rows
-    past the rank, zero on the columns < limit, are fixed up to a scalar.
-    The ring does the row step (`Ring.pivot_row`, `Ring.eliminate`): over
-    GF(p) every pivot is 1, over QQ the rows stay integers, fraction-free.
-    Rows are replaced, never updated in place.
+    Returns (rows, pivot_columns); the rows past the rank, zero on the
+    columns < limit, are fixed up to a scalar.  The ring does the row step
+    (`Ring.pivot_row`, `Ring.eliminate`): over GF(p) every pivot is 1, over
+    QQ the rows stay integers, fraction-free.  Rows are replaced, never
+    updated in place.
     """
     if limit is None:
         limit = len(ints[0]) if ints else 0
@@ -197,8 +200,8 @@ def _rref_field(ring, ints, limit=None):
             continue
         rp = pivot_row(rows[piv], c)
         rows[piv], rows[pr] = rows[pr], rp
-        for i in range(nrows):
-            if rows[i][c] and i != pr:
+        for i in range(pr + 1, nrows):
+            if rows[i][c]:
                 rows[i] = eliminate(rows[i], rp, c)
         pivots.append(c)
         pr += 1
@@ -207,13 +210,33 @@ def _rref_field(ring, ints, limit=None):
     return rows, pivots
 
 
-def _hnf_columns(cols, nrows, transform=False, snaps=None):
-    """Column Hermite form of an integer column family.
+def _back_field(ring, rows, pivots, lo=0):
+    """Clear each pivot column above its pivot, over rows lo.. only, in
+    increasing pivot order as Gauss-Jordan does: rows lo.. become the
+    reduced form of the pivot rows from lo on."""
+    eliminate = ring.eliminate
+    for i in range(lo + 1, len(pivots)):
+        c, rp = pivots[i], rows[i]
+        for j in range(lo, i):
+            if rows[j][c]:
+                rows[j] = eliminate(rows[j], rp, c)
+    return rows
 
-    Column convention: pivot rows strictly increase with column index and
-    pivots are positive.  Returns (h, v, pivot_rows, npiv) where columns
-    npiv.. of h are zero, and (if requested) v holds unimodular-transform
-    columns with  original_matrix . v[j] == h[j].
+
+def _rref_field(ring, ints, limit=None):
+    """`_echelon_field`, then `_back_field`: the reduced row echelon form is
+    rows[i] / rows[i][pivots[i]] for the pivot rows."""
+    rows, pivots = _echelon_field(ring, ints, limit)
+    return _back_field(ring, rows, pivots), pivots
+
+
+def _hnf_columns(cols, nrows, transform=False, snaps=None):
+    """Column echelon form (h, v, pivot_rows, npiv) of integer columns.
+
+    Pivot rows strictly increase with column index, pivots are positive,
+    columns npiv.. of h are zero, and v, if transform, holds unimodular
+    transform columns with original_matrix . v[j] == h[j].
+    `_hermite_reduce` gives the Hermite form.
 
     Row r is reduced by Euclid across the row (Havas-Majewski-Matthews,
     Exp. Math. 1998): among the columns from npiv on that are nonzero in
@@ -222,13 +245,7 @@ def _hnf_columns(cols, nrows, transform=False, snaps=None):
     half the pivot keep the entries, and the transform, small; a row with
     one nonzero column costs one scan.
 
-    Without transform, the entries left of each pivot are then reduced
-    into [0, pivot): h[:npiv] is the canonical Hermite form, which
-    `SubmodulePresentation.span` returns as it is.  Only rows < nrows are
-    eliminated, so longer columns are carried along.  With transform the
-    reduction is left out, because no caller reads it: `kernel` takes
-    v[npiv:], `filtered._Reduction` takes h[npiv:] and v[npiv:] from its
-    snapshots, and `solve` back-substitutes through any echelon form.
+    Only rows < nrows are eliminated, so longer columns are carried along.
 
     ``snaps``, a dict keyed by row indices in [0, nrows], is filled with
     (npiv, h[npiv:], v[npiv:]) as they stand before that row is reduced.
@@ -284,13 +301,6 @@ def _hnf_columns(cols, nrows, transform=False, snaps=None):
             h[npiv] = [-u for u in h[npiv]]
             if v:
                 v[npiv] = [-u for u in v[npiv]]
-        if not transform:
-            hk = h[npiv]
-            piv = hk[r]
-            for j in range(npiv):
-                q = h[j][r] // piv
-                if q:
-                    h[j] = [x - q * y for x, y in zip(h[j], hk)]
         pivot_rows.append(r)
         npiv += 1
         if npiv == ncols:
@@ -300,6 +310,20 @@ def _hnf_columns(cols, nrows, transform=False, snaps=None):
             if snap is None:
                 snaps[r] = (npiv, h[npiv:], v[npiv:])
     return h, v, pivot_rows, npiv
+
+
+def _hermite_reduce(h, pivot_rows, lo=0):
+    """Bring the entries left of each pivot of `_hnf_columns` into [0, pivot),
+    pivot by pivot in increasing order, over columns lo.. only: these
+    become the Hermite form of the pivot columns from lo on."""
+    for i in range(lo + 1, len(pivot_rows)):
+        r, hi = pivot_rows[i], h[i]
+        piv = hi[r]
+        for j in range(lo, i):
+            q = h[j][r] // piv
+            if q:
+                h[j] = [x - q * y for x, y in zip(h[j], hi)]
+    return h
 
 
 def _coords_in_hnf(cols, pivot_rows, vec):
@@ -379,7 +403,7 @@ class SubmodulePresentation:
             rows = ring.primitive(reduced[:len(pivots)], pivots)
         else:
             h, _, pivots, npiv = _hnf_columns(cols, ambient_rank)
-            rows = h[:npiv]
+            rows = _hermite_reduce(h, pivots)[:npiv]
         return cls(ring, ambient_rank, rows, pivots, _canonical=True)
 
     @classmethod
@@ -464,15 +488,19 @@ def _kernel_image(ring, nsys, rows):
     """L(ker A) from one integer row [A[u] | L[u]] per unknown u, A nsys wide.
 
     One elimination (Cohen 1993, 2.3-2.4): the echelon vectors with no
-    pivot in A's part vanish there and span L(ker A); cut to L's part they
-    are its canonical form.  At least one row, each as `span` reads it.
+    pivot in A's part vanish there and span L(ker A); reduced among
+    themselves and cut to L's part they are its canonical form.  At least
+    one row, each as `span` reads it.
     """
     width = len(rows[0])
     if ring.is_field:
-        echelon, pivots = _rref_field(ring, rows)
+        echelon, pivots = _echelon_field(ring, rows)
+        k = bisect_left(pivots, nsys)
+        _back_field(ring, echelon, pivots, k)
     else:
         echelon, _, pivots, _ = _hnf_columns(rows, width)
-    k = bisect_left(pivots, nsys)
+        k = bisect_left(pivots, nsys)
+        _hermite_reduce(echelon, pivots, k)
     pivots = [c - nsys for c in pivots[k:]]
     cut = ring.primitive([row[nsys:] for row in echelon[k:k + len(pivots)]], pivots)
     return SubmodulePresentation(ring, width - nsys, cut, pivots, _canonical=True)
@@ -517,6 +545,7 @@ def solve(m: Mat, b) -> list | None:
             x = [u + q * w for u, w in zip(x, vc)]
     if npiv < len(v):
         kh, _, kpivots, _ = _hnf_columns(v[npiv:], m.cols)
+        _hermite_reduce(kh, kpivots)
         for col, r in zip(kh, kpivots):
             q, rem = divmod(x[r], col[r])
             if 2 * rem > col[r]:
@@ -635,7 +664,8 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
     # u is unimodular, so the canonical Hermite form of the stacked columns
     # (u_j ; e_j) is (I ; W) with u.W = I: its lower half is u^{-1}.
     ucols = [col + [1 if i == j else 0 for i in range(k)] for j, col in enumerate(u.to_cols())]
-    stacked, _, _, _ = _hnf_columns(ucols, 2 * k)
+    stacked, _, spivots, _ = _hnf_columns(ucols, 2 * k)
+    _hermite_reduce(stacked, spivots)
     kept = [i for i, f in enumerate(factors) if f != 1]
     gens = []
     for i in kept:

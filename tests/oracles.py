@@ -1,6 +1,7 @@
 """Test-only oracles: the paper's full cycle and boundary systems, the
-witness tuple of a cycle, one step of a cell's kernel chain built as a
-kernel and a span, the differential formula evaluated on a given
+witness tuple of a cycle, L(ker A) built as a kernel and a span, and one
+step of a cell's kernel chain built that way, a textbook Gauss-Jordan
+reduction on field scalars, the differential formula evaluated on a given
 witness, the paper's explicit witnesses of a boundary (Proposition 2.5)
 and the constraint checks (*1) and (*2), the class map psi from the total
 complex to the witness route, the lift of a witness-route cycle back to
@@ -20,6 +21,7 @@ basis of `totalize`.
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import add, sub
 
 from mcss.linalg import Mat, MembershipError, SubmodulePresentation, _hnf_columns, kernel, zero_vec
@@ -187,6 +189,38 @@ def witness_tuple(sp: SpectralPages, r, p, q, x, scramble=None) -> WitnessTuple:
         for j in range(1, r)})
 
 
+def gauss_jordan(ring, rows, limit):
+    """The reduced row echelon form of field scalar rows, each pivot 1 and
+    among the columns < limit, as (rows, pivots): textbook Gauss-Jordan on
+    scalars, sharing no code with the package's eliminations."""
+    rows = [[ring.normalize(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(limit):
+        pr = len(pivots)
+        piv = next((i for i in range(pr, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        inv = ring.normalize(1 / Fraction(rows[piv][c]))
+        rows[pr], rows[piv] = rows[piv], rows[pr]
+        rows[pr] = [ring.normalize(inv * v) for v in rows[pr]]
+        for i, row in enumerate(rows):
+            if i != pr and row[c]:
+                f = row[c]
+                rows[i] = [ring.normalize(x - f * y) for x, y in zip(row, rows[pr])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def kernel_then_span(ring, equations, images):
+    """L(ker A) in three eliminations: the kernel of the integer equation
+    rows A, one column per unknown u; each kernel vector t mapped to
+    sum_u t_u images[u], images integer rows; the span of those."""
+    ker = kernel(Mat.from_ints(ring, len(equations), len(images), equations))
+    icols = list(zip(*images))
+    return SubmodulePresentation.span(
+        ring, len(images[0]), [ring.int_dots(icols, t) for t in ker.rows])
+
+
 def chain_step(c: Multicomplex, k, s, p, q, values):
     """K_{s+1} at (p, q) from the chain step (K_s, V_s), in three eliminations.
 
@@ -202,10 +236,9 @@ def chain_step(c: Multicomplex, k, s, p, q, values):
     d0s, den0 = (d0.ints, d0.den) if d0 is not None else ([[0] * nz] * tr, 1)
     vrows = list(zip(*vals)) or [[0] * m] * tr
     grid = [[den0 * v for v in vrow] + [-vden * x for x in drow] for vrow, drow in zip(vrows, d0s)]
-    ker = kernel(Mat.from_ints(ring, tr, m + nz, grid))
-    kcols = list(zip(*k.rows))
-    return SubmodulePresentation.span(
-        ring, n + nz, [ring.int_dots(kcols, u[:m]) + list(u[m:]) for u in ker.rows])
+    images = [list(g) + [0] * nz for g in k.rows]
+    images += [[0] * n + [int(i == j) for i in range(nz)] for j in range(nz)]
+    return kernel_then_span(ring, grid, images)
 
 
 def delta_value(c: Multicomplex, r, p, q, x, wit: WitnessTuple | None):

@@ -270,28 +270,29 @@ def test_compare_serves_dead_cells_from_their_zero_page(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("ring", ["F 2", "F 97"])
 def test_field_modules_take_residues(tmp_path, capsys, monkeypatch, ring):
-    # Over GF(p), span, the field elimination and the chain step's fused
-    # elimination read residues in [0, p): none of them reduces its input.
+    # Over GF(p), span, the forward field elimination (wherever it is
+    # imported) and the chain step's fused elimination read residues in
+    # [0, p): none of them reduces its input.
     import mcss.filtered
     import mcss.linalg
     import mcss.pages
     from mcss.linalg import SubmodulePresentation
 
     p = int(ring.split()[1])
-    seen = {"span": 0, "rref": 0, "kernel_image": 0}
+    seen = {"span": 0, "echelon": 0, "kernel_image": 0}
 
     def check(name, rows):
         assert all(0 <= x < p for row in rows for x in row), name
         seen[name] += 1
         return rows
 
-    span, rref, kernel_image = (SubmodulePresentation.span.__func__, mcss.linalg._rref_field,
-                                mcss.linalg._kernel_image)
+    span, echelon, kernel_image = (SubmodulePresentation.span.__func__,
+                                   mcss.linalg._echelon_field, mcss.linalg._kernel_image)
     monkeypatch.setattr(SubmodulePresentation, "span", classmethod(
         lambda cls, ring, n, columns: span(cls, ring, n, check("span", columns))))
     for module in (mcss.linalg, mcss.filtered):
-        monkeypatch.setattr(module, "_rref_field", lambda ring, ints, limit=None: rref(
-            ring, check("rref", ints), limit))
+        monkeypatch.setattr(module, "_echelon_field", lambda ring, ints, *args, **kwargs: echelon(
+            ring, check("echelon", ints), *args, **kwargs))
     monkeypatch.setattr(mcss.pages, "_kernel_image", lambda ring, nsys, rows: kernel_image(
         ring, nsys, check("kernel_image", rows)))
     f = tmp_path / "random.mcx"

@@ -2,17 +2,19 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mcss.builders import RandomSpec, WallParams, hurtubise, random_mcx, staircase, wall
-from mcss.filtered import FilteredPages, compare, compare_engines, homology
+from mcss.filtered import FilteredPages, _Reduction, compare, compare_engines, homology
 from mcss.linalg import Mat, MembershipError, SubmodulePresentation, image, kernel, subquotient
+from mcss.mcxio import parse
 from mcss.multicomplex import Multicomplex
 from mcss.pages import PageDifferential, SpectralPages
 from oracles import (
     boundary_value, contains, cowitnesses, cycle_system, dense_differentials, differential, embed,
-    includes, lift_to_total, psi, scalar_span, spans, torsion,
+    gauss_jordan, includes, lift_to_total, psi, scalar_span, spans, torsion,
 )
 from test_pages import ZERO_PAGE_RINGS, _zero_page_instances, dense_z
 from mcss.rings import GF, QQ, ZZ
@@ -206,6 +208,44 @@ def test_compare_with_fractional_maps():
         assert any(x.denominator > 1 for m in c.maps.values() for row in m.data for x in row)
         report = compare(c)
         assert report.ok, (seed, [str(f) for f in report.failures])
+
+
+@pytest.mark.parametrize("ring", [GF(2), GF(97), QQ], ids=str)
+def test_field_reduction_suffixes_match_gauss_jordan(ring):
+    # Over a field _Reduction keeps a row echelon form of [d|F_p^T | I],
+    # not the reduced one.  Every suffix it serves spans the cycles and
+    # boundaries of the Gauss-Jordan form's suffix, and each image row is
+    # d of its own cycle row over Tot's denominator.  Over Q the maps are
+    # fractional, where a cycle paired with the wrong multiple of its
+    # boundary shows.
+    instances = [random_mcx(RandomSpec(seed=seed, width=5, height=5, maxrank=3, maxd=3,
+                                       ring=ring)) for seed in range(3)]
+    if ring is QQ:
+        instances = [_rescaled(c, seed) for seed, c in enumerate(instances)]
+        instances.append(parse((Path(__file__).parent / "golden" / "random_q_frac.mcx").read_text()))
+    cut_suffixes = 0
+    for c in instances:
+        t = totalize(c)
+        for n in t.degrees():
+            nrows = t.dim(n - 1)
+            for start in t.block_starts(n)[:-1]:
+                cols = t.columns(n)[start:]
+                width, drows = len(cols), list(zip(*cols))
+                red = _Reduction(t, n, start)
+                aug = [ring.scalars(col, t.den) + [int(i == j) for i in range(width)]
+                       for j, col in enumerate(cols)]
+                gj, pivots = gauss_jordan(ring, aug, nrows)
+                assert red.pivots == pivots
+                for k, (cycles, images) in red.suffix.items():
+                    assert SubmodulePresentation.span(ring, width, cycles) == scalar_span(
+                        ring, width, [row[nrows:] for row in gj[k:]])
+                    assert SubmodulePresentation.span(ring, nrows, images) == scalar_span(
+                        ring, nrows, [row[:nrows] for row in gj[k:]])
+                    for cycle, img in zip(cycles, images, strict=True):
+                        assert ring.scalars([t.den * x for x in img]) == ring.scalars(
+                            ring.int_dots(drows, cycle))
+                    cut_suffixes += 0 < k < len(pivots)
+    assert cut_suffixes
 
 
 def test_compare_detects_corruption(monkeypatch):

@@ -18,6 +18,9 @@ from mcss.linalg import (
     Mat,
     MembershipError,
     SubmodulePresentation,
+    _hermite_reduce,
+    _hnf_columns,
+    _kernel_image,
     _rref_field,
     image,
     kernel,
@@ -27,7 +30,7 @@ from mcss.linalg import (
 )
 from mcss import rings
 from mcss.rings import GF, QQ, ZZ, Ring, is_prime
-from oracles import contains, scalar_span, spans, vec_add, vec_sub
+from oracles import contains, kernel_then_span, scalar_span, spans, vec_add, vec_sub
 
 RINGS = [QQ, ZZ, GF(2), GF(5), GF(97)]
 
@@ -648,6 +651,65 @@ def zz_mat_st():
 @given(m=zz_mat_st())
 def test_integer_image_matches_sympy_hnf(m):
     assert [list(g) for g in image(m).gens] == _sympy_column_hnf(m.data, m.cols)
+
+
+def _transpose(cols, nrows):
+    return [[c[i] for c in cols] for i in range(nrows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_hermite_reduce_of_echelon_columns_matches_sympy_hnf(data):
+    # _hnf_columns stops at a column echelon form.  _hermite_reduce over
+    # every column gives sympy's Hermite form; over columns lo.. it gives
+    # the Hermite form of the echelon columns from lo on, and leaves the
+    # others as they were.  Entries past nrows are carried along, so the
+    # full columns keep their lattice.
+    nrows = data.draw(st.integers(min_value=0, max_value=6))
+    length = nrows + data.draw(st.integers(min_value=0, max_value=2))
+    cols = data.draw(st.lists(st.lists(zz_entry_st, min_size=length, max_size=length),
+                              max_size=7))
+    h, _, pivots, npiv = _hnf_columns(cols, nrows)
+    lo = data.draw(st.integers(min_value=0, max_value=npiv))
+    reduced = _hermite_reduce(list(h), pivots, lo)
+    full = _hermite_reduce(list(h), pivots)
+
+    def hnf(cs, n):  # sympy's Hermite form of the columns cs cut to n entries
+        return _sympy_column_hnf(_transpose(cs, n), len(cs))
+
+    assert reduced[:lo] == h[:lo] and reduced[npiv:] == h[npiv:]
+    assert [c[:nrows] for c in reduced[lo:npiv]] == hnf(h[lo:npiv], nrows)
+    assert [c[:nrows] for c in full[:npiv]] == hnf(cols, nrows)
+    assert hnf(full, length) == hnf(cols, length)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(97)], ids=str)
+def test_kernel_image_matches_kernel_then_span(ring):
+    # One elimination of the rows [A[u] | L[u]], one per unknown u, which
+    # reduces only the rows it keeps, spans L(ker A) as a kernel of A
+    # mapped by L and spanned does.  Drawn: A zero (no pivot in A's part),
+    # A independent on the unknowns (no row kept), and more unknowns than
+    # columns (rows that vanish entirely).
+    rng = random.Random(7)
+    entry = (lambda: rng.randrange(ring.p)) if ring.p else (lambda: rng.randint(-4, 4))
+    seen = dict.fromkeys(("zero", "independent", "random", "tall"), 0)
+    for _ in range(300):
+        kind = rng.choice(("zero", "independent", "random"))
+        nsys, nl, nunk = rng.randint(0, 4), rng.randint(1, 4), rng.randint(1, 9)
+        if kind == "independent":
+            nunk = min(nunk, 5)
+            nsys = max(nsys, nunk)
+        a = [[0 if kind == "zero" else entry() for _ in range(nsys)] for _ in range(nunk)]
+        if kind == "independent":  # unit pivots, in echelon form on the unknowns
+            for u, row in enumerate(a):
+                row[:u + 1] = [0] * u + [1]
+        rows = [row + [entry() for _ in range(nl)] for row in a]
+        got = _kernel_image(ring, nsys, rows)
+        assert got == kernel_then_span(ring, _transpose(a, nsys), [row[nsys:] for row in rows])
+        assert got.rank == 0 or kind != "independent"
+        seen[kind] += 1
+        seen["tall"] += nunk > nsys + nl
+    assert all(seen.values()), seen
 
 
 @settings(max_examples=60, deadline=None)
