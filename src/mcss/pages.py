@@ -41,13 +41,16 @@ ends at r_z or at Z_r = 0, and `br` fills B_r up to r_b.  Past the
 settle page s = max(r_z, r_b) an entry is served from page s, and its
 differential lands in an absent cell.  A page builds Delta_r only out of
 a nonzero entry into a present cell: any other has no source generator
-or no target coordinate, so it is zero, with no value to check.  E_{r+1}
-is a subquotient of E_r, so Z_r = B_r gives Z_{r'} = B_{r'} = Z_r for
-r' > r, as Z shrinks, B grows and B <= Z (McCleary 2001, 2.2): a cell's
-last page starts at s and drops to the first page found zero, which
-serves every later page: a page past it returns the last page's entry
-object, and builds or stores nothing, since an entry is Z_r, B_r and
-their quotient, not its (r, p, q).
+or no target coordinate, so it is zero, with no value to check.  Nor
+does it solve a witness where Z_{r+1} = Z_r at the source: ker Delta_r
+= Z_{r+1}/B_r and im Delta_r = B_{r+1}/B_r (McCleary 2001, Thm 2.6),
+so Delta_r is zero exactly there, and B_{r+1} = B_r at its target takes
+no span.  E_{r+1} is a subquotient of E_r, so Z_r = B_r gives Z_{r'} =
+B_{r'} = Z_r for r' > r, as Z shrinks, B grows and B <= Z (McCleary
+2001, 2.2): a cell's last page starts at s and drops to the first page
+found zero, which serves every later page: a page past it returns the
+last page's entry object, and builds or stores nothing, since an entry
+is Z_r, B_r and their quotient, not its (r, p, q).
 A page r whose neighbouring cells (p-r+1, q+r-2) and (p+r-1, q-r+2) are
 both absent is served from page r-1: E_r = E_{r-1}.  One subquotient
 Z_r/B_r serves every (r, p, q) with an equal module pair.
@@ -69,7 +72,6 @@ from .linalg import (
     kernel,
     solve,
     subquotient,
-    zero_vec,
 )
 from .multicomplex import Multicomplex
 
@@ -160,8 +162,10 @@ class SpectralPages:
         """B_1 = im d_0, and B_s = B_{s-1} + V_{s-1} at (p+s-1, q-s+2).
 
         That cell lies in the support only for s <= r_b, so B_r is B_s at
-        s = min(r, r_b), filled forward from the last page `_br` holds.  A
-        cell whose last page is below s has Delta_{s-1} = 0: no values read.
+        s = min(r, r_b), filled forward from the last page `_br` holds.
+        im Delta_{s-1} = B_s/B_{s-1}, and Delta_{s-1} out of that cell is
+        zero exactly when its Z_s equals its Z_{s-1} (or its last page is
+        below s): then B_s = B_{s-1}, with no span.
         """
         if r < 1:
             raise ValueError("r-boundaries are defined for r >= 1")
@@ -177,9 +181,10 @@ class SpectralPages:
             if s == 1:
                 m = c.dmap(0, p, q + 1)
                 b = image(m) if m is not None else SubmodulePresentation.zero(c.ring, nx)
-            elif c.rank(*src) and self._last.get(src, s) >= s and (
-                    values := self._chain(s - 1, *src)[1][0]):
-                b = SubmodulePresentation.span(c.ring, nx, b.rows + tuple(values))
+            elif c.rank(*src) and self._last.get(src, s) >= s:
+                zs, (values, _), _ = self._chain(s - 1, *src)
+                if self.zr(s, *src) != zs:
+                    b = SubmodulePresentation.span(c.ring, nx, b.rows + tuple(values))
             self._br[(s, p, q)] = b
         return b
 
@@ -326,30 +331,36 @@ class SpectralPages:
     # -- differentials -------------------------------------------------------
 
     def delta(self, r: int, p: int, q: int) -> PageDifferential:
-        """Delta_r at (p, q): d_0 at r = 0, else read off the chain step's V_r.
+        """Delta_r at (p, q), zero where the chain's Z_{r+1} equals the source's Z_r.
 
-        With x = sum_k t_k (x part of K_r row k) from `witness`, the value is
-        sum_k t_k V_r[k], the paper's formula on the witness of those rows.
+        ker Delta_r = Z_{r+1}/B_r, so that test (at r = 0: ker d_0 is the
+        whole cell) finds every zero map, which is built with no witness.
+        It compares modules, not ranks: over Z a sublattice of equal rank
+        means a torsion value.  Otherwise Delta_0 is d_0, and for r >= 1,
+        with x = sum_k t_k (x part of K_r row k) from `witness`, the value
+        is sum_k t_k V_r[k], the paper's formula on the witness of those rows.
         """
         c = self.c
         ring = c.ring
         src = self.entry(r, p, q)
         tp, tq = p - r, q + r - 1
-        tr = c.rank(tp, tq)
-        if not tr:  # no coordinates: no witness, no target entry
+        if not c.rank(tp, tq):  # no coordinates: no witness, no target entry
             return PageDifferential(r, p, q, src.quot.invariants, (), ())
         tgt = self.entry(r, tp, tq)
+        if self.zr(r + 1, p, q) == src.zr:
+            zero = (ring.zero(),) * len(src.quot.invariants)
+            return PageDifferential(r, p, q, src.quot.invariants, tgt.quot.invariants,
+                                    (zero,) * len(tgt.quot.invariants))
         if r:
             zs, (vals, den), _ = self._chain(r, p, q)
-            # V_r on Z_s's rows, one row per target coordinate; rows of () read 0.
-            vrows = list(zip(*vals[:zs.rank])) or [()] * tr
+            # V_r on Z_s's rows, one row per target coordinate.
+            vrows = list(zip(*vals[:zs.rank]))
 
             def value(g):
                 (tints,), tden = ring.int_rows((self.witness(r, p, q, g),))
                 return ring.dots(vrows, tints, tden * den)
         else:
-            m0 = c.dmap(0, p, q)
-            value = m0.matvec if m0 is not None else lambda g: zero_vec(ring, tr)
+            value = c.dmap(0, p, q).matvec
         cols = []
         for g in src.quot.gens:
             try:

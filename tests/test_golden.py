@@ -43,6 +43,9 @@ CASES = {
     # The Q seed-5 window in a basis rescaled by rationals (`_rescaled` in
     # test_filtered.py, seed 5), emitted by `mcxio.emit`: fractional maps.
     "random_q_frac": None,
+    # `example staircase --len 6` with `map 1 1 5 : 2`: Delta_6 = [-2], so
+    # E_7(0,5) = Z/2 and H_5 = Z/2, a nonzero differential past r = 4.
+    "staircase6_x2": None,
 }
 
 OUTPUTS = [
