@@ -19,10 +19,9 @@ ZZ_r^p for every r: with k the number of pivot rows above the cut,
   from k on span ZZ_r^p, and their d-parts d ZZ_r^p (in any echelon form:
   a combination is zero above the cut only if the k rows pivoting there
   drop out);
-* over Z, one column echelon reduction with transform, snapshotted before
-  the first row of every filtration block of Tot_{n-1}: the transform
-  columns past the k pivots span ZZ_r^p, the matching columns span
-  d ZZ_r^p.
+* over Z, one column echelon form of [d|F_p ; I], snapshotted before the
+  first row of every filtration block of Tot_{n-1}: the columns past the
+  k pivots span ZZ_r^p in their I part and d ZZ_r^p in their d part.
 
 Entries live in one cell.  F_p starts with the (p, n-p) block; the
 projection pi_p onto it kills ZZ_r^p meet F_{p-1} = ZZ_{r-1}^{p-1}, which
@@ -60,6 +59,7 @@ from .linalg import (
     SubmodulePresentation,
     _echelon_field,
     _hnf_columns,
+    _with_identity,
     snf,
     solve,
     subquotient,
@@ -124,39 +124,33 @@ class ComparisonReport:
 class _Reduction:
     """The columns of d_n restricted to F_p (from coordinate `start` on), eliminated once.
 
-    The columns are Tot's stored integer columns from `start` on, d_n
-    times Tot's one denominator, and the snapshot rows are the block
-    starts of Tot_{n-1}.  `pivots` are the leading rows, in Tot_{n-1}, in
-    increasing order.  `suffix[k]` is (cycles, images) for every k that a
-    filtration cut of Tot_{n-1} can give: cycles, in local F_p
-    coordinates, span the elements whose boundary vanishes on every row
-    above pivots[k] (every row, when k = len(pivots)), and images are
-    their boundaries.  Over QQ each cycle and its image are one integer
-    row of the elimination, fixed up to a scalar they share: `compare`
-    and `delta` pair them, spans ignore it, and so the denominator may be
-    any common one.  Both eliminations stop at echelon form.
+    Column j is Tot's stored column, d_n times Tot's one denominator den,
+    as the row [col_j | den e_j] (den is 1 over ZZ): eliminating its
+    nrows = dim Tot_{n-1} leading entries carries c along with dc.  The
+    snapshot rows are the block starts of Tot_{n-1}.  `pivots` are the
+    leading rows, in Tot_{n-1}, in increasing order.  `suffix[k]`, for
+    every k that a filtration cut of Tot_{n-1} can give, is a list of rows
+    [dc | c]: the cycles c, in local F_p coordinates, span the elements
+    whose boundary vanishes on every row above pivots[k] (every row, when
+    k = len(pivots)).  Over QQ a row is fixed up to a scalar that dc and c
+    share: `compare` and `delta` read them together, spans ignore it, and
+    so the denominator may be any common one.  Both eliminations stop at
+    echelon form.
     """
 
     __slots__ = ("pivots", "suffix")
 
     def __init__(self, t: TotalComplex, n: int, start: int):
-        ring = t.ring
-        cols = t.columns(n)[start:]
         nrows = t.dim(n - 1)
         bounds = t.block_starts(n - 1)
-        if ring.is_field:
-            width, den = len(cols), t.den
-            # Column j of d_n is cols[j] / den: row j, [cols[j] | den e_j], scales d(c) and c alike.
-            aug = [col + [den if i == j else 0 for i in range(width)] for j, col in enumerate(cols)]
-            echelon, self.pivots = _echelon_field(ring, aug, limit=nrows)
-            cycles = [row[nrows:] for row in echelon]
-            images = [row[:nrows] for row in echelon]
-            levels = {bisect_left(self.pivots, b) for b in bounds}
-            self.suffix = {k: (cycles[k:], images[k:]) for k in levels}
+        aug = _with_identity(t.columns(n)[start:], t.den)
+        if t.ring.is_field:
+            echelon, self.pivots = _echelon_field(t.ring, aug, limit=nrows)
+            self.suffix = {k: echelon[k:] for k in {bisect_left(self.pivots, b) for b in bounds}}
         else:
             snaps = dict.fromkeys(bounds)
-            _, _, self.pivots, _ = _hnf_columns(cols, nrows, transform=True, snaps=snaps)
-            self.suffix = {k: (v, h) for k, h, v in snaps.values()}
+            _, self.pivots, _ = _hnf_columns(aug, nrows, snaps)
+            self.suffix = dict(snaps.values())
 
 
 class FilteredPages:
@@ -165,7 +159,7 @@ class FilteredPages:
     def __init__(self, t: TotalComplex):
         self.t = t
         self._zz = {}          # (r, p, n) -> pi_p(ZZ_r^p) in the (p, n-p) cell
-        self._spans = {}       # (key, part, lo, hi) -> span of a suffix part cut to [lo, hi)
+        self._spans = {}       # (key, lo, hi) -> span of a suffix cut to [lo, hi)
         self._reductions = {}  # (n, start) -> _Reduction
         self._last = {}        # (p, n) -> last page on which the entry may change
         self._entries = {}
@@ -183,12 +177,13 @@ class FilteredPages:
         n, start, k = key
         return self._reductions[(n, start)].suffix[k]
 
-    def _span(self, key, part, lo, hi):
-        """The span of the suffix's cycles (part 0) or images (part 1) cut to [lo, hi)."""
-        cached = self._spans.get((key, part, lo, hi))
+    def _span(self, key, lo, hi):
+        """The span of the suffix rows [dc | c] cut to [lo, hi): boundaries
+        below dim Tot_{n-1}, cycles from there on."""
+        cached = self._spans.get((key, lo, hi))
         if cached is None:
-            cached = self._spans[key, part, lo, hi] = SubmodulePresentation.span(
-                self.t.ring, hi - lo, [v[lo:hi] for v in self._suffix(key)[part]])
+            cached = self._spans[key, lo, hi] = SubmodulePresentation.span(
+                self.t.ring, hi - lo, [v[lo:hi] for v in self._suffix(key)])
         return cached
 
     def zz(self, r: int, p: int, n: int) -> SubmodulePresentation:
@@ -196,7 +191,8 @@ class FilteredPages:
         if r < 0:
             raise ValueError("page index must be >= 0")
         if (r, p, n) not in self._zz:
-            self._zz[r, p, n] = self._span(self._key(r, p, n), 0, 0, self.t.block_start(n, p)[1])
+            lo = self.t.dim(n - 1)  # a suffix row's cycle follows its boundary
+            self._zz[r, p, n] = self._span(self._key(r, p, n), lo, lo + self.t.block_start(n, p)[1])
         return self._zz[r, p, n]
 
     def bb(self, r: int, p: int, n: int) -> SubmodulePresentation:
@@ -206,7 +202,7 @@ class FilteredPages:
         if r == 0:
             return SubmodulePresentation.zero(t.ring, width)
         start = t.filtration_start(n, p)
-        return self._span(self._key(r - 1, p + r - 1, n + 1), 1, start, start + width)
+        return self._span(self._key(r - 1, p + r - 1, n + 1), start, start + width)
 
     def settle(self, p: int, n: int) -> int:
         """The page s from which pi_p(ZZ_r^p) and pi_p(BB_r^p) are constant."""
@@ -257,13 +253,13 @@ class FilteredPages:
         cols = []
         if src.invariants and tgt.quot is not None:
             t = self.t
-            width, start = src.zz.ambient_rank, t.filtration_start(n - 1, p - r)
-            end = start + tgt.zz.ambient_rank
-            cycles, images = self._suffix(self._key(r, p, n))
-            lifts = Mat.from_ints(t.ring, width, len(cycles),
-                                  [[g[i] for g in cycles] for i in range(width)])
-            bounds = Mat.from_ints(t.ring, end - start, len(images),
-                                   [[v[i] for v in images] for i in range(start, end)])
+            nrows, start = t.dim(n - 1), t.filtration_start(n - 1, p - r)
+            width, end = src.zz.ambient_rank, start + tgt.zz.ambient_rank
+            rows = self._suffix(self._key(r, p, n))
+            lifts = Mat.from_ints(t.ring, width, len(rows),
+                                  [[g[i] for g in rows] for i in range(nrows, nrows + width)])
+            bounds = Mat.from_ints(t.ring, end - start, len(rows),
+                                   [[g[i] for g in rows] for i in range(start, end)])
             for x in src.quot.gens:
                 cols.append(tgt.quot.reduce(bounds.matvec(solve(lifts, x))))
         return tuple(tuple(col[i] for col in cols) for i in range(len(tgt.invariants)))
@@ -350,13 +346,14 @@ def compare_engines(sp: SpectralPages, fp: FilteredPages,
                 continue
             sd = sp.delta(r, p, q)
             tgt = sp.entry(r, p - r, q + r - 1).quot
-            width, start = c.rank(p, q), t.filtration_start(n - 1, p - r)
-            for g, dg in zip(*fp._suffix(fp._key(r, p, n))):
-                x = g[:width]
+            nrows, start = t.dim(n - 1), t.filtration_start(n - 1, p - r)
+            end = nrows + c.rank(p, q)
+            for g in fp._suffix(fp._key(r, p, n)):
+                x = g[nrows:end]
                 if not any(x):
                     continue
                 try:
-                    lhs = tgt.reduce(dg[start:start + tw])
+                    lhs = tgt.reduce(g[start:start + tw])
                 except MembershipError as exc:
                     report.failures.append(CellFailure(
                         r, p, q, "boundary escaped target cycles", str(exc)))

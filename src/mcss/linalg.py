@@ -23,7 +23,10 @@ elimination takes its row step from the ring (`Ring.pivot_row`,
 
 Each elimination is echelon, then reduce, and a caller reduces only the
 block it reads: `_echelon_field`, `_back_field` over a field,
-`_hnf_columns`, `_hermite_reduce` over ZZ.
+`_hnf_columns`, `_hermite_reduce` over ZZ.  No elimination builds a
+transform of its own: a caller that needs one eliminates the columns
+[col_j | e_j] (`_with_identity`) and reads it off the carried tails, so a
+kernel is one `_kernel_image` of those rows (Cohen 1993, 2.3-2.4).
 """
 
 from __future__ import annotations
@@ -230,38 +233,45 @@ def _rref_field(ring, ints, limit=None):
     return _back_field(ring, rows, pivots), pivots
 
 
-def _hnf_columns(cols, nrows, transform=False, snaps=None):
-    """Column echelon form (h, v, pivot_rows, npiv) of integer columns.
+def _with_identity(cols, scale=1):
+    """The columns [col_j | scale e_j]: eliminated with the columns, the
+    tail past col_j's length carries the transform, times scale."""
+    n = len(cols)
+    return [[*col, *[0] * j, scale, *[0] * (n - j - 1)] for j, col in enumerate(cols)]
+
+
+def _hnf_columns(cols, nrows, snaps=None):
+    """Column echelon form (h, pivot_rows, npiv) of integer columns.
 
     Pivot rows strictly increase with column index, pivots are positive,
-    columns npiv.. of h are zero, and v, if transform, holds unimodular
-    transform columns with original_matrix . v[j] == h[j].
+    and columns npiv.. of h are zero on the rows < nrows.
     `_hermite_reduce` gives the Hermite form.
 
     Row r is reduced by Euclid across the row (Havas-Majewski-Matthews,
     Exp. Math. 1998): among the columns from npiv on that are nonzero in
     row r, the one of smallest |entry| is subtracted, with nearest-integer
     multipliers, from the others, until one is left.  Remainders at most
-    half the pivot keep the entries, and the transform, small; a row with
-    one nonzero column costs one scan.
+    half the pivot keep the entries small; a row with one nonzero column
+    costs one scan.
 
-    Only rows < nrows are eliminated, so longer columns are carried along.
+    Only rows < nrows are eliminated, so longer columns are carried along:
+    for a transform, pass `_with_identity(cols)`, whose tails h[j][nrows:]
+    are then unimodular transform columns v_j with cols . v_j == h[j][:nrows].
 
     ``snaps``, a dict keyed by row indices in [0, nrows], is filled with
-    (npiv, h[npiv:], v[npiv:]) as they stand before that row is reduced.
-    The choices at row r depend on rows <= r only, so v[npiv:] there is
-    exactly the transform kernel basis of the matrix cut to rows < r.
-    Columns are replaced, never updated in place, so a snapshot keeps
-    its columns.
+    (npiv, h[npiv:]) as they stand before that row is reduced.  The
+    choices at row r depend on rows <= r only, so there the tails of
+    h[npiv:] are exactly the transform kernel basis of the matrix cut to
+    rows < r.  Columns are replaced, never updated in place, so a snapshot
+    keeps its columns.
     """
     h = [list(c) for c in cols]
     ncols = len(h)
-    v = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)] if transform else None
     pivot_rows = []
     npiv = 0
     for r in range(nrows):
         if snaps is not None and r in snaps:
-            snaps[r] = (npiv, h[npiv:], v[npiv:])
+            snaps[r] = (npiv, h[npiv:])
         # Plain loops: at the sizes of most calls (a few columns) they
         # cost less than a comprehension or min() with a key.
         active = []
@@ -277,7 +287,6 @@ def _hnf_columns(cols, nrows, transform=False, snaps=None):
                 if abs(h[j][r]) < abs(a):
                     k, a = j, h[j][r]
             hk = h[k]
-            vk = v[k] if v else None
             left = [k]
             for j in active:
                 if j == k:
@@ -288,19 +297,13 @@ def _hnf_columns(cols, nrows, transform=False, snaps=None):
                     q += 1
                     rem -= a
                 h[j] = [x - q * y for x, y in zip(hj, hk)]
-                if v:
-                    v[j] = [x - q * y for x, y in zip(v[j], vk)]
                 if rem:
                     left.append(j)
             active = left
         if k != npiv:
             h[npiv], h[k] = h[k], h[npiv]
-            if v:
-                v[npiv], v[k] = v[k], v[npiv]
         if h[npiv][r] < 0:
             h[npiv] = [-u for u in h[npiv]]
-            if v:
-                v[npiv] = [-u for u in v[npiv]]
         pivot_rows.append(r)
         npiv += 1
         if npiv == ncols:
@@ -308,8 +311,8 @@ def _hnf_columns(cols, nrows, transform=False, snaps=None):
     if snaps is not None:
         for r, snap in snaps.items():
             if snap is None:
-                snaps[r] = (npiv, h[npiv:], v[npiv:])
-    return h, v, pivot_rows, npiv
+                snaps[r] = (npiv, h[npiv:])
+    return h, pivot_rows, npiv
 
 
 def _hermite_reduce(h, pivot_rows, lo=0):
@@ -402,7 +405,7 @@ class SubmodulePresentation:
             reduced, pivots = _rref_field(ring, cols)
             rows = ring.primitive(reduced[:len(pivots)], pivots)
         else:
-            h, _, pivots, npiv = _hnf_columns(cols, ambient_rank)
+            h, pivots, npiv = _hnf_columns(cols, ambient_rank)
             rows = _hermite_reduce(h, pivots)[:npiv]
         return cls(ring, ambient_rank, rows, pivots, _canonical=True)
 
@@ -464,24 +467,15 @@ class SubmodulePresentation:
 
 
 def kernel(m: Mat) -> SubmodulePresentation:
-    """The solution submodule {x : m.x = 0}; over ZZ the full integer kernel."""
-    ring = m.ring
-    if ring.is_field:
-        reduced, pivots = _rref_field(ring, m.ints)
-        # Kernel vectors times den stay integral, and span is scale-free.
-        den, rows = _over_common_pivot(reduced, pivots)
-        pivot_set = set(pivots)
-        free = [c for c in range(m.cols) if c not in pivot_set]
-        gens = []
-        for f in free:
-            v = [0] * m.cols
-            v[f] = den
-            for row, c in zip(rows, pivots):
-                v[c] = ring.neg(row[f])
-            gens.append(v)
-        return SubmodulePresentation.span(ring, m.cols, gens)
-    _, v, _, npiv = _hnf_columns(m.to_cols(), m.rows, transform=True)
-    return SubmodulePresentation.span(ring, m.cols, v[npiv:])
+    """The solution submodule {x : m.x = 0}; over ZZ the full integer kernel.
+
+    One `_kernel_image` of the rows [column j of m | e_j]: the stored
+    columns are m times its denominator, which spans ignore.
+    """
+    if not m.cols:
+        return SubmodulePresentation.zero(m.ring, 0)
+    cols = [[row[j] for row in m.ints] for j in range(m.cols)]
+    return _kernel_image(m.ring, m.rows, _with_identity(cols))
 
 
 def _kernel_image(ring, nsys, rows):
@@ -498,7 +492,7 @@ def _kernel_image(ring, nsys, rows):
         k = bisect_left(pivots, nsys)
         _back_field(ring, echelon, pivots, k)
     else:
-        echelon, _, pivots, _ = _hnf_columns(rows, width)
+        echelon, pivots, _ = _hnf_columns(rows, width)
         k = bisect_left(pivots, nsys)
         _hermite_reduce(echelon, pivots, k)
     pivots = [c - nsys for c in pivots[k:]]
@@ -535,16 +529,18 @@ def solve(m: Mat, b) -> list | None:
         for row, c in zip(rows, pivots):
             x[c] = row[m.cols]
         return ring.quotients([x], [den * bden])[0]
-    h, v, pivot_rows, npiv = _hnf_columns(m.to_cols(), m.rows, transform=True)
+    nr = m.rows
+    h, pivot_rows, npiv = _hnf_columns(_with_identity(m.to_cols()), nr)
+    # A column's first nr entries are its image, the rest its transform.
     coeffs = _coords_in_hnf(h[:npiv], pivot_rows, b)
     if coeffs is None:
         return None
     x = [0] * m.cols
-    for q, vc in zip(coeffs, v):
+    for q, col in zip(coeffs, h):
         if q:
-            x = [u + q * w for u, w in zip(x, vc)]
-    if npiv < len(v):
-        kh, _, kpivots, _ = _hnf_columns(v[npiv:], m.cols)
+            x = [u + q * w for u, w in zip(x, col[nr:])]
+    if npiv < len(h):
+        kh, kpivots, _ = _hnf_columns([col[nr:] for col in h[npiv:]], m.cols)
         _hermite_reduce(kh, kpivots)
         for col, r in zip(kh, kpivots):
             q, rem = divmod(x[r], col[r])
@@ -663,8 +659,7 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
         factors.append(d.ints[i][i] if i < min(d.rows, d.cols) else 0)
     # u is unimodular, so the canonical Hermite form of the stacked columns
     # (u_j ; e_j) is (I ; W) with u.W = I: its lower half is u^{-1}.
-    ucols = [col + [1 if i == j else 0 for i in range(k)] for j, col in enumerate(u.to_cols())]
-    stacked, _, spivots, _ = _hnf_columns(ucols, 2 * k)
+    stacked, spivots, _ = _hnf_columns(_with_identity(u.to_cols()), 2 * k)
     _hermite_reduce(stacked, spivots)
     kept = [i for i, f in enumerate(factors) if f != 1]
     gens = []

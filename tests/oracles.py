@@ -1,6 +1,7 @@
 """Test-only oracles: the paper's full cycle and boundary systems, the
-witness tuple of a cycle, L(ker A) built as a kernel and a span, and one
-step of a cell's kernel chain built that way, a textbook Gauss-Jordan
+witness tuple of a cycle, a kernel built apart from the engine's
+`kernel`, L(ker A) built as such a kernel and a span, and one step of a
+cell's kernel chain built that way, a textbook Gauss-Jordan
 reduction on field scalars, the differential formula evaluated on a given
 witness, the paper's explicit witnesses of a boundary (Proposition 2.5)
 and the constraint checks (*1) and (*2), the class map psi from the total
@@ -24,7 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 
-from mcss.linalg import Mat, MembershipError, SubmodulePresentation, _hnf_columns, kernel, zero_vec
+from mcss.linalg import (
+    Mat,
+    MembershipError,
+    SubmodulePresentation,
+    _hnf_columns,
+    _rref_field,
+    zero_vec,
+)
 from mcss.multicomplex import Multicomplex, RelationViolation
 from mcss.pages import SpectralPages
 from mcss.total import TotalComplex
@@ -100,7 +108,7 @@ def spans(quot, coord_vectors) -> bool:
             rel = [0] * k
             rel[i] = d
             cols.append(rel)
-    h, _, pivot_rows, npiv = _hnf_columns(cols, k)
+    h, pivot_rows, npiv = _hnf_columns(cols, k)
     return npiv == k and all(h[i][r] == 1 for i, r in enumerate(pivot_rows))
 
 
@@ -151,7 +159,7 @@ def cowitnesses(sp: SpectralPages, r, p, q) -> list:
         return []
     return [
         CoWitnessTuple(r, p, q, {k: list(g[offs[k]:offs[k + 1]]) for k in range(r)})
-        for g in kernel(mat).gens
+        for g in oracle_kernel(mat).gens
     ]
 
 
@@ -211,11 +219,36 @@ def gauss_jordan(ring, rows, limit):
     return rows, pivots
 
 
+def oracle_kernel(m: Mat) -> SubmodulePresentation:
+    """{x : m.x = 0} in two eliminations, not by `kernel`'s one.
+
+    Over a field: the free-variable vectors of the reduced row echelon
+    form of m, spanned.  Over ZZ: the columns [col_j | e_j] eliminated on
+    the rows of m, whose tails past the pivots are a transform basis of
+    the kernel, spanned.
+    """
+    ring, n = m.ring, m.cols
+    if ring.is_field:
+        reduced, pivots = _rref_field(ring, m.ints)
+        rref = ring.quotients(reduced[:len(pivots)], [row[c] for row, c in zip(reduced, pivots)])
+        gens = []
+        for f in sorted(set(range(n)) - set(pivots)):
+            v = [ring.zero()] * n
+            v[f] = ring.normalize(1)
+            for row, c in zip(rref, pivots):
+                v[c] = ring.neg(row[f])
+            gens.append(v)
+        return scalar_span(ring, n, gens)
+    cols = [[row[j] for row in m.ints] + [int(i == j) for i in range(n)] for j in range(n)]
+    h, _, npiv = _hnf_columns(cols, m.rows)
+    return SubmodulePresentation.span(ring, n, [col[m.rows:] for col in h[npiv:]])
+
+
 def kernel_then_span(ring, equations, images):
-    """L(ker A) in three eliminations: the kernel of the integer equation
-    rows A, one column per unknown u; each kernel vector t mapped to
-    sum_u t_u images[u], images integer rows; the span of those."""
-    ker = kernel(Mat.from_ints(ring, len(equations), len(images), equations))
+    """L(ker A) in three eliminations: `oracle_kernel` of the integer
+    equation rows A, one column per unknown u; each kernel vector t mapped
+    to sum_u t_u images[u], images integer rows; the span of those."""
+    ker = oracle_kernel(Mat.from_ints(ring, len(equations), len(images), equations))
     icols = list(zip(*images))
     return SubmodulePresentation.span(
         ring, len(images[0]), [ring.int_dots(icols, t) for t in ker.rows])

@@ -236,7 +236,10 @@ def test_compare_serves_dead_cells_from_their_zero_page(tmp_path, capsys, monkey
     # kernel and two spans, its 180 such steps took 180 more kernels and
     # 360 more spans (1,842 and 316).  B_s takes no span where Delta_{s-1}
     # into the cell is zero, as its source's Z_s equals Z_{s-1}: spanning
-    # those values too took 64 more (1,482).
+    # those values too took 64 more (1,482).  A kernel is one elimination
+    # of [d_0^T | I] that carries its own transform: as an elimination and
+    # a span of its free vectors or transform columns, each of the 136
+    # kernels took one span more (1,418).
     import mcss.linalg
     import mcss.pages
     from mcss.linalg import SubmodulePresentation
@@ -267,21 +270,22 @@ def test_compare_serves_dead_cells_from_their_zero_page(tmp_path, capsys, monkey
     code, out, err = run(capsys, "compare", str(f))
     assert (code, err) == (0, "")
     assert out == "ring Z\nchecked 5491 cells for r <= 18\nOK\n"
-    assert calls == {"span": 1418, "kernel": 136, "extend": 236}
+    assert calls == {"span": 1282, "kernel": 136, "extend": 236}
 
 
 @pytest.mark.parametrize("ring", ["F 2", "F 97"])
 def test_field_modules_take_residues(tmp_path, capsys, monkeypatch, ring):
     # Over GF(p), span, the forward field elimination (wherever it is
-    # imported) and the chain step's fused elimination read residues in
-    # [0, p): none of them reduces its input.
+    # imported) and the fused elimination of a chain step and of `kernel`
+    # (K_1 = ker d_0) read residues in [0, p): none of them reduces its
+    # input.
     import mcss.filtered
     import mcss.linalg
     import mcss.pages
     from mcss.linalg import SubmodulePresentation
 
     p = int(ring.split()[1])
-    seen = {"span": 0, "echelon": 0, "kernel_image": 0}
+    seen = {"span": 0, "echelon": 0, "kernel_image": 0, "kernel": 0}
 
     def check(name, rows):
         assert all(0 <= x < p for row in rows for x in row), name
@@ -295,8 +299,9 @@ def test_field_modules_take_residues(tmp_path, capsys, monkeypatch, ring):
     for module in (mcss.linalg, mcss.filtered):
         monkeypatch.setattr(module, "_echelon_field", lambda ring, ints, *args, **kwargs: echelon(
             ring, check("echelon", ints), *args, **kwargs))
-    monkeypatch.setattr(mcss.pages, "_kernel_image", lambda ring, nsys, rows: kernel_image(
-        ring, nsys, check("kernel_image", rows)))
+    for module, name in ((mcss.pages, "kernel_image"), (mcss.linalg, "kernel")):
+        monkeypatch.setattr(module, "_kernel_image", lambda ring, nsys, rows, name=name:
+                            kernel_image(ring, nsys, check(name, rows)))
     f = tmp_path / "random.mcx"
     code, text, _ = run(capsys, "random", "--seed", "5", "--width", "8", "--height", "8",
                         "--maxrank", "3", "--maxd", "4", "--ring", *ring.split())

@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 import time
+from bisect import bisect_left
 from math import gcd
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from mcss.linalg import (
     _hnf_columns,
     _kernel_image,
     _rref_field,
+    _with_identity,
     image,
     kernel,
     snf,
@@ -30,7 +32,7 @@ from mcss.linalg import (
 )
 from mcss import rings
 from mcss.rings import GF, QQ, ZZ, Ring, is_prime
-from oracles import contains, kernel_then_span, scalar_span, spans, vec_add, vec_sub
+from oracles import contains, kernel_then_span, oracle_kernel, scalar_span, spans, vec_add, vec_sub
 
 RINGS = [QQ, ZZ, GF(2), GF(5), GF(97)]
 
@@ -93,6 +95,19 @@ def test_kernel_integer_lattice_matches_enumeration():
     for sol in enumerated:
         assert contains(k, list(sol))
     assert k.gens == ((2, -1),)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(97)], ids=str)
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (2, 0)])
+def test_kernel_and_solve_of_empty_shapes(ring, rows, cols):
+    # A map out of or into the zero module: `_kernel_image` needs at least
+    # one unknown, so `kernel` answers 0 columns itself; 0 rows leave
+    # every x a solution of m.x = 0, and 0 the pinned one.
+    m = _zeros(ring, rows, cols)
+    assert kernel(m) == SubmodulePresentation.full(ring, cols) == oracle_kernel(m)
+    assert solve(m, [ring.zero()] * rows) == [ring.zero()] * cols
+    if rows:
+        assert solve(m, [ring.normalize(1)] + [ring.zero()] * (rows - 1)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +378,8 @@ def test_rref_field_matches_sympy(ring, data):
 
     m = Mat(ring, nrows, ncols, rows)
     null = _domain_matrix(ring, m.data, ncols).nullspace().to_list()
-    assert kernel(m) == scalar_span(ring, ncols, [[_from_sympy(ring, y) for y in v] for v in null])
+    ref_kernel = scalar_span(ring, ncols, [[_from_sympy(ring, y) for y in v] for v in null])
+    assert kernel(m) == ref_kernel == oracle_kernel(m)
     b = [ring.normalize(v) for v in data.draw(
         st.lists(entries, min_size=nrows, max_size=nrows))]
     x = solve(m, b)
@@ -669,7 +685,7 @@ def test_hermite_reduce_of_echelon_columns_matches_sympy_hnf(data):
     length = nrows + data.draw(st.integers(min_value=0, max_value=2))
     cols = data.draw(st.lists(st.lists(zz_entry_st, min_size=length, max_size=length),
                               max_size=7))
-    h, _, pivots, npiv = _hnf_columns(cols, nrows)
+    h, pivots, npiv = _hnf_columns(cols, nrows)
     lo = data.draw(st.integers(min_value=0, max_value=npiv))
     reduced = _hermite_reduce(list(h), pivots, lo)
     full = _hermite_reduce(list(h), pivots)
@@ -716,6 +732,47 @@ def test_kernel_image_matches_kernel_then_span(ring):
 @given(m=zz_mat_st())
 def test_integer_kernel_is_saturated(m):
     _assert_saturated_kernel(m, kernel(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=zz_mat_st())
+def test_integer_oracle_kernel_matches_sympy_nullspace(m):
+    # The test oracle's transform kernel is saturated and spans, over QQ,
+    # sympy's nullspace: the integer kernel is that space meet Z^cols.
+    k = oracle_kernel(m)
+    _assert_saturated_kernel(m, k)
+    null = _domain_matrix(QQ, m.data, m.cols).nullspace().to_list() if m.rows else [
+        [int(i == j) for i in range(m.cols)] for j in range(m.cols)]
+    assert scalar_span(QQ, m.cols, k.gens) == scalar_span(
+        QQ, m.cols, [[_from_sympy(QQ, y) for y in v] for v in null])
+    assert k == kernel(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_carried_identity_tails_are_a_transform(data):
+    # _hnf_columns builds no transform: eliminated on the rows of A, the
+    # columns [col_j | e_j] carry one.  Every column's tail v_j has
+    # A.v_j equal to its head, and the tails are a basis of Z^ncols
+    # (unimodular).  A snapshot before row r holds, past its npiv pivots,
+    # columns whose tails are a basis of the kernel of A cut to rows < r,
+    # checked against sympy's rank and Smith form.
+    m = data.draw(zz_mat_st())
+    nr, nc = m.rows, m.cols
+    snaps = dict.fromkeys(data.draw(st.sets(st.integers(min_value=0, max_value=nr))))
+    h, pivots, npiv = _hnf_columns(_with_identity(m.to_cols()), nr, snaps)
+    assert len(h) == nc and len(pivots) == npiv
+    for col in h:
+        assert m.matvec(col[nr:]) == col[:nr]
+    if nc:
+        assert abs(sympy.Matrix([col[nr:] for col in h]).det()) == 1
+    for r, (k, cols) in snaps.items():
+        assert k == bisect_left(pivots, r)
+        assert all(not any(col[:r]) for col in cols)
+        for col in cols:
+            assert m.matvec(col[nr:]) == col[:nr]
+        tails = SubmodulePresentation.span(ZZ, nc, [col[nr:] for col in cols])
+        _assert_saturated_kernel(Mat(ZZ, r, nc, m.data[:r]), tails)
 
 
 @settings(max_examples=60, deadline=None)
