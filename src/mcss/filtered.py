@@ -13,15 +13,11 @@ suffix and dx lies in F_{p-r} exactly when dx vanishes on the rows above
 cut = start of F_{p-r} in Tot_{n-1}.  So, as for persistent homology
 (Zomorodian-Carlsson 2005; Romero-Rubio-Sergeraert 2006), one elimination
 of the columns of d restricted to F_p, scanning rows top down, yields
-ZZ_r^p for every r: with k the number of pivot rows above the cut,
-
-* over a field, one row echelon form of [d|F_p^T | I]: the transform rows
-  from k on span ZZ_r^p, and their d-parts d ZZ_r^p (in any echelon form:
-  a combination is zero above the cut only if the k rows pivoting there
-  drop out);
-* over Z, one column echelon form of [d|F_p ; I], snapshotted before the
-  first row of every filtration block of Tot_{n-1}: the columns past the
-  k pivots span ZZ_r^p in their I part and d ZZ_r^p in their d part.
+ZZ_r^p for every r: one echelon form of the columns [d|F_p ; I] over
+every ring, snapshotted before the first row of every filtration block
+of Tot_{n-1}.  With k the number of pivot rows above the cut, the
+columns past the k pivots span ZZ_r^p in their I part and d ZZ_r^p in
+their d part.
 
 Entries live in one cell.  F_p starts with the (p, n-p) block; the
 projection pi_p onto it kills ZZ_r^p meet F_{p-1} = ZZ_{r-1}^{p-1}, which
@@ -57,8 +53,7 @@ from .linalg import (
     Mat,
     MembershipError,
     SubmodulePresentation,
-    _echelon_field,
-    _hnf_columns,
+    _echelon,
     _with_identity,
     snf,
     solve,
@@ -134,23 +129,17 @@ class _Reduction:
     whose boundary vanishes on every row above pivots[k] (every row, when
     k = len(pivots)).  Over QQ a row is fixed up to a scalar that dc and c
     share: `compare` and `delta` read them together, spans ignore it, and
-    so the denominator may be any common one.  Both eliminations stop at
-    echelon form.
+    so the denominator may be any common one.  The elimination stops at
+    echelon form, over every ring.
     """
 
     __slots__ = ("pivots", "suffix")
 
     def __init__(self, t: TotalComplex, n: int, start: int):
         nrows = t.dim(n - 1)
-        bounds = t.block_starts(n - 1)
-        aug = _with_identity(t.columns(n)[start:], t.den)
-        if t.ring.is_field:
-            echelon, self.pivots = _echelon_field(t.ring, aug, limit=nrows)
-            self.suffix = {k: echelon[k:] for k in {bisect_left(self.pivots, b) for b in bounds}}
-        else:
-            snaps = dict.fromkeys(bounds)
-            _, self.pivots, _ = _hnf_columns(aug, nrows, snaps)
-            self.suffix = dict(snaps.values())
+        snaps = dict.fromkeys(t.block_starts(n - 1))
+        _, self.pivots = _echelon(t.ring, _with_identity(t.columns(n)[start:], t.den), nrows, snaps)
+        self.suffix = dict(snaps.values())
 
 
 class FilteredPages:

@@ -17,15 +17,16 @@ hands its rows back as integers: reduced row i is rows[i] /
 rows[i][pivots[i]].  Modules are spanned by integer rows and live as
 integer rows, over QQ primitive ones, so no module operation builds a
 Fraction: they appear only in `gens`, `Mat.data`, the output of `solve`
-and `QuotientPresentation.reduce`, and `Delta` matrices.  The field
-elimination takes its row step from the ring (`Ring.pivot_row`,
-`Ring.eliminate`).
+and `QuotientPresentation.reduce`, and `Delta` matrices.
 
-Each elimination is echelon, then reduce, and a caller reduces only the
-block it reads: `_echelon_field`, `_back_field` over a field,
-`_hnf_columns`, `_hermite_reduce` over ZZ.  No elimination builds a
-transform of its own: a caller that needs one eliminates the columns
-[col_j | e_j] (`_with_identity`) and reads it off the carried tails, so a
+Every elimination, over every ring, is one echelon loop and then one
+reduction, and a caller reduces only the block it reads: `_echelon`,
+which can snapshot the vectors not yet pivoted, and `_reduce`.  The ring
+supplies their steps (`Ring.clear`, `Ring.reduce_at`): a pivot and
+fraction-free or mod-p row steps over a field, Euclid across the row and
+floor quotients over ZZ.  No elimination builds a transform of its own:
+a caller that needs one eliminates the columns [col_j | e_j]
+(`_with_identity`) and reads it off the carried tails, so a
 kernel is one `_kernel_image` of those rows (Cohen 1993, 2.3-2.4).
 """
 
@@ -175,62 +176,74 @@ def _over_common_pivot(rows, pivots):
 # elimination cores
 
 
-def _echelon_field(ring, ints, limit=None):
-    """Row echelon form of integer rows: pivots chosen left to right, first
-    nonzero, each clearing the rows below it.
+def _echelon(ring, vecs, limit, snaps=None):
+    """Echelon form (vecs, pivots) of integer vectors, eliminated at positions < limit.
 
-    The rows are integer rows: over QQ any nonzero multiple of each row
-    (elimination is scale-free), over GF(p) residues in [0, p).  Only
-    columns < limit are eligible as pivots (used for augmented solves).
-    Returns (rows, pivot_columns); the rows past the rank, zero on the
-    columns < limit, are fixed up to a scalar.  The ring does the row step
-    (`Ring.pivot_row`, `Ring.eliminate`): over GF(p) every pivot is 1, over
-    QQ the rows stay integers, fraction-free.  Rows are replaced, never
-    updated in place.
+    Position c left to right: of the vectors from len(pivots) on, those
+    nonzero at c are cleared there on all but one by the ring
+    (`Ring.clear`), which becomes the next pivot vector and moves up to
+    index len(pivots).  So pivots strictly increase, and the vectors past
+    them vanish at every position < limit.  Over GF(p) a pivot is 1, over
+    ZZ positive; over QQ the vectors stay integers, fraction-free, each
+    known up to a scalar.  Positions from limit on are carried along: for
+    a transform, pass `_with_identity(cols)`, whose tails past limit then
+    are the transform (unimodular over ZZ).  `_reduce` gives the reduced
+    form.
+
+    The vectors are integer rows as `SubmodulePresentation.span` reads
+    them.  The outer list is copied; vectors are replaced, never updated
+    in place, so the input's vectors and a snapshot keep theirs.
+
+    ``snaps``, a dict keyed by positions in [0, limit], is filled with
+    (len(pivots), vecs[len(pivots):]) as they stand before that position
+    is cleared.  The steps so far are invertible and leave the pivot
+    vectors with distinct leading positions < c, so the snapshot's vectors
+    span the combinations of the input that vanish at every position < c;
+    with a transform, their tails span the kernel of the matrix cut to
+    positions < c.
     """
-    if limit is None:
-        limit = len(ints[0]) if ints else 0
-    rows = list(ints)
-    pivot_row, eliminate = ring.pivot_row, ring.eliminate
-    nrows = len(rows)
+    vecs = list(vecs)
+    nvecs = len(vecs)
+    clear = ring.clear
     pivots = []
-    pr = 0
+    npiv = 0
     for c in range(limit):
-        for piv in range(pr, nrows):
-            if rows[piv][c]:
-                break
-        else:
+        if snaps is not None and c in snaps:
+            snaps[c] = (npiv, vecs[npiv:])
+        # Plain loops: at the sizes of most calls (a few vectors) they
+        # cost less than a comprehension.
+        active = []
+        for i in range(npiv, nvecs):
+            if vecs[i][c]:
+                active.append(i)
+        if not active:
             continue
-        rp = pivot_row(rows[piv], c)
-        rows[piv], rows[pr] = rows[pr], rp
-        for i in range(pr + 1, nrows):
-            if rows[i][c]:
-                rows[i] = eliminate(rows[i], rp, c)
+        k = clear(vecs, active, c)
+        if k != npiv:
+            vecs[npiv], vecs[k] = vecs[k], vecs[npiv]
         pivots.append(c)
-        pr += 1
-        if pr == nrows:
+        npiv += 1
+        if npiv == nvecs:
             break
-    return rows, pivots
+    if snaps is not None:
+        for c, snap in snaps.items():
+            if snap is None:
+                snaps[c] = (npiv, vecs[npiv:])
+    return vecs, pivots
 
 
-def _back_field(ring, rows, pivots, lo=0):
-    """Clear each pivot column above its pivot, over rows lo.. only, in
-    increasing pivot order as Gauss-Jordan does: rows lo.. become the
-    reduced form of the pivot rows from lo on."""
-    eliminate = ring.eliminate
+def _reduce(ring, vecs, pivots, lo=0):
+    """Reduce each pivot position of `_echelon` in the pivot vectors above
+    it (`Ring.reduce_at`), pivot by pivot in increasing order, over vectors
+    lo.. only: these become the reduced form of the pivot vectors from lo
+    on (reduced row echelon over a field, Hermite over ZZ)."""
+    reduce_at = ring.reduce_at
     for i in range(lo + 1, len(pivots)):
-        c, rp = pivots[i], rows[i]
+        c, vp = pivots[i], vecs[i]
         for j in range(lo, i):
-            if rows[j][c]:
-                rows[j] = eliminate(rows[j], rp, c)
-    return rows
-
-
-def _rref_field(ring, ints, limit=None):
-    """`_echelon_field`, then `_back_field`: the reduced row echelon form is
-    rows[i] / rows[i][pivots[i]] for the pivot rows."""
-    rows, pivots = _echelon_field(ring, ints, limit)
-    return _back_field(ring, rows, pivots), pivots
+            if vecs[j][c]:
+                vecs[j] = reduce_at(vecs[j], vp, c)
+    return vecs
 
 
 def _with_identity(cols, scale=1):
@@ -238,95 +251,6 @@ def _with_identity(cols, scale=1):
     tail past col_j's length carries the transform, times scale."""
     n = len(cols)
     return [[*col, *[0] * j, scale, *[0] * (n - j - 1)] for j, col in enumerate(cols)]
-
-
-def _hnf_columns(cols, nrows, snaps=None):
-    """Column echelon form (h, pivot_rows, npiv) of integer columns.
-
-    Pivot rows strictly increase with column index, pivots are positive,
-    and columns npiv.. of h are zero on the rows < nrows.
-    `_hermite_reduce` gives the Hermite form.
-
-    Row r is reduced by Euclid across the row (Havas-Majewski-Matthews,
-    Exp. Math. 1998): among the columns from npiv on that are nonzero in
-    row r, the one of smallest |entry| is subtracted, with nearest-integer
-    multipliers, from the others, until one is left.  Remainders at most
-    half the pivot keep the entries small; a row with one nonzero column
-    costs one scan.
-
-    Only rows < nrows are eliminated, so longer columns are carried along:
-    for a transform, pass `_with_identity(cols)`, whose tails h[j][nrows:]
-    are then unimodular transform columns v_j with cols . v_j == h[j][:nrows].
-
-    ``snaps``, a dict keyed by row indices in [0, nrows], is filled with
-    (npiv, h[npiv:]) as they stand before that row is reduced.  The
-    choices at row r depend on rows <= r only, so there the tails of
-    h[npiv:] are exactly the transform kernel basis of the matrix cut to
-    rows < r.  Columns are replaced, never updated in place, so a snapshot
-    keeps its columns.
-    """
-    h = [list(c) for c in cols]
-    ncols = len(h)
-    pivot_rows = []
-    npiv = 0
-    for r in range(nrows):
-        if snaps is not None and r in snaps:
-            snaps[r] = (npiv, h[npiv:])
-        # Plain loops: at the sizes of most calls (a few columns) they
-        # cost less than a comprehension or min() with a key.
-        active = []
-        for j in range(npiv, ncols):
-            if h[j][r]:
-                active.append(j)
-        if not active:
-            continue
-        k = active[0]
-        while len(active) > 1:
-            a = h[k][r]
-            for j in active:
-                if abs(h[j][r]) < abs(a):
-                    k, a = j, h[j][r]
-            hk = h[k]
-            left = [k]
-            for j in active:
-                if j == k:
-                    continue
-                hj = h[j]
-                q, rem = divmod(hj[r], a)
-                if 2 * abs(rem) > abs(a):
-                    q += 1
-                    rem -= a
-                h[j] = [x - q * y for x, y in zip(hj, hk)]
-                if rem:
-                    left.append(j)
-            active = left
-        if k != npiv:
-            h[npiv], h[k] = h[k], h[npiv]
-        if h[npiv][r] < 0:
-            h[npiv] = [-u for u in h[npiv]]
-        pivot_rows.append(r)
-        npiv += 1
-        if npiv == ncols:
-            break
-    if snaps is not None:
-        for r, snap in snaps.items():
-            if snap is None:
-                snaps[r] = (npiv, h[npiv:])
-    return h, pivot_rows, npiv
-
-
-def _hermite_reduce(h, pivot_rows, lo=0):
-    """Bring the entries left of each pivot of `_hnf_columns` into [0, pivot),
-    pivot by pivot in increasing order, over columns lo.. only: these
-    become the Hermite form of the pivot columns from lo on."""
-    for i in range(lo + 1, len(pivot_rows)):
-        r, hi = pivot_rows[i], h[i]
-        piv = hi[r]
-        for j in range(lo, i):
-            q = h[j][r] // piv
-            if q:
-                h[j] = [x - q * y for x, y in zip(h[j], hi)]
-    return h
 
 
 def _coords_in_hnf(cols, pivot_rows, vec):
@@ -401,12 +325,8 @@ class SubmodulePresentation:
                 raise ValueError("generator length does not match ambient rank")
             if any(c):
                 cols.append(c)
-        if ring.is_field:
-            reduced, pivots = _rref_field(ring, cols)
-            rows = ring.primitive(reduced[:len(pivots)], pivots)
-        else:
-            h, pivots, npiv = _hnf_columns(cols, ambient_rank)
-            rows = _hermite_reduce(h, pivots)[:npiv]
+        vecs, pivots = _echelon(ring, cols, ambient_rank)
+        rows = ring.primitive(_reduce(ring, vecs, pivots)[:len(pivots)], pivots)
         return cls(ring, ambient_rank, rows, pivots, _canonical=True)
 
     @classmethod
@@ -487,14 +407,9 @@ def _kernel_image(ring, nsys, rows):
     one row, each as `span` reads it.
     """
     width = len(rows[0])
-    if ring.is_field:
-        echelon, pivots = _echelon_field(ring, rows)
-        k = bisect_left(pivots, nsys)
-        _back_field(ring, echelon, pivots, k)
-    else:
-        echelon, pivots, _ = _hnf_columns(rows, width)
-        k = bisect_left(pivots, nsys)
-        _hermite_reduce(echelon, pivots, k)
+    echelon, pivots = _echelon(ring, rows, width)
+    k = bisect_left(pivots, nsys)
+    _reduce(ring, echelon, pivots, k)
     pivots = [c - nsys for c in pivots[k:]]
     cut = ring.primitive([row[nsys:] for row in echelon[k:k + len(pivots)]], pivots)
     return SubmodulePresentation(ring, width - nsys, cut, pivots, _canonical=True)
@@ -520,7 +435,8 @@ def solve(m: Mat, b) -> list | None:
         aug = [row + [m.den * bv] for row, bv in zip(m.ints, bints)]
         if not aug:
             return zero_vec(ring, m.cols)
-        reduced, pivots = _rref_field(ring, aug, limit=m.cols)
+        reduced, pivots = _echelon(ring, aug, m.cols)
+        _reduce(ring, reduced, pivots)
         for i in range(len(pivots), m.rows):
             if reduced[i][m.cols]:
                 return None
@@ -530,7 +446,8 @@ def solve(m: Mat, b) -> list | None:
             x[c] = row[m.cols]
         return ring.quotients([x], [den * bden])[0]
     nr = m.rows
-    h, pivot_rows, npiv = _hnf_columns(_with_identity(m.to_cols()), nr)
+    h, pivot_rows = _echelon(ring, _with_identity(m.to_cols()), nr)
+    npiv = len(pivot_rows)
     # A column's first nr entries are its image, the rest its transform.
     coeffs = _coords_in_hnf(h[:npiv], pivot_rows, b)
     if coeffs is None:
@@ -540,8 +457,8 @@ def solve(m: Mat, b) -> list | None:
         if q:
             x = [u + q * w for u, w in zip(x, col[nr:])]
     if npiv < len(h):
-        kh, kpivots, _ = _hnf_columns([col[nr:] for col in h[npiv:]], m.cols)
-        _hermite_reduce(kh, kpivots)
+        kh, kpivots = _echelon(ring, [col[nr:] for col in h[npiv:]], m.cols)
+        _reduce(ring, kh, kpivots)
         for col, r in zip(kh, kpivots):
             q, rem = divmod(x[r], col[r])
             if 2 * rem > col[r]:
@@ -633,7 +550,8 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
         w = nb + nz
         basis = b.rows + z.rows
         aug = [[g[i] for g in basis] + [1 if k == i else 0 for k in range(n)] for i in range(n)]
-        reduced, pivots = _rref_field(ring, aug, limit=w)
+        reduced, pivots = _echelon(ring, aug, w)
+        _reduce(ring, reduced, pivots)
         if len(pivots) != nz:
             raise InclusionError("a generator of b lies outside z")
         picked = [c - nb for c in pivots[nb:]]
@@ -659,8 +577,8 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
         factors.append(d.ints[i][i] if i < min(d.rows, d.cols) else 0)
     # u is unimodular, so the canonical Hermite form of the stacked columns
     # (u_j ; e_j) is (I ; W) with u.W = I: its lower half is u^{-1}.
-    stacked, spivots, _ = _hnf_columns(_with_identity(u.to_cols()), 2 * k)
-    _hermite_reduce(stacked, spivots)
+    stacked, spivots = _echelon(ring, _with_identity(u.to_cols()), 2 * k)
+    _reduce(ring, stacked, spivots)
     kept = [i for i, f in enumerate(factors) if f != 1]
     gens = []
     for i in kept:

@@ -16,8 +16,11 @@ denominator, in the form `Ring.stored` fixes, and modules are spanned
 by integer rows and stay integer rows (`Ring.primitive`,
 `Ring.int_dots`): over QQ, Fractions appear only in module `gens`, a
 `Mat`'s `data` view, the output of `solve` and of a quotient's `reduce`,
-and `Delta` matrices.  The field elimination's row step is here too:
-`Ring.pivot_row` and `Ring.eliminate` (mod p, or fraction-free over QQ).
+and `Delta` matrices.  The elimination's steps are here too, for every
+ring: `Ring.clear` clears one position of a set of vectors (a pivot
+and `Ring.eliminate`, mod p or fraction-free over QQ, over a field;
+Euclid across the row over ZZ) and `Ring.reduce_at` reduces one vector
+by a pivot, which is all `mcss.linalg`'s echelon loop asks of a ring.
 Rings are interned, so they compare by identity.
 """
 
@@ -182,13 +185,62 @@ class Ring:
             return rows
         return [[Fraction(x, den) if x else _Q_ZERO for x in row] for row, den in zip(rows, dens)]
 
-    def pivot_row(self, row, c):
-        """An integer pivot row at c as field elimination keeps it: pivot 1 over GF(p)."""
-        if p := self.p:
-            inv = pow(row[c], -1, p)
-            if inv != 1:
-                return [x * inv % p for x in row]
-        return row
+    def clear(self, vecs, active, c):
+        """Clear position c of the integer vectors vecs[i], i in active (those
+        nonzero at c, in order), on all but one; return that one's index.
+
+        Vectors are replaced, never updated in place.  Over a field the
+        first active vector is the pivot, scaled to 1 over GF(p), and
+        `eliminate` clears the others.  Over ZZ, Euclid across the row
+        (Havas-Majewski-Matthews, Exp. Math. 1998): the active vector of
+        smallest |entry| is subtracted, with nearest-integer multipliers,
+        from the others, until one is left, whose entry is made positive.
+        Remainders at most half the pivot keep the entries small; one
+        active vector costs one scan.
+
+        >>> v = [[4, 1], [6, 0]]
+        >>> ZZ.clear(v, [0, 1], 0), v
+        (1, [[0, 3], [2, -1]])
+        """
+        k = active[0]
+        if self.kind != "Z":
+            vp = vecs[k]
+            if (p := self.p) and (inv := pow(vp[c], -1, p)) != 1:
+                vp = vecs[k] = [x * inv % p for x in vp]
+            eliminate = self.eliminate
+            for i in active[1:]:
+                vecs[i] = eliminate(vecs[i], vp, c)
+            return k
+        while len(active) > 1:
+            a = vecs[k][c]
+            for j in active:
+                if abs(vecs[j][c]) < abs(a):
+                    k, a = j, vecs[j][c]
+            vk = vecs[k]
+            left = [k]
+            for j in active:
+                if j == k:
+                    continue
+                vj = vecs[j]
+                q, rem = divmod(vj[c], a)
+                if 2 * abs(rem) > abs(a):
+                    q += 1
+                    rem -= a
+                vecs[j] = [x - q * y for x, y in zip(vj, vk)]
+                if rem:
+                    left.append(j)
+            active = left
+        if vecs[k][c] < 0:
+            vecs[k] = [-u for u in vecs[k]]
+        return k
+
+    def reduce_at(self, vec, pv, c):
+        """vec reduced at c by the pivot vector pv of `clear`: cleared over a
+        field (`eliminate`), brought into [0, pv[c]) over ZZ."""
+        if self.kind != "Z":
+            return self.eliminate(vec, pv, c)
+        q = vec[c] // pv[c]
+        return [x - q * y for x, y in zip(vec, pv)] if q else vec
 
     def eliminate(self, row, rp, c):
         """A new integer row: row with its entry at c cleared by the pivot row rp.

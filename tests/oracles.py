@@ -29,8 +29,8 @@ from mcss.linalg import (
     Mat,
     MembershipError,
     SubmodulePresentation,
-    _hnf_columns,
-    _rref_field,
+    _echelon,
+    _reduce,
     zero_vec,
 )
 from mcss.multicomplex import Multicomplex, RelationViolation
@@ -108,8 +108,8 @@ def spans(quot, coord_vectors) -> bool:
             rel = [0] * k
             rel[i] = d
             cols.append(rel)
-    h, pivot_rows, npiv = _hnf_columns(cols, k)
-    return npiv == k and all(h[i][r] == 1 for i, r in enumerate(pivot_rows))
+    h, pivot_rows = _echelon(quot.ring, cols, k)
+    return len(pivot_rows) == k and all(h[i][r] == 1 for i, r in enumerate(pivot_rows))
 
 
 def _assemble(ring, widths, blocks):
@@ -229,7 +229,8 @@ def oracle_kernel(m: Mat) -> SubmodulePresentation:
     """
     ring, n = m.ring, m.cols
     if ring.is_field:
-        reduced, pivots = _rref_field(ring, m.ints)
+        reduced, pivots = _echelon(ring, m.ints, n)
+        _reduce(ring, reduced, pivots)
         rref = ring.quotients(reduced[:len(pivots)], [row[c] for row, c in zip(reduced, pivots)])
         gens = []
         for f in sorted(set(range(n)) - set(pivots)):
@@ -240,8 +241,8 @@ def oracle_kernel(m: Mat) -> SubmodulePresentation:
             gens.append(v)
         return scalar_span(ring, n, gens)
     cols = [[row[j] for row in m.ints] + [int(i == j) for i in range(n)] for j in range(n)]
-    h, _, npiv = _hnf_columns(cols, m.rows)
-    return SubmodulePresentation.span(ring, n, [col[m.rows:] for col in h[npiv:]])
+    h, pivots = _echelon(ring, cols, m.rows)
+    return SubmodulePresentation.span(ring, n, [col[m.rows:] for col in h[len(pivots):]])
 
 
 def kernel_then_span(ring, equations, images):

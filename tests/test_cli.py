@@ -275,8 +275,8 @@ def test_compare_serves_dead_cells_from_their_zero_page(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("ring", ["F 2", "F 97"])
 def test_field_modules_take_residues(tmp_path, capsys, monkeypatch, ring):
-    # Over GF(p), span, the forward field elimination (wherever it is
-    # imported) and the fused elimination of a chain step and of `kernel`
+    # Over GF(p), span, the echelon loop (in linalg and in the filtered
+    # reductions) and the fused elimination of a chain step and of `kernel`
     # (K_1 = ker d_0) read residues in [0, p): none of them reduces its
     # input.
     import mcss.filtered
@@ -285,7 +285,7 @@ def test_field_modules_take_residues(tmp_path, capsys, monkeypatch, ring):
     from mcss.linalg import SubmodulePresentation
 
     p = int(ring.split()[1])
-    seen = {"span": 0, "echelon": 0, "kernel_image": 0, "kernel": 0}
+    seen = {"span": 0, "echelon": 0, "reduction": 0, "kernel_image": 0, "kernel": 0}
 
     def check(name, rows):
         assert all(0 <= x < p for row in rows for x in row), name
@@ -293,12 +293,12 @@ def test_field_modules_take_residues(tmp_path, capsys, monkeypatch, ring):
         return rows
 
     span, echelon, kernel_image = (SubmodulePresentation.span.__func__,
-                                   mcss.linalg._echelon_field, mcss.linalg._kernel_image)
+                                   mcss.linalg._echelon, mcss.linalg._kernel_image)
     monkeypatch.setattr(SubmodulePresentation, "span", classmethod(
         lambda cls, ring, n, columns: span(cls, ring, n, check("span", columns))))
-    for module in (mcss.linalg, mcss.filtered):
-        monkeypatch.setattr(module, "_echelon_field", lambda ring, ints, *args, **kwargs: echelon(
-            ring, check("echelon", ints), *args, **kwargs))
+    for module, name in ((mcss.linalg, "echelon"), (mcss.filtered, "reduction")):
+        monkeypatch.setattr(module, "_echelon", lambda ring, vecs, *args, name=name, **kwargs:
+                            echelon(ring, check(name, vecs), *args, **kwargs))
     for module, name in ((mcss.pages, "kernel_image"), (mcss.linalg, "kernel")):
         monkeypatch.setattr(module, "_kernel_image", lambda ring, nsys, rows, name=name:
                             kernel_image(ring, nsys, check(name, rows)))

@@ -19,10 +19,9 @@ from mcss.linalg import (
     Mat,
     MembershipError,
     SubmodulePresentation,
-    _hermite_reduce,
-    _hnf_columns,
+    _echelon,
     _kernel_image,
-    _rref_field,
+    _reduce,
     _with_identity,
     image,
     kernel,
@@ -360,8 +359,12 @@ def test_rref_field_matches_sympy(ring, data):
         scaled = [[x % ring.p for x in row] for row in scaled]
     ref, ref_pivots = _domain_matrix(ring, [row[:lim] for row in rows], lim).rref()
     rank = _domain_matrix(ring, rows, ncols).rank()
-    for out, pivots in (_rref_field(ring, ring.int_rows(rows)[0], limit),
-                        _rref_field(ring, scaled, limit)):
+
+    def rref(ints):
+        out, pivots = _echelon(ring, ints, lim)
+        return _reduce(ring, out, pivots), pivots
+
+    for out, pivots in (rref(ring.int_rows(rows)[0]), rref(scaled)):
         assert list(pivots) == list(ref_pivots)
         for row, c, ref_row in zip(out, pivots, ref.to_list()):
             inv = ring.normalize(1 / Fraction(row[c]))
@@ -676,7 +679,7 @@ def _transpose(cols, nrows):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_hermite_reduce_of_echelon_columns_matches_sympy_hnf(data):
-    # _hnf_columns stops at a column echelon form.  _hermite_reduce over
+    # _echelon over ZZ stops at a column echelon form.  _reduce over
     # every column gives sympy's Hermite form; over columns lo.. it gives
     # the Hermite form of the echelon columns from lo on, and leaves the
     # others as they were.  Entries past nrows are carried along, so the
@@ -685,10 +688,11 @@ def test_hermite_reduce_of_echelon_columns_matches_sympy_hnf(data):
     length = nrows + data.draw(st.integers(min_value=0, max_value=2))
     cols = data.draw(st.lists(st.lists(zz_entry_st, min_size=length, max_size=length),
                               max_size=7))
-    h, pivots, npiv = _hnf_columns(cols, nrows)
+    h, pivots = _echelon(ZZ, cols, nrows)
+    npiv = len(pivots)
     lo = data.draw(st.integers(min_value=0, max_value=npiv))
-    reduced = _hermite_reduce(list(h), pivots, lo)
-    full = _hermite_reduce(list(h), pivots)
+    reduced = _reduce(ZZ, list(h), pivots, lo)
+    full = _reduce(ZZ, list(h), pivots)
 
     def hnf(cs, n):  # sympy's Hermite form of the columns cs cut to n entries
         return _sympy_column_hnf(_transpose(cs, n), len(cs))
@@ -748,31 +752,77 @@ def test_integer_oracle_kernel_matches_sympy_nullspace(m):
     assert k == kernel(m)
 
 
+def _ring_mat_st(ring):
+    """`zz_mat_st`'s matrices, read in the ring."""
+    return zz_mat_st().map(lambda m: Mat(ring, m.rows, m.cols, m.data))
+
+
+def _sympy_kernel(ring, m):
+    """A basis of {x : m.x = 0} over the field, or over QQ for ZZ, by sympy."""
+    field = QQ if ring is ZZ else ring
+    if not m.rows:
+        return [[int(i == j) for i in range(m.cols)] for j in range(m.cols)]
+    return [[_from_sympy(field, y) for y in v]
+            for v in _domain_matrix(field, m.data, m.cols).nullspace().to_list()]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(97)], ids=str)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_carried_identity_tails_are_a_transform(data):
-    # _hnf_columns builds no transform: eliminated on the rows of A, the
+def test_carried_identity_tails_are_a_transform(ring, data):
+    # _echelon builds no transform: eliminated on the rows of A, the
     # columns [col_j | e_j] carry one.  Every column's tail v_j has
-    # A.v_j equal to its head, and the tails are a basis of Z^ncols
-    # (unimodular).  A snapshot before row r holds, past its npiv pivots,
-    # columns whose tails are a basis of the kernel of A cut to rows < r,
-    # checked against sympy's rank and Smith form.
-    m = data.draw(zz_mat_st())
+    # A.v_j equal to its head, and over ZZ the tails are a basis of
+    # Z^ncols (unimodular).  A snapshot before row r holds, past its
+    # pivots, columns whose tails span the kernel of A cut to rows < r:
+    # over every ring sympy's nullspace (over QQ for ZZ), and over ZZ a
+    # saturated lattice of that rank, by sympy's Smith form.
+    m = data.draw(_ring_mat_st(ring))
     nr, nc = m.rows, m.cols
     snaps = dict.fromkeys(data.draw(st.sets(st.integers(min_value=0, max_value=nr))))
-    h, pivots, npiv = _hnf_columns(_with_identity(m.to_cols()), nr, snaps)
-    assert len(h) == nc and len(pivots) == npiv
+    cols = [[row[j] for row in m.ints] for j in range(nc)]
+    h, pivots = _echelon(ring, _with_identity(cols), nr, snaps)
+    assert len(h) == nc
     for col in h:
         assert m.matvec(col[nr:]) == col[:nr]
-    if nc:
+    if nc and ring is ZZ:
         assert abs(sympy.Matrix([col[nr:] for col in h]).det()) == 1
-    for r, (k, cols) in snaps.items():
+    field = QQ if ring is ZZ else ring
+    for r, (k, snapped) in snaps.items():
         assert k == bisect_left(pivots, r)
-        assert all(not any(col[:r]) for col in cols)
-        for col in cols:
+        assert all(not any(col[:r]) for col in snapped)
+        for col in snapped:
             assert m.matvec(col[nr:]) == col[:nr]
-        tails = SubmodulePresentation.span(ZZ, nc, [col[nr:] for col in cols])
-        _assert_saturated_kernel(Mat(ZZ, r, nc, m.data[:r]), tails)
+        cut = Mat(ring, r, nc, m.data[:r])
+        assert scalar_span(field, nc, [col[nr:] for col in snapped]) == scalar_span(
+            field, nc, _sympy_kernel(ring, cut))
+        if ring is ZZ:
+            tails = SubmodulePresentation.span(ZZ, nc, [col[nr:] for col in snapped])
+            _assert_saturated_kernel(cut, tails)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(97)], ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_elimination_never_changes_its_input(ring, data):
+    # Callers pass vectors that others hold, such as Tot's stored columns
+    # and a module's rows: _echelon copies the outer list and replaces the
+    # vectors it changes, so neither the input nor a snapshot changes, and
+    # _reduce replaces, in the list it is given, the vectors it reduces.
+    m = data.draw(_ring_mat_st(ring))
+    vecs = m.ints
+    given_vecs = copy.deepcopy(vecs)
+    limit = data.draw(st.integers(min_value=0, max_value=m.cols))
+    snaps = data.draw(st.none() | st.sets(st.integers(min_value=0, max_value=limit)).map(
+        dict.fromkeys))
+    out, pivots = _echelon(ring, vecs, limit, snaps)
+    assert out is not vecs and vecs == given_vecs
+    held = list(out)
+    held_copy = copy.deepcopy(held)
+    snapped = copy.deepcopy(snaps)
+    lo = data.draw(st.integers(min_value=0, max_value=len(pivots)))
+    assert _reduce(ring, out, pivots, lo) is out
+    assert vecs == given_vecs and held == held_copy and snaps == snapped
 
 
 @settings(max_examples=60, deadline=None)
