@@ -3,8 +3,8 @@
 Solve, kernel, image, subquotients and integer normal forms, all
 deterministic: canonical column-echelon (fields) and column Hermite
 (integers) forms make equal subspaces/lattices structurally equal, and
-particular solutions are pinned (free variables zero over a field,
-echelon back-substitution over the integers).
+particular solutions are pinned (zero at the free columns over a field,
+Hermite-reduced there over the integers).
 
 Matrices are dense row-major lists; at the scale this engine targets
 (blocks of at most a few hundred) exact arithmetic on dense data wins on
@@ -27,7 +27,9 @@ fraction-free or mod-p row steps over a field, Euclid across the row and
 floor quotients over ZZ.  No elimination builds a transform of its own:
 a caller that needs one eliminates the columns [col_j | e_j]
 (`_with_identity`) and reads it off the carried tails, so a
-kernel is one `_kernel_image` of those rows (Cohen 1993, 2.3-2.4).
+kernel is one `_kernel_image` of those rows (Cohen 1993, 2.3-2.4), and a
+solve of m.x = b one more: that of [-b | m], which holds the solutions
+as its kernel vectors with first coordinate 1.
 """
 
 from __future__ import annotations
@@ -159,10 +161,6 @@ class Mat:
     def __repr__(self):
         body = "; ".join(" ".join(self.ring.format_scalar(v) for v in row) for row in self.data)
         return f"Mat({self.ring!r}, {self.rows}x{self.cols}, [{body}])"
-
-
-def zero_vec(ring, n):
-    return [ring.zero()] * n
 
 
 def _over_common_pivot(rows, pivots):
@@ -418,54 +416,35 @@ def _kernel_image(ring, nsys, rows):
 def solve(m: Mat, b) -> list | None:
     """A deterministic particular solution of m.x = b, or None.
 
-    Over a field: the reduced-echelon solution with free variables zero.
-    Over ZZ: back-substitution through the echelon form of the transform
-    elimination (an integer solution iff one exists), then reduced modulo
-    the kernel's Hermite basis: nearest-integer multiples of each basis
-    column, in increasing pivot order, leave each pivot entry of x in
-    (-h/2, h/2] for that column's pivot h.
+    One `_kernel_image` of the unknowns (t, x_{c-1}, ..., x_0), with the
+    rows [-b | e_t] and [column j of m | e_j], m's columns in reverse: a
+    kernel vector with t = 1 is a solution.  Reversed, the canonical
+    kernel's pivots past t are m's free columns (a column is free when a
+    kernel vector ends there), and its first row, when its pivot is t,
+    is reduced at them: x is zero there over a field (the reduced-echelon
+    solution), in [0, h) over ZZ, h the pivot entry of the kernel row of
+    that column.  Over ZZ a solution exists iff t's pivot entry is 1.
+
+    >>> from mcss.rings import GF
+    >>> solve(Mat(GF(2), 2, 2, [[1, 1], [0, 0]]), [1, 0])
+    [1, 0]
+    >>> solve(Mat(ZZ, 1, 2, [[2, 3]]), [1])
+    [-1, 1]
+    >>> solve(Mat(ZZ, 1, 1, [[2]]), [3]) is None
+    True
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
     ring = m.ring
-    b = [ring.normalize(v) for v in b]
-    if ring.is_field:
-        # m = ints / den, b = bints / bden: ints . y = den bints, x = y / bden.
-        (bints,), bden = ring.int_rows((b,))
-        aug = [row + [m.den * bv] for row, bv in zip(m.ints, bints)]
-        if not aug:
-            return zero_vec(ring, m.cols)
-        reduced, pivots = _echelon(ring, aug, m.cols)
-        _reduce(ring, reduced, pivots)
-        for i in range(len(pivots), m.rows):
-            if reduced[i][m.cols]:
-                return None
-        den, rows = _over_common_pivot(reduced, pivots)
-        x = [0] * m.cols
-        for row, c in zip(rows, pivots):
-            x[c] = row[m.cols]
-        return ring.quotients([x], [den * bden])[0]
-    nr = m.rows
-    h, pivot_rows = _echelon(ring, _with_identity(m.to_cols()), nr)
-    npiv = len(pivot_rows)
-    # A column's first nr entries are its image, the rest its transform.
-    coeffs = _coords_in_hnf(h[:npiv], pivot_rows, b)
-    if coeffs is None:
+    # m = ints / den, b = bints / bden: ints . y = t den bints, x = y / (t bden).
+    (bints,), bden = ring.int_rows(([ring.normalize(v) for v in b],))
+    cols = [[ring.neg(m.den * v) for v in bints]]
+    cols += [[row[j] for row in m.ints] for j in reversed(range(m.cols))]
+    k = _kernel_image(ring, m.rows, _with_identity(cols))
+    if not k.pivots or k.pivots[0] or (not ring.is_field and k.rows[0][0] != 1):
         return None
-    x = [0] * m.cols
-    for q, col in zip(coeffs, h):
-        if q:
-            x = [u + q * w for u, w in zip(x, col[nr:])]
-    if npiv < len(h):
-        kh, kpivots = _echelon(ring, [col[nr:] for col in h[npiv:]], m.cols)
-        _reduce(ring, kh, kpivots)
-        for col, r in zip(kh, kpivots):
-            q, rem = divmod(x[r], col[r])
-            if 2 * rem > col[r]:
-                q += 1
-            if q:
-                x = [u - q * w for u, w in zip(x, col)]
-    return x
+    row = k.rows[0]
+    return ring.quotients([list(row[:0:-1])], [row[0] * bden])[0]
 
 
 def image(m: Mat) -> SubmodulePresentation:
@@ -502,10 +481,8 @@ class QuotientPresentation:
 
     def canon(self, coords):
         """Canonicalize a raw coordinate tuple (reduce torsion entries)."""
-        if self.ring.is_field:
-            norm = self.ring.normalize
-            return tuple(norm(c) for c in coords)
-        return tuple(c % d if d else c for c, d in zip(coords, self.invariants))
+        norm = self.ring.normalize
+        return tuple(norm(c) % d if d else norm(c) for c, d in zip(coords, self.invariants))
 
     def reduce(self, vec):
         """Canonical coordinates of an ambient element of z in the quotient."""

@@ -110,6 +110,8 @@ class Ring:
         """Coerce v (int, Fraction, or same-ring scalar) to this ring's form."""
         if self.kind == "Q":
             return v if type(v) is Fraction else Fraction(v)
+        if type(v) is int:  # the common case, spared the Fraction test (an ABC check)
+            return v % self.p if self.p else v
         if self.kind == "F":
             if isinstance(v, Fraction):
                 if v.denominator % self.p == 0:

@@ -31,7 +31,6 @@ from mcss.linalg import (
     SubmodulePresentation,
     _echelon,
     _reduce,
-    zero_vec,
 )
 from mcss.multicomplex import Multicomplex, RelationViolation
 from mcss.pages import SpectralPages
@@ -56,6 +55,10 @@ class CoWitnessTuple:
     p: int
     q: int
     c: dict  # k -> coordinate list, 0 <= k <= r-1
+
+
+def zero_vec(ring, n):
+    return [ring.zero()] * n
 
 
 def vec_add(ring, u, v):

@@ -383,14 +383,21 @@ def test_rref_field_matches_sympy(ring, data):
     null = _domain_matrix(ring, m.data, ncols).nullspace().to_list()
     ref_kernel = scalar_span(ring, ncols, [[_from_sympy(ring, y) for y in v] for v in null])
     assert kernel(m) == ref_kernel == oracle_kernel(m)
-    b = [ring.normalize(v) for v in data.draw(
+    drawn = [ring.normalize(v) for v in data.draw(
         st.lists(entries, min_size=nrows, max_size=nrows))]
-    x = solve(m, b)
-    aug = [row + [bv] for row, bv in zip(m.data, b)]
-    if _domain_matrix(ring, aug, ncols + 1).rank() == rank:
-        assert x is not None and m.matvec(x) == b
-    else:
-        assert x is None
+    # A drawn right-hand side, then one in the column space.
+    coefs = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    _, full_pivots = _domain_matrix(ring, rows, ncols).rref()
+    for b in (drawn, m.matvec(coefs)):
+        x = solve(m, b)
+        aug = [row + [bv] for row, bv in zip(m.data, b)]
+        if _domain_matrix(ring, aug, ncols + 1).rank() == rank:
+            assert x is not None and m.matvec(x) == b
+            # solve's contract over a field: x is zero at every column that
+            # the rref of the whole matrix leaves without a pivot.
+            assert all(x[j] == 0 for j in range(ncols) if j not in full_pivots)
+        else:
+            assert x is None
 
 
 @pytest.mark.parametrize("ring", [QQ, GF(2), GF(5)], ids=str)
@@ -838,6 +845,13 @@ def test_integer_solve_matches_smith_membership(data):
     x = solve(m, b)
     if _in_column_lattice(m.data, m.cols, b):
         assert x is not None and m.matvec(x) == b
+        # Reduced at the free columns: with m's columns reversed, the
+        # canonical kernel row with pivot c and pivot entry h leaves the
+        # entry of x at column m.cols - 1 - c in [0, h).
+        rev = Mat(ZZ, m.rows, m.cols, [row[::-1] for row in m.data])
+        k = kernel(rev)
+        for g, c in zip(k.rows, k.pivots):
+            assert 0 <= x[m.cols - 1 - c] < g[c]
     else:
         assert x is None
 

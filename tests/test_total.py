@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from mcss.builders import RandomSpec, hurtubise, random_mcx, staircase
-from mcss.linalg import Mat, image, zero_vec
+from mcss.linalg import Mat, image
 from mcss.multicomplex import Multicomplex
 from mcss.rings import GF, QQ, ZZ
 from mcss.total import totalize
 from oracles import (
-    dense_differentials, differential, first_nonsquare_degree, relation_violations,
+    dense_differentials, differential, first_nonsquare_degree, relation_violations, zero_vec,
 )
 from test_filtered import _rescaled
 
