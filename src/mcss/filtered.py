@@ -17,15 +17,20 @@ ZZ_r^p for every r: one echelon form of the columns [d|F_p ; I] over
 every ring, snapshotted before the first row of every filtration block
 of Tot_{n-1}.  With k the number of pivot rows above the cut, the
 columns past the k pivots span ZZ_r^p in their I part and d ZZ_r^p in
-their d part.
+their d part.  Every reader reads the I part on F_p's first block only,
+so only that block of I is carried: cutting is linear, and the rows are
+those of the full elimination cut to it.
 
 Entries live in one cell.  F_p starts with the (p, n-p) block; the
 projection pi_p onto it kills ZZ_r^p meet F_{p-1} = ZZ_{r-1}^{p-1}, which
 lies in BB_r^p, so E_r^p = pi_p(ZZ_r^p) / pi_p(d ZZ_{r-1}^{p+r-1}) over
 any ring, Z included (McCleary, A User's Guide to Spectral Sequences,
-2001, 2.2).  The reduction's suffix spans ZZ_r^p itself, so `zz` is the
-span of its cycles cut to the block, and `bb` the span of the boundaries
-of ZZ_{r-1}^{p+r-1} cut to it: no module is built in Tot_n.  F_{p-r} of
+2001, 2.2).  The reduction's suffix spans pi_p(ZZ_r^p), so `zz` is the
+span of its cycles.  The boundaries of ZZ_{r-1}^{p+r-1} are those of the
+suffix at the cut of F_{p-1}, which span what the final pivot rows from
+there on span, as the elimination never changes a pivot row again: cut
+to the block, `bb` is the pivot rows with pivots in it, already in
+echelon form and only reduced.  No module is built in Tot_n.  F_{p-r} of
 Tot_{n-1} is zero once p - r is left of its least column, and F_{p+r-1}
 of Tot_{n+1} is all of it once p + r - 1 reaches its greatest: from that
 settle page s on both projections are constant, and `entry` serves page s,
@@ -45,7 +50,7 @@ checked, so it counts such a cell without comparing it again.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -54,6 +59,7 @@ from .linalg import (
     MembershipError,
     SubmodulePresentation,
     _echelon,
+    _reduce,
     _with_identity,
     snf,
     solve,
@@ -119,26 +125,40 @@ class ComparisonReport:
 class _Reduction:
     """The columns of d_n restricted to F_p (from coordinate `start` on), eliminated once.
 
-    Column j is Tot's stored column, d_n times Tot's one denominator den,
-    as the row [col_j | den e_j] (den is 1 over ZZ): eliminating its
-    nrows = dim Tot_{n-1} leading entries carries c along with dc.  The
-    snapshot rows are the block starts of Tot_{n-1}.  `pivots` are the
-    leading rows, in Tot_{n-1}, in increasing order.  `suffix[k]`, for
+    Column j is Tot's stored column, d_n times Tot's one denominator den;
+    on F_p's first block, the (p, n-p) cell of width w, it is the row
+    [col_j | den e_j] (den is 1 over ZZ), and past it [col_j | 0]:
+    eliminating the nrows = dim Tot_{n-1} leading entries carries the
+    first block's coordinates of c along with dc.  Pivots lie below nrows
+    and cutting is linear, so these are the rows of the elimination with
+    every column's transform cut to that block; no reader reads past it.
+    The snapshot rows are the block starts of Tot_{n-1}.  `pivots` are
+    the leading rows, in Tot_{n-1}, in increasing order.  `suffix[k]`, for
     every k that a filtration cut of Tot_{n-1} can give, is a list of rows
-    [dc | c]: the cycles c, in local F_p coordinates, span the elements
+    [dc | c]: the cycles c span the first block's part of the elements
     whose boundary vanishes on every row above pivots[k] (every row, when
     k = len(pivots)).  Over QQ a row is fixed up to a scalar that dc and c
     share: `compare` and `delta` read them together, spans ignore it, and
     so the denominator may be any common one.  The elimination stops at
     echelon form, over every ring.
+
+    `rows` are the final pivot rows.  `_echelon` leaves a pivot row alone
+    once chosen, so rows[k:] and suffix[k] span one module; cut to a
+    range of Tot_{n-1} from pivots[k] on, it is spanned by the pivot rows
+    whose pivots lie in the range, already in echelon form.
     """
 
-    __slots__ = ("pivots", "suffix")
+    __slots__ = ("pivots", "suffix", "rows")
 
     def __init__(self, t: TotalComplex, n: int, start: int):
-        nrows = t.dim(n - 1)
+        nrows, starts = t.dim(n - 1), t.block_starts(n)
+        cols = t.columns(n)[start:]
+        w = starts[bisect_right(starts, start)] - start if cols else 0
+        pad = [0] * w
         snaps = dict.fromkeys(t.block_starts(n - 1))
-        _, self.pivots = _echelon(t.ring, _with_identity(t.columns(n)[start:], t.den), nrows, snaps)
+        vecs, self.pivots = _echelon(
+            t.ring, _with_identity(cols[:w], t.den) + [col + pad for col in cols[w:]], nrows, snaps)
+        self.rows = vecs[:len(self.pivots)]
         self.suffix = dict(snaps.values())
 
 
@@ -149,6 +169,7 @@ class FilteredPages:
         self.t = t
         self._zz = {}          # (r, p, n) -> pi_p(ZZ_r^p) in the (p, n-p) cell
         self._spans = {}       # (key, lo, hi) -> span of a suffix cut to [lo, hi)
+        self._bounds = {}      # (key, lo, hi) -> span of the pivot rows cut to [lo, hi)
         self._reductions = {}  # (n, start) -> _Reduction
         self._last = {}        # (p, n) -> last page on which the entry may change
         self._entries = {}
@@ -167,8 +188,7 @@ class FilteredPages:
         return self._reductions[(n, start)].suffix[k]
 
     def _span(self, key, lo, hi):
-        """The span of the suffix rows [dc | c] cut to [lo, hi): boundaries
-        below dim Tot_{n-1}, cycles from there on."""
+        """The span of the suffix rows [dc | c] cut to [lo, hi) past dim Tot_{n-1}: cycles."""
         cached = self._spans.get((key, lo, hi))
         if cached is None:
             cached = self._spans[key, lo, hi] = SubmodulePresentation.span(
@@ -185,13 +205,30 @@ class FilteredPages:
         return self._zz[r, p, n]
 
     def bb(self, r: int, p: int, n: int) -> SubmodulePresentation:
-        """pi_p(BB_r^p) = pi_p(d ZZ_{r-1}^{p+r-1}): pi_p kills ZZ_{r-1}^{p-1}."""
+        """pi_p(BB_r^p) = pi_p(d ZZ_{r-1}^{p+r-1}): pi_p kills ZZ_{r-1}^{p-1}.
+
+        The boundaries of ZZ_{r-1}^{p+r-1} are those of the reduction's
+        suffix at the block's start, k pivots in.  Cut to the block they
+        are spanned by the final pivot rows with pivots in it, in echelon
+        form already: reduced, they are the canonical form.
+        """
         t = self.t
         width = t.block_start(n, p)[1]
         if r == 0:
             return SubmodulePresentation.zero(t.ring, width)
-        start = t.filtration_start(n, p)
-        return self._span(self._key(r - 1, p + r - 1, n + 1), start, start + width)
+        lo = t.filtration_start(n, p)
+        hi = lo + width
+        key = self._key(r - 1, p + r - 1, n + 1)
+        cached = self._bounds.get((key, lo, hi))
+        if cached is None:
+            m, start, k = key
+            red, ring = self._reductions[(m, start)], t.ring
+            end = bisect_left(red.pivots, hi, k)
+            pivots = [c - lo for c in red.pivots[k:end]]
+            rows = _reduce(ring, [v[lo:hi] for v in red.rows[k:end]], pivots)
+            cached = self._bounds[key, lo, hi] = SubmodulePresentation(
+                ring, width, ring.primitive(rows, pivots), pivots, _canonical=True)
+        return cached
 
     def settle(self, p: int, n: int) -> int:
         """The page s from which pi_p(ZZ_r^p) and pi_p(BB_r^p) are constant."""

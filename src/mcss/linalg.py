@@ -180,13 +180,13 @@ def _echelon(ring, vecs, limit, snaps=None):
     Position c left to right: of the vectors from len(pivots) on, those
     nonzero at c are cleared there on all but one by the ring
     (`Ring.clear`), which becomes the next pivot vector and moves up to
-    index len(pivots).  So pivots strictly increase, and the vectors past
-    them vanish at every position < limit.  Over GF(p) a pivot is 1, over
-    ZZ positive; over QQ the vectors stay integers, fraction-free, each
-    known up to a scalar.  Positions from limit on are carried along: for
-    a transform, pass `_with_identity(cols)`, whose tails past limit then
-    are the transform (unimodular over ZZ).  `_reduce` gives the reduced
-    form.
+    index len(pivots).  A pivot vector is never changed once it is chosen.
+    So pivots strictly increase, and the vectors past them vanish at every
+    position < limit.  Over GF(p) a pivot is 1, over ZZ positive; over QQ
+    the vectors stay integers, fraction-free, each known up to a scalar.
+    Positions from limit on are carried along: for a transform, pass
+    `_with_identity(cols)`, whose tails past limit then are the transform
+    (unimodular over ZZ).  `_reduce` gives the reduced form.
 
     The vectors are integer rows as `SubmodulePresentation.span` reads
     them.  The outer list is copied; vectors are replaced, never updated

@@ -6,7 +6,9 @@ reduction on field scalars, the differential formula evaluated on a given
 witness, the paper's explicit witnesses of a boundary (Proposition 2.5)
 and the constraint checks (*1) and (*2), the class map psi from the total
 complex to the witness route, the lift of a witness-route cycle back to
-Tot, d_n as a `Mat` read off Tot's stored columns, the span of scalar
+Tot, d_n as a `Mat` read off Tot's stored columns, the filtered route's
+elimination with a transform for every column and B_r spanned from its
+snapshots, rows equal up to a scalar, the span of scalar
 columns, module membership, inclusion and quotient generation, the free
 rank and torsion of a homology group, and the relation checks done
 densely: every cell x n x j probed with dmap lookups, and the product
@@ -31,6 +33,7 @@ from mcss.linalg import (
     SubmodulePresentation,
     _echelon,
     _reduce,
+    _with_identity,
 )
 from mcss.multicomplex import Multicomplex, RelationViolation
 from mcss.pages import SpectralPages
@@ -391,6 +394,38 @@ def differential(t: TotalComplex, n) -> Mat:
     cols = t.columns(n)
     rows = [t.ring.scalars([col[i] for col in cols], t.den) for i in range(t.dim(n - 1))]
     return Mat(t.ring, t.dim(n - 1), t.dim(n), rows)
+
+
+def full_transform_reduction(t: TotalComplex, n, start):
+    """d_n on F_p (from coordinate `start` on) eliminated as the rows
+    [col_j | den e_j] with a transform for every column of F_p, not only
+    for its first block: (pivots, suffix by pivot count, final pivot rows)."""
+    snaps = dict.fromkeys(t.block_starts(n - 1))
+    vecs, pivots = _echelon(t.ring, _with_identity(t.columns(n)[start:], t.den), t.dim(n - 1),
+                            snaps)
+    return pivots, dict(snaps.values()), vecs[:len(pivots)]
+
+
+def proportional(ring, u, v) -> bool:
+    """u is a nonzero multiple of v over QQ, where rows are known up to a
+    scalar, and equal to v over ZZ and GF(p)."""
+    if ring.kind != "Q":
+        return u == v
+    j = next((i for i, x in enumerate(v) if x), None)
+    if j is None:
+        return not any(u)
+    return u[j] != 0 and all(x * v[j] == y * u[j] for x, y in zip(u, v, strict=True))
+
+
+def suffix_boundaries(fp, r, p, n) -> SubmodulePresentation:
+    """pi_p(BB_r^p) spanned from the reduction's snapshot: the suffix of d_{n+1}
+    on F_{p+r-1} cut at F_{p-1}, each row's boundary cut to the (p, n-p) block."""
+    t = fp.t
+    lo, width = t.filtration_start(n, p), t.block_start(n, p)[1]
+    if r == 0:
+        return SubmodulePresentation.zero(t.ring, width)
+    rows = fp._suffix(fp._key(r - 1, p + r - 1, n + 1))
+    return SubmodulePresentation.span(t.ring, width, [v[lo:lo + width] for v in rows])
 
 
 def psi(t: TotalComplex, c: Multicomplex, r, p, n, x):

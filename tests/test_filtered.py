@@ -14,7 +14,8 @@ from mcss.multicomplex import Multicomplex
 from mcss.pages import PageDifferential, SpectralPages
 from oracles import (
     boundary_value, contains, cowitnesses, cycle_system, dense_differentials, differential, embed,
-    gauss_jordan, includes, lift_to_total, psi, scalar_span, spans, torsion,
+    full_transform_reduction, gauss_jordan, includes, lift_to_total, proportional, psi,
+    scalar_span, spans, suffix_boundaries, torsion,
 )
 from test_pages import ZERO_PAGE_RINGS, _zero_page_instances, dense_z
 from mcss.rings import GF, QQ, ZZ
@@ -51,12 +52,17 @@ def test_zz_above_support_is_full_cycle_space():
     t = totalize(c)
     fp = FilteredPages(t)
     big, r = 99, 2
-    # F_p and F_{p-r} are everything either way: the reduction's cycles
-    # span all of Tot_2, and their projection onto the absent cell is zero.
+    # F_p and F_{p-r} are everything either way: ZZ_r^p is all of Tot_2,
+    # the reduction's cycles span its projection onto F_p's first block,
+    # the (2, 0) cell, and its projection onto the absent cell is zero.
+    w = t.block_start(2, 2)[1]
+    assert t.filtration_start(2, big) == t.block_start(2, 2)[0] == 0
     for p in (big, big + 5):
+        ref = _reference_zz(t, r, p, 2)
+        assert ref == SubmodulePresentation.full(QQ, t.dim(2))
         cycles = [row[t.dim(1):] for row in fp._suffix(fp._key(r, p, 2))]
-        full = SubmodulePresentation.full(QQ, t.dim(2))
-        assert SubmodulePresentation.span(QQ, t.dim(2), cycles) == full
+        assert SubmodulePresentation.span(QQ, w, cycles) == scalar_span(
+            QQ, w, [g[:w] for g in ref.gens]) == SubmodulePresentation.full(QQ, w)
         assert fp.zz(r, p, 2) == SubmodulePresentation.zero(QQ, 0)
 
 
@@ -212,12 +218,16 @@ def test_compare_with_fractional_maps():
 
 @pytest.mark.parametrize("ring", [GF(2), GF(97), QQ], ids=str)
 def test_field_reduction_suffixes_match_gauss_jordan(ring):
-    # Over a field _Reduction keeps a row echelon form of [d|F_p^T | I],
-    # not the reduced one.  Every suffix it serves spans the cycles and
-    # boundaries of the Gauss-Jordan form's suffix, and each image row is
-    # d of its own cycle row over Tot's denominator.  Over Q the maps are
-    # fractional, where a cycle paired with the wrong multiple of its
-    # boundary shows.
+    # Over a field _Reduction keeps a row echelon form of [d|F_p^T | I]
+    # with the transform cut to F_p's first block, of width w, not the
+    # reduced one.  Every suffix it serves spans the Gauss-Jordan form's
+    # suffix: its cycles cut to the block, and its boundaries.  Each row,
+    # suffix and final pivot rows alike, is the row of the elimination
+    # that carries a transform for every column, cut to [0, nrows + w):
+    # equal over F_p, up to a scalar over Q.  In that elimination each
+    # image row is d of its own cycle row over Tot's denominator.  Over Q
+    # the maps are fractional, where a cycle paired with the wrong
+    # multiple of its boundary shows.
     instances = [random_mcx(RandomSpec(seed=seed, width=5, height=5, maxrank=3, maxd=3,
                                        ring=ring)) for seed in range(3)]
     if ring is QQ:
@@ -227,22 +237,27 @@ def test_field_reduction_suffixes_match_gauss_jordan(ring):
     for c in instances:
         t = totalize(c)
         for n in t.degrees():
-            nrows = t.dim(n - 1)
-            for start in t.block_starts(n)[:-1]:
+            nrows, starts = t.dim(n - 1), t.block_starts(n)
+            for start, w in zip(starts, (b - a for a, b in zip(starts, starts[1:]))):
                 cols = t.columns(n)[start:]
                 width, drows = len(cols), list(zip(*cols))
                 red = _Reduction(t, n, start)
+                full_pivots, full_suffix, full_rows = full_transform_reduction(t, n, start)
                 aug = [ring.scalars(col, t.den) + [int(i == j) for i in range(width)]
                        for j, col in enumerate(cols)]
                 gj, pivots = gauss_jordan(ring, aug, nrows)
-                assert red.pivots == pivots
+                assert red.pivots == full_pivots == pivots
+                for row, full in zip(red.rows, full_rows, strict=True):
+                    assert proportional(ring, row, full[:nrows + w])
                 for k, rows in red.suffix.items():
                     cycles, images = [row[nrows:] for row in rows], [row[:nrows] for row in rows]
-                    assert SubmodulePresentation.span(ring, width, cycles) == scalar_span(
-                        ring, width, [row[nrows:] for row in gj[k:]])
+                    assert SubmodulePresentation.span(ring, w, cycles) == scalar_span(
+                        ring, w, [row[nrows:nrows + w] for row in gj[k:]])
                     assert SubmodulePresentation.span(ring, nrows, images) == scalar_span(
                         ring, nrows, [row[:nrows] for row in gj[k:]])
-                    for cycle, img in zip(cycles, images, strict=True):
+                    for row, full in zip(rows, full_suffix[k], strict=True):
+                        assert proportional(ring, row, full[:nrows + w])
+                        cycle, img = full[nrows:], full[:nrows]
                         assert ring.scalars([t.den * x for x in img]) == ring.scalars(
                             ring.int_dots(drows, cycle))
                     cut_suffixes += 0 < k < len(pivots)
@@ -641,6 +656,39 @@ def test_filtered_delta_matches_witness_delta(name):
     for r in range(sp.stabilization_bound() + 1):
         for (p, q) in c.support:
             assert fp.delta(r, p, p + q) == sp.delta(r, p, q).rows, (r, p, q)
+
+
+BOUNDARY_INSTANCES = {
+    **{f"random-{ring}-{seed}": (lambda ring=ring, seed=seed: random_mcx(RandomSpec(
+        seed=seed, width=6, height=6, maxrank=3, maxd=4, ring=ring)))
+       for ring in (GF(2), GF(97), ZZ) for seed in (0, 3)},
+    **{f"rescaled-Q-{seed}": (lambda seed=seed: _rescaled(random_mcx(RandomSpec(
+        seed=seed, width=6, height=6, maxrank=3, maxd=4, ring=QQ)), seed))
+       for seed in (0, 3)},
+    "random_q_frac": lambda: parse((Path(__file__).parent / "golden" / "random_q_frac.mcx")
+                                   .read_text()),
+    "dense_z_s2": lambda: parse((Path(__file__).parent / "data" / "dense_z_s2.mcx").read_text()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_INSTANCES))
+def test_bb_off_pivot_rows_equals_span_of_the_suffix(name):
+    # bb reads pi_p(BB_r^p) off the final pivot rows of the reduction of
+    # d_{n+1} on F_{p+r-1} with pivots in the block; it is the span of
+    # that reduction's suffix at the cut of F_{p-1}, cut to the block,
+    # for every (r, p, n) up to past the settle page.  Some cut must fall
+    # strictly inside the pivots, where rows on both sides are dropped.
+    t = totalize(BOUNDARY_INSTANCES[name]())
+    fp = FilteredPages(t)
+    inner = 0
+    for n in t.degrees():
+        for p, _, _ in t.blocks(n):
+            for r in range(fp.settle(p, n) + 2):
+                assert fp.bb(r, p, n) == suffix_boundaries(fp, r, p, n), (r, p, n)
+                if r:
+                    m, start, k = fp._key(r - 1, p + r - 1, n + 1)
+                    inner += 0 < k < len(fp._reductions[(m, start)].pivots)
+    assert inner
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))

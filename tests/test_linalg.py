@@ -809,6 +809,32 @@ def test_carried_identity_tails_are_a_transform(ring, data):
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(97)], ids=str)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_snapshot_cut_is_spanned_by_the_pivot_vectors_in_the_cut(ring, data):
+    # _echelon never changes a pivot vector once chosen, and its later
+    # steps are invertible on the vectors past it.  So the snapshot at c,
+    # k = bisect_left(pivots, c) vectors in, spans what the final vectors
+    # from k on span; cut to [c, c + w) within the limit, the vectors past
+    # the pivots and those with pivots from c + w on vanish, and the pivot
+    # vectors with pivots in [c, c + w), cut and reduced, are the
+    # canonical form of that span.
+    m = data.draw(_ring_mat_st(ring))
+    limit = data.draw(st.integers(min_value=0, max_value=m.cols))
+    c = data.draw(st.integers(min_value=0, max_value=limit))
+    w = data.draw(st.integers(min_value=0, max_value=limit - c))
+    snaps = {c: None}
+    vecs, pivots = _echelon(ring, m.ints, limit, snaps)
+    k, snapped = snaps[c]
+    assert k == bisect_left(pivots, c)
+    end = bisect_left(pivots, c + w)
+    cut = [c0 - c for c0 in pivots[k:end]]
+    rows = ring.primitive(_reduce(ring, [v[c:c + w] for v in vecs[k:end]], cut), cut)
+    assert SubmodulePresentation.span(ring, w, [v[c:c + w] for v in snapped]) == (
+        SubmodulePresentation(ring, w, rows, cut, _canonical=True))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(97)], ids=str)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_elimination_never_changes_its_input(ring, data):
