@@ -10,8 +10,9 @@ Matrices are dense row-major lists; at the scale this engine targets
 (blocks of at most a few hundred) exact arithmetic on dense data wins on
 simplicity and has no pivoting subtleties.
 
-Arithmetic runs on integer rows, whole rows at a time, and `mcss.rings`
-turns them into scalars: a `Mat` stores only its rows over one common
+Arithmetic runs on integer rows, over a field whole rows at a time, over
+ZZ on the pivot vector's nonzero entries only, and `mcss.rings` turns
+them into scalars: a `Mat` stores only its rows over one common
 denominator, and `Mat.data` reads them as scalars.  Over QQ, elimination
 hands its rows back as integers: reduced row i is rows[i] /
 rows[i][pivots[i]].  Modules are spanned by integer rows and live as
@@ -237,10 +238,7 @@ def _reduce(ring, vecs, pivots, lo=0):
     on (reduced row echelon over a field, Hermite over ZZ)."""
     reduce_at = ring.reduce_at
     for i in range(lo + 1, len(pivots)):
-        c, vp = pivots[i], vecs[i]
-        for j in range(lo, i):
-            if vecs[j][c]:
-                vecs[j] = reduce_at(vecs[j], vp, c)
+        reduce_at(vecs, lo, i, pivots[i])
     return vecs
 
 
@@ -252,20 +250,22 @@ def _with_identity(cols, scale=1):
 
 
 def _coords_in_hnf(cols, pivot_rows, vec):
-    """Integer coordinates of vec in an HNF column basis, or None."""
+    """Integer coordinates of vec in an HNF column basis, or None; each
+    column updates a copy of vec only at the column's nonzero entries."""
     residual = list(vec)
     y = [0] * len(cols)
     for i, r in enumerate(pivot_rows):
         t = residual[r]
         if not t:
             continue
-        piv = cols[i][r]
+        col = cols[i]
+        piv = col[r]
         if t % piv:
             return None
-        q = t // piv
-        y[i] = q
-        col = cols[i]
-        residual = [u - q * w for u, w in zip(residual, col)]
+        q = y[i] = t // piv
+        for j in range(r, len(col)):
+            if col[j]:
+                residual[j] -= q * col[j]
     if any(residual):
         return None
     return y
@@ -584,6 +584,8 @@ def snf(m: Mat):
         raise ValueError("Smith normal form is computed over ZZ")
     nr, nc = m.rows, m.cols
     a = [row[:] for row in m.ints]
+    # u starts as the identity: its rows are updated in place, only where
+    # a row they read is nonzero.
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
 
     def row_gcd_op(k, i):
@@ -591,7 +593,10 @@ def snf(m: Mat):
         if bb % aa == 0:
             q = bb // aa
             a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-            u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+            uk, ui = u[k], u[i]
+            for j in range(nr):
+                if uk[j]:
+                    ui[j] -= q * uk[j]
         else:
             g, x, y = _xgcd(aa, bb)
             mb, ag = -(bb // g), aa // g
@@ -599,8 +604,11 @@ def snf(m: Mat):
             a[k] = [x * s + y * t for s, t in zip(rk, ri)]
             a[i] = [mb * s + ag * t for s, t in zip(rk, ri)]
             rk, ri = u[k], u[i]
-            u[k] = [x * s + y * t for s, t in zip(rk, ri)]
-            u[i] = [mb * s + ag * t for s, t in zip(rk, ri)]
+            for j in range(nr):
+                s, t = rk[j], ri[j]
+                if s or t:
+                    rk[j] = x * s + y * t
+                    ri[j] = mb * s + ag * t
 
     def col_gcd_op(k, j):
         aa, bb = a[k][k], a[k][j]
@@ -653,7 +661,10 @@ def snf(m: Mat):
             if bad < 0:
                 break
             a[k] = [x + y for x, y in zip(a[k], a[bad])]
-            u[k] = [x + y for x, y in zip(u[k], u[bad])]
+            uk, ub = u[k], u[bad]
+            for j in range(nr):
+                if ub[j]:
+                    uk[j] += ub[j]
     for k in range(min(nr, nc)):
         if a[k][k] < 0:
             a[k] = [-x for x in a[k]]

@@ -19,9 +19,10 @@ by integer rows and stay integer rows (`Ring.primitive`,
 and `Delta` matrices.  The elimination's steps are here too, for every
 ring: `Ring.clear` clears one position of a set of vectors (a pivot
 and `Ring.eliminate`, mod p or fraction-free over QQ, over a field;
-Euclid across the row over ZZ) and `Ring.reduce_at` reduces one vector
-by a pivot, which is all `mcss.linalg`'s echelon loop asks of a ring.
-Rings are interned, so they compare by identity.
+Euclid across the row over ZZ) and `Ring.reduce_at` reduces the vectors
+above a pivot, which is all `mcss.linalg`'s echelon loop asks of a ring;
+over ZZ a step touches only the pivot vector's nonzero entries, at or
+past its pivot.  Rings are interned, so they compare by identity.
 """
 
 from __future__ import annotations
@@ -189,7 +190,8 @@ class Ring:
 
     def clear(self, vecs, active, c):
         """Clear position c of the integer vectors vecs[i], i in active (those
-        nonzero at c, in order), on all but one; return that one's index.
+        nonzero at c, in order, each zero before c), on all but one; return
+        that one's index.
 
         Vectors are replaced, never updated in place.  Over a field the
         first active vector is the pivot, scaled to 1 over GF(p), and
@@ -198,7 +200,8 @@ class Ring:
         smallest |entry| is subtracted, with nearest-integer multipliers,
         from the others, until one is left, whose entry is made positive.
         Remainders at most half the pivot keep the entries small; one
-        active vector costs one scan.
+        active vector costs one scan.  A round subtracts on copies, at its
+        pivot vector's nonzero entries only.
 
         >>> v = [[4, 1], [6, 0]]
         >>> ZZ.clear(v, [0, 1], 0), v
@@ -219,16 +222,18 @@ class Ring:
                 if abs(vecs[j][c]) < abs(a):
                     k, a = j, vecs[j][c]
             vk = vecs[k]
+            support = [i for i in range(c, len(vk)) if vk[i]]
             left = [k]
             for j in active:
                 if j == k:
                     continue
-                vj = vecs[j]
+                vj = vecs[j] = list(vecs[j])
                 q, rem = divmod(vj[c], a)
                 if 2 * abs(rem) > abs(a):
                     q += 1
                     rem -= a
-                vecs[j] = [x - q * y for x, y in zip(vj, vk)]
+                for i in support:
+                    vj[i] -= q * vk[i]
                 if rem:
                     left.append(j)
             active = left
@@ -236,13 +241,25 @@ class Ring:
             vecs[k] = [-u for u in vecs[k]]
         return k
 
-    def reduce_at(self, vec, pv, c):
-        """vec reduced at c by the pivot vector pv of `clear`: cleared over a
-        field (`eliminate`), brought into [0, pv[c]) over ZZ."""
+    def reduce_at(self, vecs, lo, i, c):
+        """Reduce the vectors vecs[lo:i] at c by the pivot vector vecs[i] of
+        `clear`: cleared over a field (`eliminate`), brought into
+        [0, vecs[i][c]) over ZZ on copies, at the pivot vector's nonzero
+        entries only, found once it is needed."""
+        pv = vecs[i]
         if self.kind != "Z":
-            return self.eliminate(vec, pv, c)
-        q = vec[c] // pv[c]
-        return [x - q * y for x, y in zip(vec, pv)] if q else vec
+            for j in range(lo, i):
+                if vecs[j][c]:
+                    vecs[j] = self.eliminate(vecs[j], pv, c)
+            return
+        h, support = pv[c], None
+        for j in range(lo, i):
+            if q := vecs[j][c] // h:
+                if support is None:
+                    support = [k for k in range(c, len(pv)) if pv[k]]
+                vj = vecs[j] = list(vecs[j])
+                for k in support:
+                    vj[k] -= q * pv[k]
 
     def eliminate(self, row, rp, c):
         """A new integer row: row with its entry at c cleared by the pivot row rp.

@@ -2,10 +2,12 @@
 witness tuple of a cycle, a kernel built apart from the engine's
 `kernel`, L(ker A) built as such a kernel and a span, and one step of a
 cell's kernel chain built that way, a textbook Gauss-Jordan
-reduction on field scalars, the differential formula evaluated on a given
-witness, the paper's explicit witnesses of a boundary (Proposition 2.5)
-and the constraint checks (*1) and (*2), the class map psi from the total
-complex to the witness route, the lift of a witness-route cycle back to
+reduction on field scalars, the integer elimination's steps on whole rows
+(a Euclid round of `clear`, `reduce_at`, coordinates in an HNF basis),
+the differential formula evaluated on a given witness, the paper's
+explicit witnesses of a boundary (Proposition 2.5) and the constraint
+checks (*1) and (*2), the class map psi from the total complex to the
+witness route, the lift of a witness-route cycle back to
 Tot, d_n as a `Mat` read off Tot's stored columns, the filtered route's
 elimination with a transform for every column and B_r spanned from its
 snapshots, rows equal up to a scalar, the span of scalar
@@ -223,6 +225,64 @@ def gauss_jordan(ring, rows, limit):
                 rows[i] = [ring.normalize(x - f * y) for x, y in zip(row, rows[pr])]
         pivots.append(c)
     return rows, pivots
+
+
+def dense_euclid_round(vecs, active, c):
+    """One Euclid round of `Ring.clear` over ZZ at position c, on whole
+    rows: the first active vector of smallest |entry| at c is subtracted,
+    with nearest-integer multipliers, from the other active vectors across
+    their full width.  Replaces those vectors in vecs; returns the pivot's
+    index and the active vectors still nonzero at c, the pivot first."""
+    k = min(active, key=lambda j: abs(vecs[j][c]))
+    vk = vecs[k]
+    a = vk[c]
+    left = [k]
+    for j in active:
+        if j == k:
+            continue
+        vj = vecs[j]
+        q, rem = divmod(vj[c], a)
+        if 2 * abs(rem) > abs(a):
+            q += 1
+            rem -= a
+        vecs[j] = [x - q * y for x, y in zip(vj, vk)]
+        if rem:
+            left.append(j)
+    return k, left
+
+
+def dense_clear(vecs, active, c):
+    """`Ring.clear` over ZZ on whole rows: `dense_euclid_round` until one
+    active vector is left, whose entry at c is then made positive."""
+    k = active[0]
+    while len(active) > 1:
+        k, active = dense_euclid_round(vecs, active, c)
+    if vecs[k][c] < 0:
+        vecs[k] = [-u for u in vecs[k]]
+    return k
+
+
+def dense_reduce_at(vec, pv, c):
+    """vec brought into [0, pv[c]) at c by the pivot vector pv, on the whole row."""
+    q = vec[c] // pv[c]
+    return [x - q * y for x, y in zip(vec, pv)] if q else vec
+
+
+def dense_coords_in_hnf(cols, pivot_rows, vec):
+    """Integer coordinates of vec in an HNF column basis, or None, with
+    each column subtracted from the residual across its full width."""
+    residual = list(vec)
+    y = [0] * len(cols)
+    for i, r in enumerate(pivot_rows):
+        t = residual[r]
+        if not t:
+            continue
+        piv = cols[i][r]
+        if t % piv:
+            return None
+        q = y[i] = t // piv
+        residual = [u - q * w for u, w in zip(residual, cols[i])]
+    return None if any(residual) else y
 
 
 def oracle_kernel(m: Mat) -> SubmodulePresentation:

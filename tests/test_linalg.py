@@ -19,6 +19,7 @@ from mcss.linalg import (
     Mat,
     MembershipError,
     SubmodulePresentation,
+    _coords_in_hnf,
     _echelon,
     _kernel_image,
     _reduce,
@@ -31,7 +32,18 @@ from mcss.linalg import (
 )
 from mcss import rings
 from mcss.rings import GF, QQ, ZZ, Ring, is_prime
-from oracles import contains, kernel_then_span, oracle_kernel, scalar_span, spans, vec_add, vec_sub
+from oracles import (
+    contains,
+    dense_clear,
+    dense_coords_in_hnf,
+    dense_reduce_at,
+    kernel_then_span,
+    oracle_kernel,
+    scalar_span,
+    spans,
+    vec_add,
+    vec_sub,
+)
 
 RINGS = [QQ, ZZ, GF(2), GF(5), GF(97)]
 
@@ -661,13 +673,15 @@ def _assert_saturated_kernel(m, k):
 
 
 zz_entry_st = st.integers(min_value=-4, max_value=4)
+# Mostly zeros, as the rows of Tot's columns and of module bases are.
+zz_sparse_entry_st = st.just(0) | st.just(0) | zz_entry_st
 
 
-def zz_mat_st():
+def zz_mat_st(entries=zz_entry_st):
     return st.integers(min_value=0, max_value=8).flatmap(
         lambda r: st.integers(min_value=0, max_value=10).flatmap(
             lambda c: st.lists(
-                st.lists(zz_entry_st, min_size=c, max_size=c), min_size=r, max_size=r
+                st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r
             ).map(lambda rows: Mat(ZZ, r, c, rows))
         )
     )
@@ -844,6 +858,14 @@ def test_elimination_never_changes_its_input(ring, data):
     # _reduce replaces, in the list it is given, the vectors it reduces.
     m = data.draw(_ring_mat_st(ring))
     vecs = m.ints
+    if ring is ZZ:
+        # The integer steps copy a vector before they update it on the
+        # pivot's support: draw zero-heavy rows too, and tuple rows, as
+        # `br` (b.rows + tuple(values)) and `subquotient` (b.rows + z.rows)
+        # pass them.
+        if data.draw(st.booleans()):
+            m = data.draw(zz_mat_st(zz_sparse_entry_st))
+        vecs = tuple(tuple(row) if data.draw(st.booleans()) else row for row in m.ints)
     given_vecs = copy.deepcopy(vecs)
     limit = data.draw(st.integers(min_value=0, max_value=m.cols))
     snaps = data.draw(st.none() | st.sets(st.integers(min_value=0, max_value=limit)).map(
@@ -856,6 +878,71 @@ def test_elimination_never_changes_its_input(ring, data):
     lo = data.draw(st.integers(min_value=0, max_value=len(pivots)))
     assert _reduce(ring, out, pivots, lo) is out
     assert vecs == given_vecs and held == held_copy and snaps == snapped
+
+
+def _sparse_int_vecs(data, width, c, leads):
+    """One integer vector of the given width per entry of leads, at least
+    half zeros and zero at every position before c, each a list or a
+    tuple; nonzero at c where its lead is true."""
+    vecs = []
+    for lead in leads:
+        vec = [0] * width
+        support = data.draw(st.sets(st.integers(min_value=c, max_value=width - 1),
+                                    max_size=width // 2 - lead))
+        for i in support | ({c} if lead else set()):
+            vec[i] = data.draw(st.integers(min_value=-9, max_value=9).filter(bool))
+        vecs.append(tuple(vec) if data.draw(st.booleans()) else vec)
+    return vecs
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_integer_steps_match_their_dense_oracles(data):
+    # Over ZZ, `clear`'s Euclid rounds, `reduce_at` and `_coords_in_hnf`
+    # update only the positions where the pivot vector is nonzero, at or
+    # past its pivot.  Since x - q.0 = x, they return the vectors the
+    # dense steps return, entry by entry, and change no vector they are
+    # given.
+    width = data.draw(st.integers(min_value=2, max_value=12))
+    c = data.draw(st.integers(min_value=0, max_value=width - 1))
+    leads = data.draw(st.lists(st.booleans(), min_size=1, max_size=6))
+    vecs = _sparse_int_vecs(data, width, c, [True, *leads])
+    given_vecs = copy.deepcopy(vecs)
+    active = [i for i, v in enumerate(vecs) if v[c]]
+    mine, dense = list(vecs), [list(v) for v in vecs]
+    assert ZZ.clear(mine, list(active), c) == dense_clear(dense, list(active), c)
+    assert [list(v) for v in mine] == dense and vecs == given_vecs
+
+    # reduce_at: a pivot vector of `clear` (zero before c, positive at c)
+    # and any sparse vectors above it.
+    above = _sparse_int_vecs(data, width, 0, [False] * len(leads))
+    pv = _sparse_int_vecs(data, width, c, [True])[0]
+    if pv[c] < 0:
+        pv = [-x for x in pv]
+    vecs = above + [pv]
+    given_vecs = copy.deepcopy(vecs)
+    lo = data.draw(st.integers(min_value=0, max_value=len(above)))
+    mine = list(vecs)
+    ZZ.reduce_at(mine, lo, len(above), c)
+    assert [list(v) for v in mine[lo:-1]] == [list(dense_reduce_at(v, pv, c)) for v in above[lo:]]
+    assert mine[:lo] == vecs[:lo] and mine[-1] is pv and vecs == given_vecs
+
+    # _coords_in_hnf: columns zero before their strictly increasing pivot
+    # rows and positive there, and a vector in their lattice or any vector.
+    pivot_rows = sorted(data.draw(st.sets(st.integers(min_value=0, max_value=width - 1),
+                                          max_size=width // 2)))
+    cols = []
+    for r in pivot_rows:
+        col = _sparse_int_vecs(data, width, r, [True])[0]
+        cols.append(col if col[r] > 0 else type(col)(-x for x in col))
+    if data.draw(st.booleans()):
+        coefs = data.draw(st.lists(zz_entry_st, min_size=len(cols), max_size=len(cols)))
+        vec = [sum(a * col[i] for a, col in zip(coefs, cols)) for i in range(width)]
+    else:
+        vec = _sparse_int_vecs(data, width, 0, [False])[0]
+    given_vec = copy.deepcopy(vec)
+    assert _coords_in_hnf(cols, pivot_rows, vec) == dense_coords_in_hnf(cols, pivot_rows, vec)
+    assert vec == given_vec
 
 
 @settings(max_examples=60, deadline=None)
