@@ -60,8 +60,8 @@ from .linalg import (
     SubmodulePresentation,
     _echelon,
     _reduce,
+    _smith,
     _with_identity,
-    snf,
     solve,
     subquotient,
 )
@@ -301,7 +301,8 @@ def homology(t: TotalComplex) -> dict:
     coker d_{n+1}.  In the Hermite basis of im d_{n+1} a pivot 1 has a
     pivot row zero off its column (entries left of a pivot lie in
     [0, pivot)) and splits off as Z/1, so the torsion is the Smith form of
-    the other columns on the rows where they are not all zero.
+    the other columns on the rows where they are not all zero: `snf`'s
+    loop, which here carries no transform, as only its diagonal is read.
     """
     degrees = t.degrees()
     images = {m: SubmodulePresentation.span(t.ring, t.dim(m - 1), t.columns(m))
@@ -314,8 +315,8 @@ def homology(t: TotalComplex) -> dict:
         if cols:
             rows = [i for i in range(b.ambient_rank) if any(g[i] for g in cols)]
             grid = [[g[i] for g in cols] for i in rows]
-            d = snf(Mat.from_ints(t.ring, len(rows), len(cols), grid))[1]
-            torsion = tuple(x for x in (d.ints[k][k] for k in range(len(cols))) if x > 1)
+            d = _smith(grid)
+            torsion = tuple(x for x in (d[k][k] for k in range(len(cols))) if x > 1)
         groups[n] = HomologyGroup(n, torsion + (0,) * (t.dim(n) - images[n].rank - b.rank))
     return groups
 

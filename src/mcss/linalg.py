@@ -30,7 +30,8 @@ a caller that needs one eliminates the columns [col_j | e_j]
 (`_with_identity`) and reads it off the carried tails, so a
 kernel is one `_kernel_image` of those rows (Cohen 1993, 2.3-2.4), and a
 solve of m.x = b one more: that of [-b | m], which holds the solutions
-as its kernel vectors with first coordinate 1.
+as its kernel vectors with first coordinate 1.  The Smith form has its
+own loop, whose row operations carry a ZZ quotient's generators along.
 """
 
 from __future__ import annotations
@@ -496,19 +497,20 @@ class QuotientPresentation:
             if any(u[ngens:]):
                 raise MembershipError("element lies outside the submodule z")
             return tuple(u[:ngens])
-        zgens, zpivots, u_rows, kept = self._data
+        zgens, zpivots, u_rows = self._data
         y = _coords_in_hnf(zgens, zpivots, vec)
         if y is None:
             raise MembershipError("element lies outside the lattice z")
-        w = ring.dots(u_rows, y)
-        return self.canon([w[i] for i in kept])
+        return tuple(w % d if d else w for w, d in zip(ring.int_dots(u_rows, y), self.invariants))
 
     def __repr__(self):
         return f"<quotient {list(self.invariants)} in {self.ring!r}^{self.ambient_rank}>"
 
 
 def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientPresentation:
-    """The quotient z/b with canonical lifts; raises InclusionError if b is not inside z."""
+    """The quotient z/b with canonical lifts; raises InclusionError if b is not inside z.
+
+    Over ZZ both come off one `snf` of b's coordinates in z's basis."""
     if z.ring is not b.ring or z.ambient_rank != b.ambient_rank:
         raise ValueError("z and b live in different ambient modules")
     ring = z.ring
@@ -548,67 +550,72 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
         coord_cols.append(y)
     k = z.rank
     rel = Mat.from_ints(ring, k, len(coord_cols), [[y[i] for y in coord_cols] for i in range(k)])
-    u, d = snf(rel)
-    factors = []
-    for i in range(k):
-        factors.append(d.ints[i][i] if i < min(d.rows, d.cols) else 0)
-    # u is unimodular, so the canonical Hermite form of the stacked columns
-    # (u_j ; e_j) is (I ; W) with u.W = I: its lower half is u^{-1}.
-    stacked, spivots = _echelon(ring, _with_identity(u.to_cols()), 2 * k)
-    _reduce(ring, stacked, spivots)
+    lifts = list(z.rows)  # z's basis, replaced by the generators u fixes
+    u, d = snf(rel, lifts)
+    factors = [d.ints[i][i] if i < d.cols else 0 for i in range(k)]
     kept = [i for i, f in enumerate(factors) if f != 1]
-    gens = []
-    for i in kept:
-        col = stacked[i][k:]
-        amb = [0] * n
-        for coef, g in zip(col, z.rows):
-            if coef:
-                amb = [a + coef * gv for a, gv in zip(amb, g)]
-        gens.append(amb)
-    invariants = [factors[i] for i in kept]
-    data = (z.rows, z.pivots, u.ints, kept)
-    return QuotientPresentation(ring, n, invariants, gens, data)
+    data = (z.rows, z.pivots, [u.ints[i] for i in kept])
+    return QuotientPresentation(ring, n, [factors[i] for i in kept], [lifts[i] for i in kept], data)
 
 
 # ---------------------------------------------------------------------------
 # integer normal forms
 
 
-def snf(m: Mat):
+def snf(m: Mat, lifts=None):
     """Smith normal form (U, D): U.m.V = D diagonal with d_i | d_{i+1} >= 0.
 
     U and V are unimodular; V, the column operations, is not built, as the
-    row operations never read it: D and U are as if it were.
+    row operations never read it: D and U are as if it were.  Each row
+    operation E also replaces rows of ``lifts``, if given, as E^{-T}: then
+    lifts[i] ends as sum_j U^{-1}[j][i] lifts[j] (Cohen 1993, 2.4.3).
     """
     if m.ring is not ZZ:
         raise ValueError("Smith normal form is computed over ZZ")
-    nr, nc = m.rows, m.cols
-    a = [row[:] for row in m.ints]
-    # u starts as the identity: its rows are updated in place, only where
-    # a row they read is nonzero.
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
+    a = _smith([row[:] for row in m.ints], u, lifts)
+    return Mat.from_ints(ZZ, m.rows, m.rows, u), Mat.from_ints(ZZ, m.rows, m.cols, a)
+
+
+def _smith(a, u=None, lifts=None):
+    """Diagonalize the integer rows a in place as `snf` does and return them.
+
+    Each row operation E also updates u's rows as E, in place and only
+    where a row they read is nonzero, and replaces lifts' rows as E^{-T};
+    either is skipped when None.
+    """
+    nr = len(a)
+    nc = len(a[0]) if a else 0
 
     def row_gcd_op(k, i):
         aa, bb = a[k][k], a[i][k]
         if bb % aa == 0:
             q = bb // aa
             a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-            uk, ui = u[k], u[i]
-            for j in range(nr):
-                if uk[j]:
-                    ui[j] -= q * uk[j]
+            if u is not None:
+                uk, ui = u[k], u[i]
+                for j in range(nr):
+                    if uk[j]:
+                        ui[j] -= q * uk[j]
+            if lifts is not None:
+                lifts[k] = [s + q * t for s, t in zip(lifts[k], lifts[i])]
         else:
             g, x, y = _xgcd(aa, bb)
             mb, ag = -(bb // g), aa // g
             rk, ri = a[k], a[i]
             a[k] = [x * s + y * t for s, t in zip(rk, ri)]
             a[i] = [mb * s + ag * t for s, t in zip(rk, ri)]
-            rk, ri = u[k], u[i]
-            for j in range(nr):
-                s, t = rk[j], ri[j]
-                if s or t:
-                    rk[j] = x * s + y * t
-                    ri[j] = mb * s + ag * t
+            if u is not None:
+                rk, ri = u[k], u[i]
+                for j in range(nr):
+                    s, t = rk[j], ri[j]
+                    if s or t:
+                        rk[j] = x * s + y * t
+                        ri[j] = mb * s + ag * t
+            if lifts is not None:
+                lk, li = lifts[k], lifts[i]
+                lifts[k] = [ag * s - mb * t for s, t in zip(lk, li)]
+                lifts[i] = [x * t - y * s for s, t in zip(lk, li)]
 
     def col_gcd_op(k, j):
         aa, bb = a[k][k], a[k][j]
@@ -625,19 +632,16 @@ def snf(m: Mat):
                 row[j] = mb * s + ag * t
 
     for k in range(min(nr, nc)):
-        found = False
-        for i in range(k, nr):
-            for j in range(k, nc):
-                if a[i][j]:
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
+        first = next(((i, j) for i in range(k, nr) for j in range(k, nc) if a[i][j]), None)
+        if first is None:
             break
+        i, j = first
         if i != k:
             a[k], a[i] = a[i], a[k]
-            u[k], u[i] = u[i], u[k]
+            if u is not None:
+                u[k], u[i] = u[i], u[k]
+            if lifts is not None:
+                lifts[k], lifts[i] = lifts[i], lifts[k]
         if j != k:
             for row in a:
                 row[k], row[j] = row[j], row[k]
@@ -661,12 +665,18 @@ def snf(m: Mat):
             if bad < 0:
                 break
             a[k] = [x + y for x, y in zip(a[k], a[bad])]
-            uk, ub = u[k], u[bad]
-            for j in range(nr):
-                if ub[j]:
-                    uk[j] += ub[j]
+            if u is not None:
+                uk, ub = u[k], u[bad]
+                for j in range(nr):
+                    if ub[j]:
+                        uk[j] += ub[j]
+            if lifts is not None:
+                lifts[bad] = [x - y for x, y in zip(lifts[bad], lifts[k])]
     for k in range(min(nr, nc)):
         if a[k][k] < 0:
             a[k] = [-x for x in a[k]]
-            u[k] = [-x for x in u[k]]
-    return Mat.from_ints(ZZ, nr, nr, u), Mat.from_ints(ZZ, nr, nc, a)
+            if u is not None:
+                u[k] = [-x for x in u[k]]
+            if lifts is not None:
+                lifts[k] = [-x for x in lifts[k]]
+    return a

@@ -61,6 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
+from operator import mul
 
 from .linalg import (
     Mat,
@@ -116,7 +117,7 @@ class PageDifferential:
         return all(not v for row in self.rows for v in row)
 
     def apply(self, coords, target_quot: QuotientPresentation):
-        out = [sum(a * b for a, b in zip(row, coords)) for row in self.rows]
+        out = [sum(map(mul, row, coords)) for row in self.rows]
         return target_quot.canon(out)
 
 

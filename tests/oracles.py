@@ -4,11 +4,12 @@ witness tuple of a cycle, a kernel built apart from the engine's
 cell's kernel chain built that way, a textbook Gauss-Jordan
 reduction on field scalars, the integer elimination's steps on whole rows
 (a Euclid round of `clear`, `reduce_at`, coordinates in an HNF basis),
-the differential formula evaluated on a given witness, the paper's
-explicit witnesses of a boundary (Proposition 2.5) and the constraint
-checks (*1) and (*2), the class map psi from the total complex to the
-witness route, the lift of a witness-route cycle back to
-Tot, d_n as a `Mat` read off Tot's stored columns, the filtered route's
+an integer subquotient whose generators come off a Hermite inverse of
+the Smith transform, the differential formula evaluated on a given
+witness, the paper's explicit witnesses of a boundary (Proposition 2.5)
+and the constraint checks (*1) and (*2), the class map psi from the
+total complex to the witness route, the lift of a witness-route cycle
+back to Tot, d_n as a `Mat` read off Tot's stored columns, the filtered route's
 elimination with a transform for every column and B_r spanned from its
 snapshots, rows equal up to a scalar, the span of scalar
 columns, module membership, inclusion and quotient generation, the free
@@ -36,6 +37,7 @@ from mcss.linalg import (
     _echelon,
     _reduce,
     _with_identity,
+    snf,
 )
 from mcss.multicomplex import Multicomplex, RelationViolation
 from mcss.pages import SpectralPages
@@ -283,6 +285,40 @@ def dense_coords_in_hnf(cols, pivot_rows, vec):
         q = y[i] = t // piv
         residual = [u - q * w for u, w in zip(residual, cols[i])]
     return None if any(residual) else y
+
+
+def hermite_inverse_subquotient(z: SubmodulePresentation, b: SubmodulePresentation):
+    """z/b over ZZ with U inverted apart from the Smith pass, as
+    (invariants, gens, reduce).
+
+    `snf`'s U (no lifts carried), the canonical Hermite form of the stacked
+    columns (u_j ; e_j), which is (I ; W) with U.W = I, and each kept
+    generator summed from z's basis with the coefficients of W's column;
+    `reduce` takes an element of z to U's kept rows times its coordinates,
+    torsion entries mod d.
+    """
+    ring, n, k = z.ring, z.ambient_rank, z.rank
+    coord_cols = [dense_coords_in_hnf(z.rows, z.pivots, g) for g in b.rows]
+    u, d = snf(Mat(ring, k, len(coord_cols), [[y[i] for y in coord_cols] for i in range(k)]))
+    factors = [d.ints[i][i] if i < min(d.rows, d.cols) else 0 for i in range(k)]
+    stacked, spivots = _echelon(ring, _with_identity(u.to_cols()), 2 * k)
+    _reduce(ring, stacked, spivots)
+    assert [row[:k] for row in stacked] == [[int(i == j) for j in range(k)] for i in range(k)]
+    kept = [i for i, f in enumerate(factors) if f != 1]
+    gens = []
+    for i in kept:
+        amb = [0] * n
+        for coef, g in zip(stacked[i][k:], z.rows):
+            amb = [a + coef * gv for a, gv in zip(amb, g)]
+        gens.append(tuple(amb))
+    invariants = tuple(factors[i] for i in kept)
+
+    def reduce(vec):
+        y = dense_coords_in_hnf(z.rows, z.pivots, vec)
+        w = [sum(a * x for a, x in zip(u.ints[i], y)) for i in kept]
+        return tuple(x % f if f else x for x, f in zip(w, invariants))
+
+    return invariants, tuple(gens), reduce
 
 
 def oracle_kernel(m: Mat) -> SubmodulePresentation:

@@ -8,7 +8,9 @@ import pytest
 
 from mcss.builders import RandomSpec, WallParams, hurtubise, random_mcx, staircase, wall
 from mcss.filtered import FilteredPages, _Reduction, compare, compare_engines, homology
-from mcss.linalg import Mat, MembershipError, SubmodulePresentation, image, kernel, subquotient
+from mcss.linalg import (
+    Mat, MembershipError, SubmodulePresentation, image, kernel, snf, subquotient,
+)
 from mcss.mcxio import parse
 from mcss.multicomplex import Multicomplex
 from mcss.pages import PageDifferential, SpectralPages
@@ -877,3 +879,52 @@ def test_homology_torsion_matches_sympy_smith_form():
             assert torsion(h) == tuple(sorted(x for x in divisors if x > 1)), n
             found += len(torsion(h))
     assert found
+
+
+HOMOLOGY_SNF_INSTANCES = {
+    **{path.stem: path for path in sorted((Path(__file__).parent / "golden").glob("*.mcx"))},
+    "dense_z_s2": Path(__file__).parent / "data" / "dense_z_s2.mcx",
+}
+
+
+def _torsion_off_snf(t, n):
+    """H_n's torsion as the diagonal of `snf(...)[1]` on the non-unit
+    Hermite columns of im d_{n+1}, on the rows where they are nonzero."""
+    b = SubmodulePresentation.span(t.ring, t.dim(n), t.columns(n + 1))
+    cols = [g for g, r in zip(b.rows, b.pivots) if g[r] != 1]
+    if t.ring.is_field or not cols:
+        return ()
+    rows = [i for i in range(b.ambient_rank) if any(g[i] for g in cols)]
+    d = snf(Mat.from_ints(t.ring, len(rows), len(cols), [[g[i] for g in cols] for i in rows]))[1]
+    return tuple(x for x in (d.ints[k][k] for k in range(len(cols))) if x > 1)
+
+
+def test_homology_torsion_is_the_diagonal_of_snf():
+    # homology runs the Smith loop on its grid with no transform; its
+    # torsion is the diagonal `snf` returns on the same grid.
+    found = 0
+    for name, path in HOMOLOGY_SNF_INSTANCES.items():
+        t = totalize(parse(path.read_text()))
+        for n, h in homology(t).items():
+            assert torsion(h) == _torsion_off_snf(t, n), (name, n)
+            found += len(torsion(h))
+    assert found
+
+
+def test_homology_carries_no_rows_through_its_smith_pass(monkeypatch):
+    # homology reads only D: its Smith pass builds no U and carries no
+    # lifts, and it makes no call through `snf`.
+    import mcss.filtered as filtered
+    import mcss.linalg as linalg
+
+    carried, snf_calls = [], []
+    real_smith, real_snf = filtered._smith, linalg.snf
+
+    def smith(a, u=None, lifts=None):
+        carried.append((u, lifts))
+        return real_smith(a, u, lifts)
+
+    monkeypatch.setattr(filtered, "_smith", smith)
+    monkeypatch.setattr(linalg, "snf", lambda *a: snf_calls.append(1) or real_snf(*a))
+    homology(totalize(parse(HOMOLOGY_SNF_INSTANCES["dense_z_s2"].read_text())))
+    assert carried and set(carried) == {(None, None)} and not snf_calls

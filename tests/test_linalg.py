@@ -37,6 +37,7 @@ from oracles import (
     dense_clear,
     dense_coords_in_hnf,
     dense_reduce_at,
+    hermite_inverse_subquotient,
     kernel_then_span,
     oracle_kernel,
     scalar_span,
@@ -943,6 +944,67 @@ def test_integer_steps_match_their_dense_oracles(data):
     given_vec = copy.deepcopy(vec)
     assert _coords_in_hnf(cols, pivot_rows, vec) == dense_coords_in_hnf(cols, pivot_rows, vec)
     assert vec == given_vec
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_snf_carries_lifts_by_the_inverse_transpose(data):
+    # Each row operation E of the Smith pass is applied to the lifts as
+    # E^{-T}, so U^T times the lifts returned is the lifts given, and U
+    # and D are those of the pass that carries none.
+    m = data.draw(zz_mat_st(zz_sparse_entry_st) | zz_mat_st())
+    width = data.draw(st.integers(min_value=0, max_value=6))
+    lifts0 = [tuple(data.draw(st.lists(zz_entry_st, min_size=width, max_size=width)))
+              for _ in range(m.rows)]
+    lifts = list(lifts0)
+    u, d = snf(m, lifts)
+    assert (u, d) == snf(m)
+    for j, row in enumerate(lifts0):
+        assert [sum(u.ints[i][j] * lifts[i][c] for i in range(m.rows))
+                for c in range(width)] == list(row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_integer_quotients_match_the_hermite_inverse_oracle(data):
+    # subquotient over ZZ reads its generators off the lifts the Smith
+    # pass carries; the oracle inverts U by a Hermite form and sums the
+    # lifts.  U^{-1} is unique, so invariants, gens and reduce agree.
+    n = data.draw(st.integers(min_value=1, max_value=7))
+    vec = st.lists(zz_sparse_entry_st, min_size=n, max_size=n)
+    z = SubmodulePresentation.span(ZZ, n, data.draw(st.lists(vec, max_size=6)))
+    coefs = st.lists(zz_entry_st, min_size=z.rank, max_size=z.rank)
+
+    def combination(cs):
+        return [sum(c * g[i] for c, g in zip(cs, z.rows)) for i in range(n)]
+
+    b = SubmodulePresentation.span(ZZ, n, [combination(cs) for cs in data.draw(
+        st.lists(coefs, max_size=5))])
+    q = subquotient(z, b)
+    invariants, gens, reduce = hermite_inverse_subquotient(z, b)
+    assert (q.invariants, q.gens) == (invariants, gens)
+    for cs in data.draw(st.lists(coefs, min_size=1, max_size=4)):
+        x = combination(cs)
+        assert q.reduce(x) == reduce(x)
+
+
+def test_integer_quotients_take_no_echelon(monkeypatch):
+    # Over ZZ the quotient's generators come off the Smith pass: no
+    # Hermite elimination inverts U, whether b is zero, torsion or free
+    # of rank less than z's.  Over QQ the same counter sees the RREF.
+    import mcss.linalg as linalg
+
+    calls = []
+    real = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda *a, **k: calls.append(1) or real(*a, **k))
+    z = SubmodulePresentation.full(ZZ, 3)
+    for bcols in ([], [[2, 0, 0], [0, 6, 4]], [[1, 1, 0]]):
+        b = SubmodulePresentation.span(ZZ, 3, bcols)
+        calls.clear()
+        subquotient(z, b)
+        assert not calls, bcols
+    subquotient(SubmodulePresentation.full(QQ, 2), SubmodulePresentation.zero(QQ, 2))
+    assert calls
 
 
 @settings(max_examples=60, deadline=None)
