@@ -5,7 +5,8 @@ an engine consistency error, reported as one `error:` line), 2 MCX parse
 error, 3 usage error, 141 (128 + SIGPIPE) when standard output is closed
 before the command has written everything, with nothing on stderr.
 Identical invocations produce byte-identical output; tables are sorted
-by (r, p, q).
+by (r, p, q).  The text of `pages` is formatted straight from the engine's
+pages, and only its JSON goes through a document.
 """
 
 from __future__ import annotations
@@ -175,29 +176,31 @@ def cmd_pages(args) -> int:
     _require_valid(c)
     sp = SpectralPages(c)
     max_r = args.max_r if args.max_r is not None else sp.stabilization_bound()
-    doc = _pages_doc(c, sp, max_r)
     if args.json:
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(_pages_doc(c, sp, max_r), indent=2))
         return EXIT_OK
-    lines = [f"ring {c.ring}"]
+    # The text comes straight off the pages: cells in support order, which
+    # is sorted, and each invariants tuple's group string made once.
+    ring, cells = c.ring, c.support
+    groups = {}
+    lines = [f"ring {ring}"]
     for r in range(0, max_r + 1):
+        page = sp.page(r)
         lines.append(f"E_{r}:")
-        table = doc["pages"][str(r)]
-        cells = [
-            (int(p), int(q), cell["invariants"])
-            for p, block in table.items()
-            for q, cell in block.items()
-        ]
-        if not cells:
+        start = len(lines)
+        for (p, q) in cells:
+            inv = page.entries[(p, q)].invariants
+            if inv:
+                g = groups.get(inv) or groups.setdefault(inv, group_str(ring, inv))
+                lines.append(f"  ({p},{q}): {g}")
+        if len(lines) == start:
             lines.append("  (empty)")
-        for p, q, inv in sorted(cells):
-            lines.append(f"  ({p},{q}): {group_str(c.ring, inv)}")
-        dl = doc["differentials"][str(r)]
+        dl = [d for d in page.deltas.values() if not d.is_zero()]
         if dl:
             lines.append(f"Delta_{r}:")
-            for rec in dl:
-                lines.append(f"  ({rec['p']},{rec['q']}) -> ({rec['target_p']},{rec['target_q']}): "
-                             f"{_matrix_text(rec['matrix'])}")
+            for d in dl:
+                lines.append(f"  ({d.p},{d.q}) -> ({d.target[0]},{d.target[1]}): "
+                             f"{_matrix_text(_matrix_strs(ring, d.rows))}")
     print("\n".join(lines))
     return EXIT_OK
 

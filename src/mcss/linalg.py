@@ -501,7 +501,8 @@ class QuotientPresentation:
         y = _coords_in_hnf(zgens, zpivots, vec)
         if y is None:
             raise MembershipError("element lies outside the lattice z")
-        return tuple(w % d if d else w for w, d in zip(ring.int_dots(u_rows, y), self.invariants))
+        w = y if u_rows is None else ring.int_dots(u_rows, y)  # None: U is the identity
+        return tuple(v % d if d else v for v, d in zip(w, self.invariants))
 
     def __repr__(self):
         return f"<quotient {list(self.invariants)} in {self.ring!r}^{self.ambient_rank}>"
@@ -554,7 +555,9 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
     u, d = snf(rel, lifts)
     factors = [d.ints[i][i] if i < d.cols else 0 for i in range(k)]
     kept = [i for i, f in enumerate(factors) if f != 1]
-    data = (z.rows, z.pivots, [u.ints[i] for i in kept])
+    # U is the identity when no row operation ran, as always with b = 0.
+    ident = len(kept) == k and u.ints == [[int(i == j) for j in range(k)] for i in range(k)]
+    data = (z.rows, z.pivots, None if ident else [u.ints[i] for i in kept])
     return QuotientPresentation(ring, n, [factors[i] for i in kept], [lifts[i] for i in kept], data)
 
 

@@ -53,7 +53,10 @@ last page's entry object, and builds or stores nothing, since an entry
 is Z_r, B_r and their quotient, not its (r, p, q).
 A page r whose neighbouring cells (p-r+1, q+r-2) and (p+r-1, q-r+2) are
 both absent is served from page r-1: E_r = E_{r-1}.  One subquotient
-Z_r/B_r serves every (r, p, q) with an equal module pair.
+Z_r/B_r serves every (r, p, q) with an equal module pair.  A whole page
+asks only for its live cells: built right after page r-1, it keeps that
+page's entry for every cell past its last page, and such a cell has no
+Delta_r, as it is zero or its target is absent.
 """
 
 from __future__ import annotations
@@ -145,6 +148,7 @@ class SpectralPages:
         self._quotients = {}  # (zr, br) -> subquotient
         self._last = {}  # (p, q) -> last page on which E_r may change
         self._entries = {}
+        self._built = None  # (r, the entries of page r), kept apart from the returned Page
 
     # -- cycle and boundary modules ------------------------------------
 
@@ -387,11 +391,26 @@ class SpectralPages:
     # -- pages ----------------------------------------------------------------
 
     def page(self, r: int) -> Page:
+        """E_r on the support and Delta_r out of its nonzero entries into present cells.
+
+        Right after page r-1 only the live cells, r <= their last page,
+        are asked for: every other one keeps page r-1's entry object,
+        which `entry` would return, and has no invariants or an absent
+        target, so no Delta_r.  Any other order asks for every cell.
+        """
         c = self.c
-        entries = {cell: self.entry(r, *cell) for cell in c.support}
-        deltas = {(p, q): self.delta(r, p, q) for (p, q), e in entries.items()
-                  if e.invariants and c.rank(p - r, q + r - 1)}
-        return Page(r, entries, deltas)
+        built, self._built = self._built, None
+        if built is not None and built[0] == r - 1:
+            entries = built[1]
+            live = [cell for cell in c.support if r <= self._last[cell]]
+        else:
+            entries, live = {}, c.support
+        for cell in live:
+            entries[cell] = self.entry(r, *cell)
+        deltas = {(p, q): self.delta(r, p, q) for p, q in live
+                  if entries[(p, q)].invariants and c.rank(p - r, q + r - 1)}
+        self._built = r, entries
+        return Page(r, dict(entries), deltas)
 
     def stabilization_bound(self) -> int:
         """Pages at or beyond this index are all equal (finite support)."""

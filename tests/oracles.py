@@ -13,9 +13,10 @@ back to Tot, d_n as a `Mat` read off Tot's stored columns, the filtered route's
 elimination with a transform for every column and B_r spanned from its
 snapshots, rows equal up to a scalar, the span of scalar
 columns, module membership, inclusion and quotient generation, the free
-rank and torsion of a homology group, and the relation checks done
+rank and torsion of a homology group, the relation checks done
 densely: every cell x n x j probed with dmap lookups, and the product
-d_{n-1} d_n of densely assembled total differentials.
+d_{n-1} d_n of densely assembled total differentials, and a page built
+by asking the engine for every support cell's entry.
 
 The full systems are assembled from a `SpectralPages`'s multicomplex, the
 witness tuple cuts the z parts of the engine's chain rows, the formulas
@@ -40,7 +41,7 @@ from mcss.linalg import (
     snf,
 )
 from mcss.multicomplex import Multicomplex, RelationViolation
-from mcss.pages import SpectralPages
+from mcss.pages import Page, SpectralPages
 from mcss.total import TotalComplex
 
 
@@ -609,3 +610,13 @@ def first_nonsquare_degree(c: Multicomplex):
     d = dense_differentials(c)
     return next((n for n in sorted(d) if n - 1 in d and not d[n - 1].mul(d[n]).is_zero()),
                 None)
+
+
+def per_cell_page(sp: SpectralPages, r) -> Page:
+    """Page r as one loop over the support: `entry` for every cell, and
+    `delta` out of every nonzero entry into a present cell."""
+    c = sp.c
+    entries = {cell: sp.entry(r, *cell) for cell in c.support}
+    deltas = {(p, q): sp.delta(r, p, q) for (p, q), e in entries.items()
+              if e.invariants and c.rank(p - r, q + r - 1)}
+    return Page(r, entries, deltas)

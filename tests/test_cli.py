@@ -334,6 +334,29 @@ def test_served_pages_at_scale_keep_their_output(tmp_path, capsys, command, dige
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_pages_ask_only_for_live_cells(tmp_path, capsys, monkeypatch):
+    # Wall (3,2,2) at amax 16, paged to the bound: each page after the
+    # first keeps page r-1's entry for every cell past its last page and
+    # asks `entry` only for the others.  Asking every cell on every page
+    # took 6,507 entry calls; the 508 differentials are the same.
+    from mcss.pages import SpectralPages
+
+    calls = {"entry": 0, "delta": 0}
+    for name in calls:
+        def counted(self, *args, name=name, original=getattr(SpectralPages, name)):
+            calls[name] += 1
+            return original(self, *args)
+        monkeypatch.setattr(SpectralPages, name, counted)
+    f = tmp_path / "wall16.mcx"
+    f.write_text(emit(wall(WallParams(3, 2, 2, 16))))
+    code, out, err = run(capsys, "pages", str(f))
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 961
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "23033e980af96e9fa210914382cb2e97db6f0b05feac5c63caaf9c06f0a4cae5")
+    assert calls == {"entry": 1875, "delta": 508}
+
+
 class _ClosedPipe(io.StringIO):
     """A stdout whose reader has gone away, at the first write or at flush."""
 

@@ -988,6 +988,38 @@ def test_integer_quotients_match_the_hermite_inverse_oracle(data):
         assert q.reduce(x) == reduce(x)
 
 
+def test_integer_quotients_by_zero_keep_no_transform():
+    # With b = 0 the Smith pass runs no row operation: U is the identity,
+    # the quotient keeps none of its rows, and reduce returns the
+    # coordinates in z's Hermite basis.
+    rng = random.Random(0)
+    for n in range(1, 6):
+        for _ in range(10):
+            z = SubmodulePresentation.span(ZZ, n, [[rng.randint(-4, 4) for _ in range(n)]
+                                                   for _ in range(rng.randint(1, n))])
+            q = subquotient(z, SubmodulePresentation.zero(ZZ, n))
+            assert q._data[2] is None and q.invariants == (0,) * z.rank
+            for _ in range(5):
+                cs = [rng.randint(-9, 9) for _ in range(z.rank)]
+                x = [sum(c * g[i] for c, g in zip(cs, z.rows)) for i in range(n)]
+                assert q.reduce(x) == tuple(_coords_in_hnf(z.rows, z.pivots, x))
+
+
+@pytest.mark.parametrize("bcols, identity", [
+    ([[2, 0, 0], [0, 4, 0]], True),  # diagonal, 2 | 4: no row operation
+    ([[2, 0, 0], [0, 3, 0]], False),  # the gcd step moves rows
+    ([[1, 0, 0], [0, 2, 0]], False),  # the unit factor's row is dropped
+], ids=["diag-2-4", "diag-2-3", "unit"])
+def test_integer_quotients_keep_u_rows_unless_u_is_the_identity(bcols, identity):
+    z = SubmodulePresentation.full(ZZ, 3)
+    b = SubmodulePresentation.span(ZZ, 3, bcols)
+    q = subquotient(z, b)
+    assert (q._data[2] is None) == identity
+    _, _, reduce = hermite_inverse_subquotient(z, b)
+    for x in ([1, 1, 1], [3, -5, 7], [-2, 9, 0]):
+        assert q.reduce(x) == reduce(x)
+
+
 def test_integer_quotients_take_no_echelon(monkeypatch):
     # Over ZZ the quotient's generators come off the Smith pass: no
     # Hermite elimination inverts U, whether b is zero, torsion or free

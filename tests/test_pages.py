@@ -31,6 +31,7 @@ from oracles import (
     delta_value,
     delta_with_witness,
     includes,
+    per_cell_page,
     prop25_witness,
     scalar_span,
     star1_holds,
@@ -680,6 +681,70 @@ def test_pages_store_only_differentials_that_can_be_nonzero():
     # when every visit built and stored its Delta_r.
     sp = SpectralPages(wall(WallParams(3, 2, 2, 16)))
     assert sum(len(sp.page(r).deltas) for r in range(sp.stabilization_bound() + 1)) == 508
+
+
+def _page_key(page):
+    return page.invariants_table(), {cell: (d.rows, d.source_invariants, d.target_invariants)
+                                     for cell, d in page.deltas.items()}
+
+
+PAGE_ORDER_INSTANCES = ("Z", "Q-fractional", "F2", "F97", "wall-3-2-2-a16")
+
+
+def _page_order_instances():
+    from test_filtered import _rescaled
+
+    spec = dict(seed=3, width=6, height=6, maxrank=3, maxd=3)
+    return dict(zip(PAGE_ORDER_INSTANCES, (
+        random_mcx(RandomSpec(ring=ZZ, **spec)),
+        _rescaled(random_mcx(RandomSpec(ring=QQ, **spec)), 3),
+        random_mcx(RandomSpec(ring=GF(2), **spec)),
+        random_mcx(RandomSpec(ring=GF(97), **spec)),
+        wall(WallParams(3, 2, 2, 16)),
+    )))
+
+
+@pytest.mark.parametrize("name", PAGE_ORDER_INSTANCES)
+def test_pages_in_order_match_the_per_cell_loop(name):
+    # Asked in order, a page asks only for its live cells and keeps page
+    # r-1's entry object for the others; a fresh engine asked for every
+    # cell on every page must give the same tables and Delta_r, and the
+    # kept objects are the ones `entry` returns.
+    c = _page_order_instances()[name]
+    if name == "Q-fractional":
+        assert any(x.denominator > 1 for m in c.maps.values() for row in m.data for x in row)
+    sp, loop = SpectralPages(c), SpectralPages(c)
+    carried = 0
+    for r in range(sp.stabilization_bound() + 2):
+        page = sp.page(r)
+        assert _page_key(page) == _page_key(per_cell_page(loop, r)), r
+        assert all(e is sp.entry(r, *cell) for cell, e in page.entries.items()), r
+        carried += sum(r > sp._last[cell] for cell in c.support)
+    assert carried
+
+
+@pytest.mark.parametrize("order", ["bound-1-2-3", "0-2-4"])
+def test_pages_out_of_order_match_the_per_cell_loop(order):
+    # The bound page first, then pages 1, 2 and 3: only the last two
+    # follow the page before them.  Every other page: none does.
+    for name, c in _page_order_instances().items():
+        sp = SpectralPages(c)
+        bound = sp.stabilization_bound()
+        for r in (bound, 1, 2, 3) if order == "bound-1-2-3" else (0, 2, 4):
+            assert _page_key(sp.page(r)) == _page_key(per_cell_page(SpectralPages(c), r)), (name, r)
+
+
+def test_mutating_a_page_leaves_the_next_page_alone():
+    # Page 2 keeps page 1's entries for the cells found zero on page 1; a
+    # caller that writes E_0 over every entry of the page it was handed
+    # must not change them.
+    c = wall(WallParams(3, 2, 2, 8))
+    sp = SpectralPages(c)
+    page = sp.page(1)
+    for cell in page.entries:
+        page.entries[cell] = sp.entry(0, *cell)
+    assert any(sp._last[cell] < 2 for cell in c.support)
+    assert _page_key(sp.page(2)) == _page_key(per_cell_page(SpectralPages(c), 2))
 
 
 def _witness_targets(monkeypatch, sp):
