@@ -302,7 +302,7 @@ def homology(t: TotalComplex) -> dict:
     pivot row zero off its column (entries left of a pivot lie in
     [0, pivot)) and splits off as Z/1, so the torsion is the Smith form of
     the other columns on the rows where they are not all zero: `snf`'s
-    loop, which here carries no transform, as only its diagonal is read.
+    loop with no U tails and no lifts, as only its diagonal is read.
     """
     degrees = t.degrees()
     images = {m: SubmodulePresentation.span(t.ring, t.dim(m - 1), t.columns(m))
@@ -315,7 +315,7 @@ def homology(t: TotalComplex) -> dict:
         if cols:
             rows = [i for i in range(b.ambient_rank) if any(g[i] for g in cols)]
             grid = [[g[i] for g in cols] for i in rows]
-            d = _smith(grid)
+            d = _smith(grid, len(cols))
             torsion = tuple(x for x in (d[k][k] for k in range(len(cols))) if x > 1)
         groups[n] = HomologyGroup(n, torsion + (0,) * (t.dim(n) - images[n].rank - b.rank))
     return groups

@@ -6,16 +6,13 @@ deterministic: canonical column-echelon (fields) and column Hermite
 particular solutions are pinned (zero at the free columns over a field,
 Hermite-reduced there over the integers).
 
-Matrices are dense row-major lists; at the scale this engine targets
-(blocks of at most a few hundred) exact arithmetic on dense data wins on
-simplicity and has no pivoting subtleties.
-
-Arithmetic runs on integer rows, over a field whole rows at a time, over
-ZZ on the pivot vector's nonzero entries only, and `mcss.rings` turns
-them into scalars: a `Mat` stores only its rows over one common
-denominator, and `Mat.data` reads them as scalars.  Over QQ, elimination
-hands its rows back as integers: reduced row i is rows[i] /
-rows[i][pivots[i]].  Modules are spanned by integer rows and live as
+Matrices are dense row-major integer lists, at the scale this engine
+targets blocks of at most a few hundred.  Arithmetic runs on them, over a
+field whole rows at a time, over ZZ on the pivot vector's nonzero
+entries only, and `mcss.rings` turns them into scalars: a `Mat` stores
+only its rows over one common denominator, and `Mat.data` reads them as
+scalars.  Over QQ, elimination hands its rows back as integers: reduced
+row i is rows[i] / rows[i][pivots[i]].  Modules are spanned by integer rows and live as
 integer rows, over QQ primitive ones, so no module operation builds a
 Fraction: they appear only in `gens`, `Mat.data`, the output of `solve`
 and `QuotientPresentation.reduce`, and `Delta` matrices.
@@ -31,7 +28,8 @@ a caller that needs one eliminates the columns [col_j | e_j]
 kernel is one `_kernel_image` of those rows (Cohen 1993, 2.3-2.4), and a
 solve of m.x = b one more: that of [-b | m], which holds the solutions
 as its kernel vectors with first coordinate 1.  The Smith form has its
-own loop, whose row operations carry a ZZ quotient's generators along.
+own loop, whose U rides along the same way and whose row operations
+also carry a ZZ quotient's generators.
 """
 
 from __future__ import annotations
@@ -517,19 +515,20 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
     ring = z.ring
     n = z.ambient_rank
     if ring.is_field:
-        # One RREF of [b | z | I], pivots among the b and z columns only.
-        # The b columns are independent, so they pivot first; the z pivots
-        # past them are the greedy lifts of a basis of z/b, and z columns
-        # that start no pivot change no row.  The I part is the transform
-        # taking an element of z to its coordinates on (b, lifts); reduce
-        # needs its rows from nb on, the lift rows over one common pivot
-        # denominator and the rest, which vanish on z, up to a scalar.  A
-        # column is its generator times the pivot entry h, so a lift's
-        # transform row times h gives the coordinate on the generator.
+        # One RREF of [b | z | I] (`_with_identity`), pivots among the b
+        # and z columns only.  The b columns are independent, so they
+        # pivot first; the z pivots past them are the greedy lifts of a
+        # basis of z/b, and z columns that start no pivot change no row.
+        # The I part is the transform taking an element of z to its
+        # coordinates on (b, lifts); reduce needs its rows from nb on, the
+        # lift rows over one common pivot denominator and the rest, which
+        # vanish on z, up to a scalar.  A column is its generator times
+        # the pivot entry h, so a lift's transform row times h gives the
+        # coordinate on the generator.
         nb, nz = b.rank, z.rank
         w = nb + nz
         basis = b.rows + z.rows
-        aug = [[g[i] for g in basis] + [1 if k == i else 0 for k in range(n)] for i in range(n)]
+        aug = _with_identity([[g[i] for g in basis] for i in range(n)])
         reduced, pivots = _echelon(ring, aug, w)
         _reduce(ring, reduced, pivots)
         if len(pivots) != nz:
@@ -568,38 +567,35 @@ def subquotient(z: SubmodulePresentation, b: SubmodulePresentation) -> QuotientP
 def snf(m: Mat, lifts=None):
     """Smith normal form (U, D): U.m.V = D diagonal with d_i | d_{i+1} >= 0.
 
-    U and V are unimodular; V, the column operations, is not built, as the
+    One `_smith` of the rows [row i of m | e_i]: D is their first m.cols
+    columns, U their tails.  V, the column operations, is not built, as the
     row operations never read it: D and U are as if it were.  Each row
     operation E also replaces rows of ``lifts``, if given, as E^{-T}: then
     lifts[i] ends as sum_j U^{-1}[j][i] lifts[j] (Cohen 1993, 2.4.3).
     """
     if m.ring is not ZZ:
         raise ValueError("Smith normal form is computed over ZZ")
-    u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
-    a = _smith([row[:] for row in m.ints], u, lifts)
-    return Mat.from_ints(ZZ, m.rows, m.rows, u), Mat.from_ints(ZZ, m.rows, m.cols, a)
+    nc = m.cols
+    a = _smith(_with_identity(m.ints), nc, lifts)
+    return (Mat.from_ints(ZZ, m.rows, m.rows, [row[nc:] for row in a]),
+            Mat.from_ints(ZZ, m.rows, nc, [row[:nc] for row in a]))
 
 
-def _smith(a, u=None, lifts=None):
-    """Diagonalize the integer rows a in place as `snf` does and return them.
+def _smith(a, nc, lifts=None):
+    """Diagonalize the first nc columns of the integer rows a in place as
+    `snf` does and return them.
 
-    Each row operation E also updates u's rows as E, in place and only
-    where a row they read is nonzero, and replaces lifts' rows as E^{-T};
-    either is skipped when None.
+    Row operations replace whole rows, so the columns from nc on ride
+    along as tails; column operations touch only the first nc.  Each row
+    operation E also replaces lifts' rows as E^{-T}, unless lifts is None.
     """
     nr = len(a)
-    nc = len(a[0]) if a else 0
 
     def row_gcd_op(k, i):
         aa, bb = a[k][k], a[i][k]
         if bb % aa == 0:
             q = bb // aa
             a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-            if u is not None:
-                uk, ui = u[k], u[i]
-                for j in range(nr):
-                    if uk[j]:
-                        ui[j] -= q * uk[j]
             if lifts is not None:
                 lifts[k] = [s + q * t for s, t in zip(lifts[k], lifts[i])]
         else:
@@ -608,13 +604,6 @@ def _smith(a, u=None, lifts=None):
             rk, ri = a[k], a[i]
             a[k] = [x * s + y * t for s, t in zip(rk, ri)]
             a[i] = [mb * s + ag * t for s, t in zip(rk, ri)]
-            if u is not None:
-                rk, ri = u[k], u[i]
-                for j in range(nr):
-                    s, t = rk[j], ri[j]
-                    if s or t:
-                        rk[j] = x * s + y * t
-                        ri[j] = mb * s + ag * t
             if lifts is not None:
                 lk, li = lifts[k], lifts[i]
                 lifts[k] = [ag * s - mb * t for s, t in zip(lk, li)]
@@ -641,8 +630,6 @@ def _smith(a, u=None, lifts=None):
         i, j = first
         if i != k:
             a[k], a[i] = a[i], a[k]
-            if u is not None:
-                u[k], u[i] = u[i], u[k]
             if lifts is not None:
                 lifts[k], lifts[i] = lifts[i], lifts[k]
         if j != k:
@@ -662,24 +649,17 @@ def _smith(a, u=None, lifts=None):
             piv = a[k][k]
             bad = -1
             for i in range(k + 1, nr):
-                if any(x % piv for x in a[i][k + 1:]):
+                if any(x % piv for x in a[i][k + 1:nc]):
                     bad = i
                     break
             if bad < 0:
                 break
             a[k] = [x + y for x, y in zip(a[k], a[bad])]
-            if u is not None:
-                uk, ub = u[k], u[bad]
-                for j in range(nr):
-                    if ub[j]:
-                        uk[j] += ub[j]
             if lifts is not None:
                 lifts[bad] = [x - y for x, y in zip(lifts[bad], lifts[k])]
     for k in range(min(nr, nc)):
         if a[k][k] < 0:
             a[k] = [-x for x in a[k]]
-            if u is not None:
-                u[k] = [-x for x in u[k]]
             if lifts is not None:
                 lifts[k] = [-x for x in lifts[k]]
     return a

@@ -4,6 +4,7 @@ witness tuple of a cycle, a kernel built apart from the engine's
 cell's kernel chain built that way, a textbook Gauss-Jordan
 reduction on field scalars, the integer elimination's steps on whole rows
 (a Euclid round of `clear`, `reduce_at`, coordinates in an HNF basis),
+the Smith pass with its transform U kept apart and updated in place,
 an integer subquotient whose generators come off a Hermite inverse of
 the Smith transform, the differential formula evaluated on a given
 witness, the paper's explicit witnesses of a boundary (Proposition 2.5)
@@ -38,6 +39,7 @@ from mcss.linalg import (
     _echelon,
     _reduce,
     _with_identity,
+    _xgcd,
     snf,
 )
 from mcss.multicomplex import Multicomplex, RelationViolation
@@ -286,6 +288,103 @@ def dense_coords_in_hnf(cols, pivot_rows, vec):
         q = y[i] = t // piv
         residual = [u - q * w for u, w in zip(residual, cols[i])]
     return None if any(residual) else y
+
+
+def separate_u_snf(m: Mat, lifts=None):
+    """`snf` as (U, D) with U kept as a matrix of its own, not as tails.
+
+    The Smith pass as a separate loop: each row operation E updates U's
+    rows as E, in place and only where a row it reads is nonzero, and
+    replaces lifts' rows, if given, as E^{-T}.
+    """
+    nr, nc = m.rows, m.cols
+    a = [row[:] for row in m.ints]
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+
+    def row_gcd_op(k, i):
+        aa, bb = a[k][k], a[i][k]
+        if bb % aa == 0:
+            q = bb // aa
+            a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+            uk, ui = u[k], u[i]
+            for j in range(nr):
+                if uk[j]:
+                    ui[j] -= q * uk[j]
+            if lifts is not None:
+                lifts[k] = [s + q * t for s, t in zip(lifts[k], lifts[i])]
+        else:
+            g, x, y = _xgcd(aa, bb)
+            mb, ag = -(bb // g), aa // g
+            rk, ri = a[k], a[i]
+            a[k] = [x * s + y * t for s, t in zip(rk, ri)]
+            a[i] = [mb * s + ag * t for s, t in zip(rk, ri)]
+            rk, ri = u[k], u[i]
+            for j in range(nr):
+                s, t = rk[j], ri[j]
+                if s or t:
+                    rk[j] = x * s + y * t
+                    ri[j] = mb * s + ag * t
+            if lifts is not None:
+                lk, li = lifts[k], lifts[i]
+                lifts[k] = [ag * s - mb * t for s, t in zip(lk, li)]
+                lifts[i] = [x * t - y * s for s, t in zip(lk, li)]
+
+    def col_gcd_op(k, j):
+        aa, bb = a[k][k], a[k][j]
+        if bb % aa == 0:
+            q = bb // aa
+            for row in a:
+                row[j] -= q * row[k]
+        else:
+            g, x, y = _xgcd(aa, bb)
+            mb, ag = -(bb // g), aa // g
+            for row in a:
+                s, t = row[k], row[j]
+                row[k] = x * s + y * t
+                row[j] = mb * s + ag * t
+
+    for k in range(min(nr, nc)):
+        first = next(((i, j) for i in range(k, nr) for j in range(k, nc) if a[i][j]), None)
+        if first is None:
+            break
+        i, j = first
+        if i != k:
+            a[k], a[i] = a[i], a[k]
+            u[k], u[i] = u[i], u[k]
+            if lifts is not None:
+                lifts[k], lifts[i] = lifts[i], lifts[k]
+        if j != k:
+            for row in a:
+                row[k], row[j] = row[j], row[k]
+        while True:
+            for i in range(k + 1, nr):
+                if a[i][k]:
+                    row_gcd_op(k, i)
+            row_dirty = False
+            for j in range(k + 1, nc):
+                if a[k][j]:
+                    col_gcd_op(k, j)
+                    row_dirty = True
+            if row_dirty:
+                continue
+            piv = a[k][k]
+            bad = next((i for i in range(k + 1, nr) if any(x % piv for x in a[i][k + 1:])), -1)
+            if bad < 0:
+                break
+            a[k] = [x + y for x, y in zip(a[k], a[bad])]
+            uk, ub = u[k], u[bad]
+            for j in range(nr):
+                if ub[j]:
+                    uk[j] += ub[j]
+            if lifts is not None:
+                lifts[bad] = [x - y for x, y in zip(lifts[bad], lifts[k])]
+    for k in range(min(nr, nc)):
+        if a[k][k] < 0:
+            a[k] = [-x for x in a[k]]
+            u[k] = [-x for x in u[k]]
+            if lifts is not None:
+                lifts[k] = [-x for x in lifts[k]]
+    return Mat.from_ints(m.ring, nr, nr, u), Mat.from_ints(m.ring, nr, nc, a)
 
 
 def hermite_inverse_subquotient(z: SubmodulePresentation, b: SubmodulePresentation):

@@ -912,19 +912,20 @@ def test_homology_torsion_is_the_diagonal_of_snf():
 
 
 def test_homology_carries_no_rows_through_its_smith_pass(monkeypatch):
-    # homology reads only D: its Smith pass builds no U and carries no
-    # lifts, and it makes no call through `snf`.
+    # homology reads only D: its Smith pass gets rows exactly nc wide, so
+    # carries no U tails, carries no lifts, and it makes no call through
+    # `snf`.
     import mcss.filtered as filtered
     import mcss.linalg as linalg
 
     carried, snf_calls = [], []
     real_smith, real_snf = filtered._smith, linalg.snf
 
-    def smith(a, u=None, lifts=None):
-        carried.append((u, lifts))
-        return real_smith(a, u, lifts)
+    def smith(a, nc, lifts=None):
+        carried.append((all(len(row) == nc for row in a), lifts))
+        return real_smith(a, nc, lifts)
 
     monkeypatch.setattr(filtered, "_smith", smith)
     monkeypatch.setattr(linalg, "snf", lambda *a: snf_calls.append(1) or real_snf(*a))
     homology(totalize(parse(HOMOLOGY_SNF_INSTANCES["dense_z_s2"].read_text())))
-    assert carried and set(carried) == {(None, None)} and not snf_calls
+    assert carried and set(carried) == {(True, None)} and not snf_calls

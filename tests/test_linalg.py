@@ -41,6 +41,7 @@ from oracles import (
     kernel_then_span,
     oracle_kernel,
     scalar_span,
+    separate_u_snf,
     spans,
     vec_add,
     vec_sub,
@@ -962,6 +963,46 @@ def test_snf_carries_lifts_by_the_inverse_transpose(data):
     for j, row in enumerate(lifts0):
         assert [sum(u.ints[i][j] * lifts[i][c] for i in range(m.rows))
                 for c in range(width)] == list(row)
+
+
+@st.composite
+def zz_low_rank_mat_st(draw):
+    """The product of an r x k and a k x c integer matrix, k <= 2: rank at most 2."""
+    r, k, c = (draw(st.integers(min_value=0, max_value=n)) for n in (8, 2, 10))
+    a = [draw(st.lists(zz_entry_st, min_size=k, max_size=k)) for _ in range(r)]
+    b = [draw(st.lists(zz_entry_st, min_size=c, max_size=c)) for _ in range(k)]
+    return Mat(ZZ, r, c, [[sum(x * y[j] for x, y in zip(row, b)) for j in range(c)] for row in a])
+
+
+def _assert_snf_matches_separate_u(m, lifts0):
+    given_ints = copy.deepcopy(m.ints)
+    lifts, oracle_lifts = list(lifts0), list(lifts0)
+    expected = separate_u_snf(m)
+    assert snf(m) == expected
+    assert snf(m, lifts) == separate_u_snf(m, oracle_lifts) == expected
+    assert lifts == oracle_lifts
+    assert m.ints == given_ints
+
+
+# Every branch of the Smith pass: both row and both column steps, a row and
+# a column swap, the row_bad fix-up and the sign flip.
+@pytest.mark.parametrize("rows", [[[2, 0], [0, 3]], [[2], [3]], [[-2]],
+                                  [[0, -2, 6], [0, 0, 0], [0, 2, 1], [2, -2, 2]]])
+def test_snf_fixed_cases_match_the_separate_u_oracle(rows):
+    m = Mat(ZZ, len(rows), len(rows[0]), rows)
+    _assert_snf_matches_separate_u(m, [[i, -1, 2 * i] for i in range(m.rows)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_snf_matches_the_separate_u_oracle(data):
+    # U rides as the tails of [row_i | e_i]: it, D and the lifts equal those
+    # of the pass that keeps U apart and updates it in place, entry for entry.
+    m = data.draw(zz_mat_st(zz_sparse_entry_st) | zz_mat_st() | zz_low_rank_mat_st())
+    width = data.draw(st.integers(min_value=0, max_value=4))
+    lifts0 = [tuple(data.draw(st.lists(zz_entry_st, min_size=width, max_size=width)))
+              for _ in range(m.rows)]
+    _assert_snf_matches_separate_u(m, lifts0)
 
 
 @settings(max_examples=100, deadline=None)
