@@ -21,7 +21,7 @@ from .linalg import (
     subquotient,
 )
 from .mcxio import MCXParseError, emit, parse
-from .multicomplex import Multicomplex, rebase
+from .multicomplex import Multicomplex, RelationError, rebase
 from .pages import Page, PageDifferential, PageEntry, SpectralPages, WellDefinednessError
 from .rings import GF, QQ, ZZ, Ring
 from .total import TotalComplex, totalize

@@ -1,9 +1,11 @@
 """Command-line front end: validate, pages, diff, compare, homology, example, random.
 
-Exit codes: 0 success, 1 mathematical failure (validation, comparison, or
-an engine consistency error, reported as one `error:` line), 2 MCX parse
-error, 3 usage error, 141 (128 + SIGPIPE) when standard output is closed
-before the command has written everything, with nothing on stderr.
+Exit codes: 0 success, 1 mathematical failure (an invalid multicomplex,
+which the engines refuse, reported on stderr as the `violation:` lines
+`validate` prints; a failing comparison; or an engine consistency error,
+reported as one `error:` line), 2 MCX parse error, 3 usage error, 141
+(128 + SIGPIPE) when standard output is closed before the command has
+written everything, with nothing on stderr.
 Identical invocations produce byte-identical output; tables are sorted
 by (r, p, q).  The text of `pages` is formatted straight from the engine's
 pages, and only its JSON goes through a document.
@@ -20,7 +22,7 @@ from pathlib import Path
 
 from . import builders, filtered, mcxio
 from .linalg import InclusionError
-from .multicomplex import Multicomplex, rebase
+from .multicomplex import Multicomplex, RelationError, rebase
 from .pages import SpectralPages, WellDefinednessError
 from .rings import GF, QQ, ZZ, Ring
 from .total import totalize
@@ -145,18 +147,6 @@ def cmd_validate(args) -> int:
     return EXIT_MATH
 
 
-def _require_valid(c: Multicomplex) -> None:
-    violations = c.validate()
-    if violations:
-        for v in violations:
-            print(f"violation: {v}", file=sys.stderr)
-        raise _InvalidInput()
-
-
-class _InvalidInput(Exception):
-    pass
-
-
 def _pages_doc(c: Multicomplex, sp: SpectralPages, max_r: int):
     pages = {}
     diffs = {}
@@ -173,7 +163,6 @@ def _pages_doc(c: Multicomplex, sp: SpectralPages, max_r: int):
 
 def cmd_pages(args) -> int:
     c = _load(args)
-    _require_valid(c)
     sp = SpectralPages(c)
     max_r = args.max_r if args.max_r is not None else sp.stabilization_bound()
     if args.json:
@@ -207,7 +196,6 @@ def cmd_pages(args) -> int:
 
 def cmd_diff(args) -> int:
     c = _load(args)
-    _require_valid(c)
     sp = SpectralPages(c)
     r, p, q = args.r, args.p, args.q
     d = sp.delta(r, p, q)
@@ -227,7 +215,6 @@ def cmd_diff(args) -> int:
 
 def cmd_compare(args) -> int:
     c = _load(args)
-    _require_valid(c)
     report = filtered.compare(c, max_r=args.max_r)
     doc = {
         "ring": str(c.ring),
@@ -253,7 +240,6 @@ def cmd_compare(args) -> int:
 
 def cmd_homology(args) -> int:
     c = _load(args)
-    _require_valid(c)
     t = totalize(c)
     groups = filtered.homology(t)
     degrees = list(groups)
@@ -283,14 +269,12 @@ def cmd_example(args) -> int:
             if args.n == 2 and args.len is None:
                 raise UsageError("hurtubise --n 2 needs --len")
             c = builders.hurtubise(args.n, ring, length=args.len)
-        elif args.name == "wall":
+        else:  # wall: argparse's choices admit no other name
             if None in (args.r, args.s, args.t):
                 raise UsageError("wall needs --r --s --t (and optional --amax)")
             c = builders.wall(builders.WallParams(args.r, args.s, args.t, args.amax))
             if ring != ZZ:
                 c = rebase(c, ring)
-        else:
-            raise UsageError(f"unknown example {args.name!r}")
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _write_output(args.output, mcxio.emit(c))
@@ -401,7 +385,9 @@ def main(argv=None) -> int:
     except mcxio.MCXParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except _InvalidInput:
+    except RelationError as exc:
+        for v in exc.violations:
+            print(f"violation: {v}", file=sys.stderr)
         return EXIT_MATH
     except (WellDefinednessError, InclusionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

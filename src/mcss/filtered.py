@@ -72,24 +72,21 @@ from .total import TotalComplex, totalize
 
 @dataclass(frozen=True)
 class FilteredEntry:
-    """E_r^p = zz / bb in the coordinates of the (p, n-p) cell; None when pruned.
+    """E_r^p = zz / bb in the coordinates of the (p, n-p) cell, of rank 0 when it is absent.
 
     The (r, p, n) it serves is the caller's key.
     """
 
-    zz: SubmodulePresentation | None
-    bb: SubmodulePresentation | None
+    zz: SubmodulePresentation
+    bb: SubmodulePresentation
 
     @cached_property
     def quot(self):
-        return None if self.zz is None else subquotient(self.zz, self.bb)
+        return subquotient(self.zz, self.bb)
 
     @property
     def invariants(self):
-        return () if self.quot is None else self.quot.invariants
-
-
-_PRUNED = FilteredEntry(None, None)
+        return self.quot.invariants
 
 
 @dataclass(frozen=True)
@@ -240,17 +237,15 @@ class FilteredPages:
     def entry(self, r: int, p: int, n: int) -> FilteredEntry:
         """pi_p(ZZ_r^p) / pi_p(BB_r^p), the quotient built when read.
 
-        A page past the cell's last page is that page's entry object.
+        A page past the cell's last page is that page's entry object.  With
+        no basis vector in column p of degree n, pi_p projects onto a block
+        of width 0: zz and bb are the rank-0 zero module.
         """
         s = min(r, self._last.get((p, n)) or self._last.setdefault((p, n), self.settle(p, n)))
         e = self._entries.get((s, p, n))
         if e is not None:
             return e
-        # When no basis vector sits in column p of degree n, F_p = F_{p-1}
-        # there, so ZZ_r^{p} = ZZ_{r-1}^{p-1} is swallowed by BB_r: trivial.
         t = self.t
-        if not t.block_start(n, p)[1]:
-            return _PRUNED
         # Page s has page s-1's modules when F_{p-s+1} = F_{p-s} in Tot_{n-1}
         # and F_{p+s-1} = F_{p+s-2} in Tot_{n+1}: both blocks are absent.
         while s > 1 and (s, p, n) not in self._entries and not (
@@ -277,7 +272,7 @@ class FilteredPages:
         src = self.entry(r, p, n)
         tgt = self.entry(r, p - r, n - 1)
         cols = []
-        if src.invariants and tgt.quot is not None:
+        if src.invariants and tgt.invariants:
             t = self.t
             nrows, start = t.dim(n - 1), t.filtration_start(n - 1, p - r)
             width, end = src.zz.ambient_rank, start + tgt.zz.ambient_rank

@@ -114,11 +114,6 @@ class Mat:
         """The entries as canonical scalars; over ZZ and GF(p) the stored rows themselves."""
         return self.ring.quotients(self.ints, [self.den] * self.rows)
 
-    def to_cols(self):
-        """The columns as canonical scalars; over ZZ and GF(p) read off the stored rows."""
-        cols = [[row[j] for row in self.ints] for j in range(self.cols)]
-        return self.ring.quotients(cols, [self.den] * self.cols)
-
     def matvec(self, v):
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")

@@ -3,9 +3,10 @@
 A multicomplex stores a finite family of per-bidegree ranks together with
 the matrices of each d_i restricted to a source bidegree; absent entries
 are zero.  Validation checks every relation sum_{i+j=n} d_i d_j = 0 as an
-exact matrix identity, per source bidegree.  Only the unsigned relation
-convention is supported; the alternating-sign variant is rejected by
-validation, not converted.
+exact matrix identity, per source bidegree; the engines and `totalize`
+refuse a multicomplex that fails one with `RelationError`.  Only the
+unsigned relation convention is supported; the alternating-sign variant
+is rejected by validation, not converted.
 """
 
 from __future__ import annotations
@@ -27,6 +28,14 @@ class RelationViolation(NamedTuple):
 
     def __str__(self):
         return f"n={self.n} at ({self.a},{self.b}): nonzero composite {self.composite!r}"
+
+
+class RelationError(ValueError):
+    """A multicomplex refused for failed relations: `.violations` is what `validate()` returns."""
+
+    def __init__(self, violations):
+        super().__init__(f"invalid multicomplex: {violations[0]}")
+        self.violations = violations
 
 
 class Multicomplex:

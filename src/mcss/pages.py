@@ -77,7 +77,7 @@ from .linalg import (
     solve,
     subquotient,
 )
-from .multicomplex import Multicomplex
+from .multicomplex import Multicomplex, RelationError
 
 
 class WellDefinednessError(RuntimeError):
@@ -141,7 +141,7 @@ class SpectralPages:
 
     def __init__(self, c: Multicomplex):
         if bad := c.validate():
-            raise ValueError(f"invalid multicomplex: {bad[0]}")
+            raise RelationError(bad)
         self.c = c
         self._br = {}  # (r, p, q) -> B_r, for r up to the cell's r_b
         self._chains = {}  # (p, q) -> [(Z_1, V_1, K_1), ..., (Z_s, V_s, K_s)]
@@ -151,14 +151,6 @@ class SpectralPages:
         self._built = None  # (r, the entries of page r), kept apart from the returned Page
 
     # -- cycle and boundary modules ------------------------------------
-
-    def _cycle_row(self, n, p, q):
-        """Row n, d_n x - sum_{j=1}^{n} d_{n-j} z_j; its last block is -d_0 z_n."""
-        c = self.c
-        return (c.rank(p - n, q + n - 1),
-                [(0, c.dmap(n, p, q), False)]
-                + [(j, c.dmap(n - j, p - j, q + j), True)
-                   for j in range(max(1, n - c.maxd), n + 1)])
 
     def zr(self, r: int, p: int, q: int) -> SubmodulePresentation:
         return self._chain(r, p, q)[0]
@@ -230,17 +222,20 @@ class SpectralPages:
     def _values(self, s, p, q, k, steps):
         """V_s on K_s's rows, as (integer columns, one denominator), ([], 1) if zero.
 
-        Row s without its -d_0 z_s block (z_s is not an unknown of K_s)
-        meets x and the z_j, s - maxd <= j < s, read at the chain's offsets.
+        Row s, d_s x - sum_{j=1}^{s} d_{s-j} z_j, without its -d_0 z_s block
+        (z_s is not an unknown of K_s), meets x and the z_j, s - maxd <= j < s,
+        read at the chain's offsets.
         """
         c = self.c
-        if not c.rank(p - s, q + s - 1):
+        tr = c.rank(p - s, q + s - 1)
+        if not tr:
             return [], 1
-        tr, row = self._cycle_row(s, p, q)
-        ends = [st[2].ambient_rank for st in steps[max(0, s - c.maxd - 1):]] + [k.ambient_rank]
-        spans = [(0, c.rank(p, q))] + list(zip(ends, ends[1:]))  # one short: drops -d_0 z_s
-        used = [(m, -1 if negate else 1, a, b)
-                for (_, m, negate), (a, b) in zip(row, spans) if m is not None]
+        lo = max(1, s - c.maxd)
+        ends = [st[2].ambient_rank for st in steps[lo - 1:]] + [k.ambient_rank]
+        blocks = [(c.dmap(s, p, q), 1, 0, c.rank(p, q))] + [
+            (c.dmap(s - j, p - j, q + j), -1, a, b)
+            for j, a, b in zip(range(lo, s), ends, ends[1:])]
+        used = [block for block in blocks if block[0] is not None]
         if not used:
             return [], 1
         den = lcm(*[m.den for m, _, _, _ in used])

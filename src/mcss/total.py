@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from math import lcm
 
-from .multicomplex import Multicomplex
+from .multicomplex import Multicomplex, RelationError
 
 
 class TotalComplex:
@@ -60,14 +60,13 @@ class TotalComplex:
 
 
 def totalize(c: Multicomplex) -> TotalComplex:
-    """Assemble Tot with (dx)_a = sum_i d_i (x)_{a+i}; d.d = 0 is asserted.
+    """Assemble Tot with (dx)_a = sum_i d_i (x)_{a+i}.
 
-    A relation failing at (a, b) leaves d.d nonzero on degree a + b, and
-    the least such degree is named.
+    A relation failing at (a, b) leaves d.d nonzero on degree a + b, so
+    a multicomplex that fails one is refused with `RelationError`.
     """
     if bad := c.validate():
-        raise AssertionError("total differential does not square to zero at degree "
-                             f"{min(v.a + v.b for v in bad)}")
+        raise RelationError(bad)
     by_degree: dict = {}
     for (a, b), rank in c.ranks.items():
         by_degree.setdefault(a + b, []).append((a, rank))

@@ -71,6 +71,12 @@ def zero_vec(ring, n):
     return [ring.zero()] * n
 
 
+def to_cols(m: Mat):
+    """m's columns as canonical scalars; over ZZ and GF(p) read off the stored rows."""
+    cols = [[row[j] for row in m.ints] for j in range(m.cols)]
+    return m.ring.quotients(cols, [m.den] * m.cols)
+
+
 def vec_add(ring, u, v):
     (a, b), den = ring.int_rows((u, v))
     return ring.scalars(list(map(add, a, b)), den)
@@ -401,7 +407,7 @@ def hermite_inverse_subquotient(z: SubmodulePresentation, b: SubmodulePresentati
     coord_cols = [dense_coords_in_hnf(z.rows, z.pivots, g) for g in b.rows]
     u, d = snf(Mat(ring, k, len(coord_cols), [[y[i] for y in coord_cols] for i in range(k)]))
     factors = [d.ints[i][i] if i < min(d.rows, d.cols) else 0 for i in range(k)]
-    stacked, spivots = _echelon(ring, _with_identity(u.to_cols()), 2 * k)
+    stacked, spivots = _echelon(ring, _with_identity(to_cols(u)), 2 * k)
     _reduce(ring, stacked, spivots)
     assert [row[:k] for row in stacked] == [[int(i == j) for j in range(k)] for i in range(k)]
     kept = [i for i, f in enumerate(factors) if f != 1]

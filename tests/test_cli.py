@@ -13,14 +13,16 @@ from mcss.linalg import InclusionError
 from mcss.mcxio import emit, parse
 from mcss.pages import WellDefinednessError
 from mcss.builders import WallParams, hurtubise, staircase, wall
+from mcss.rings import QQ, ZZ
 from mcss.total import totalize
+from test_multicomplex import broken_twice
 
 H1 = emit(hurtubise(1))
 H3 = emit(hurtubise(3))
-DENSE_Z_S2 = Path(__file__).parent / "data" / "dense_z_s2.mcx"
+DATA = Path(__file__).parent / "data"
+DENSE_Z_S2 = DATA / "dense_z_s2.mcx"
 # d_0 d_1 + d_1 d_0 = 2 != 0 on (1,1): relation n=1 fails.
-BROKEN_RELATION_MCX = Path(__file__).parent / "data" / "broken_relation.mcx"
-BROKEN_RELATION = BROKEN_RELATION_MCX.read_text()
+BROKEN_RELATION = (DATA / "broken_relation.mcx").read_text()
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -46,17 +48,30 @@ def test_validate_relation_failure(tmp_path, capsys):
     assert "n=1" in out and "(1,1)" in out
 
 
+BROKEN_INPUTS = {
+    "broken_relation": lambda: BROKEN_RELATION,
+    "broken_relation_frac": lambda: (DATA / "broken_relation_frac.mcx").read_text(),
+    "two violations over Z": lambda: emit(broken_twice(ZZ)),
+    "two violations over Q": lambda: emit(broken_twice(QQ)),
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["pages"], ["pages", "--json"], ["diff", "-r", "1", "-p", "1", "-q", "1"],
-    ["compare"], ["homology"],
+    ["diff", "--json", "-r", "1", "-p", "1", "-q", "1"],
+    ["compare"], ["compare", "--json"], ["homology"], ["homology", "--json"],
 ], ids=" ".join)
-def test_engine_commands_refuse_invalid_input(capsys, argv):
-    # The command validates once; the engine, which refuses an invalid
-    # multicomplex too, reads the validation's memo.
-    code, out, err = run(capsys, *argv[:1], str(BROKEN_RELATION_MCX), *argv[1:])
-    assert (code, out) == (1, "")
-    assert err.startswith("violation: n=1 at (1,1): nonzero composite")
-    assert all(line.startswith("violation: ") for line in err.splitlines())
+def test_engine_commands_refuse_invalid_input(tmp_path, capsys, argv):
+    # The command does not validate: the engine refuses the input, and
+    # the command writes every violation it carries on stderr, exactly
+    # the lines validate writes on stdout, and nothing on stdout.
+    for name, text in BROKEN_INPUTS.items():
+        f = tmp_path / "broken.mcx"
+        f.write_text(text())
+        code, want, _ = run(capsys, "validate", str(f))
+        assert code == 1 and want.startswith("violation: "), name
+        code, out, err = run(capsys, *argv[:1], str(f), *argv[1:])
+        assert (code, out, err) == (1, "", want), name
 
 
 def test_parse_error_exit_2(tmp_path, capsys):
@@ -185,7 +200,7 @@ def test_homology_reduces_each_boundary_map_once(capsys, monkeypatch):
     import mcss.linalg
     import mcss.pages
     from mcss.linalg import SubmodulePresentation
-    from oracles import dense_differentials
+    from oracles import dense_differentials, to_cols
 
     calls = {"span": [], "image": 0, "kernel": 0, "subquotient": 0}
     span = SubmodulePresentation.span
@@ -221,7 +236,7 @@ def test_homology_reduces_each_boundary_map_once(capsys, monkeypatch):
     t, dense = totalize(c), dense_differentials(c)
     maps = sorted({m for n in t.degrees() for m in (n, n + 1)})
     assert calls["span"] == [
-        (t.dim(m - 1), dense[m].to_cols() if m in dense else [[]] * t.dim(m))
+        (t.dim(m - 1), to_cols(dense[m]) if m in dense else [[]] * t.dim(m))
         for m in maps]
 
 

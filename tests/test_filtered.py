@@ -421,20 +421,29 @@ def _honest_invariants(t, r, p, n):
     return subquotient(_reference_zz(t, r, p, n), _reference_bb(t, r, p, n)).invariants
 
 
+def _assert_absent_entry(fp, r, p, n):
+    """An absent cell's entry: zz and bb are the rank-0 zero module, E_r = 0."""
+    zero = SubmodulePresentation.zero(fp.t.ring, 0)
+    e = fp.entry(r, p, n)
+    assert fp.t.block_start(n, p)[1] == 0
+    assert e.zz == e.bb == zero and e.zz.ambient_rank == e.bb.ambient_rank == 0
+    assert e.invariants == ()
+
+
 def test_pruned_cells_match_honest_computation():
-    # Cells with no basis vector in column p are skipped by a graded
-    # argument; spot-check the honest subquotient agrees.
+    # Cells with no basis vector in column p project onto a block of width
+    # 0; spot-check the honest subquotient agrees.
     c = hurtubise(4, ZZ)
     t = totalize(c)
     fp = FilteredPages(t)
     for (r, p, n) in [(1, 0, 2), (2, 3, 2), (2, -1, 1)]:
-        assert fp.entry(r, p, n).invariants == ()
+        _assert_absent_entry(fp, r, p, n)
         assert _honest_invariants(t, r, p, n) == ()
 
 
 @pytest.mark.parametrize("ring", [GF(2), ZZ], ids=str)
 def test_pruned_cells_honest_sweep(ring):
-    # Every skipped (r, p, n) in a window around the support is honestly
+    # Every absent (r, p, n) in a window around the support is honestly
     # trivial, including cells off the support and past the boundary.
     c = random_mcx(RandomSpec(seed=21, width=4, height=3, maxrank=2, maxd=2, ring=ring))
     t = totalize(c)
@@ -445,7 +454,7 @@ def test_pruned_cells_honest_sweep(ring):
             if (p, n - p) in support:
                 continue
             for r in (0, 1, 2, 3):
-                assert fp.entry(r, p, n).invariants == ()
+                _assert_absent_entry(fp, r, p, n)
                 assert _honest_invariants(t, r, p, n) == ()
 
 
@@ -503,8 +512,8 @@ def test_filtered_pages_match_reference(name):
                 quot = subquotient(zz, bb)
                 entry = fp.entry(r, p, n)
                 assert entry.invariants == quot.invariants, (r, p, n)
-                if entry.quot is not None:
-                    start, width = t.block_start(n, p)
+                start, width = t.block_start(n, p)
+                if width:
                     pz, pb, pq = ([list(g[start:start + width]) for g in m.gens]
                                   for m in (zz, bb, quot))
                     assert entry.zz == scalar_span(t.ring, width, pz), (r, p, n)
@@ -773,9 +782,7 @@ def test_filtered_delta_squares_to_zero():
                 for j in range(len(d1[0]) if d1 else 0):
                     once = [row[j] for row in d1]
                     twice = [sum(a * b for a, b in zip(row, once)) for row in d2]
-                    if tgt2.quot is not None:
-                        twice = tgt2.quot.canon(twice)
-                    assert not any(twice)
+                    assert not any(tgt2.quot.canon(twice))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from oracles import (
     scalar_span,
     separate_u_snf,
     spans,
+    to_cols,
     vec_add,
     vec_sub,
 )
@@ -504,7 +505,7 @@ def test_prefix_matches_span_of_cut_columns(ring, data):
     m = data.draw(mat_strategy(ring))
     n = m.rows
     end = data.draw(st.integers(min_value=0, max_value=n))
-    cols = m.to_cols()
+    cols = to_cols(m)
     full = scalar_span(ring, n, cols)
     window = scalar_span(ring, end, [c[:end] for c in cols])
     assert full.prefix(end) == window
@@ -526,7 +527,7 @@ def test_rational_modules_live_as_primitive_integer_rows(data):
     entries = field_entry_st(QQ)
     m = data.draw(mat_strategy(QQ, entries))
     n = m.rows
-    cols = m.to_cols()
+    cols = to_cols(m)
     full = scalar_span(QQ, n, cols)
     _assert_integer_form(full)
     scales = data.draw(st.lists(entries.filter(bool), min_size=len(cols), max_size=len(cols)))
@@ -1178,7 +1179,7 @@ def test_row_arithmetic_matches_entrywise(ring, data):
 
     out = a.matvec(u)
     assert out == [_dot(ring, row, u) for row in a.data] and _is_canonical(ring, out)
-    _assert_mat(ring, a.mul(b), r, c, [[_dot(ring, row, col) for col in b.to_cols()]
+    _assert_mat(ring, a.mul(b), r, c, [[_dot(ring, row, col) for col in to_cols(b)]
                                        for row in a.data])
     _assert_mat(ring, a.add(a2), r, k, [[ring.normalize(x + y) for x, y in zip(r1, r2)]
                                         for r1, r2 in zip(a.data, a2.data)])

@@ -51,6 +51,21 @@ def broken_c2():
     return Multicomplex(QQ, ranks, maps)
 
 
+def broken_twice(ring):
+    """Two broken relations: n=0 at (0,2), where d_0 d_0 != 0, and n=1 at
+    (1,1), where d_0 d_1 + d_1 d_0 != 0; over QQ every map is fractional."""
+    frac = ring is QQ
+    entries = {
+        (0, 0, 2): Fraction(1, 2) if frac else 1,
+        (0, 0, 1): Fraction(2, 3) if frac else 1,
+        (1, 1, 1): Fraction(1, 2) if frac else 1,
+        (0, 1, 1): Fraction(1, 3) if frac else 1,
+        (1, 1, 0): Fraction(1, 2) if frac else 1,
+    }
+    ranks = {(0, 0): 1, (0, 1): 1, (0, 2): 1, (1, 0): 1, (1, 1): 1}
+    return Multicomplex(ring, ranks, {k: Mat(ring, 1, 1, [[v]]) for k, v in entries.items()})
+
+
 def test_validate_runs_once_and_returns_fresh_lists(monkeypatch):
     c = broken_c2()
     first = c.validate()

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from mcss.builders import RandomSpec, WallParams, hurtubise, random_mcx, staircase, wall
-from mcss.filtered import FilteredPages, compare_engines
+from mcss.filtered import FilteredPages, compare, compare_engines
 from mcss.linalg import (
     Mat,
     MembershipError,
@@ -15,11 +15,11 @@ from mcss.linalg import (
     solve,
     subquotient,
 )
-from mcss.multicomplex import Multicomplex
+from mcss.multicomplex import Multicomplex, RelationError
 from mcss.pages import SpectralPages
 from mcss.rings import GF, QQ, ZZ
 from mcss.total import totalize
-from test_multicomplex import broken_c2
+from test_multicomplex import broken_c2, broken_twice
 from oracles import (
     CoWitnessTuple,
     WitnessTuple,
@@ -36,6 +36,7 @@ from oracles import (
     scalar_span,
     star1_holds,
     star2_holds,
+    to_cols,
     witness_tuple,
 )
 
@@ -213,7 +214,7 @@ def test_prop25_bicomplex_specialization():
     assert star2_holds(c, 2, p, q, cow)
     w = prop25_witness(c, 2, p, q, cow)
     m = c.dmap(1, p, q + 1)
-    expect = [-v for v in m.to_cols()[0]] if m is not None else []
+    expect = [-v for v in to_cols(m)[0]] if m is not None else []
     assert w.z[1] == expect
 
 
@@ -936,7 +937,22 @@ def test_engine_refuses_invalid_multicomplex():
     # and 4.  It now refuses it, naming the first violated relation.
     c = broken_c2()
     first = c.validate()[0]
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(RelationError) as exc:
         SpectralPages(c)
+    assert isinstance(exc.value, ValueError)
     assert str(exc.value) == f"invalid multicomplex: {first}"
     assert str(exc.value).startswith("invalid multicomplex: n=1 at (1,1): nonzero composite")
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=str)
+@pytest.mark.parametrize("build", [SpectralPages, totalize, compare], ids=lambda f: f.__name__)
+def test_engines_refuse_with_every_violation(ring, build):
+    # Both engines and totalize carry validate()'s whole list, not only
+    # its first entry, which names the error.
+    c = broken_twice(ring)
+    want = c.validate()
+    assert len(want) >= 2
+    with pytest.raises(RelationError) as exc:
+        build(c)
+    assert exc.value.violations == want
+    assert str(exc.value) == f"invalid multicomplex: {want[0]}"

@@ -7,11 +7,12 @@ import pytest
 
 from mcss.builders import RandomSpec, hurtubise, random_mcx, staircase
 from mcss.linalg import Mat, image
-from mcss.multicomplex import Multicomplex
+from mcss.multicomplex import Multicomplex, RelationError
 from mcss.rings import GF, QQ, ZZ
 from mcss.total import totalize
 from oracles import (
-    dense_differentials, differential, first_nonsquare_degree, relation_violations, zero_vec,
+    dense_differentials, differential, first_nonsquare_degree, relation_violations, to_cols,
+    zero_vec,
 )
 from test_filtered import _rescaled
 
@@ -85,7 +86,7 @@ def test_filtration_is_subcomplex_and_blockwise_formula(ring):
                     start, width = t.block_start(n - 1, ta)
                     blk = dx[start:start + width]
                     m = c.dmap(i, a, b) if i >= 0 else None
-                    expect = m.to_cols()[k] if m is not None else zero_vec(ring, len(blk))
+                    expect = to_cols(m)[k] if m is not None else zero_vec(ring, len(blk))
                     assert blk == expect
 
 
@@ -106,7 +107,8 @@ def _perturbed(c, rng):
 def test_relation_checks_match_dense_oracles(ring):
     # validate() lists what probing every cell x n x j finds, in the same
     # order with the same composites; totalize refuses exactly the inputs
-    # whose dense d_{n-1} d_n is nonzero, naming the least such degree.
+    # whose dense d_{n-1} d_n is nonzero, and the violations it carries
+    # start at (a, b) with a + b the least such degree.
     rng = random.Random(20)
     broken = 0
     for seed in range(10):
@@ -126,8 +128,9 @@ def test_relation_checks_match_dense_oracles(ring):
                 # Every other degree's d_n has no entries: Tot_{n-1} is zero.
                 assert all(not any(map(any, t.columns(k))) for k in t.degrees() if k not in dense)
             else:
-                with pytest.raises(AssertionError) as exc:
+                with pytest.raises(RelationError) as exc:
                     totalize(mc)
-                assert str(exc.value) == f"total differential does not square to zero at degree {n}"
+                assert exc.value.violations == want
+                assert min(v.a + v.b for v in exc.value.violations) == n
             broken += n is not None
     assert broken >= 5
