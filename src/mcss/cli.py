@@ -7,8 +7,8 @@ reported as one `error:` line), 2 MCX parse error, 3 usage error, 141
 (128 + SIGPIPE) when standard output is closed before the command has
 written everything, with nothing on stderr.
 Identical invocations produce byte-identical output; tables are sorted
-by (r, p, q).  The text of `pages` is formatted straight from the engine's
-pages, and only its JSON goes through a document.
+by (r, p, q).  The text of `pages` comes straight off the page walk
+that `compare` checks, and only its JSON goes through a document.
 """
 
 from __future__ import annotations
@@ -150,8 +150,7 @@ def cmd_validate(args) -> int:
 def _pages_doc(c: Multicomplex, sp: SpectralPages, max_r: int):
     pages = {}
     diffs = {}
-    for r in range(0, max_r + 1):
-        page = sp.page(r)
+    for r, page in enumerate(sp.pages(max_r)):
         table = {}
         for (p, q), inv in page.invariants_table().items():
             table.setdefault(str(p), {})[str(q)] = {"invariants": list(inv)}
@@ -173,8 +172,7 @@ def cmd_pages(args) -> int:
     ring, cells = c.ring, c.support
     groups = {}
     lines = [f"ring {ring}"]
-    for r in range(0, max_r + 1):
-        page = sp.page(r)
+    for r, page in enumerate(sp.pages(max_r)):
         lines.append(f"E_{r}:")
         start = len(lines)
         for (p, q) in cells:
@@ -199,16 +197,14 @@ def cmd_diff(args) -> int:
     sp = SpectralPages(c)
     r, p, q = args.r, args.p, args.q
     d = sp.delta(r, p, q)
-    src = sp.entry(r, p, q)
-    tgt = sp.entry(r, *d.target)
     if args.json:
         doc = {"ring": str(c.ring), "differentials": {str(r): [_diff_record(c.ring, d)]}}
         print(json.dumps(doc, indent=2))
         return EXIT_OK
     print(f"ring {c.ring}")
     print(f"Delta_{r} at ({p},{q}) -> ({d.target[0]},{d.target[1]})")
-    print(f"source E_{r}({p},{q}): {group_str(c.ring, src.invariants)}")
-    print(f"target E_{r}({d.target[0]},{d.target[1]}): {group_str(c.ring, tgt.invariants)}")
+    print(f"source E_{r}({p},{q}): {group_str(c.ring, d.source_invariants)}")
+    print(f"target E_{r}({d.target[0]},{d.target[1]}): {group_str(c.ring, d.target_invariants)}")
     print(f"matrix: {_matrix_text(_matrix_strs(c.ring, d.rows))}")
     return EXIT_OK
 

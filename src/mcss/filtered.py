@@ -41,9 +41,10 @@ to the first page found zero.  A page past it is a lookup that returns the
 last page's entry object; nothing is built or stored for it, as an entry
 is its two modules, not its (r, p, n).
 
-`compare` checks per cell that the projected modules equal the witness
-route's Z_r and B_r, which makes pi_p an isomorphism of entries, and then
-the square pi_p . [dx] = Delta_r . pi_p on a generating set of ZZ_r^p.
+`compare` walks the pages `mcss pages` prints and checks per cell that the
+projected modules equal their Z_r and B_r, which makes pi_p an isomorphism
+of entries, and then the square pi_p . [dx] = Delta_r . pi_p on a
+generating set of ZZ_r^p.
 Past both routes' last pages a cell's entries are objects it has already
 checked, so it counts such a cell without comparing it again.
 """
@@ -331,15 +332,17 @@ def compare(c: Multicomplex, max_r: int | None = None) -> ComparisonReport:
 
 def compare_engines(sp: SpectralPages, fp: FilteredPages,
                     max_r: int | None = None) -> ComparisonReport:
-    """`compare` on given engines; equal modules share the witness subquotient.
+    """`compare` on given engines, over the pages `sp.pages` walks.
 
-    The square skips generators inside F_{p-1}, which project to zero and
-    lie in BB_r^p, and cells whose target is absent: both sides are zero.
-    Past both routes' last pages each returns the entry objects of its last
-    page, so a cell whose modules passed at the later of the two is counted
-    on later pages without a second look.  Its square there is empty: past
-    the witness route's last page the source is zero or the target absent.
-    A cell that failed is checked again on every page.
+    Equal modules share the witness subquotient.  The square skips
+    generators inside F_{p-1}, which project to zero and lie in BB_r^p,
+    and cells whose target is absent: both sides are zero.  A page with
+    no Delta_r out of a checked nonzero entry into a present cell fails
+    as `differential not built`.  Past both routes' last pages each
+    returns its last page's entry objects, so a cell whose modules passed
+    at the later of the two is counted on later pages without a second
+    look, with an empty square: the witness source is zero or its target
+    absent.  A failed cell is checked again on every page.
     """
     c = sp.c
     t = fp.t
@@ -347,14 +350,14 @@ def compare_engines(sp: SpectralPages, fp: FilteredPages,
         max_r = sp.stabilization_bound()
     report = ComparisonReport(max_r=max_r)
     done = {}  # cell -> the page, at or past both last pages, where its modules passed
-    for r in range(0, max_r + 1):
+    for r, page in enumerate(sp.pages(max_r)):
         for (p, q) in c.support:
             report.cells_checked += 1
             if r > done.get((p, q), r):
                 continue
             n = p + q
             fe = fp.entry(r, p, n)
-            se = sp.entry(r, p, q)
+            se = page.entries[(p, q)]
             differ = [name for name, a, b in (("Z_r", fe.zz, se.zr), ("B_r", fe.bb, se.br))
                       if a != b]
             if differ:
@@ -366,8 +369,11 @@ def compare_engines(sp: SpectralPages, fp: FilteredPages,
             tw = c.rank(p - r, q + r - 1)
             if not se.quot.invariants or not tw:
                 continue
-            sd = sp.delta(r, p, q)
-            tgt = sp.entry(r, p - r, q + r - 1).quot
+            sd = page.deltas.get((p, q))
+            if sd is None:
+                report.failures.append(CellFailure(r, p, q, "differential not built"))
+                continue
+            tgt = page.entries[(p - r, q + r - 1)].quot
             nrows, start = t.dim(n - 1), t.filtration_start(n - 1, p - r)
             end = nrows + c.rank(p, q)
             for g in fp._suffix(fp._key(r, p, n)):

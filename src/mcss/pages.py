@@ -53,10 +53,10 @@ last page's entry object, and builds or stores nothing, since an entry
 is Z_r, B_r and their quotient, not its (r, p, q).
 A page r whose neighbouring cells (p-r+1, q+r-2) and (p+r-1, q-r+2) are
 both absent is served from page r-1: E_r = E_{r-1}.  One subquotient
-Z_r/B_r serves every (r, p, q) with an equal module pair.  A whole page
-asks only for its live cells: built right after page r-1, it keeps that
-page's entry for every cell past its last page, and such a cell has no
-Delta_r, as it is zero or its target is absent.
+Z_r/B_r serves every (r, p, q) with an equal module pair.  `pages` walks
+the pages in order, asking each only for its live cells: a cell past its
+last page keeps that page's entry and has no Delta_r, as it is zero or
+its target is absent.  Off the support Z_r, B_r and E_r are rank-0 zero.
 """
 
 from __future__ import annotations
@@ -148,7 +148,6 @@ class SpectralPages:
         self._quotients = {}  # (zr, br) -> subquotient
         self._last = {}  # (p, q) -> last page on which E_r may change
         self._entries = {}
-        self._built = None  # (r, the entries of page r), kept apart from the returned Page
 
     # -- cycle and boundary modules ------------------------------------
 
@@ -168,9 +167,7 @@ class SpectralPages:
             raise ValueError("r-boundaries are defined for r >= 1")
         c = self.c
         nx = c.rank(p, q)
-        if not nx:
-            return SubmodulePresentation.zero(c.ring, 0)
-        top = min(r, self._reaches[(p, q)][1])
+        top = min(r, self._reaches.get((p, q), (1, 1))[1])
         last = next((s for s in range(top, 0, -1) if (s, p, q) in self._br), 0)
         b = self._br.get((last, p, q))
         for s in range(last + 1, top + 1):
@@ -200,11 +197,8 @@ class SpectralPages:
             raise ValueError("r-cycles are defined for r >= 1")
         c = self.c
         nx = c.rank(p, q)
-        if not nx:
-            zero = SubmodulePresentation.zero(c.ring, 0)
-            return zero, ([], 1), zero
         steps = self._chains.setdefault((p, q), [])
-        end = self._reaches[(p, q)][0]
+        end = self._reaches.get((p, q), (1, 1))[0]
         while len(steps) < min(r, end) and (not steps or steps[-1][0].rank):
             s = len(steps) + 1
             if s == 1:
@@ -371,8 +365,7 @@ class SpectralPages:
                 ) from exc
         rows = tuple(tuple(col[i] for col in cols) for i in range(len(tgt.quot.invariants)))
         d = PageDifferential(r, p, q, src.quot.invariants, tgt.quot.invariants, rows)
-        if not ring.is_field:
-            self._check_torsion_compat(d)
+        self._check_torsion_compat(d)
         return d
 
     def _check_torsion_compat(self, d: PageDifferential):
@@ -385,27 +378,25 @@ class SpectralPages:
 
     # -- pages ----------------------------------------------------------------
 
-    def page(self, r: int) -> Page:
-        """E_r on the support and Delta_r out of its nonzero entries into present cells.
+    def pages(self, max_r: int):
+        """Pages 0..max_r in order, E_r on the support and Delta_r out of its
+        nonzero entries into present cells.
 
-        Right after page r-1 only the live cells, r <= their last page,
-        are asked for: every other one keeps page r-1's entry object,
-        which `entry` would return, and has no invariants or an absent
-        target, so no Delta_r.  Any other order asks for every cell.
+        Page r asks only for its live cells, r <= their last page: every
+        other cell keeps its last page's entry object, which `entry` would
+        return, and has no invariants or an absent target, so no Delta_r.
+        A last page never rises, so the live list only shrinks.  Each Page
+        gets its own copy of the entries.
         """
         c = self.c
-        built, self._built = self._built, None
-        if built is not None and built[0] == r - 1:
-            entries = built[1]
-            live = [cell for cell in c.support if r <= self._last[cell]]
-        else:
-            entries, live = {}, c.support
-        for cell in live:
-            entries[cell] = self.entry(r, *cell)
-        deltas = {(p, q): self.delta(r, p, q) for p, q in live
-                  if entries[(p, q)].invariants and c.rank(p - r, q + r - 1)}
-        self._built = r, entries
-        return Page(r, dict(entries), deltas)
+        entries, live = {}, c.support
+        for r in range(max_r + 1):
+            for cell in live:
+                entries[cell] = self.entry(r, *cell)
+            deltas = {(p, q): self.delta(r, p, q) for p, q in live
+                      if entries[(p, q)].invariants and c.rank(p - r, q + r - 1)}
+            yield Page(r, dict(entries), deltas)
+            live = [cell for cell in live if r < self._last[cell]]
 
     def stabilization_bound(self) -> int:
         """Pages at or beyond this index are all equal (finite support)."""

@@ -205,13 +205,14 @@ def sweep():
 def test_criterion_1_short_staircase():
     c = hurtubise(1, QQ)
     sp = SpectralPages(c)
-    e1 = sp.page(1).invariants_table()
+    bound = sp.stabilization_bound()
+    pages = list(sp.pages(bound + 1))
+    e1 = pages[1].invariants_table()
     assert sum(len(v) for v in e1.values()) == 2
     d2 = sp.delta(2, 2, 0)
     assert matrix_rank(QQ, d2.rows) == 1
-    assert sp.page(3).invariants_table() == {}
-    bound = sp.stabilization_bound()
-    einf, beyond = sp.page(bound), sp.page(bound + 1)
+    assert pages[3].invariants_table() == {}
+    einf, beyond = pages[bound], pages[bound + 1]
     assert einf.invariants_table() == beyond.invariants_table() == {}
     assert einf.deltas == beyond.deltas == {}
     announce(1, "E_1 total dim 2, Delta_2 rank 1, E_3 = Einf = 0")
@@ -221,15 +222,15 @@ def test_criterion_1_short_staircase():
 def test_criterion_2_long_staircases(length):
     c = staircase(length, ZZ)
     sp = SpectralPages(c)
-    surviving = sp.page(1).invariants_table()
+    pages = list(sp.pages(length + 1))
+    surviving = pages[1].invariants_table()
     assert set(surviving) == {(0, length - 1), (length, 0)}
-    for j in range(1, length):
-        page = sp.page(j)
+    for page in pages[1:length]:
         assert deltas_zero(page)
         assert page.invariants_table() == surviving
     dr = sp.delta(length, length, 0)
     assert matrix_rank(ZZ, dr.rows) == 1
-    assert sp.page(length + 1).invariants_table() == {}
+    assert pages[length + 1].invariants_table() == {}
     announce(2, f"staircase({length}): Delta_j = 0 for j < {length}, "
                 f"Delta_{length} rank 1, E_{length + 1} = 0")
 
@@ -254,8 +255,8 @@ def test_criterion_2_delta_zero_into_surviving_targets(length):
     c = staircase_with_survivors(length)
     assert c.validate() == []
     sp = SpectralPages(c)
-    for j in range(1, length):
-        page = sp.page(j)
+    for page in list(sp.pages(length - 1))[1:]:
+        j = page.r
         d = page.deltas[(length, 0)]
         assert d.target == (length - j, j - 1)
         assert d.source_invariants == d.target_invariants == (0,)
@@ -269,10 +270,11 @@ def test_criterion_2_delta_zero_into_surviving_targets(length):
 def test_criterion_3_added_d2_kills_delta2():
     c = hurtubise(3, QQ)
     sp = SpectralPages(c)
-    p2 = sp.page(2)
-    assert deltas_zero(p2)
     bound = sp.stabilization_bound()
-    einf, beyond = sp.page(bound), sp.page(bound + 1)
+    pages = list(sp.pages(bound + 1))
+    p2 = pages[2]
+    assert deltas_zero(p2)
+    einf, beyond = pages[bound], pages[bound + 1]
     assert einf.invariants_table() == beyond.invariants_table()
     assert einf.deltas == beyond.deltas == {}
     assert einf.invariants_table() == p2.invariants_table()

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from mcss.linalg import (
 )
 from mcss.mcxio import parse
 from mcss.multicomplex import Multicomplex
-from mcss.pages import PageDifferential, SpectralPages
+from mcss.pages import Page, PageDifferential, SpectralPages
 from oracles import (
     boundary_value, contains, cowitnesses, cycle_system, dense_differentials, differential, embed,
     full_transform_reduction, gauss_jordan, includes, lift_to_total, proportional, psi,
@@ -377,6 +378,57 @@ def test_compare_detects_corrupted_delta_over_z(monkeypatch, make, cell):
         (*cell, "square does not commute")]
 
 
+def _early_walk(self, max_r):
+    """`SpectralPages.pages` with each live cell dropped one page early."""
+    c = self.c
+    entries, live = {}, c.support
+    for r in range(max_r + 1):
+        for cell in live:
+            entries[cell] = self.entry(r, *cell)
+        deltas = {(p, q): self.delta(r, p, q) for p, q in live
+                  if entries[(p, q)].invariants and c.rank(p - r, q + r - 1)}
+        yield Page(r, dict(entries), deltas)
+        live = [cell for cell in live if r + 1 < self._last[cell]]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: wall(WallParams(3, 2, 2, 16)),
+    lambda: random_mcx(RandomSpec(seed=5, width=8, height=8, maxrank=3, maxd=4, ring=QQ)),
+    lambda: parse((Path(__file__).parent / "data" / "dense_z_s2.mcx").read_text()),
+], ids=["wall-3-2-2-a16", "random-Q-w8", "dense_z_s2"])
+def test_compare_checks_the_pages_the_walk_yields(monkeypatch, make):
+    # compare reads its entries and Delta_r off the walk that `mcss pages`
+    # prints.  A walk that keeps each cell's page r-1 entry on its last
+    # page r prints wrong tables, and compare must fail on it.
+    c = make()
+    bound = SpectralPages(c).stabilization_bound()
+    right = [page.invariants_table() for page in SpectralPages(c).pages(bound)]
+    early = [page.invariants_table() for page in _early_walk(SpectralPages(c), bound)]
+    assert right != early
+    monkeypatch.setattr(SpectralPages, "pages", _early_walk)
+    report = compare(c)
+    assert report.failures
+    assert {f.kind for f in report.failures} == {"modules differ"}
+
+
+def test_compare_flags_a_differential_the_walk_omits(monkeypatch):
+    # A checked cell with invariants and a present target whose page holds
+    # no Delta_r is reported, not skipped.
+    c = hurtubise(1, QQ)
+    original = SpectralPages.pages
+
+    def omitting(self, max_r):
+        for page in original(self, max_r):
+            if page.r == 2:
+                del page.deltas[(2, 0)]
+            yield page
+
+    monkeypatch.setattr(SpectralPages, "pages", omitting)
+    report = compare(c)
+    assert [(f.r, f.p, f.q, f.kind) for f in report.failures] == [
+        (2, 2, 0, "differential not built")]
+
+
 def test_filtered_nesting_invariants():
     # In Tot_n, ZZ_{r+1} <= ZZ_r and BB_r <= ZZ_r hold literally; boundary
     # growth holds in graded-image form, BB_r <= BB_{r+1} + F_{p-1} (the
@@ -565,16 +617,16 @@ def test_modules_are_constant_past_the_settle_page(name):
 
 @pytest.mark.parametrize("name", sorted(SETTLE_INSTANCES))
 def test_pages_past_the_bound_ask_for_no_module(name, monkeypatch):
-    # After pages 0..bound every cell is past its settle page: pages up to
-    # 3 * bound serve the bound page's modules, with no zr, br, zz or bb
-    # call, and no page has a differential.
+    # After pages 0..bound every cell is past its settle page: the same
+    # walk's pages up to 3 * bound serve the bound page's modules, with no
+    # zr, br, zz or bb call, and no page has a differential.
     c = SETTLE_INSTANCES[name]()
     sp, fp = SpectralPages(c), FilteredPages(totalize(c))
     bound = sp.stabilization_bound()
-    for r in range(bound + 1):
-        sp.page(r)
+    walk = sp.pages(3 * bound)
+    for page in islice(walk, bound + 1):
         for (p, q) in c.support:
-            fp.entry(r, p, p + q)
+            fp.entry(page.r, p, p + q)
     calls = []
 
     def counting(cls, method):
@@ -589,14 +641,15 @@ def test_pages_past_the_bound_ask_for_no_module(name, monkeypatch):
     for cls, method in ((SpectralPages, "zr"), (SpectralPages, "br"),
                         (FilteredPages, "zz"), (FilteredPages, "bb")):
         counting(cls, method)
-    for r in range(bound + 1, 3 * bound + 1):
-        page = sp.page(r)
+    for page in walk:
+        r = page.r
         assert page.deltas == {}, r
         for (p, q) in c.support:
             se, ss = page.entries[(p, q)], sp.entry(bound, p, q)
             fe, fs = fp.entry(r, p, p + q), fp.entry(bound, p, p + q)
             assert se.zr is ss.zr and se.br is ss.br and se.quot is ss.quot, (r, p, q)
             assert fe.zz is fs.zz and fe.bb is fs.bb, (r, p, q)
+    assert r == 3 * bound
     assert calls == []
 
 
@@ -631,10 +684,9 @@ def test_pages_past_the_last_page_are_lookups(ring):
         t = totalize(c)
         sp, fp = SpectralPages(c), FilteredPages(t)
         pages = range(sp.stabilization_bound() + 2)
-        for r in pages:
-            sp.page(r)
+        for page in sp.pages(pages[-1]):
             for (p, q) in c.support:
-                fp.entry(r, p, p + q)
+                fp.entry(page.r, p, p + q)
         for engine, cold, cells in ((sp, SpectralPages(c), c.support),
                                     (fp, FilteredPages(t), [(p, p + q) for p, q in c.support])):
             for cell in cells:

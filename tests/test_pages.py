@@ -260,7 +260,7 @@ def test_entry_r1_bicomplex_is_d0_homology():
 
 
 def test_hurtubise1_page2_table():
-    page = SpectralPages(hurtubise(1, QQ)).page(2)
+    *_, page = SpectralPages(hurtubise(1, QQ)).pages(2)
     assert page.invariants_table() == {(0, 1): (0,), (2, 0): (0,)}
 
 
@@ -348,30 +348,30 @@ def test_delta_independent_of_witness_choice():
 
 
 def _einf(sp):
-    """Page stabilization_bound(): equal to the next page, with no differential."""
-    bound = sp.stabilization_bound()
-    stable, beyond = sp.page(bound), sp.page(bound + 1)
+    """Pages 0 to stabilization_bound(), the last equal to the next page, with no differential."""
+    *pages, beyond = sp.pages(sp.stabilization_bound() + 1)
+    stable = pages[-1]
     assert stable.invariants_table() == beyond.invariants_table()
     assert stable.deltas == beyond.deltas == {}
-    return stable
+    return pages
 
 
 def test_stabilization_bound_single_column():
     sp = SpectralPages(Multicomplex(QQ, {(0, 0): 1, (0, 1): 2}, {}))
     assert sp.stabilization_bound() == 2
-    page = _einf(sp)
-    assert page.invariants_table() == sp.page(1).invariants_table()
+    pages = _einf(sp)
+    assert pages[-1].invariants_table() == pages[1].invariants_table()
 
 
 def test_hurtubise1_einf_vanishes():
-    page = _einf(SpectralPages(hurtubise(1, QQ)))
+    page = _einf(SpectralPages(hurtubise(1, QQ)))[-1]
     assert page.invariants_table() == {}
 
 
 def test_hurtubise3_einf_is_e2():
-    sp = SpectralPages(hurtubise(3, QQ))
-    page = _einf(sp)
-    assert page.invariants_table() == sp.page(2).invariants_table()
+    pages = _einf(SpectralPages(hurtubise(3, QQ)))
+    page = pages[-1]
+    assert page.invariants_table() == pages[2].invariants_table()
     assert sum(len(v) for v in page.invariants_table().values()) == 2
 
 
@@ -511,8 +511,7 @@ def test_equal_module_pairs_share_one_subquotient(monkeypatch):
     for c in instances:
         del calls[:]
         sp = SpectralPages(c)
-        for r in range(sp.stabilization_bound() + 2):
-            sp.page(r)
+        list(sp.pages(sp.stabilization_bound() + 1))
         pairs = {(e.zr, e.br) for e in sp._entries.values()}
         assert len(calls) == len(pairs)
 
@@ -542,8 +541,7 @@ def test_pages_build_no_boundary_system(monkeypatch):
     for c in instances:
         del rows[:]
         sp = SpectralPages(c)
-        for r in range(sp.stabilization_bound() + 2):
-            sp.page(r)
+        list(sp.pages(sp.stabilization_bound() + 1))
         assert rows
         assert max(rows) <= max(c.ranks.values())
         assert len(rows) <= sum(_bounds(c, p, q)[0] for p, q in c.support)
@@ -617,8 +615,7 @@ def test_zero_pages_do_not_depend_on_request_order(ring):
     for seed, c in enumerate(_zero_page_instances(ring)):
         swept, cold = SpectralPages(c), SpectralPages(c)
         pages = range(swept.stabilization_bound() + 2)
-        for r in pages:
-            swept.page(r)
+        list(swept.pages(pages[-1]))
         cells = sorted(c.support)
         random.Random(seed).shuffle(cells)
         for (p, q) in cells:
@@ -639,8 +636,7 @@ def test_cells_past_their_zero_page_still_have_witnesses(ring):
     for c in _zero_page_instances(ring):
         sp = SpectralPages(c)
         pages = range(sp.stabilization_bound() + 2)
-        for r in pages:
-            sp.page(r)
+        list(sp.pages(pages[-1]))
         for (p, q) in c.support:
             zero = next((r for r in pages if not sp.entry(r, p, q).invariants), pages[-1])
             for r in range(zero + 1, len(pages)):
@@ -653,14 +649,14 @@ def test_cells_past_their_zero_page_still_have_witnesses(ring):
 
 @pytest.mark.parametrize("ring", ZERO_PAGE_RINGS, ids=str)
 def test_page_holds_every_differential_that_can_be_nonzero(ring):
-    # page(r) builds Delta_r out of every nonzero entry into a present cell,
-    # equal to the one an engine that never builds a page computes; every
-    # other Delta_r, asked of that engine, is zero.
+    # Each page of the walk builds Delta_r out of every nonzero entry into a
+    # present cell, equal to the one an engine that never builds a page
+    # computes; every other Delta_r, asked of that engine, is zero.
     built = omitted = 0
     for c in _zero_page_instances(ring):
         sp, fresh = SpectralPages(c), SpectralPages(c)
-        for r in range(sp.stabilization_bound() + 2):
-            page = sp.page(r)
+        for page in sp.pages(sp.stabilization_bound() + 1):
+            r = page.r
             live = {(p, q) for (p, q) in c.support
                     if fresh.entry(r, p, q).invariants and c.rank(p - r, q + r - 1)}
             assert set(page.deltas) == live, r
@@ -677,11 +673,28 @@ def test_page_holds_every_differential_that_can_be_nonzero(ring):
     assert built > 20 and omitted > built
 
 
+@pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=str)
+def test_absent_cells_are_the_rank0_zero_module(ring):
+    # zr, br and entry take the general path at a cell outside the support,
+    # on every page: each is the rank-0 zero module.
+    c = hurtubise(4, ring)
+    sp = SpectralPages(c)
+    zero = SubmodulePresentation.zero(ring, 0)
+    absent = [(p, q) for p in range(-2, 6) for q in range(-2, 6) if not c.rank(p, q)]
+    assert len(absent) > 50
+    for r in range(sp.stabilization_bound() + 2):
+        for (p, q) in absent:
+            e = sp.entry(r, p, q)
+            assert (e.zr, e.br, e.invariants) == (zero, zero, ()), (r, p, q)
+            if r:
+                assert sp.zr(r, p, q) == sp.br(r, p, q) == zero, (r, p, q)
+
+
 def test_pages_store_only_differentials_that_can_be_nonzero():
     # Wall (3,2,2) at amax 16, paged to the bound: 5,491 (r, cell) visits,
     # when every visit built and stored its Delta_r.
     sp = SpectralPages(wall(WallParams(3, 2, 2, 16)))
-    assert sum(len(sp.page(r).deltas) for r in range(sp.stabilization_bound() + 1)) == 508
+    assert sum(len(page.deltas) for page in sp.pages(sp.stabilization_bound())) == 508
 
 
 def _page_key(page):
@@ -716,23 +729,31 @@ def test_pages_in_order_match_the_per_cell_loop(name):
         assert any(x.denominator > 1 for m in c.maps.values() for row in m.data for x in row)
     sp, loop = SpectralPages(c), SpectralPages(c)
     carried = 0
-    for r in range(sp.stabilization_bound() + 2):
-        page = sp.page(r)
+    for page in sp.pages(sp.stabilization_bound() + 1):
+        r = page.r
         assert _page_key(page) == _page_key(per_cell_page(loop, r)), r
         assert all(e is sp.entry(r, *cell) for cell, e in page.entries.items()), r
         carried += sum(r > sp._last[cell] for cell in c.support)
     assert carried
 
 
-@pytest.mark.parametrize("order", ["bound-1-2-3", "0-2-4"])
-def test_pages_out_of_order_match_the_per_cell_loop(order):
-    # The bound page first, then pages 1, 2 and 3: only the last two
-    # follow the page before them.  Every other page: none does.
-    for name, c in _page_order_instances().items():
-        sp = SpectralPages(c)
-        bound = sp.stabilization_bound()
-        for r in (bound, 1, 2, 3) if order == "bound-1-2-3" else (0, 2, 4):
-            assert _page_key(sp.page(r)) == _page_key(per_cell_page(SpectralPages(c), r)), (name, r)
+@pytest.mark.parametrize("name", PAGE_ORDER_INSTANCES)
+def test_walks_after_other_requests_match_the_per_cell_loop(name):
+    # An engine that has answered entry and delta at the bound page and at
+    # every (r, cell) in shuffled order has found its cells' last pages out
+    # of order.  A walk on it, and a second walk on the same engine, must
+    # give the pages of a fresh engine asked for every cell on every page.
+    c = _page_order_instances()[name]
+    sp, loop = SpectralPages(c), SpectralPages(c)
+    bound = sp.stabilization_bound()
+    want = [_page_key(per_cell_page(loop, r)) for r in range(bound + 2)]
+    asked = [(r, *cell) for r in range(bound + 2) for cell in c.support]
+    random.Random(len(asked)).shuffle(asked)
+    for key in [(bound, *cell) for cell in c.support] + asked:
+        sp.entry(*key)
+        sp.delta(*key)
+    for walk in (1, 2):
+        assert [_page_key(page) for page in sp.pages(bound + 1)] == want, walk
 
 
 def test_mutating_a_page_leaves_the_next_page_alone():
@@ -741,11 +762,13 @@ def test_mutating_a_page_leaves_the_next_page_alone():
     # must not change them.
     c = wall(WallParams(3, 2, 2, 8))
     sp = SpectralPages(c)
-    page = sp.page(1)
+    walk = sp.pages(2)
+    next(walk)
+    page = next(walk)
     for cell in page.entries:
         page.entries[cell] = sp.entry(0, *cell)
     assert any(sp._last[cell] < 2 for cell in c.support)
-    assert _page_key(sp.page(2)) == _page_key(per_cell_page(SpectralPages(c), 2))
+    assert _page_key(next(walk)) == _page_key(per_cell_page(SpectralPages(c), 2))
 
 
 def _witness_targets(monkeypatch, sp):
@@ -758,8 +781,8 @@ def _witness_targets(monkeypatch, sp):
         return original(self, r, p, q, x)
 
     monkeypatch.setattr(SpectralPages, "witness", counting)
-    for r in range(sp.stabilization_bound() + 2):
-        built = sp.page(r).deltas
+    for page in sp.pages(sp.stabilization_bound() + 1):
+        r, built = page.r, page.deltas
         for (p, q) in sp.c.support:
             if (p, q) not in built:
                 sp.delta(r, p, q)
@@ -902,8 +925,7 @@ def test_pages_build_no_full_cycle_system(monkeypatch):
     for name in sorted(REFERENCE_INSTANCES):
         c = REFERENCE_INSTANCES[name]()
         sp = SpectralPages(c)
-        for r in range(sp.stabilization_bound() + 2):
-            sp.page(r)
+        list(sp.pages(sp.stabilization_bound() + 1))
         report = compare_engines(SpectralPages(c), FilteredPages(totalize(c)))
         assert report.ok, name
 
