@@ -24,7 +24,7 @@ from . import builders, filtered, mcxio
 from .linalg import InclusionError
 from .multicomplex import Multicomplex, RelationError, rebase
 from .pages import SpectralPages, WellDefinednessError
-from .rings import GF, QQ, ZZ, Ring
+from .rings import ZZ, Ring, parse_ring
 from .total import totalize
 
 EXIT_OK = 0
@@ -41,26 +41,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _parse_ring(tokens) -> Ring:
-    toks = []
-    for t in tokens:
-        toks.extend(t.replace(",", " ").split())
-    if toks == ["Q"]:
-        return QQ
-    if toks == ["Z"]:
-        return ZZ
-    if len(toks) == 2 and toks[0] == "F" and toks[1].isdigit():
-        modulus = toks[1]
-    elif len(toks) == 1 and toks[0].startswith("F") and toks[0][1:].isdigit():
-        modulus = toks[0][1:]
-    else:
-        raise UsageError(f"cannot parse ring {' '.join(tokens)!r} (expected Q, Z or F <p>)")
-    try:
-        return GF(int(modulus))
-    except ValueError as exc:
-        raise UsageError(f"bad ring {' '.join(tokens)!r}: {exc}") from None
 
 
 def _page_index(text: str) -> int:
@@ -94,9 +74,13 @@ def _write_output(path: str, text: str):
 
 def _load(args) -> Multicomplex:
     c = mcxio.parse(_read_input(args.file))
-    if getattr(args, "ring", None):
+    if args.ring:
         try:
-            c = rebase(c, _parse_ring(args.ring))
+            ring = parse_ring(args.ring)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        try:
+            c = rebase(c, ring)
         except ValueError as exc:
             raise UsageError(f"cannot rebase: {exc}") from None
     return c
@@ -253,8 +237,8 @@ def cmd_homology(args) -> int:
 
 
 def cmd_example(args) -> int:
-    ring = _parse_ring(args.ring) if args.ring else ZZ
     try:
+        ring = parse_ring(args.ring) if args.ring else ZZ
         if args.name == "staircase":
             if args.len is None:
                 raise UsageError("staircase needs --len")
@@ -278,8 +262,8 @@ def cmd_example(args) -> int:
 
 
 def cmd_random(args) -> int:
-    ring = _parse_ring(args.ring) if args.ring else ZZ
     try:
+        ring = parse_ring(args.ring) if args.ring else ZZ
         spec = builders.RandomSpec(
             seed=args.seed,
             width=args.width,

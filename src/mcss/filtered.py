@@ -185,21 +185,19 @@ class FilteredPages:
         n, start, k = key
         return self._reductions[(n, start)].suffix[k]
 
-    def _span(self, key, lo, hi):
-        """The span of the suffix rows [dc | c] cut to [lo, hi) past dim Tot_{n-1}: cycles."""
-        cached = self._spans.get((key, lo, hi))
-        if cached is None:
-            cached = self._spans[key, lo, hi] = SubmodulePresentation.span(
-                self.t.ring, hi - lo, [v[lo:hi] for v in self._suffix(key)])
-        return cached
-
     def zz(self, r: int, p: int, n: int) -> SubmodulePresentation:
         """pi_p(ZZ_r^p), ZZ_r^p = F_p intersected with d^{-1}(F_{p-r}) in Tot_n."""
         if r < 0:
             raise ValueError("page index must be >= 0")
         if (r, p, n) not in self._zz:
-            lo = self.t.dim(n - 1)  # a suffix row's cycle follows its boundary
-            self._zz[r, p, n] = self._span(self._key(r, p, n), lo, lo + self.t.block_start(n, p)[1])
+            t = self.t
+            lo = t.dim(n - 1)  # a suffix row [dc | c]'s cycle c follows its boundary
+            key, hi = self._key(r, p, n), lo + t.block_start(n, p)[1]
+            span = self._spans.get((key, lo, hi))
+            if span is None:
+                span = self._spans[key, lo, hi] = SubmodulePresentation.span(
+                    t.ring, hi - lo, [v[lo:hi] for v in self._suffix(key)])
+            self._zz[r, p, n] = span
         return self._zz[r, p, n]
 
     def bb(self, r: int, p: int, n: int) -> SubmodulePresentation:
@@ -249,17 +247,18 @@ class FilteredPages:
         t = self.t
         # Page s has page s-1's modules when F_{p-s+1} = F_{p-s} in Tot_{n-1}
         # and F_{p+s-1} = F_{p+s-2} in Tot_{n+1}: both blocks are absent.
-        while s > 1 and (s, p, n) not in self._entries and not (
+        while s > 1 and not (
                 t.block_start(n - 1, p - s + 1)[1] or t.block_start(n + 1, p + s - 1)[1]):
             s -= 1
-        if s < r:  # a served page: page s's entry, never built again
-            e = self.entry(s, p, n)
-            if r <= self._last[(p, n)]:  # kept under r too, which ends the next walk down
-                self._entries[(r, p, n)] = e
-            return e
-        e = self._entries[(r, p, n)] = FilteredEntry(self.zz(r, p, n), self.bb(r, p, n))
-        if e.zz == e.bb:  # E_r = 0: both projections stay equal to it
-            self._last[(p, n)] = r
+            e = self._entries.get((s, p, n))
+            if e is not None:
+                break
+        if e is None:  # page s's entry, built once
+            e = self._entries[(s, p, n)] = FilteredEntry(self.zz(s, p, n), self.bb(s, p, n))
+            if e.zz == e.bb:  # E_s = 0: both projections stay equal to it
+                self._last[(p, n)] = s
+        if s < r <= self._last[(p, n)]:  # kept under r too, which ends the next walk down
+            self._entries[(r, p, n)] = e
         return e
 
     def delta(self, r: int, p: int, n: int):

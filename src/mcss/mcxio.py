@@ -6,6 +6,7 @@
     map <i> <a> <b> : e11 e12 ... ; e21 ... ; ...
 
 '#' starts a comment, blank lines are ignored, declaration order is free.
+The ring line's name is read by `rings.parse_ring`, as `--ring` is.
 Each integer entry is converted by one int() (mod p over F_p).
 Emission is canonical: modules then maps, each sorted lexicographically,
 zero matrices omitted; emit(parse(emit(c))) == emit(c).
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from .linalg import Mat
 from .multicomplex import Multicomplex
-from .rings import GF, QQ, ZZ
+from .rings import parse_ring
 
 
 # The largest module rank a `module` line may declare.  Pages start from
@@ -58,18 +59,9 @@ def parse(text: str) -> Multicomplex:
     if toks[0] != "ring":
         raise MCXParseError(lineno, f"expected ring declaration, got {ringline!r}")
     try:
-        if toks[1:] == ["Q"]:
-            ring = QQ
-        elif toks[1:] == ["Z"]:
-            ring = ZZ
-        elif len(toks) == 3 and toks[1] == "F":
-            ring = GF(int(toks[2]))
-        else:
-            raise MCXParseError(lineno, f"unknown ring {ringline!r}")
-    except (ValueError, IndexError) as exc:
-        if isinstance(exc, MCXParseError):
-            raise
-        raise MCXParseError(lineno, f"bad ring declaration: {exc}") from None
+        ring = parse_ring(toks[1:])
+    except ValueError as exc:
+        raise MCXParseError(lineno, str(exc)) from None
 
     ranks: dict = {}
     raw_maps: dict = {}

@@ -218,12 +218,11 @@ class SpectralPages:
 
         Row s, d_s x - sum_{j=1}^{s} d_{s-j} z_j, without its -d_0 z_s block
         (z_s is not an unknown of K_s), meets x and the z_j, s - maxd <= j < s,
-        read at the chain's offsets.
+        read at the chain's offsets.  Maps into an absent cell are never
+        stored, so there no block carries a map and V_s is ([], 1).
         """
         c = self.c
         tr = c.rank(p - s, q + s - 1)
-        if not tr:
-            return [], 1
         lo = max(1, s - c.maxd)
         ends = [st[2].ambient_rank for st in steps[lo - 1:]] + [k.ambient_rank]
         blocks = [(c.dmap(s, p, q), 1, 0, c.rank(p, q))] + [
@@ -283,23 +282,23 @@ class SpectralPages:
             return e
         c = self.c
         # E_s = E_{s-1} when Delta_{s-1} into and out of the cell meet absent cells.
-        while s > 1 and (s, p, q) not in self._entries and not (
-                c.rank(p - s + 1, q + s - 2) or c.rank(p + s - 1, q - s + 2)):
+        while s > 1 and not (c.rank(p - s + 1, q + s - 2) or c.rank(p + s - 1, q - s + 2)):
             s -= 1
-        if s < r:  # a served page: page s's entry, never built again
-            e = self.entry(s, p, q)
-            if r <= self._last[(p, q)]:  # kept under r too, which ends the next walk down
-                self._entries[(r, p, q)] = e
-            return e
-        nx = c.rank(p, q)
-        zr = self.zr(r, p, q) if r else SubmodulePresentation.full(c.ring, nx)
-        br = self.br(r, p, q) if r else SubmodulePresentation.zero(c.ring, nx)
-        quot = self._quotients.get((zr, br))
-        if quot is None:  # subquotient raises InclusionError on a B_r <= Z_r breach
-            quot = self._quotients[(zr, br)] = subquotient(zr, br)
-        if not quot.invariants:  # E_r = 0: Z and B equal Z_r on every later page
-            self._last[(p, q)] = r
-        e = self._entries[(r, p, q)] = PageEntry(zr, br, quot)
+            e = self._entries.get((s, p, q))
+            if e is not None:
+                break
+        if e is None:  # page s's entry, built once
+            nx = c.rank(p, q)
+            zr = self.zr(s, p, q) if s else SubmodulePresentation.full(c.ring, nx)
+            br = self.br(s, p, q) if s else SubmodulePresentation.zero(c.ring, nx)
+            quot = self._quotients.get((zr, br))
+            if quot is None:  # subquotient raises InclusionError on a B_r <= Z_r breach
+                quot = self._quotients[(zr, br)] = subquotient(zr, br)
+            if not quot.invariants:  # E_s = 0: Z and B equal Z_s on every later page
+                self._last[(p, q)] = s
+            e = self._entries[(s, p, q)] = PageEntry(zr, br, quot)
+        if s < r <= self._last[(p, q)]:  # kept under r too, which ends the next walk down
+            self._entries[(r, p, q)] = e
         return e
 
     # -- witnesses ---------------------------------------------------------
@@ -330,16 +329,17 @@ class SpectralPages:
         ker Delta_r = Z_{r+1}/B_r, so that test (at r = 0: ker d_0 is the
         whole cell) finds every zero map, which is built with no witness.
         It compares modules, not ranks: over Z a sublattice of equal rank
-        means a torsion value.  Otherwise Delta_0 is d_0, and for r >= 1,
-        with x = sum_k t_k (x part of K_r row k) from `witness`, the value
-        is sum_k t_k V_r[k], the paper's formula on the witness of those rows.
+        means a torsion value.  An absent target is the rank-0 zero module,
+        and V_r has no block there, so Z_{r+1} = Z_r: the test returns the
+        zero map with no target coordinate.  Otherwise Delta_0 is d_0, and
+        for r >= 1, with x = sum_k t_k (x part of K_r row k) from `witness`,
+        the value is sum_k t_k V_r[k], the paper's formula on the witness of
+        those rows.
         """
         c = self.c
         ring = c.ring
         src = self.entry(r, p, q)
         tp, tq = p - r, q + r - 1
-        if not c.rank(tp, tq):  # no coordinates: no witness, no target entry
-            return PageDifferential(r, p, q, src.quot.invariants, (), ())
         tgt = self.entry(r, tp, tq)
         if self.zr(r + 1, p, q) == src.zr:
             zero = (ring.zero(),) * len(src.quot.invariants)

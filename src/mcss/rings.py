@@ -23,6 +23,9 @@ Euclid across the row over ZZ) and `Ring.reduce_at` reduces the vectors
 above a pivot, which is all `mcss.linalg`'s echelon loop asks of a ring;
 over ZZ a step touches only the pivot vector's nonzero entries, at or
 past its pivot.  Rings are interned, so they compare by identity.
+
+It is also where a ring's name is read: `parse_ring` is the one grammar,
+Q, Z or F <p>, of an MCX file's `ring` line and of the `--ring` option.
 """
 
 from __future__ import annotations
@@ -316,3 +319,18 @@ ZZ = Ring("Z")
 
 def GF(p: int) -> Ring:
     return Ring("F", p)
+
+
+def parse_ring(tokens) -> Ring:
+    """The ring named by `tokens`, exactly Q, Z or F <p>, as words or as one
+    token such as "F 97"; any other name, or a p that GF refuses, raises ValueError."""
+    name = " ".join(" ".join(tokens).split())
+    if name in ("Q", "Z"):
+        return Ring(name)
+    kind, _, p = name.partition(" ")
+    if kind != "F" or not p.isdecimal():
+        raise ValueError(f"unknown ring {name!r} (expected Q, Z or F <p>)")
+    try:
+        return GF(int(p))
+    except ValueError as exc:
+        raise ValueError(f"bad ring {name!r}: {exc}") from None

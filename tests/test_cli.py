@@ -437,6 +437,39 @@ def test_ring_override(tmp_path, capsys):
     assert code == 3
 
 
+RING_NAMES = {
+    ("Q",): "ring Q",
+    ("Z",): "ring Z",
+    ("F", "97"): "ring F 97",
+    ("F 97",): "ring F 97",
+    ("F5",): "unknown ring 'F5' (expected Q, Z or F <p>)",
+    ("F,5",): "unknown ring 'F,5' (expected Q, Z or F <p>)",
+    ("F", "4"): "bad ring 'F 4': 4 is not prime",
+    ("F", "x"): "unknown ring 'F x' (expected Q, Z or F <p>)",
+    ("R",): "unknown ring 'R' (expected Q, Z or F <p>)",
+}
+
+
+@pytest.mark.parametrize("tokens", sorted(RING_NAMES), ids="|".join)
+def test_ring_option_and_ring_line_share_one_grammar(tmp_path, capsys, tokens):
+    # `--ring` and an MCX `ring` line name a ring by one grammar,
+    # Q, Z or F <p>: both accept the same names, and both refuse the same
+    # ones with one stderr line of the same text, exit 3 and exit 2.
+    f = tmp_path / "h1.mcx"
+    f.write_text(H1)
+    named = tmp_path / "named.mcx"
+    named.write_text(H1.replace("ring Z\n", f"ring {' '.join(tokens)}\n", 1))
+    by_option = run(capsys, "pages", str(f), "--ring", *tokens)
+    by_line = run(capsys, "pages", str(named))
+    want = RING_NAMES[tokens]
+    if want.startswith("ring "):
+        assert by_option[0] == 0 and by_option[1].splitlines()[0] == want
+        assert by_line == by_option
+    else:
+        assert by_option == (3, "", f"usage error: {want}\n")
+        assert by_line == (2, "", f"parse error: line 2: {want}\n")
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/nowhere.mcx")
     assert code == 3

@@ -1,6 +1,7 @@
 """Witness-route pages: cycles, boundaries, witnesses, differentials."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from mcss.linalg import (
     solve,
     subquotient,
 )
+from mcss.mcxio import parse
 from mcss.multicomplex import Multicomplex, RelationError
 from mcss.pages import SpectralPages
 from mcss.rings import GF, QQ, ZZ
@@ -847,6 +849,89 @@ def test_wide_sparse_pages_solve_no_witness(monkeypatch):
     # Two rank-1 cells 1000 columns apart: every differential leaves the support.
     c = Multicomplex(ZZ, {(0, 0): 1, (1000, 0): 1}, {})
     assert _witness_targets(monkeypatch, SpectralPages(c)) == []
+
+
+GOLDEN_MCX = sorted((Path(__file__).parent / "golden").glob("*.mcx"))
+
+
+@pytest.mark.parametrize("path", GOLDEN_MCX, ids=lambda path: path.stem)
+def test_delta_into_an_absent_cell_is_the_zero_map_with_no_witness(path, monkeypatch):
+    # An absent target is the rank-0 zero module, and V_r has no block
+    # there, so Z_{r+1} = Z_r and delta returns the zero map with no target
+    # coordinate through its general test, with no witness solved.
+    c = parse(path.read_text())
+    sp = SpectralPages(c)
+    solved = []
+    original = SpectralPages.witness
+    monkeypatch.setattr(SpectralPages, "witness",
+                        lambda self, *args: solved.append(args) or original(self, *args))
+    checked = 0
+    for r in range(sp.stabilization_bound() + 2):
+        for (p, q) in c.support:
+            if c.rank(p - r, q + r - 1):
+                continue
+            d = sp.delta(r, p, q)
+            assert (d.source_invariants, d.target_invariants, d.rows) == (
+                sp.entry(r, p, q).invariants, (), ()), (r, p, q)
+            checked += 1
+    assert checked and solved == []
+
+
+W12 = RandomSpec(seed=0, width=12, height=12, maxrank=3, maxd=4, ring=GF(2))
+
+
+def _walk_entries(engine, bound, cells, neighbours, modules, cold, calls):
+    """Pages 0 to bound in order, each asked for its live cells as `pages`
+    asks, and every entry's modules checked against a cold engine's.
+
+    Page r is served exactly where r > 1 and both neighbouring blocks are
+    absent: there entry returns the object it stored for page r-1, asks
+    for no module, and stores that object under r.  Returns those (r, cell).
+    """
+    served = []
+    for r in range(bound + 1):
+        for cell in cells:
+            if r > engine._last.get(cell, r):
+                continue
+            before = engine._entries.get((r - 1, *cell))
+            calls.clear()
+            e = engine.entry(r, *cell)
+            walk = r > 1 and not any(neighbours(r, *cell))
+            assert (e is before) == walk, (r, cell)
+            if walk:
+                assert calls == [] and engine._entries[(r, *cell)] is e, (r, cell)
+                served.append((r, cell))
+            if r:
+                assert modules(e) == cold(r, *cell), (r, cell)
+    return served
+
+
+def test_served_pages_return_the_page_before_with_no_module_asked(monkeypatch):
+    # No golden file has a live page whose two neighbouring cells are both
+    # absent; this window has such pages on both routes.  The cold engines
+    # build the modules at r directly, with no page served.
+    c = random_mcx(W12)
+    t = totalize(c)
+    sp, fp = SpectralPages(c), FilteredPages(t)
+    cold_sp, cold_fp = SpectralPages(c), FilteredPages(t)
+    calls = []
+    for engine, names in ((sp, ("zr", "br")), (fp, ("zz", "bb"))):
+        for name in names:
+            original = getattr(engine, name)
+            monkeypatch.setattr(engine, name,
+                                lambda *args, _f=original: calls.append(args) or _f(*args))
+    bound = sp.stabilization_bound()
+    served_sp = _walk_entries(
+        sp, bound, c.support,
+        lambda r, p, q: (c.rank(p - r + 1, q + r - 2), c.rank(p + r - 1, q - r + 2)),
+        lambda e: (e.zr, e.br), lambda r, p, q: (cold_sp.zr(r, p, q), cold_sp.br(r, p, q)),
+        calls)
+    served_fp = _walk_entries(
+        fp, bound, [(p, p + q) for p, q in c.support],
+        lambda r, p, n: (t.block_start(n - 1, p - r + 1)[1], t.block_start(n + 1, p + r - 1)[1]),
+        lambda e: (e.zz, e.bb), lambda r, p, n: (cold_fp.zz(r, p, n), cold_fp.bb(r, p, n)),
+        calls)
+    assert len(served_sp) == len(served_fp) == 10
 
 
 def _system_witness(sp, r, p, q, x):
